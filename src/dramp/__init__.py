@@ -22,6 +22,7 @@ from .errors import (
     InvalidAlpha,
     IoFailure,
     NonFiniteStart,
+    NonFiniteTarget,
     NotPositiveDefinite,
     RefusedOverwrite,
     SamplerError,
@@ -37,7 +38,6 @@ from .kernel import (
     SerialStreams,
     StepOutcome,
     burnin_location,
-    dr_accept_stage1,
     mh_accept_stage0,
     propose_cascade,
     run_kernel,

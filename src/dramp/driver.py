@@ -199,13 +199,11 @@ def _remove_suite(spec: SimulationSpec) -> None:
             pass
 
 
-def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> None:
-    """Cut the chain and progress files back to the snapshot's offsets.
-
-    Every file is checked before any is cut: one shorter than its offset has
-    lost bytes the snapshot counts, and truncating would pad it with NULs, so
-    the resume is refused and no file is modified.
-    """
+def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> CompactChain:
+    """Read the chain rows the snapshot counts, then cut the chain and
+    progress files back to the snapshot's offsets. A file shorter than its
+    offset (truncating would pad it with NULs), a damaged row or a wrong row
+    count refuses the resume before any file is modified."""
     cuts = (
         (spec.output.chain_path, int(snap["chain_offset"])),
         (spec.output.progress_path, int(snap["progress_offset"])),
@@ -219,12 +217,23 @@ def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> None:
                 "file was cut short, so the run cannot resume"
                 % (path, size, offset),
             )
+    except OSError as exc:
+        raise CorruptRestart("cannot inspect output files: %s" % exc) from exc
+    stored = read_chain(spec.output.chain_path, spec.output.delimiter,
+                        size=cuts[0][1])
+    _require(
+        stored.n_rows == int(snap["rows_written"]),
+        "chain file holds %d rows, snapshot says %d"
+        % (stored.n_rows, int(snap["rows_written"])),
+    )
+    try:
         for path, offset in cuts:
             os.truncate(path, offset)
     except OSError as exc:
         raise CorruptRestart(
             "cannot truncate output files to the snapshot boundary: %s" % exc
         ) from exc
+    return stored
 
 
 def _finish(
@@ -295,6 +304,7 @@ def _run_serial(
     spec: SimulationSpec,
     target: TargetDensity,
     resume: Optional[dict],
+    stored: Optional[CompactChain],
     on_event,
 ) -> RunResult:
     proposal = initial_proposal(spec)
@@ -305,12 +315,6 @@ def _run_serial(
             SerialStreams(spec.kernel.rng_seed, chain_index=0),
         )
     else:
-        stored = read_chain(spec.output.chain_path, spec.output.delimiter)
-        _require(
-            stored.n_rows == int(resume["rows_written"]),
-            "chain file holds %d rows, snapshot says %d"
-            % (stored.n_rows, int(resume["rows_written"])),
-        )
         _require(
             stored.dimension == target.dimension,
             "chain file dimension %d does not match the target's %d"
@@ -346,6 +350,7 @@ def _run_multichain(
     spec: SimulationSpec,
     target: TargetDensity,
     resume: Optional[dict],
+    stored: Optional[CompactChain],
     on_event,
 ) -> RunResult:
     proposal = initial_proposal(spec)
@@ -359,12 +364,6 @@ def _run_multichain(
     if resume is None:
         sw = _SuiteFiles(spec, target.dimension, append=False)
     else:
-        stored = read_chain(spec.output.chain_path, spec.output.delimiter)
-        _require(
-            stored.n_rows == int(resume["rows_written"]),
-            "chain file holds %d rows, snapshot says %d"
-            % (stored.n_rows, int(resume["rows_written"])),
-        )
         completed_rows = [int(v) for v in resume["completed_rows"]]
         completed_meta = [dict(m) for m in resume["completed_meta"]]
         first_index = int(resume["chain_index"])
@@ -453,6 +452,7 @@ def _run_forkjoin(
     spec: SimulationSpec,
     target: TargetDensity,
     resume: Optional[dict],
+    stored: Optional[CompactChain],
     on_event,
 ) -> RunResult:
     proposal = initial_proposal(spec)
@@ -463,12 +463,6 @@ def _run_forkjoin(
             RoundStreams(spec.kernel.rng_seed, rank=1),
         )
     else:
-        stored = read_chain(spec.output.chain_path, spec.output.delimiter)
-        _require(
-            stored.n_rows == int(resume["rows_written"]),
-            "chain file holds %d rows, snapshot says %d"
-            % (stored.n_rows, int(resume["rows_written"])),
-        )
         sw = _SuiteFiles(spec, target.dimension, append=True,
                          rows_written=stored.n_rows)
         kern = Kernel(
@@ -533,6 +527,7 @@ def run_simulation(
             "force_overwrite to replace it" % spec.output.prefix
         )
     resume = None
+    stored = None
     if state is RunState.RESTARTABLE:
         snap = read_snapshot(spec.output.restart_path)
         check_restart_compatibility(spec, snap)
@@ -541,14 +536,14 @@ def run_simulation(
             "snapshot mode %r does not match spec mode %r"
             % (snap.get("mode"), spec.mode),
         )
-        _truncate_for_resume(spec, snap)
+        stored = _truncate_for_resume(spec, snap)
         resume = snap
     target = make_target(spec)
     if spec.mode == "serial":
-        return _run_serial(spec, target, resume, on_event)
+        return _run_serial(spec, target, resume, stored, on_event)
     if spec.mode == "multichain":
-        return _run_multichain(spec, target, resume, on_event)
-    return _run_forkjoin(spec, target, resume, on_event)
+        return _run_multichain(spec, target, resume, stored, on_event)
+    return _run_forkjoin(spec, target, resume, stored, on_event)
 
 
 def replay_adaptation_covariances(

@@ -22,7 +22,11 @@ class StageOutOfRange(SamplerError, ValueError):
 
 
 class InvalidAlpha(SamplerError, ValueError):
-    """A stage-0 acceptance probability is outside its valid range."""
+    """An acceptance probability is outside [0, 1] (no longer raised)."""
+
+
+class NonFiniteTarget(SamplerError, ValueError):
+    """The target reported a log-density of +inf at a proposed point."""
 
 
 class NonFiniteStart(SamplerError, ValueError):

@@ -1,11 +1,24 @@
 """Serial sampling loop: Metropolis acceptance with delayed rejection,
 periodic proposal adaptation, burn-in tracking.
 
-Every iteration proposes against the incumbent state. A rejection at stage k
-falls through to stage k+1 with a narrower proposal, up to the configured
-stage count; acceptance probabilities at the later stages carry correction
-terms so that the combined kernel still satisfies detailed balance. A fully
-rejected iteration bumps the incumbent's repeat weight.
+Every iteration proposes against the incumbent state x. A rejection at stage
+k falls through to stage k+1 with a narrower proposal, up to the configured
+stage count; a fully rejected iteration bumps the incumbent's repeat weight.
+
+Delayed-rejection acceptance (Tierney & Mira 1999; Haario et al. 2006) works
+in whitened coordinates. Candidate m is y_m = x + s_{m-1} L z_m (L the
+Cholesky factor of the proposal shape, s_j the stage-j scale, z_m the stage's
+standard-normal draw), so L^-1 (y_a - y_b) = s_{a-1} z_a - s_{b-1} z_b. Every
+proposal kernel in an acceptance ratio is a squared norm of offsets the
+cascade already holds, and the Gaussian normalizing constants cancel: the
+step path has no linear solve and no log-determinant. The ratio also needs
+the acceptance probabilities of subpaths, each a contiguous index range
+walked forwards or backwards, so a cascade has O(k^2) of them; dr_log_alpha
+memoizes them by (first, last) across the cascade's stages and serves every
+stage >= 1.
+
+The target is evaluated in propose_cascade only: a NaN log-density counts as
+-inf (outside the support), and +inf raises NonFiniteTarget naming the point.
 
 RNG budget contract: every stage consumes exactly d standard normals plus one
 uniform from the step's stream, whether or not the outcome is already decided.
@@ -17,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,18 +39,16 @@ from .chain import ChainRow, CompactChain, WeightedMoments
 from .errors import (
     DimensionMismatch,
     EmptyRange,
-    InvalidAlpha,
     NonFiniteStart,
+    NonFiniteTarget,
     StageOutOfRange,
 )
 from .model import TargetDensity
-from .proposal import (
-    AdaptationRecord,
-    ProposalState,
-    adapt,
-    log_kernel_density,
-    sample_candidate,
-)
+from .proposal import AdaptationRecord, ProposalState, adapt
+
+# The cascade draws candidates and whitens its kernel terms inline, so it calls
+# neither of these; they stay importable here for tools that patch them by name.
+from .proposal import log_kernel_density, sample_candidate  # noqa: F401
 
 __all__ = [
     "REJECTED",
@@ -47,7 +58,7 @@ __all__ = [
     "SerialStreams",
     "RoundStreams",
     "mh_accept_stage0",
-    "dr_accept_stage1",
+    "dr_log_alpha",
     "propose_cascade",
     "burnin_location",
     "Kernel",
@@ -56,7 +67,8 @@ __all__ = [
 
 REJECTED = -1
 
-NEG_INF = float("-inf")
+INF = float("inf")
+NEG_INF = -INF
 
 
 @dataclass(frozen=True)
@@ -119,46 +131,6 @@ def mh_accept_stage0(log_current: float, log_candidate: float, u: float) -> bool
     return lnu < log_candidate - log_current
 
 
-def dr_accept_stage1(
-    log_x: float,
-    log_y1: float,
-    log_y2: float,
-    alpha1_y2y1: float,
-    alpha1_xy1: float,
-    u: float,
-    log_q_ratio: float = 0.0,
-) -> bool:
-    """Stage-1 delayed-rejection rule for the path x -> y1 (rejected) -> y2.
-
-    Accepts iff ln u < [log_y2 + ln(1 - alpha1_y2y1)]
-                     - [log_x + ln(1 - alpha1_xy1)] + log_q_ratio.
-
-    ``log_q_ratio`` is ln q0(y1 - y2) - ln q0(y1 - x), the first-stage kernel
-    evaluated at the two displacements to y1. For proposals all centered at
-    the incumbent these do NOT cancel (only the final-stage kernel does);
-    dropping the term breaks detailed balance measurably. The default 0.0
-    covers the symmetric desk cases where both displacements coincide.
-    """
-    if not (0.0 <= alpha1_y2y1 <= 1.0 and 0.0 <= alpha1_xy1 <= 1.0):
-        raise InvalidAlpha(
-            "alpha terms must lie in [0,1], got %g and %g"
-            % (alpha1_y2y1, alpha1_xy1)
-        )
-    if alpha1_y2y1 >= 1.0:
-        return False  # reverse move would be surely accepted; numerator vanishes
-    log_num = log_y2 + math.log1p(-alpha1_y2y1)
-    log_den = log_x + math.log1p(-alpha1_xy1)
-    lnu = math.log(u) if u > 0.0 else NEG_INF
-    return lnu < log_num - log_den + log_q_ratio
-
-
-def _alpha0(log_from: float, log_to: float) -> float:
-    """Stage-0 acceptance probability min(1, exp(log_to - log_from))."""
-    if log_to >= log_from:
-        return 1.0
-    return math.exp(log_to - log_from)
-
-
 def _log1mexp(a: float) -> float:
     """log(1 - exp(a)) for a <= 0."""
     if a >= 0.0:
@@ -168,39 +140,59 @@ def _log1mexp(a: float) -> float:
     return math.log1p(-math.exp(a))
 
 
-def _log_path_alpha(
-    logfs: Sequence[float], states: Sequence[np.ndarray], proposal: ProposalState
+def dr_log_alpha(
+    log_funcs: Sequence[float],
+    draws: Sequence[np.ndarray],
+    scales: Sequence[float],
+    memo: Optional[Dict[Tuple[int, int], float]] = None,
+    first: int = 0,
+    last: Optional[int] = None,
 ) -> float:
-    """Log acceptance probability of the path's last entry.
+    """Log acceptance probability of the path y_first -> ... -> y_last.
 
-    ``states[0]`` is the path origin, states[1:-1] the rejected candidates in
-    stage order, states[-1] the candidate under test at stage len(states)-2.
-    All stage kernels are centered at the path origin, so the final-stage
-    kernel term is symmetric and cancels; earlier-stage kernel terms and the
-    rejection probabilities of both the forward and the reversed sub-paths
-    remain. Recursive; exponential in stage index, fine for small cascades.
+    ``log_funcs[m]`` is the target log-density at y_m, where y_0 is the
+    incumbent x and y_m = x + scales[m-1] * L @ draws[m-1] the candidate of
+    stage m-1 (``scales[j]`` is the full stage-j scale). The path's stage-j
+    kernel is centered at its origin y_first; the final stage's kernel is
+    symmetric and cancels, the earlier ones and the rejection probabilities
+    of the forward prefixes and reversed suffixes remain. The path defaults
+    to x followed by every candidate. ``memo`` caches subpaths by
+    (first, last); pass one dict for all stages of a cascade.
     """
-    k = len(states) - 2
-    if k == 0:
-        diff = logfs[1] - logfs[0]
-        return 0.0 if diff >= 0.0 else diff
-    log_num = logfs[-1]
-    log_den = logfs[0]
-    if log_num == NEG_INF:
-        return NEG_INF
-    for j in range(k):
-        log_den += log_kernel_density(proposal, states[0], states[j + 1], j)
-        log_num += log_kernel_density(proposal, states[-1], states[-2 - j], j)
-        fwd = _log_path_alpha(logfs[: j + 2], states[: j + 2], proposal)
-        rev = _log_path_alpha(logfs[::-1][: j + 2], states[::-1][: j + 2], proposal)
-        log_num += _log1mexp(rev)
-        log_den += _log1mexp(fwd)
-        if log_num == NEG_INF:
-            return NEG_INF
-    if log_den == NEG_INF:
-        return 0.0  # zero-probability forward path; ratio diverges
-    diff = log_num - log_den
-    return 0.0 if diff >= 0.0 else diff
+    if last is None:
+        last = len(log_funcs) - 1
+    if memo is None:
+        memo = {}
+    cached = memo.get((first, last))
+    if cached is not None:
+        return cached
+    log_num = log_funcs[last]
+    log_den = log_funcs[first]
+    if abs(last - first) > 1 and log_num != NEG_INF:
+        # whitened offsets: L^-1 (y_a - y_b) = w_a - w_b, w_m = s_{m-1} z_m
+        w_first = scales[first - 1] * draws[first - 1] if first else 0.0
+        w_last = scales[last - 1] * draws[last - 1] if last else 0.0
+        step = 1 if last > first else -1
+        for j in range(abs(last - first) - 1):
+            fwd = first + step * (j + 1)
+            rev = last - step * (j + 1)
+            a = scales[fwd - 1] * draws[fwd - 1] - w_first
+            b = scales[rev - 1] * draws[rev - 1] - w_last
+            variance = scales[j] * scales[j]
+            log_den -= 0.5 * float(a @ a) / variance
+            log_num -= 0.5 * float(b @ b) / variance
+            log_num += _log1mexp(
+                dr_log_alpha(log_funcs, draws, scales, memo, last, rev)
+            )
+            log_den += _log1mexp(
+                dr_log_alpha(log_funcs, draws, scales, memo, first, fwd)
+            )
+            if log_num == NEG_INF:
+                break
+    # a zero-probability forward path (log_den = -inf) gives min(0, +inf) = 0
+    result = NEG_INF if log_num == NEG_INF else min(0.0, log_num - log_den)
+    memo[(first, last)] = result
+    return result
 
 
 def propose_cascade(
@@ -216,34 +208,42 @@ def propose_cascade(
     Pure with respect to everything but the stream; shared verbatim by the
     serial kernel and the fork-join workers.
     """
-    states: List[np.ndarray] = [incumbent]
-    logfs: List[float] = [log_incumbent]
-    consumed = 0
+    chol = proposal.chol_factor
+    scale = proposal.scale_factor
     for stage in range(dr_stage_count + 1):
-        candidate = sample_candidate(proposal, incumbent, stage, stream)
+        z = stream.standard_normal(proposal.dimension)
+        candidate = incumbent + scale * (chol @ z)
         log_candidate = float(target.evaluate(candidate))
-        u = float(stream.random())
-        consumed += 1
-        states.append(candidate)
-        logfs.append(log_candidate)
-        if stage == 0:
-            accepted = mh_accept_stage0(log_incumbent, log_candidate, u)
-        elif stage == 1:
-            a_fwd = _alpha0(log_incumbent, logfs[1])
-            a_rev = _alpha0(log_candidate, logfs[1])
-            lqr = log_kernel_density(
-                proposal, candidate, states[1], 0
-            ) - log_kernel_density(proposal, incumbent, states[1], 0)
-            accepted = dr_accept_stage1(
-                log_incumbent, logfs[1], log_candidate, a_rev, a_fwd, u, lqr
+        if log_candidate != log_candidate:
+            log_candidate = NEG_INF  # NaN: outside the support
+        elif log_candidate == INF:
+            raise NonFiniteTarget(
+                "target log-density is +inf at (%s)"
+                % ", ".join("%.17g" % v for v in candidate)
             )
+        u = float(stream.random())
+        if stage == 0:
+            if mh_accept_stage0(log_incumbent, log_candidate, u):
+                return StepOutcome(candidate, log_candidate, 0, 1)
+            if dr_stage_count:
+                # the retries' state exists only once stage 0 has rejected
+                scales = [scale] + [scale * s for s in proposal.dr_scales]
+                if dr_stage_count >= len(scales):
+                    raise StageOutOfRange(
+                        "stage %d outside [0, %d]" % (dr_stage_count, len(scales) - 1)
+                    )
+                log_funcs = [log_incumbent, log_candidate]
+                draws = [z]
+                memo: Dict[Tuple[int, int], float] = {}
         else:
-            la = _log_path_alpha(logfs, states, proposal)
+            log_funcs.append(log_candidate)
+            draws.append(z)
             lnu = math.log(u) if u > 0.0 else NEG_INF
-            accepted = lnu < la
-        if accepted:
-            return StepOutcome(candidate, log_candidate, stage, consumed)
-    return StepOutcome(incumbent, log_incumbent, REJECTED, consumed)
+            if lnu < dr_log_alpha(log_funcs, draws, scales, memo):
+                return StepOutcome(candidate, log_candidate, stage, stage + 1)
+        if stage < dr_stage_count:
+            scale = scales[stage + 1]
+    return StepOutcome(incumbent, log_incumbent, REJECTED, dr_stage_count + 1)
 
 
 def burnin_location(

@@ -47,8 +47,9 @@ class TargetDensity:
         Length of the state vector.
     evaluate : callable
         Maps a length-``dimension`` ndarray to a float log-density
-        (``-inf`` is allowed outside the support). Must be pure: no
-        internal state, same input gives the same output.
+        (``-inf`` is allowed outside the support, NaN counts as ``-inf``,
+        ``+inf`` is refused). Must be pure: no internal state, same input
+        gives the same output.
     preferred_start : ndarray, optional
         Default starting point when the caller does not supply one.
     """

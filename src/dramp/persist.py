@@ -232,25 +232,7 @@ def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
     names = columns[len(FIXED_COLUMNS):]
     if not names:
         raise IoFailure("chain header declares no variables")
-    chain = CompactChain(len(names), variable_names=names)
-    n_fixed = len(FIXED_COLUMNS)
-    for ln in body[1:]:
-        parts = ln.split(delimiter)
-        if len(parts) != n_fixed + len(names):
-            raise IoFailure("malformed chain row %r" % ln[:120])
-        chain.append_row(
-            ChainRow(
-                process_id=int(parts[0]),
-                dr_stage=int(parts[1]),
-                mean_acceptance_rate=float(parts[2]),
-                adaptation_measure=float(parts[3]),
-                burnin_location=int(parts[4]),
-                weight=int(parts[5]),
-                log_func=float(parts[6]),
-                state=np.array([float(v) for v in parts[7:]], dtype=float),
-            )
-        )
-    return chain
+    return _decode_rows(names, (ln.split(delimiter) for ln in body[1:]))
 
 
 def _read_chain_binary(raw: bytes) -> CompactChain:
@@ -277,29 +259,44 @@ def _read_chain_binary(raw: bytes) -> CompactChain:
             "binary chain body length %d is not a multiple of record size %d"
             % (n_body, rec.size)
         )
-    chain = CompactChain(dimension, variable_names=names)
-    for i in range(n_body // rec.size):
-        values = rec.unpack_from(raw, offset + i * rec.size)
-        chain.append_row(
-            ChainRow(
-                process_id=int(values[0]),
-                dr_stage=int(values[1]),
-                mean_acceptance_rate=values[2],
-                adaptation_measure=values[3],
-                burnin_location=int(values[4]),
-                weight=int(values[5]),
-                log_func=values[6],
-                state=np.array(values[7:], dtype=float),
+    return _decode_rows(names, rec.iter_unpack(memoryview(raw)[offset:]))
+
+
+def _decode_rows(names: Sequence[str], records) -> CompactChain:
+    """Build a chain from field sequences in column order, as either codec
+    stores them; a row that does not decode raises IoFailure naming its
+    index."""
+    chain = CompactChain(len(names), variable_names=names)
+    n_fields = len(FIXED_COLUMNS) + len(names)
+    for index, values in enumerate(records):
+        try:
+            if len(values) != n_fields:
+                raise ValueError("%d fields, expected %d" % (len(values), n_fields))
+            chain.append_row(
+                ChainRow(
+                    process_id=int(values[0]),
+                    dr_stage=int(values[1]),
+                    mean_acceptance_rate=float(values[2]),
+                    adaptation_measure=float(values[3]),
+                    burnin_location=int(values[4]),
+                    weight=int(values[5]),
+                    log_func=float(values[6]),
+                    state=np.array(values[7:], dtype=float),
+                )
             )
-        )
+        except ValueError as exc:
+            raise IoFailure("damaged chain row %d: %s" % (index, exc)) from exc
     return chain
 
 
-def read_chain(path: str, delimiter: str = ",") -> CompactChain:
-    """Load a chain file in either codec (sniffed by magic bytes)."""
+def read_chain(
+    path: str, delimiter: str = ",", size: Optional[int] = None
+) -> CompactChain:
+    """Load a chain file in either codec (sniffed by magic bytes), or only
+    its first ``size`` bytes."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            raw = fh.read(-1 if size is None else size)
     except OSError as exc:
         raise IoFailure("cannot read chain file: %s" % exc) from exc
     if raw.startswith(CHAIN_MAGIC):

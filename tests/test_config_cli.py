@@ -1,8 +1,10 @@
 """Configuration resolution, the command-line front end, and crash recovery."""
 
+import math
 import os
 import pathlib
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -31,11 +33,14 @@ from dramp.config import (
     spec_digest,
     spec_to_items,
 )
+import dramp.driver
 from dramp.driver import run_simulation
 from dramp.errors import BadDimension, SpecMismatch
 from dramp.kernel import Kernel
+from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import PREDICTION_GRID
 from dramp.persist import (
+    CHAIN_MAGIC,
     ChainWriter,
     OutputSuite,
     read_chain,
@@ -398,6 +403,65 @@ class TestCliRun:
         assert spec_digest(spec) == spec_digest(original)
 
 
+def half_space_target(value):
+    """Standard normal on R^2 whose log-density is ``value`` where x0 > 1.
+
+    Evaluations are capped, so a chain that gets stuck on a non-finite state
+    fails the test instead of running forever."""
+    base = gaussian_target([0.0, 0.0], np.eye(2))
+    calls = [0]
+
+    def evaluate(x):
+        calls[0] += 1
+        if calls[0] > 200_000:
+            raise RuntimeError("target evaluated 200000 times; chain is stuck")
+        return value if x[0] > 1.0 else base.evaluate(x)
+
+    return TargetDensity("mvn", 2, evaluate, preferred_start=np.zeros(2))
+
+
+NON_FINITE_MODES = [
+    {"mode": "serial", "dr_stages": "0"},
+    {"mode": "serial", "dr_stages": "2"},
+    {"mode": "forkjoin", "workers": "3", "dr_stages": "0"},
+    {"mode": "forkjoin", "workers": "3", "dr_stages": "2"},
+]
+NON_FINITE_IDS = ["serial-dr0", "serial-dr2", "forkjoin-dr0", "forkjoin-dr2"]
+
+
+class TestNonFiniteTarget:
+    """A NaN log-density is outside the support; +inf ends the run with one
+    runtime error line."""
+
+    @pytest.mark.parametrize("overrides", NON_FINITE_MODES, ids=NON_FINITE_IDS)
+    def test_nan_region_is_never_entered(
+        self, tmp_path, monkeypatch, capsys, overrides
+    ):
+        monkeypatch.setattr(
+            dramp.driver, "make_target", lambda spec: half_space_target(math.nan)
+        )
+        prefix = tmp_path / "nan"
+        assert main(run_flags(prefix, **overrides)) == EXIT_OK
+        capsys.readouterr()
+        chain = read_chain(OutputSuite(prefix=str(prefix)).chain_path)
+        assert chain.n_rows == 400
+        assert np.all(chain.states[:, 0] <= 1.0)
+        assert np.all(np.isfinite(chain.log_funcs))
+
+    @pytest.mark.parametrize("overrides", NON_FINITE_MODES, ids=NON_FINITE_IDS)
+    def test_plus_inf_is_a_runtime_error(
+        self, tmp_path, monkeypatch, capsys, overrides
+    ):
+        monkeypatch.setattr(
+            dramp.driver, "make_target", lambda spec: half_space_target(math.inf)
+        )
+        assert main(run_flags(tmp_path / "inf", **overrides)) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error: target log-density is +inf at (")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 class TestCliRefine:
     def test_refine_writes_sample(self, tmp_path, capsys):
         prefix = tmp_path / "demo"
@@ -700,6 +764,41 @@ class TestResume:
         err = capsys.readouterr().err
         assert err.startswith("runtime error:") and err.count("\n") == 1
         assert path in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_damaged_chain_row_refused_untouched(
+        self, tmp_path, monkeypatch, capsys, fmt
+    ):
+        # row 10 of the resumable prefix no longer decodes: a letter in an
+        # integer column (ascii), a zero weight (binary)
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(format=fmt)
+        run_to_interrupt(spec, 350)
+        path = pathlib.Path(spec.output.chain_path)
+        raw = bytearray(path.read_bytes())
+        if fmt == "ascii":
+            lines = raw.split(b"\n")
+            header = next(i for i, ln in enumerate(lines)
+                          if ln and not ln.startswith(b"#"))
+            lines[header + 11][:1] = b"x"
+            raw = bytearray(b"\n".join(lines))
+        else:
+            name_len = struct.unpack_from("<III", raw, len(CHAIN_MAGIC))[2]
+            record = struct.calcsize("<IIddQQd" + "d" * 2)
+            weight_at = len(CHAIN_MAGIC) + 12 + name_len + 10 * record + 32
+            struct.pack_into("<Q", raw, weight_at, 0)
+        path.write_bytes(bytes(raw))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--format", fmt, "--deterministic-test-mode"]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and err.count("\n") == 1
+        assert "chain row 10" in err
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 

@@ -1,9 +1,9 @@
 """Sampling loop: acceptance rules, the proposal cascade, burn-in tracking,
 stream conventions, and exact mid-run state transport.
 
-The delayed-rejection acceptance rules get closed-form spot checks here; the
-statistical verification that the combined kernel preserves its target lives
-in the acceptance suite.
+The delayed-rejection acceptance rule gets closed-form spot checks and a
+pathwise detailed-balance identity here; the statistical verification that
+the combined kernel preserves its target lives in the acceptance suite.
 """
 
 import copy
@@ -12,14 +12,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dramp import rng as rng_mod
 from dramp.chain import CompactChain, chain_stats
 from dramp.errors import (
     DimensionMismatch,
     EmptyRange,
-    InvalidAlpha,
     NonFiniteStart,
+    NonFiniteTarget,
     StageOutOfRange,
 )
 from dramp.kernel import (
@@ -30,13 +32,13 @@ from dramp.kernel import (
     SerialStreams,
     StepOutcome,
     burnin_location,
-    dr_accept_stage1,
+    dr_log_alpha,
     mh_accept_stage0,
     propose_cascade,
     run_kernel,
 )
 from dramp.model import TargetDensity, gaussian_target
-from dramp.proposal import ProposalState
+from dramp.proposal import ProposalState, log_kernel_density
 
 
 def flat_target(dimension):
@@ -69,41 +71,140 @@ class TestMhAcceptStage0:
         assert not mh_accept_stage0(0.0, float("-inf"), 0.0)
 
 
+def symmetric_draws():
+    """Stage draws for a 1-D path whose two displacements to y1 coincide:
+    with scales (1, 1/2), y1 = x + 1 and y2 = x + 2, so |y1 - x| = |y2 - y1|
+    and the first-stage kernel terms cancel."""
+    return [np.array([1.0]), np.array([4.0])], [1.0, 0.5]
+
+
 class TestDrAcceptStage1:
+    """Hand-computed stage-1 cases of dr_log_alpha on the path
+    x -> y1 (rejected) -> y2."""
+
     def test_uphill_second_stage_example(self):
-        # path 0 -> -5 (rejected) -> +1 with symmetric displacements
-        a_rev = math.exp(-6.0)  # alpha(y2 -> y1)
-        a_fwd = math.exp(-5.0)  # alpha(x -> y1)
-        for u in (1e-12, 0.3, 0.7, 0.999999, 1.0):
-            assert dr_accept_stage1(0.0, -5.0, 1.0, a_rev, a_fwd, u)
-        # same decision from the ratio written out by hand
-        log_ratio = 1.0 + math.log1p(-a_rev) - math.log1p(-a_fwd)
+        # path 0 -> -5 (rejected) -> +1: the ratio exceeds one
+        draws, scales = symmetric_draws()
+        la = dr_log_alpha([0.0, -5.0, 1.0], draws, scales)
+        assert la == 0.0
+        for u in (1e-12, 0.3, 0.7, 0.999999):
+            assert math.log(u) < la
+        # the ratio written out by hand: alpha(x -> y1) = e^-5 and
+        # alpha(y2 -> y1) = e^-6
+        log_ratio = 1.0 + math.log1p(-math.exp(-6.0)) - math.log1p(-math.exp(-5.0))
         assert log_ratio == pytest.approx(1.0042789201, abs=1e-9)
 
     def test_matches_hand_ratio_on_a_downhill_path(self):
-        a_rev = math.exp(-2.0)
-        a_fwd = math.exp(-1.0)
-        log_ratio = (-1.5 + math.log1p(-a_rev)) - (0.0 + math.log1p(-a_fwd))
+        # alpha(x -> y1) = e^-3, alpha(y2 -> y1) = e^-1.5
+        draws, scales = symmetric_draws()
+        la = dr_log_alpha([0.0, -3.0, -1.5], draws, scales)
+        log_ratio = (-1.5 + math.log1p(-math.exp(-1.5))) - math.log1p(-math.exp(-3.0))
+        assert la == pytest.approx(log_ratio, abs=1e-12)
         for u in np.linspace(0.01, 0.99, 23):
-            got = dr_accept_stage1(0.0, -1.0, -1.5, a_rev, a_fwd, float(u))
-            assert got == (math.log(u) < log_ratio)
+            assert (math.log(u) < la) == (math.log(u) < log_ratio)
 
     def test_sure_reverse_acceptance_rejects(self):
-        # alpha(y2 -> y1) = 1 empties the numerator
-        assert not dr_accept_stage1(0.0, 1.0, -0.5, 1.0, 0.5, 1e-300)
+        # y1 lies above y2, so alpha(y2 -> y1) = 1 empties the numerator
+        draws, scales = symmetric_draws()
+        la = dr_log_alpha([0.0, -0.25, -0.5], draws, scales)
+        assert la == float("-inf")
+        assert not math.log(1e-300) < la
 
     def test_kernel_ratio_term_shifts_the_threshold(self):
-        a = math.exp(-1.0)
-        # base ratio is exactly 1; the correction term decides alone
-        assert dr_accept_stage1(0.0, -1.0, 0.0, a, a, 0.5, log_q_ratio=-0.5)
-        assert not dr_accept_stage1(0.0, -1.0, 0.0, a, a, 0.7, log_q_ratio=-0.5)
-        assert dr_accept_stage1(0.0, -1.0, 0.0, a, a, 0.7, log_q_ratio=0.0)
+        # alpha(x -> y1) = alpha(y2 -> y1) = e^-1: the base ratio is exactly
+        # one, so the first-stage kernel term decides alone. In whitened
+        # coordinates y1 = x + (1, 0) and y2 = x + (0, 1): |y1 - x|^2 = 1,
+        # |y1 - y2|^2 = 2, a log kernel ratio of -1/2.
+        log_funcs = [0.0, -1.0, 0.0]
+        scales = [1.0, 0.5]
+        draws = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
+        la = dr_log_alpha(log_funcs, draws, scales)
+        assert la == pytest.approx(-0.5, abs=1e-15)
+        assert math.log(0.5) < la
+        assert not math.log(0.7) < la
+        # the shift is log q0(y2 -> y1) - log q0(x -> y1) of the proposal
+        prop = ProposalState.create(2, scale_factor=1.0, dr_scales=(0.5,))
+        x = np.zeros(2)
+        y1, y2 = x + draws[0], x + 0.5 * draws[1]
+        lqr = log_kernel_density(prop, y2, y1, 0) - log_kernel_density(prop, x, y1, 0)
+        assert la == pytest.approx(lqr, abs=1e-12)
+        # symmetric displacements leave the base ratio of one
+        draws, scales = symmetric_draws()
+        assert dr_log_alpha(log_funcs, draws, scales) == 0.0
 
-    def test_alpha_out_of_range_raises(self):
-        with pytest.raises(InvalidAlpha):
-            dr_accept_stage1(0.0, -1.0, 0.0, -0.1, 0.5, 0.5)
-        with pytest.raises(InvalidAlpha):
-            dr_accept_stage1(0.0, -1.0, 0.0, 0.5, 1.1, 0.5)
+
+def _log1m(la):
+    """log(1 - exp(la)) for a log probability la."""
+    return math.log(-math.expm1(la))
+
+
+def path_product(prop, states, log_funcs, alpha, order):
+    """log of pi(origin) * prod q * prod (1 - alpha) * alpha_last along the
+    path that visits ``states`` in ``order``; stage j's kernel is centered at
+    the origin. A zero factor ends the product early, so no acceptance
+    probability is asked of a path that cannot occur."""
+    origin = order[0]
+    total = log_funcs[origin]
+    if total == float("-inf"):
+        return total
+    for stage, m in enumerate(order[1:]):
+        total += log_kernel_density(prop, states[origin], states[m], stage)
+    for m in order[1:-1]:
+        la = alpha(origin, m)
+        if la == 0.0:
+            return float("-inf")
+        total += _log1m(la)
+    return total + alpha(origin, order[-1])
+
+
+@st.composite
+def dr_paths(draw):
+    d = draw(st.sampled_from([1, 3, 8]))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((d, d))
+    prop = ProposalState.create(
+        d,
+        covariance=a @ a.T + 0.5 * np.eye(d),
+        scale_factor=draw(st.floats(0.2, 3.0)),
+        dr_scales=draw(st.sampled_from([(0.5, 0.25), (0.8, 0.4), (0.9, 0.3)])),
+    )
+    level = st.one_of(
+        st.just(float("-inf")), st.sampled_from([0.0, -1.0]), st.floats(-30.0, 5.0)
+    )
+    log_funcs = draw(st.lists(level, min_size=k + 1, max_size=k + 1))
+    coord = st.floats(-3.0, 3.0)
+    draws = [
+        np.array(draw(st.lists(coord, min_size=d, max_size=d))) for _ in range(k)
+    ]
+    return prop, rng.standard_normal(d), log_funcs, draws
+
+
+class TestPathwiseDetailedBalance:
+    """pi(x) q(x -> y1..yk) prod(1 - alpha) alpha_k is the same along a path
+    and along its reversal, for every delayed-rejection path; the kernel terms
+    of the oracle come from the proposal's own density."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(dr_paths())
+    def test_forward_and_reversed_paths_balance(self, case):
+        prop, x, log_funcs, draws = case
+        k = len(draws)
+        scales = [prop.stage_scale(j) for j in range(k)]
+        states = [x] + [
+            x + scales[m] * (prop.chol_factor @ draws[m]) for m in range(k)
+        ]
+        memo = {}
+
+        def alpha(first, last):
+            return dr_log_alpha(log_funcs, draws, scales, memo, first, last)
+
+        forward = path_product(prop, states, log_funcs, alpha, list(range(k + 1)))
+        reverse = path_product(prop, states, log_funcs, alpha, list(range(k, -1, -1)))
+        if forward == float("-inf") or reverse == float("-inf"):
+            assert forward == reverse
+        else:
+            assert abs(forward - reverse) <= 1e-10
 
 
 class TestProposeCascade:
@@ -140,6 +241,59 @@ class TestProposeCascade:
             replay.standard_normal(d)
             replay.random()
         assert used.random() == replay.random()
+
+
+def nan_target(dimension):
+    """Log-density NaN everywhere."""
+    return TargetDensity("nan", dimension, lambda x: float("nan"))
+
+
+class TestNonFiniteTarget:
+    """NaN counts as -inf; +inf is refused where the target is evaluated."""
+
+    @pytest.mark.parametrize("stages", [0, 1, 2])
+    def test_nan_is_outside_the_support(self, stages):
+        prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
+        incumbent = np.zeros(3)
+        out = propose_cascade(
+            nan_target(3), prop, incumbent, 0.0, stages, rng_mod.serial_stream(5)
+        )
+        assert out.accepted_at_stage == REJECTED
+        assert out.proposals_consumed == stages + 1
+        assert out.accepted_state is incumbent
+
+    @pytest.mark.parametrize("stages", [0, 1, 2])
+    def test_nan_keeps_the_stream_budget(self, stages):
+        prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
+        used = rng_mod.serial_stream(17)
+        propose_cascade(nan_target(3), prop, np.zeros(3), 0.0, stages, used)
+        walled = rng_mod.serial_stream(17)
+        propose_cascade(wall_target(3), prop, np.zeros(3), 0.0, stages, walled)
+        assert used.random() == walled.random()
+
+    @pytest.mark.parametrize("stages", [0, 2])
+    def test_plus_inf_raises_naming_the_point(self, stages):
+        prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
+        target = TargetDensity("spike", 2, lambda x: float("inf"))
+        stream = rng_mod.serial_stream(3)
+        with pytest.raises(NonFiniteTarget) as info:
+            propose_cascade(target, prop, np.zeros(2), 0.0, stages, stream)
+        replay = rng_mod.serial_stream(3)
+        point = prop.scale_factor * (prop.chol_factor @ replay.standard_normal(2))
+        assert "+inf at (%.17g, %.17g)" % tuple(point) in str(info.value)
+
+    @pytest.mark.parametrize("stages", [1, 2])
+    def test_plus_inf_at_a_retry_raises(self, stages):
+        # the wide stage-0 candidate lands outside the support, the narrow
+        # retry inside the core, where the density is +inf
+        prop = ProposalState.create(1, scale_factor=1e3, dr_scales=(1e-6, 1e-7))
+        target = TargetDensity(
+            "core", 1,
+            lambda x: float("inf") if abs(x[0]) < 1.0 else float("-inf"),
+        )
+        stream = rng_mod.serial_stream(8)
+        with pytest.raises(NonFiniteTarget):
+            propose_cascade(target, prop, np.zeros(1), 0.0, stages, stream)
 
 
 class TestBurninLocation:
