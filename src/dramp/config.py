@@ -34,6 +34,7 @@ __all__ = [
     "SimulationSpec",
     "FIELD_DESCRIPTIONS",
     "DIGEST_EXCLUDED",
+    "TRAJECTORY_VERSION",
     "parse_config_file",
     "build_spec",
     "spec_to_items",
@@ -43,6 +44,11 @@ __all__ = [
 ]
 
 MODES = ("serial", "multichain", "forkjoin")
+
+# Bumped by every change that gives some spec a different trajectory, so a
+# resume never joins two trajectories. A snapshot without the field is 1;
+# 2 made the fork-join round streams counter-based.
+TRAJECTORY_VERSION = 2
 
 # every user-facing field, in echo order; descriptions double as CLI help
 FIELD_DESCRIPTIONS: Dict[str, str] = {
@@ -395,6 +401,13 @@ def check_restart_compatibility(spec: SimulationSpec, snapshot: dict) -> None:
         raise SpecMismatch(
             "snapshot format version %r is not supported"
             % snapshot.get("format_version")
+        )
+    stored = int(snapshot.get("trajectory_version", 1))
+    if stored != TRAJECTORY_VERSION:
+        raise SpecMismatch(
+            "snapshot trajectory version %d differs from this build's %d; the "
+            "run cannot be resumed, only restarted with force overwrite"
+            % (stored, TRAJECTORY_VERSION)
         )
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .chain import CompactChain
 from .config import (
+    TRAJECTORY_VERSION,
     SimulationSpec,
     check_restart_compatibility,
     initial_proposal,
@@ -117,6 +118,7 @@ def _payload(spec: SimulationSpec, sw: _SuiteFiles,
              kernel_state: Optional[dict], extra: dict) -> dict:
     body = {
         "format_version": 1,
+        "trajectory_version": TRAJECTORY_VERSION,
         "spec_digest": spec_digest(spec),
         "mode": spec.mode,
         "chain_format": spec.output.chain_format,
@@ -517,7 +519,6 @@ def run_simulation(
         except OSError as exc:
             raise IoFailure("cannot create output directory: %s" % exc) from exc
     if force_overwrite:
-        _remove_suite(spec)
         state = RunState.FRESH
     else:
         state = detect_incomplete(spec.output.prefix)
@@ -526,6 +527,10 @@ def run_simulation(
             "a completed run already exists under prefix %r; pass "
             "force_overwrite to replace it" % spec.output.prefix
         )
+    if state is RunState.FRESH:
+        # forced, or the row-free leftovers of a run stopped before its
+        # first snapshot
+        _remove_suite(spec)
     resume = None
     stored = None
     if state is RunState.RESTARTABLE:

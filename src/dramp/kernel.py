@@ -297,12 +297,14 @@ class SerialStreams:
 
 
 class RoundStreams:
-    """A fresh generator per iteration, keyed by (seed, round, rank).
+    """A stream per iteration, keyed by (seed, round, rank).
 
     This is the fork-join convention: worker ``rank`` in round ``i`` owns an
     independent stream regardless of what other workers or earlier rounds
     consumed. A serial kernel running under this convention with rank 1
-    reproduces a one-worker fork-join run exactly.
+    reproduces a one-worker fork-join run exactly. Each object owns one
+    counter-based generator that every call reseats, so the generator
+    returned for one round is valid only until the next call.
     """
 
     kind = "per_round"
@@ -310,9 +312,10 @@ class RoundStreams:
     def __init__(self, seed: int, rank: int = 1):
         self.seed = int(seed)
         self.rank = int(rank)
+        self._owner = rng_mod.RoundGenerator(self.seed)
 
     def for_iteration(self, round_index: int) -> np.random.Generator:
-        return rng_mod.round_stream(self.seed, round_index, self.rank)
+        return rng_mod.round_stream(self.seed, round_index, self.rank, self._owner)
 
     def state_dict(self) -> dict:
         return {"kind": self.kind, "seed": self.seed, "rank": self.rank}

@@ -14,7 +14,10 @@ acceptance probability, which is what makes scanning ranks in order a fair
 work model and gives the closed-form speedup curve below.
 
 Because every random draw is indexed by (round, rank), the outcome is a pure
-function of (seed, spec, P): physical scheduling cannot change it. Scanning
+function of (seed, spec, P): physical scheduling cannot change it. The
+(round, rank) stream is the Philox4x64 counter block (round, rank) under the
+run's key (see dramp.rng); the collector owns one generator and reseats it
+per scanned rank, each stream used up before the next reseat. Scanning
 stops at the first acceptance; the skipped higher ranks' streams are
 independent of everything committed, so short-circuiting is exact, not an
 approximation.
@@ -278,6 +281,7 @@ def run_forkjoin(
         # the seed and belongs to no worker)
         for pid in kern.chain.process_ids[1:]:
             counts[int(pid) - 1] += 1
+    owner = rng_mod.RoundGenerator(config.rng_seed)
     while not kern.done:
         round_index = kern.chain.verbose_length
         incumbent = kern.chain.last_state()
@@ -285,7 +289,7 @@ def run_forkjoin(
         winner: Optional[StepOutcome] = None
         winner_rank = 0
         for rank in range(1, worker_count + 1):
-            stream = rng_mod.round_stream(config.rng_seed, round_index, rank)
+            stream = rng_mod.round_stream(config.rng_seed, round_index, rank, owner)
             outcome = propose_cascade(
                 target,
                 kern.proposal,

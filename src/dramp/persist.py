@@ -617,13 +617,32 @@ def read_snapshot(path: str) -> dict:
     return _decode_exact(json.loads(body.decode("utf-8")))
 
 
+def _chain_holds_rows(path: str) -> bool:
+    """Whether a chain file holds any byte past its header; a header cut
+    short holds none."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(CHAIN_MAGIC) + 12)
+            if head.startswith(CHAIN_MAGIC) and len(head) == len(CHAIN_MAGIC) + 12:
+                name_len = struct.unpack_from("<III", head, len(CHAIN_MAGIC))[2]
+                return os.fstat(fh.fileno()).st_size > len(head) + name_len
+            fh.seek(0)
+            for line in fh:
+                if not line.startswith(b"#"):
+                    return bool(fh.read(1))  # anything after the header line
+            return False
+    except OSError as exc:
+        raise CorruptRestart("cannot read chain file: %s" % exc) from exc
+
+
 def detect_incomplete(prefix: str) -> RunState:
     """Classify what a previous run left behind under this prefix.
 
     Complete: report present and properly terminated. Restartable: chain plus
     a checksum-valid restart snapshot without a terminated report. Fresh: no
-    suite files at all. Anything else is reported as corrupt rather than
-    silently treated as fresh.
+    suite files, or only what a run stopped before its first snapshot leaves
+    (chain files holding no row and a progress file). Anything else is
+    reported as corrupt rather than silently treated as fresh.
     """
     report = "%s_report.txt" % prefix
     if os.path.exists(report):
@@ -644,16 +663,10 @@ def detect_incomplete(prefix: str) -> RunState:
     if chain_exists and os.path.exists(restart):
         read_snapshot(restart)  # raises CorruptRestart on damage
         return RunState.RESTARTABLE
-    any_exists = chain_exists or any(
-        os.path.exists(p)
-        for p in (
-            report,
-            restart,
-            "%s_sample.txt" % prefix,
-            "%s_progress.txt" % prefix,
-        )
-    )
-    if any_exists:
+    started = any(
+        os.path.exists(p) for p in (report, restart, "%s_sample.txt" % prefix)
+    ) or any(_chain_holds_rows(p) for p in chain_candidates if os.path.exists(p))
+    if started:
         raise CorruptRestart(
             "output files under prefix %r are neither complete nor resumable"
             % prefix

@@ -27,6 +27,7 @@ from dramp.config import (
     DIGEST_EXCLUDED,
     FIELD_DESCRIPTIONS,
     MODES,
+    TRAJECTORY_VERSION,
     build_spec,
     check_restart_compatibility,
     parse_config_file,
@@ -46,6 +47,7 @@ from dramp.persist import (
     read_chain,
     read_report_echo,
     read_snapshot,
+    write_snapshot,
 )
 
 
@@ -276,6 +278,7 @@ class TestSpecRendering:
             "chain_format": "ascii",
             "delimiter": ",",
             "format_version": 1,
+            "trajectory_version": TRAJECTORY_VERSION,
         }
         check_restart_compatibility(spec, snap)  # must not raise
         with pytest.raises(SpecMismatch):
@@ -286,6 +289,15 @@ class TestSpecRendering:
             check_restart_compatibility(spec, dict(snap, delimiter=";"))
         with pytest.raises(SpecMismatch, match="version"):
             check_restart_compatibility(spec, dict(snap, format_version=2))
+        older = dict(snap)
+        del older["trajectory_version"]  # written before the field existed
+        for stale in (older, dict(snap, trajectory_version=TRAJECTORY_VERSION + 1)):
+            stored = stale.get("trajectory_version", 1)
+            with pytest.raises(
+                SpecMismatch,
+                match="trajectory version %d .* %d" % (stored, TRAJECTORY_VERSION),
+            ):
+                check_restart_compatibility(spec, stale)
 
 
 class TestParserCoverage:
@@ -706,7 +718,10 @@ class TestResume:
 
     @pytest.mark.parametrize("overrides", [
         {"mode": "serial"},
-        {"mode": "forkjoin", "workers": "4", "adaptation-period": "10"},
+        # every accepted row adapts, and a round rejects only when all 64
+        # ranks do ((1-p)^64 = 3e-14 at this spec's acceptance rate p = 0.38),
+        # so the round that ticks at verbose length 1000 adapts too
+        {"mode": "forkjoin", "workers": "64", "adaptation-period": "1"},
     ], ids=["serial", "forkjoin"])
     def test_interrupt_after_a_step_that_adapts_and_ticks(
         self, tmp_path, monkeypatch, overrides
@@ -743,6 +758,56 @@ class TestResume:
         with pytest.raises(Interrupt):
             run_simulation(spec(), on_event=bomb)
         assert run_simulation(spec()).restarted is True
+        assert_suites_identical(clean, broken)
+
+    def test_snapshot_from_an_older_trajectory_refused_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(mode="forkjoin", workers="4")
+        run_to_interrupt(spec, 350)
+        snap = read_snapshot(spec.output.restart_path)
+        # as written before the field existed
+        assert snap.pop("trajectory_version") == TRAJECTORY_VERSION
+        write_snapshot(spec.output.restart_path, snap)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--mode", "forkjoin", "--workers", "4",
+                "--deterministic-test-mode"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "trajectory version 1 differs from this build's %d" % (
+            TRAJECTORY_VERSION) in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "serial"},
+        {"mode": "multichain", "chains": "2"},
+        {"mode": "forkjoin", "workers": "4"},
+    ], ids=["serial", "multichain", "forkjoin"])
+    def test_stop_before_the_first_snapshot_reruns_fresh(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        monkeypatch.chdir(clean)
+        run_simulation(self.spec_here(**overrides))
+
+        def refuse(path, payload):
+            raise Interrupt()
+
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        monkeypatch.chdir(broken)
+        with monkeypatch.context() as patched:
+            patched.setattr(dramp.driver, "write_snapshot", refuse)
+            with pytest.raises(Interrupt):
+                run_simulation(self.spec_here(**overrides))
+        assert sorted(p.name for p in broken.iterdir()) == [
+            "run_chain.txt", "run_progress.txt"]
+        assert run_simulation(self.spec_here(**overrides)).restarted is False
         assert_suites_identical(clean, broken)
 
     @pytest.mark.parametrize("fmt", ["ascii", "binary"])

@@ -38,6 +38,7 @@ from dramp.kernel import (
     run_kernel,
 )
 from dramp.model import TargetDensity, gaussian_target
+from dramp.parallel import run_forkjoin
 from dramp.proposal import ProposalState, log_kernel_density
 
 
@@ -331,18 +332,62 @@ class TestStreams:
         s2.load_state(snap)
         assert s2.for_iteration(1).random(50).tolist() == tail.tolist()
 
+    @staticmethod
+    def draws(streams, round_index):
+        gen = streams.for_iteration(round_index)
+        return gen.standard_normal(3).tolist() + [gen.random()]
+
     def test_round_streams_keyed_only_by_round_and_rank(self):
         a = RoundStreams(seed=9, rank=3)
         b = RoundStreams(seed=9, rank=3)
         a.for_iteration(0).random(100)  # consumption leaves no trace
-        assert (
-            a.for_iteration(5).random(4).tolist()
-            == b.for_iteration(5).random(4).tolist()
-        )
-        assert (
-            a.for_iteration(5).random(4).tolist()
-            != RoundStreams(seed=9, rank=4).for_iteration(5).random(4).tolist()
-        )
+        a.for_iteration(7)  # nor does a reseat without draws
+        a.for_iteration(5).random(3)  # nor a partly drawn stream
+        assert self.draws(a, 5) == self.draws(b, 5)
+        assert self.draws(a, 5) != self.draws(RoundStreams(seed=9, rank=4), 5)
+        assert self.draws(a, 5) != self.draws(a, 6)
+        assert self.draws(a, 5) != self.draws(RoundStreams(seed=10, rank=3), 5)
+
+    def test_round_streams_in_alternation_match_one_after_the_other(self):
+        a, b = RoundStreams(seed=9, rank=1), RoundStreams(seed=9, rank=2)
+        alternating = [(self.draws(a, i), self.draws(b, i)) for i in range(20)]
+        a2, b2 = RoundStreams(seed=9, rank=1), RoundStreams(seed=9, rank=2)
+        first = [self.draws(a2, i) for i in range(20)]
+        second = [self.draws(b2, i) for i in range(20)]
+        assert alternating == list(zip(first, second))
+
+    def test_round_stream_draws_stay_in_their_counter_block(self):
+        gen = RoundStreams(seed=9, rank=3).for_iteration(41)
+        gen.standard_normal(500)
+        gen.random(500)
+        counter = gen.bit_generator.state["state"]["counter"]
+        assert counter[2:].tolist() == [41, 3]
+
+    def test_no_generator_built_per_round(self, monkeypatch):
+        built = {}
+
+        def counting(name, cls):
+            def build(*args, **kwargs):
+                built[name] = built.get(name, 0) + 1
+                return cls(*args, **kwargs)
+
+            return build
+
+        for name in ("SeedSequence", "PCG64", "Philox", "Generator"):
+            monkeypatch.setattr(
+                np.random, name, counting(name, getattr(np.random, name))
+            )
+        counts = []
+        for rows in (20, 500):
+            built.clear()
+            cfg = KernelConfig(rows, (0.0, 0.0), rng_seed=5, dr_stage_count=0)
+            result = run_forkjoin(
+                gaussian_target(np.zeros(2), np.eye(2)), cfg,
+                ProposalState.create(2), worker_count=2,
+            )
+            counts.append(dict(built))
+        assert result.summary.chain.verbose_length > 500  # rounds run
+        assert counts[0] == counts[1]
 
     def test_restore_rejects_foreign_generator(self):
         st = rng_mod.stream_state(rng_mod.serial_stream(1))

@@ -443,6 +443,25 @@ class TestDetectIncomplete:
         with pytest.raises(CorruptRestart):
             detect_incomplete(prefix)
 
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_row_free_leftovers_are_fresh(self, tmp_path, fmt):
+        # what a run stopped before its first snapshot leaves behind
+        prefix = str(tmp_path / "run")
+        suite = OutputSuite(prefix, chain_format=fmt)
+        names = ("Var1", "Var10")  # a name block holding a newline byte
+        write_chain(suite, random_chain(8, n=0, d=2), names)
+        ProgressWriter(suite.progress_path).close()
+        assert detect_incomplete(prefix) == RunState.FRESH
+        header = open(suite.chain_path, "rb").read()
+        open(suite.chain_path, "wb").write(header[:-3])  # header cut short
+        assert detect_incomplete(prefix) == RunState.FRESH
+        write_chain(suite, random_chain(8, n=1, d=2), names)
+        with pytest.raises(CorruptRestart):
+            detect_incomplete(prefix)
+        open(suite.chain_path, "wb").write(header + b"1")  # a row's first byte
+        with pytest.raises(CorruptRestart):
+            detect_incomplete(prefix)
+
     def test_damaged_snapshot_is_corrupt_not_fresh(self, tmp_path):
         prefix = str(tmp_path / "run")
         self.chain_and_restart(prefix)
