@@ -49,7 +49,6 @@ from .model import (
     banana_target,
     gaussian_target,
     himmelblau_target,
-    log_density,
     make_builtin_target,
 )
 from .parallel import (

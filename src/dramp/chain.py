@@ -21,10 +21,8 @@ __all__ = [
     "ChainRow",
     "CompactChain",
     "WeightedMoments",
-    "append_or_increment",
     "to_verbose",
     "chain_stats",
-    "compression_factor",
 ]
 
 _INITIAL_CAPACITY = 1024
@@ -211,28 +209,6 @@ class CompactChain:
             yield self.row(i)
 
 
-def append_or_increment(chain: CompactChain, row: ChainRow) -> CompactChain:
-    """Add a visited state; a repeat of the last state merges into it.
-
-    "Same state" is exact floating-point equality: the kernel hands back the
-    incumbent array unmodified on rejection, so equality is structural and
-    never tolerance-based. A reappearance of an earlier state after any other
-    state starts a new row. Mutates and returns ``chain``.
-    """
-    state = np.asarray(row.state, dtype=float)
-    if state.shape != (chain.dimension,):
-        raise DimensionMismatch(
-            "state has shape %r, chain dimension is %d"
-            % (state.shape, chain.dimension)
-        )
-    if chain.n_rows > 0 and np.array_equal(chain.last_state(), state):
-        chain.increment_last(row.weight)
-        chain.restamp_last(row.mean_acceptance_rate, row.burnin_location)
-    else:
-        chain.append_row(row)
-    return chain
-
-
 def to_verbose(chain: CompactChain) -> Tuple[np.ndarray, np.ndarray]:
     """Expand to the full Markov realization.
 
@@ -270,13 +246,6 @@ def chain_stats(
     cov = (centered.T * eff) @ centered / w_total
     acceptance = (chain.n_rows - first) / w_total
     return mean, cov, float(acceptance)
-
-
-def compression_factor(chain: CompactChain) -> float:
-    """Verbose length over compact length; >= 1 by construction."""
-    if chain.n_rows == 0:
-        raise EmptyRange("empty chain has no compression factor")
-    return chain.verbose_length / chain.n_rows
 
 
 class WeightedMoments:

@@ -185,9 +185,7 @@ def _forkjoin_tally(chain) -> Optional[ContributionTally]:
     pids = chain.process_ids[1:]
     if pids.size == 0 or np.all(pids[1:] >= pids[:-1]):
         return None
-    worker_count = int(pids.max())
-    counts = np.bincount(pids, minlength=worker_count + 1)[1:]
-    return ContributionTally(worker_count=worker_count, counts=tuple(counts))
+    return ContributionTally.from_chain(chain, int(pids.max()))
 
 
 def cmd_predict(args) -> int:
@@ -267,11 +265,7 @@ def cmd_export_plotdata(args) -> int:
                 raise ValueError(
                     "contribution data exists only for forkjoin runs"
                 )
-            pids = chain.process_ids[1:]
-            counts = np.bincount(pids, minlength=spec.worker_count + 1)[1:]
-            tally = ContributionTally(
-                worker_count=spec.worker_count, counts=tuple(int(c) for c in counts)
-            )
+            tally = ContributionTally.from_chain(chain, spec.worker_count)
             p_hat = fit_geometric(tally)
             lines.append("Rank,Count,FittedProbability")
             for rank, count in enumerate(tally.counts, start=1):

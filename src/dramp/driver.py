@@ -1,16 +1,19 @@
 """Run orchestration: wires the sampling kernel to the output file suite.
 
-The driver owns the kernel objects so it can snapshot their exact state at
-every flush boundary (each adaptation and every 1000 written rows). A run
-killed at any instant therefore resumes from the last snapshot: the chain and
+One runner serves all three modes. It builds each chain's Kernel from one
+factory keyed by mode and chain index (fork-join's stream policy scans every
+worker per round, serial and multichain chains scan their own stream) and
+steps it through Kernel.run, with one persistence handler that writes rows,
+progress ticks and snapshots between rounds. Multichain runs their chains
+one after another into the same files and also snapshot between chains.
+
+The driver snapshots the kernel's exact state at every flush boundary (each
+adaptation and every 1000 written rows). A run killed at any instant
+therefore resumes from the last snapshot through one preamble: the chain and
 progress files are truncated to the snapshot's byte offsets, the in-memory
 chain is rebuilt from the truncated file, and the kernel counters, moment
 accumulators and stream cursors are restored bit for bit. The completed
 outputs of a resumed run are byte-identical to an uninterrupted one.
-
-All three execution modes funnel every accepted state through the same
-Kernel.commit bookkeeping, and the persistence handler here is shared, so the
-file cadence is identical across modes as well.
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ from .config import (
 from .errors import CorruptRestart, IoFailure, RefusedOverwrite, SamplerError
 from .kernel import Kernel, KernelSummary, RoundStreams, SerialStreams
 from .model import TargetDensity
-from .parallel import ContributionTally, build_speedup_report, run_forkjoin
+from .parallel import ContributionTally, build_speedup_report, fit_geometric
+
+# The runner steps fork-join chains through Kernel.run and never calls this;
+# it stays importable here for tools that patch it by name.
+from .parallel import run_forkjoin  # noqa: F401
 from .persist import (
     ChainWriter,
     ProgressWriter,
@@ -302,89 +309,68 @@ def _finish(
     )
 
 
-def _run_serial(
+def _make_kernel(
+    spec: SimulationSpec,
+    target: TargetDensity,
+    chain_index: int,
+    chain: Optional[CompactChain] = None,
+) -> Kernel:
+    """Kernel of chain ``chain_index``: a fork-join chain scans every worker
+    per round; serial and multichain chains draw from their own stream."""
+    if spec.mode == "forkjoin":
+        streams = RoundStreams(spec.kernel.rng_seed, spec.worker_count)
+    else:
+        streams = SerialStreams(spec.kernel.rng_seed, chain_index)
+    return Kernel(target, spec.kernel, initial_proposal(spec), streams, chain=chain)
+
+
+def _run(
     spec: SimulationSpec,
     target: TargetDensity,
     resume: Optional[dict],
     stored: Optional[CompactChain],
     on_event,
 ) -> RunResult:
-    proposal = initial_proposal(spec)
+    multichain = spec.mode == "multichain"
+    completed_rows: List[int] = []
+    completed_meta: List[dict] = []
+    summaries: List[KernelSummary] = []
+    chains: List[CompactChain] = []
+    first_index = 0
+    kern: Optional[Kernel] = None
+
     if resume is None:
         sw = _SuiteFiles(spec, target.dimension, append=False)
-        kern = Kernel(
-            target, spec.kernel, proposal,
-            SerialStreams(spec.kernel.rng_seed, chain_index=0),
-        )
     else:
         _require(
             stored.dimension == target.dimension,
             "chain file dimension %d does not match the target's %d"
             % (stored.dimension, target.dimension),
         )
-        sw = _SuiteFiles(spec, target.dimension, append=True,
-                         rows_written=stored.n_rows)
-        kern = Kernel(
-            target, spec.kernel, proposal,
-            SerialStreams(spec.kernel.rng_seed, chain_index=0),
-            chain=stored,
-        )
-        kern.load_state(resume["kernel"])
-    try:
-        handle = _make_handler(kern, sw, spec, dict, on_event)
-        if resume is None:
-            sw.snapshot(_payload(spec, sw, kern.state_dict(), {}))
-        while not kern.done:
-            handle(kern.step())
-        sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
-        sw.flush()
-        summary = kern.summary()
-        p_hat = summary.mean_acceptance_rate
-        return _finish(
-            spec, sw, [summary], [kern.chain], None, p_hat, None,
-            restarted=resume is not None,
-        )
-    finally:
-        sw.close()
-
-
-def _run_multichain(
-    spec: SimulationSpec,
-    target: TargetDensity,
-    resume: Optional[dict],
-    stored: Optional[CompactChain],
-    on_event,
-) -> RunResult:
-    proposal = initial_proposal(spec)
-    completed_rows: List[int] = []
-    completed_meta: List[dict] = []
-    summaries: List[KernelSummary] = []
-    chains: List[CompactChain] = []
-    first_index = 0
-    restored_kernel: Optional[Kernel] = None
-
-    if resume is None:
-        sw = _SuiteFiles(spec, target.dimension, append=False)
-    else:
-        completed_rows = [int(v) for v in resume["completed_rows"]]
-        completed_meta = [dict(m) for m in resume["completed_meta"]]
-        first_index = int(resume["chain_index"])
-        offset = 0
-        for meta, n_rows in zip(completed_meta, completed_rows):
-            block = _slice_chain(stored, offset, n_rows)
-            offset += n_rows
-            chains.append(block)
-            summaries.append(
-                KernelSummary(
-                    chain=block,
-                    final_proposal=None,
-                    stage_attempts=tuple(int(v) for v in meta["stage_attempts"]),
-                    stage_accepts=tuple(int(v) for v in meta["stage_accepts"]),
-                    burnin_location=int(meta["burnin"]),
-                    adaptation_count=int(meta["adaptation_count"]),
+        if multichain:
+            # the stored file holds the completed chains, then the prefix of
+            # the chain the snapshot was taken in
+            completed_rows = [int(v) for v in resume["completed_rows"]]
+            completed_meta = [dict(m) for m in resume["completed_meta"]]
+            first_index = int(resume["chain_index"])
+            offset = 0
+            for meta, n_rows in zip(completed_meta, completed_rows):
+                block = _slice_chain(stored, offset, n_rows)
+                offset += n_rows
+                chains.append(block)
+                summaries.append(
+                    KernelSummary(
+                        chain=block,
+                        final_proposal=None,
+                        stage_attempts=tuple(int(v) for v in meta["stage_attempts"]),
+                        stage_accepts=tuple(int(v) for v in meta["stage_accepts"]),
+                        burnin_location=int(meta["burnin"]),
+                        adaptation_count=int(meta["adaptation_count"]),
+                    )
                 )
-            )
-        prefix = _slice_chain(stored, offset, stored.n_rows - offset)
+            prefix = _slice_chain(stored, offset, stored.n_rows - offset)
+        else:
+            prefix = stored
         sw = _SuiteFiles(spec, target.dimension, append=True,
                          rows_written=stored.n_rows)
         if resume["kernel"] is None:
@@ -394,105 +380,58 @@ def _run_multichain(
                 "last completed chain" % prefix.n_rows,
             )
         else:
-            restored_kernel = Kernel(
-                target, spec.kernel, proposal,
-                SerialStreams(spec.kernel.rng_seed, chain_index=first_index),
-                process_id=first_index + 1,
-                chain=prefix,
-            )
-            restored_kernel.load_state(resume["kernel"])
+            kern = _make_kernel(spec, target, first_index, chain=prefix)
+            kern.load_state(resume["kernel"])
 
-    def extra() -> dict:
+    def extra(chain_index: int) -> dict:
+        if not multichain:
+            return {}
         return {
-            "chain_index": current_index[0],
+            "chain_index": chain_index,
             "completed_rows": list(completed_rows),
             "completed_meta": list(completed_meta),
         }
 
-    current_index = [first_index]
     try:
-        for index in range(first_index, spec.n_chains):
-            current_index[0] = index
-            if restored_kernel is not None and index == first_index:
-                kern = restored_kernel
-            else:
-                kern = Kernel(
-                    target, spec.kernel, proposal,
-                    SerialStreams(spec.kernel.rng_seed, chain_index=index),
-                    process_id=index + 1,
-                )
-                sw.snapshot(_payload(spec, sw, kern.state_dict(), extra()))
-            handle = _make_handler(kern, sw, spec, extra, on_event)
-            while not kern.done:
-                handle(kern.step())
-            sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
-            completed_rows.append(kern.chain.n_rows)
-            completed_meta.append(
-                {
-                    "stage_attempts": list(kern.summary().stage_attempts),
-                    "stage_accepts": list(kern.summary().stage_accepts),
-                    "burnin": kern.summary().burnin_location,
-                    "adaptation_count": kern.summary().adaptation_count,
-                }
+        for index in range(first_index, spec.n_chains if multichain else 1):
+            if kern is None:
+                kern = _make_kernel(spec, target, index)
+                sw.snapshot(_payload(spec, sw, kern.state_dict(), extra(index)))
+            summary = kern.run(
+                _make_handler(kern, sw, spec, lambda: extra(index), on_event)
             )
-            current_index[0] = index + 1
-            sw.snapshot(_payload(spec, sw, None, extra()))
-            summaries.append(kern.summary())
+            sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
+            if multichain:
+                completed_rows.append(kern.chain.n_rows)
+                completed_meta.append(
+                    {
+                        "stage_attempts": list(summary.stage_attempts),
+                        "stage_accepts": list(summary.stage_accepts),
+                        "burnin": summary.burnin_location,
+                        "adaptation_count": summary.adaptation_count,
+                    }
+                )
+                sw.snapshot(_payload(spec, sw, None, extra(index + 1)))
+            else:
+                sw.flush()
+            summaries.append(summary)
             chains.append(kern.chain)
-        total_rows = sum(c.n_rows for c in chains)
-        total_verbose = sum(c.verbose_length for c in chains)
-        p_hat = total_rows / total_verbose
-        return _finish(
-            spec, sw, summaries, chains, None, p_hat, None,
-            restarted=resume is not None,
-        )
-    finally:
-        sw.close()
-
-
-def _run_forkjoin(
-    spec: SimulationSpec,
-    target: TargetDensity,
-    resume: Optional[dict],
-    stored: Optional[CompactChain],
-    on_event,
-) -> RunResult:
-    proposal = initial_proposal(spec)
-    if resume is None:
-        sw = _SuiteFiles(spec, target.dimension, append=False)
-        kern = Kernel(
-            target, spec.kernel, proposal,
-            RoundStreams(spec.kernel.rng_seed, rank=1),
-        )
-    else:
-        sw = _SuiteFiles(spec, target.dimension, append=True,
-                         rows_written=stored.n_rows)
-        kern = Kernel(
-            target, spec.kernel, proposal,
-            RoundStreams(spec.kernel.rng_seed, rank=1),
-            chain=stored,
-        )
-        kern.load_state(resume["kernel"])
-    try:
-        handle = _make_handler(kern, sw, spec, dict, on_event)
-        if resume is None:
-            sw.snapshot(_payload(spec, sw, kern.state_dict(), {}))
-        result = run_forkjoin(
-            target, spec.kernel, proposal, spec.worker_count,
-            on_step=handle, kernel=kern,
-        )
-        sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
-        sw.flush()
-        summary = result.summary
-        p_hat = result.speedup.fitted_acceptance_prob
+            kern = None
+        tally = None
         observed = None
-        verbose = summary.chain.verbose_length
-        if verbose > 1 and p_hat > 0.0:
-            rounds = verbose - 1
-            accepted = summary.chain.n_rows - 1
-            observed = (accepted / rounds) / p_hat
+        if spec.mode == "forkjoin":
+            chain = chains[0]
+            tally = ContributionTally.from_chain(chain, spec.worker_count)
+            p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
+            if chain.verbose_length > 1 and p_hat > 0.0:
+                rounds = chain.verbose_length - 1
+                observed = ((chain.n_rows - 1) / rounds) / p_hat
+        else:
+            p_hat = sum(c.n_rows for c in chains) / sum(
+                c.verbose_length for c in chains
+            )
         return _finish(
-            spec, sw, [summary], [kern.chain], result.tally, p_hat, observed,
+            spec, sw, summaries, chains, tally, p_hat, observed,
             restarted=resume is not None,
         )
     finally:
@@ -543,12 +482,7 @@ def run_simulation(
         )
         stored = _truncate_for_resume(spec, snap)
         resume = snap
-    target = make_target(spec)
-    if spec.mode == "serial":
-        return _run_serial(spec, target, resume, stored, on_event)
-    if spec.mode == "multichain":
-        return _run_multichain(spec, target, resume, stored, on_event)
-    return _run_forkjoin(spec, target, resume, stored, on_event)
+    return _run(spec, make_target(spec), resume, stored, on_event)
 
 
 def replay_adaptation_covariances(
@@ -561,34 +495,15 @@ def replay_adaptation_covariances(
     exactly the matrices the original run adapted through. Multichain specs
     replay their first chain, whose stream convention matches a serial run.
     """
-    target = make_target(spec)
-    proposal = initial_proposal(spec)
+    kern = _make_kernel(spec, make_target(spec), 0)
     captured: List[Tuple[int, np.ndarray]] = []
-    if spec.mode == "forkjoin":
-        kern = Kernel(
-            target, spec.kernel, proposal,
-            RoundStreams(spec.kernel.rng_seed, rank=1),
-        )
 
-        def handler(event: tuple) -> None:
+    def capture(events: List[tuple]) -> None:
+        for event in events:
             if event[0] == "adapt":
                 captured.append(
                     (event[1].at_chain_length, kern.proposal.covariance.copy())
                 )
 
-        run_forkjoin(
-            target, spec.kernel, proposal, spec.worker_count,
-            on_event=handler, kernel=kern,
-        )
-    else:
-        kern = Kernel(
-            target, spec.kernel, proposal,
-            SerialStreams(spec.kernel.rng_seed, chain_index=0),
-        )
-        while not kern.done:
-            for event in kern.step():
-                if event[0] == "adapt":
-                    captured.append(
-                        (event[1].at_chain_length, kern.proposal.covariance.copy())
-                    )
+    kern.run(capture)
     return captured

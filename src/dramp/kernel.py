@@ -1,36 +1,43 @@
-"""Serial sampling loop: Metropolis acceptance with delayed rejection,
-periodic proposal adaptation, burn-in tracking.
+"""The sampling kernel and the one run loop every execution mode shares.
 
-Every iteration proposes against the incumbent state x. A rejection at stage
-k falls through to stage k+1 with a narrower proposal, up to the configured
-stage count; a fully rejected iteration bumps the incumbent's repeat weight.
+A Kernel owns one chain. Each step is one round: the kernel's stream policy
+lists the (process id, generator) pairs the round scans, the kernel runs a
+full proposal cascade from each against the incumbent x in that order, and
+commits the first acceptor; if every cascade rejects, the incumbent's repeat
+weight grows. A serial or multichain policy scans one pair, the chain's own
+stream; the fork-join policy scans ranks 1..P on their (round, rank)
+streams. Every commit runs the same bookkeeping: moments, periodic proposal
+adaptation, burn-in tracking and the running columns. Kernel.run is the only
+loop that steps a chain; run_kernel, the parallel runners, the driver and the
+adaptation replay all go through it.
 
-Delayed-rejection acceptance (Tierney & Mira 1999; Haario et al. 2006) works
-in whitened coordinates. Candidate m is y_m = x + s_{m-1} L z_m (L the
-Cholesky factor of the proposal shape, s_j the stage-j scale, z_m the stage's
-standard-normal draw), so L^-1 (y_a - y_b) = s_{a-1} z_a - s_{b-1} z_b. Every
-proposal kernel in an acceptance ratio is a squared norm of offsets the
-cascade already holds, and the Gaussian normalizing constants cancel: the
-step path has no linear solve and no log-determinant. The ratio also needs
-the acceptance probabilities of subpaths, each a contiguous index range
-walked forwards or backwards, so a cascade has O(k^2) of them; dr_log_alpha
-memoizes them by (first, last) across the cascade's stages and serves every
-stage >= 1.
+Within a cascade, a rejection at stage k falls through to stage k+1 with a
+narrower proposal, up to the configured stage count. Delayed-rejection
+acceptance (Tierney & Mira 1999; Haario et al. 2006) works in whitened
+coordinates. Candidate m is y_m = x + s_{m-1} L z_m (L the Cholesky factor of
+the proposal shape, s_j the stage-j scale, z_m the stage's standard-normal
+draw), so L^-1 (y_a - y_b) = s_{a-1} z_a - s_{b-1} z_b. Every proposal kernel
+in an acceptance ratio is a squared norm of offsets the cascade already
+holds, and the Gaussian normalizing constants cancel: the step path has no
+linear solve and no log-determinant. The ratio also needs the acceptance
+probabilities of subpaths, each a contiguous index range walked forwards or
+backwards, so a cascade has O(k^2) of them; dr_log_alpha memoizes them by
+(first, last) across the cascade's stages and serves every stage >= 1.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
 
 RNG budget contract: every stage consumes exactly d standard normals plus one
-uniform from the step's stream, whether or not the outcome is already decided.
-Restart replay and the fork-join round protocol both depend on stream
-consumption being a pure function of the event sequence.
+uniform from the cascade's stream, whether or not the outcome is already
+decided. Restart replay and the fork-join round protocol both depend on
+stream consumption being a pure function of the event sequence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -272,17 +279,23 @@ def burnin_location(
 
 
 class SerialStreams:
-    """One continuous generator for the whole run (plain serial convention)."""
+    """One continuous generator for the whole chain (serial and multichain).
+
+    Every round scans a single cascade, stamped ``chain_index + 1``, drawn
+    from the chain's own stream.
+    """
 
     kind = "serial"
 
     def __init__(self, seed: int, chain_index: int = 0):
         self.seed = int(seed)
         self.chain_index = int(chain_index)
+        self.process_id = self.chain_index + 1
         self._gen = rng_mod.chain_stream(self.seed, self.chain_index)
+        self._pairs = ((self.process_id, self._gen),)  # built once, not per round
 
-    def for_iteration(self, round_index: int) -> np.random.Generator:
-        return self._gen
+    def scan(self, round_index: int) -> Iterable[Tuple[int, np.random.Generator]]:
+        return self._pairs
 
     def state_dict(self) -> dict:
         return {
@@ -294,31 +307,39 @@ class SerialStreams:
 
     def load_state(self, state: dict) -> None:
         self._gen = rng_mod.restore_stream(state["generator"])
+        self._pairs = ((self.process_id, self._gen),)
 
 
 class RoundStreams:
-    """A stream per iteration, keyed by (seed, round, rank).
+    """Ranks 1..worker_count per round, each on its (seed, round, rank) stream.
 
     This is the fork-join convention: worker ``rank`` in round ``i`` owns an
     independent stream regardless of what other workers or earlier rounds
-    consumed. A serial kernel running under this convention with rank 1
-    reproduces a one-worker fork-join run exactly. Each object owns one
-    counter-based generator that every call reseats, so the generator
-    returned for one round is valid only until the next call.
+    consumed, so a run is a pure function of (seed, spec, P). The object owns
+    one counter-based generator that every scanned rank reseats, so the
+    generator yielded for one rank is valid only until the scan moves on.
+    Ranks are yielded lazily and the kernel stops at the first acceptance;
+    the skipped ranks' streams are independent of everything committed, so
+    stopping early is exact.
     """
 
     kind = "per_round"
+    process_id = 1  # the seed row is stamped with the first rank
 
-    def __init__(self, seed: int, rank: int = 1):
+    def __init__(self, seed: int, worker_count: int = 1):
+        if worker_count < 1:
+            raise ValueError("worker_count must be >= 1, got %d" % worker_count)
         self.seed = int(seed)
-        self.rank = int(rank)
+        self.worker_count = int(worker_count)
         self._owner = rng_mod.RoundGenerator(self.seed)
 
-    def for_iteration(self, round_index: int) -> np.random.Generator:
-        return rng_mod.round_stream(self.seed, round_index, self.rank, self._owner)
+    def scan(self, round_index: int) -> Iterable[Tuple[int, np.random.Generator]]:
+        for rank in range(1, self.worker_count + 1):
+            yield rank, rng_mod.round_stream(self.seed, round_index, rank, self._owner)
 
     def state_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed, "rank": self.rank}
+        # "rank" is the first scanned rank, as every per-round snapshot stores
+        return {"kind": self.kind, "seed": self.seed, "rank": 1}
 
     def load_state(self, state: dict) -> None:
         pass  # nothing stateful; streams are derived per round
@@ -347,12 +368,15 @@ class KernelSummary:
 
 
 class Kernel:
-    """Stateful stepping engine behind run_kernel and the parallel drivers.
+    """The stepping engine of every mode: one chain, one stream policy.
 
     Owns the chain, the running moment accumulators, the adaptation schedule
-    and the burn-in tracker. ``step()`` advances one iteration and returns the
-    bookkeeping events it produced, so callers can persist rows and snapshots
-    between iterations, never mid-step.
+    and the burn-in tracker. ``step()`` runs one round: a cascade for each
+    (process id, generator) pair ``streams.scan`` yields, in order, until one
+    accepts, then one commit. It returns the bookkeeping events the round
+    produced. ``run()`` steps until the chain is full and hands each round's
+    events to a callback, so callers persist rows and snapshots between
+    rounds, never mid-round. The seed row is stamped ``streams.process_id``.
     """
 
     def __init__(
@@ -361,7 +385,6 @@ class Kernel:
         config: KernelConfig,
         proposal: ProposalState,
         streams,
-        process_id: int = 1,
         chain: Optional[CompactChain] = None,
     ):
         if target.dimension != proposal.dimension:
@@ -378,7 +401,6 @@ class Kernel:
         self.config = config
         self.proposal = proposal
         self.streams = streams
-        self.process_id = process_id
         d = target.dimension
         self._period = config.resolved_adaptation_period(d)
         self._stage_attempts = [0] * (config.dr_stage_count + 1)
@@ -409,7 +431,7 @@ class Kernel:
         self._burnin = 0
         self.chain.append_row(
             ChainRow(
-                process_id=process_id,
+                process_id=streams.process_id,
                 dr_stage=0,
                 mean_acceptance_rate=1.0,
                 adaptation_measure=0.0,
@@ -437,32 +459,42 @@ class Kernel:
         self._burnin = int(self.chain.verbose_starts[row])
 
     def step(self) -> List[tuple]:
-        round_index = self.chain.verbose_length
-        stream = self.streams.for_iteration(round_index)
-        outcome = propose_cascade(
-            self.target,
-            self.proposal,
-            self.chain.last_state(),
-            self._log_incumbent,
-            self.config.dr_stage_count,
-            stream,
-        )
-        self.count_attempts(outcome.proposals_consumed)
-        return self.commit(outcome, self.process_id)
+        incumbent = self.chain.last_state()
+        attempts = self._stage_attempts
+        for process_id, stream in self.streams.scan(self.chain.verbose_length):
+            outcome = propose_cascade(
+                self.target,
+                self.proposal,
+                incumbent,
+                self._log_incumbent,
+                self.config.dr_stage_count,
+                stream,
+            )
+            for s in range(outcome.proposals_consumed):
+                attempts[s] += 1
+            if outcome.accepted_at_stage != REJECTED:
+                break
+        return self.commit(outcome, process_id)
 
-    def count_attempts(self, proposals_consumed: int) -> None:
-        for s in range(proposals_consumed):
-            self._stage_attempts[s] += 1
+    def run(
+        self, on_step: Optional[Callable[[List[tuple]], None]] = None
+    ) -> KernelSummary:
+        """Step until the chain holds ``chain_length_target`` rows, handing
+        each round's event list to ``on_step``, and return the summary."""
+        while not self.done:
+            events = self.step()
+            if on_step is not None:
+                on_step(events)
+        return self.summary()
 
     def commit(self, outcome: StepOutcome, process_id: int) -> List[tuple]:
-        """Fold one cascade outcome into the chain and run the shared
+        """Fold one round's outcome into the chain and run the shared
         bookkeeping (moments, adaptation, burn-in, running columns).
 
-        The fork-join collector calls this directly with the winning worker's
-        outcome, so serial and parallel runs share every accounting rule.
-        Stage ATTEMPT tallies stay with the caller (the collector counts
-        scanned worker attempts, the serial step counts its own cascade);
-        only the accept tally is shared here.
+        An accepted outcome becomes a row stamped ``process_id``; a rejected
+        one (every scanned cascade rejected) grows the incumbent's weight and
+        ignores ``process_id``. Stage attempt tallies are counted by step,
+        over every scanned cascade; only the accept tally is counted here.
         """
         events: List[tuple] = []
         if outcome.accepted_at_stage != REJECTED:
@@ -623,7 +655,7 @@ def run_kernel(
     streams=None,
     on_event: Optional[Callable[[tuple], None]] = None,
 ) -> KernelSummary:
-    """Run a full serial simulation and return its summary.
+    """Run a full simulation and return its summary.
 
     ``streams`` defaults to the continuous serial convention seeded from the
     config. ``on_event`` receives each bookkeeping event (finalized row,
@@ -633,11 +665,13 @@ def run_kernel(
     if streams is None:
         streams = SerialStreams(config.rng_seed)
     kern = Kernel(target, config, proposal, streams)
-    while not kern.done:
-        events = kern.step()
-        if on_event is not None:
-            for ev in events:
-                on_event(ev)
-    if on_event is not None:
-        on_event(("done", kern.chain.n_rows))
-    return kern.summary()
+    if on_event is None:
+        return kern.run()
+
+    def each_event(events: List[tuple]) -> None:
+        for event in events:
+            on_event(event)
+
+    summary = kern.run(each_event)
+    on_event(("done", summary.chain.n_rows))
+    return summary

@@ -24,7 +24,6 @@ from .errors import BadDimension, DimensionMismatch, NotPositiveDefinite
 __all__ = [
     "TargetDensity",
     "BuiltinTargetSpec",
-    "log_density",
     "gaussian_target",
     "himmelblau_target",
     "banana_target",
@@ -75,16 +74,6 @@ class TargetDensity:
         if self.preferred_start is not None:
             return self.preferred_start.copy()
         return np.zeros(self.dimension)
-
-
-def log_density(target: TargetDensity, x: Sequence[float]) -> float:
-    """Evaluate ``target`` at ``x`` with dimension checking."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (target.dimension,):
-        raise DimensionMismatch(
-            "point has shape %r, target dimension is %d" % (x.shape, target.dimension)
-        )
-    return float(target.evaluate(x))
 
 
 def gaussian_target(

@@ -1,49 +1,51 @@
 """Simulated parallel execution.
 
-Two modes, both deterministic and in-process:
+Two modes, both deterministic and in-process, both stepped by Kernel.run:
 
 Multi-chain: independent samplers with per-chain RNG streams; finished chains
 are refined and cross-compared pairwise for convergence evidence.
 
-Fork-join: one shared chain. Per round, every worker rank draws a full
-proposal cascade against the incumbent from its own (seed, round, rank)
-stream; the collector commits the lowest accepting rank's state, or bumps the
-incumbent's weight when all reject. Under this commit rule the rank that
-contributes each state follows a truncated geometric law in the per-attempt
-acceptance probability, which is what makes scanning ranks in order a fair
-work model and gives the closed-form speedup curve below.
+Fork-join: one shared chain whose stream policy is RoundStreams. Per round,
+Kernel.step has every worker rank draw a full proposal cascade against the
+incumbent from its own (seed, round, rank) stream, in rank order, and commits
+the lowest accepting rank's state, or bumps the incumbent's weight when all
+reject. Under this commit rule the rank that contributes each state follows
+a truncated geometric law in the per-attempt acceptance probability, which
+is what makes scanning ranks in order a fair work model and gives the
+closed-form speedup curve below. The contributing rank is the row's process
+id, so the contribution tally is read off the finished chain.
 
 Because every random draw is indexed by (round, rank), the outcome is a pure
 function of (seed, spec, P): physical scheduling cannot change it. The
 (round, rank) stream is the Philox4x64 counter block (round, rank) under the
-run's key (see dramp.rng); the collector owns one generator and reseats it
-per scanned rank, each stream used up before the next reseat. Scanning
-stops at the first acceptance; the skipped higher ranks' streams are
-independent of everything committed, so short-circuiting is exact, not an
-approximation.
+run's key (see dramp.rng). Scanning stops at the first acceptance; the
+skipped higher ranks' streams are independent of everything committed, so
+short-circuiting is exact, not an approximation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import rng as rng_mod
+from .chain import CompactChain
 from .errors import DegenerateTally, SamplerError
 from .kernel import (
     Kernel,
     KernelConfig,
     KernelSummary,
-    REJECTED,
     RoundStreams,
     SerialStreams,
-    StepOutcome,
-    propose_cascade,
+    run_kernel,
 )
+
+# Kernel.step runs the fork-join scan, so nothing here calls this; it stays
+# importable here for tools that patch it by name.
+from .kernel import propose_cascade  # noqa: F401
 from .model import TargetDensity
 from .proposal import ProposalState
 from .refine import ConvergenceCheck, RefinedSample, cross_chain_check, refine_two_phase
@@ -88,6 +90,15 @@ class ContributionTally:
     @property
     def total(self) -> int:
         return sum(self.counts)
+
+    @classmethod
+    def from_chain(cls, chain: CompactChain, worker_count: int) -> "ContributionTally":
+        """Accepted rows per rank of a fork-join chain, from its process ids.
+
+        Row 0 is the seed and belongs to no worker.
+        """
+        counts = np.bincount(chain.process_ids[1:], minlength=worker_count + 1)[1:]
+        return cls(worker_count=worker_count, counts=tuple(int(c) for c in counts))
 
 
 @dataclass(frozen=True)
@@ -212,19 +223,15 @@ def run_multichain(
     refined: List[Optional[RefinedSample]] = []
     failures: List[Tuple[int, str]] = []
     for index in range(n_chains):
+        def each_event(events: List[tuple]) -> None:
+            for event in events:
+                on_event(index, event)
+
         try:
             kern = Kernel(
-                target,
-                config,
-                proposal,
-                SerialStreams(config.rng_seed, chain_index=index),
-                process_id=index + 1,
+                target, config, proposal, SerialStreams(config.rng_seed, index)
             )
-            while not kern.done:
-                for event in kern.step():
-                    if on_event is not None:
-                        on_event(index, event)
-            summaries.append(kern.summary())
+            summaries.append(kern.run(each_event if on_event is not None else None))
         except SamplerError as exc:
             summaries.append(None)
             refined.append(None)
@@ -250,77 +257,22 @@ def run_forkjoin(
     proposal: ProposalState,
     worker_count: int,
     on_event: Optional[Callable[[tuple], None]] = None,
-    kernel: Optional[Kernel] = None,
-    on_step: Optional[Callable[[List[tuple]], None]] = None,
 ) -> ForkJoinResult:
     """Build one chain with P round-parallel workers.
 
-    Adaptation, burn-in tracking and chain accounting run exactly as in the
-    serial kernel (the collector commits through the same bookkeeping), so a
-    one-worker fork-join run reproduces the serial chain under the per-round
-    stream convention bit for bit. Pass ``kernel`` to resume a restored run;
-    its tally is rebuilt from the chain's process id column. ``on_step``
-    receives each round's event list as one call, before ``on_event`` sees
-    the events one by one.
+    This is run_kernel under RoundStreams(seed, P): adaptation, burn-in
+    tracking and chain accounting are the serial kernel's, so a one-worker
+    fork-join run is the serial chain under the per-round stream convention
+    bit for bit. ``on_event`` sees the kernel's events, then ("done", rows).
     """
-    if worker_count < 1:
-        raise ValueError("worker_count must be >= 1, got %d" % worker_count)
-    if kernel is None:
-        kern = Kernel(
-            target,
-            config,
-            proposal,
-            RoundStreams(config.rng_seed, rank=1),
-            process_id=1,
-        )
-    else:
-        kern = kernel
-    counts = [0] * worker_count
-    if kern.chain.n_rows > 1:
-        # resumed run: re-credit ranks from the already-built rows (row 0 is
-        # the seed and belongs to no worker)
-        for pid in kern.chain.process_ids[1:]:
-            counts[int(pid) - 1] += 1
-    owner = rng_mod.RoundGenerator(config.rng_seed)
-    while not kern.done:
-        round_index = kern.chain.verbose_length
-        incumbent = kern.chain.last_state()
-        log_incumbent = kern.log_incumbent
-        winner: Optional[StepOutcome] = None
-        winner_rank = 0
-        for rank in range(1, worker_count + 1):
-            stream = rng_mod.round_stream(config.rng_seed, round_index, rank, owner)
-            outcome = propose_cascade(
-                target,
-                kern.proposal,
-                incumbent,
-                log_incumbent,
-                config.dr_stage_count,
-                stream,
-            )
-            kern.count_attempts(outcome.proposals_consumed)
-            if outcome.accepted_at_stage != REJECTED:
-                winner = outcome
-                winner_rank = rank
-                break
-        if winner is None:
-            events = kern.commit(
-                StepOutcome(incumbent, log_incumbent, REJECTED, 0), 0
-            )
-        else:
-            counts[winner_rank - 1] += 1
-            events = kern.commit(winner, winner_rank)
-        if on_step is not None:
-            on_step(events)
-        if on_event is not None:
-            for event in events:
-                on_event(event)
-    if on_event is not None:
-        on_event(("done", kern.chain.n_rows))
-    tally = ContributionTally(worker_count=worker_count, counts=tuple(counts))
+    summary = run_kernel(
+        target, config, proposal, RoundStreams(config.rng_seed, worker_count),
+        on_event,
+    )
+    tally = ContributionTally.from_chain(summary.chain, worker_count)
     p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
     return ForkJoinResult(
-        summary=kern.summary(),
+        summary=summary,
         tally=tally,
         speedup=build_speedup_report(p_hat),
     )

@@ -28,11 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def serial_stream(seed: int) -> np.random.Generator:
-    """Stream for a single-chain run. Identical to chain_stream(seed, 0)."""
-    return chain_stream(seed, 0)
-
-
 def chain_stream(seed: int, chain_index: int) -> np.random.Generator:
     """Independent stream for one chain of a multi-chain run."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chain_index),))

@@ -461,7 +461,7 @@ def test_criterion_10_determinism_and_reductions(tmp_path, monkeypatch):
             return False
 
     forked = run_forkjoin(target, cfg, proposal, 1)
-    round_serial = run_kernel(target, cfg, proposal, RoundStreams(5, rank=1))
+    round_serial = run_kernel(target, cfg, proposal, RoundStreams(5))
     fork_reduces = chains_match(forked.summary.chain, round_serial.chain)
 
     multi = run_multichain(target, cfg, proposal, 1)

@@ -9,9 +9,7 @@ from dramp.chain import (
     ChainRow,
     CompactChain,
     WeightedMoments,
-    append_or_increment,
     chain_stats,
-    compression_factor,
     to_verbose,
 )
 from dramp.errors import DimensionMismatch, EmptyRange
@@ -33,22 +31,22 @@ def mk_row(state, weight=1, logf=0.0, pid=1):
 class TestAppendOrIncrement:
     def test_empty_plus_state_is_one_row(self):
         ch = CompactChain(dimension=1)
-        append_or_increment(ch, mk_row([1.0]))
+        ch.append_row(mk_row([1.0]))
         assert ch.n_rows == 1
         assert ch.weights[0] == 1
 
     def test_repeat_increments_weight(self):
         ch = CompactChain(dimension=1)
-        append_or_increment(ch, mk_row([1.0]))
-        append_or_increment(ch, mk_row([1.0]))
+        ch.append_row(mk_row([1.0]))
+        ch.increment_last(1)
         assert ch.n_rows == 1
         assert ch.weights[0] == 2
 
     def test_reappearance_is_a_new_row(self):
         ch = CompactChain(dimension=1)
-        append_or_increment(ch, mk_row([1.0], weight=2))
-        append_or_increment(ch, mk_row([2.0]))
-        append_or_increment(ch, mk_row([1.0]))
+        ch.append_row(mk_row([1.0], weight=2))
+        ch.append_row(mk_row([2.0]))
+        ch.append_row(mk_row([1.0]))
         assert ch.n_rows == 3
         assert list(ch.weights) == [2, 1, 1]
         logfs, states = to_verbose(ch)
@@ -94,15 +92,21 @@ class TestVerboseExpansion:
     )
     def test_round_trip_rebuild(self, spec_rows):
         # consecutive equal states in the hypothesis draw merge on rebuild,
-        # so build the reference chain through append_or_increment too
+        # so the reference chain merges them too
+        def visit(chain, state, logf=0.0):
+            if chain.n_rows and np.array_equal(chain.last_state(), state):
+                chain.increment_last(1)
+            else:
+                chain.append_row(mk_row(state, logf=logf))
+
         ch = CompactChain(dimension=1)
         for value, weight in spec_rows:
             for _ in range(weight):
-                append_or_increment(ch, mk_row([value]))
+                visit(ch, [value])
         logfs, states = to_verbose(ch)
         rebuilt = CompactChain(dimension=1)
         for k in range(states.shape[0]):
-            append_or_increment(rebuilt, mk_row(states[k], logf=float(logfs[k])))
+            visit(rebuilt, states[k], float(logfs[k]))
         assert rebuilt.n_rows == ch.n_rows
         assert np.array_equal(rebuilt.weights[: ch.n_rows], ch.weights[: ch.n_rows])
         assert np.array_equal(rebuilt.states[: ch.n_rows], ch.states[: ch.n_rows])
@@ -157,30 +161,6 @@ class TestChainStats:
         ch.append_row(mk_row([0.0]))
         with pytest.raises(EmptyRange):
             chain_stats(ch, 1)
-
-
-class TestCompression:
-    def test_all_unit_weights(self):
-        ch = CompactChain(dimension=1)
-        for v in range(5):
-            ch.append_row(mk_row([float(v)]))
-        assert compression_factor(ch) == 1.0
-
-    def test_factor_four(self):
-        ch = CompactChain(dimension=1)
-        for v in range(10):
-            ch.append_row(mk_row([float(v)], weight=4))
-        assert compression_factor(ch) == 4.0
-
-    def test_factor_hundred(self):
-        ch = CompactChain(dimension=1)
-        for v in range(10):
-            ch.append_row(mk_row([float(v)], weight=100))
-        assert compression_factor(ch) == 100.0
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(EmptyRange):
-            compression_factor(CompactChain(dimension=1))
 
 
 class TestWeightedMoments:

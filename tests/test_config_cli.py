@@ -603,7 +603,6 @@ class TestCliExport:
 
 
 SUITE_FILES = (
-    "run_chain.txt",
     "run_sample.txt",
     "run_report.txt",
     "run_progress.txt",
@@ -612,7 +611,11 @@ SUITE_FILES = (
 
 
 def assert_suites_identical(dir_a, dir_b):
-    for name in SUITE_FILES:
+    names = sorted(p.name for p in dir_a.iterdir())
+    assert names == sorted(p.name for p in dir_b.iterdir())
+    chains = [n for n in names if n in ("run_chain.txt", "run_chain.bin")]
+    assert len(chains) == 1 and set(SUITE_FILES) <= set(names)
+    for name in names:
         a = (dir_a / name).read_bytes()
         b = (dir_b / name).read_bytes()
         assert a == b, "%s differs between runs" % name
@@ -632,24 +635,61 @@ class TestResume:
         values.update({k: str(v) for k, v in overrides.items()})
         return build_spec(values)
 
-    def test_interrupted_run_resumes_to_identical_bytes(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def check_resume(self, tmp_path, monkeypatch, capsys, overrides, stop):
+        """Stop a run after ``stop`` finalized rows, or in its report when
+        ``stop`` is "finish", resume it through ``dramp run`` and compare the
+        suite with an uninterrupted one."""
         clean = tmp_path / "clean"
         clean.mkdir()
         monkeypatch.chdir(clean)
-        result = run_simulation(self.spec_here())
+        result = run_simulation(self.spec_here(**overrides))
         assert result.restarted is False
 
         broken = tmp_path / "broken"
         broken.mkdir()
         monkeypatch.chdir(broken)
-        run_to_interrupt(self.spec_here(), 350)
+        if stop == "finish":
+            def refuse(*args, **kwargs):
+                raise Interrupt()
+
+            with monkeypatch.context() as patched:
+                patched.setattr(dramp.driver, "write_report", refuse)
+                with pytest.raises(Interrupt):
+                    run_simulation(self.spec_here(**overrides))
+        else:
+            run_to_interrupt(self.spec_here(**overrides), stop)
         argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
                 "--deterministic-test-mode"]
+        for key, value in overrides.items():
+            argv += ["--" + key, str(value)]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("resumed run under prefix")
         assert_suites_identical(clean, broken)
+
+    def test_interrupted_run_resumes_to_identical_bytes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self.check_resume(tmp_path, monkeypatch, capsys, {}, 350)
+
+    # each chain of 600 rows finalizes 599 of them while it runs, so 949
+    # stops the second chain of a multichain run at its 350th
+    @pytest.mark.parametrize("overrides,stop", [
+        ({"mode": "serial"}, 350),
+        ({"mode": "multichain", "chains": "2"}, 350),
+        ({"mode": "multichain", "chains": "2"}, 949),
+        ({"mode": "forkjoin", "workers": "4"}, 350),
+        ({"mode": "serial"}, "finish"),
+        ({"mode": "multichain", "chains": "2"}, "finish"),
+        ({"mode": "forkjoin", "workers": "4"}, "finish"),
+    ], ids=["serial", "multichain-chain1", "multichain-chain2", "forkjoin",
+            "serial-finish", "multichain-finish", "forkjoin-finish"])
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_every_mode_resumes_to_identical_bytes(
+        self, tmp_path, monkeypatch, capsys, overrides, stop, fmt
+    ):
+        self.check_resume(
+            tmp_path, monkeypatch, capsys, {**overrides, "format": fmt}, stop
+        )
 
     def test_trajectory_field_change_refused_after_interrupt(
         self, tmp_path, monkeypatch, capsys
@@ -716,20 +756,31 @@ class TestResume:
         run_simulation(spec, on_event=check)
         assert len(checked) >= 6
 
-    @pytest.mark.parametrize("overrides", [
-        {"mode": "serial"},
+    @pytest.mark.parametrize("overrides,flat", [
+        # on a flat target every stage-0 proposal accepts, so the step that
+        # ticks at verbose length 1000 writes row 1000 and adapts under the
+        # default period of 100 rows
+        ({"mode": "serial"}, True),
         # every accepted row adapts, and a round rejects only when all 64
         # ranks do ((1-p)^64 = 3e-14 at this spec's acceptance rate p = 0.38),
         # so the round that ticks at verbose length 1000 adapts too
-        {"mode": "forkjoin", "workers": "64", "adaptation-period": "1"},
+        ({"mode": "forkjoin", "workers": "64", "adaptation-period": "1"}, False),
     ], ids=["serial", "forkjoin"])
     def test_interrupt_after_a_step_that_adapts_and_ticks(
-        self, tmp_path, monkeypatch, overrides
+        self, tmp_path, monkeypatch, overrides, flat
     ):
         # the adaptation's snapshot holds the state after the whole step, so
         # it must also count the tick line that step wrote
         def spec():
             return self.spec_here(**{"chain-len": "1500", **overrides})
+
+        if flat:
+            monkeypatch.setattr(
+                dramp.driver, "make_target",
+                lambda spec: TargetDensity(
+                    "flat", spec.target_spec.dimension, lambda x: 0.0
+                ),
+            )
 
         steps = []
         commit = Kernel.commit
@@ -747,6 +798,8 @@ class TestResume:
             patched.setattr(Kernel, "commit", recording_commit)
             run_simulation(spec())
         assert steps, "no step of this spec both adapts and ticks"
+        if flat:
+            assert steps[0] == 1000
 
         def bomb(event):
             if event[0] == "tick" and event[1]["verbose_length"] == steps[0]:

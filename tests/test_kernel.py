@@ -211,7 +211,7 @@ class TestPathwiseDetailedBalance:
 class TestProposeCascade:
     def test_flat_target_accepts_at_stage_zero(self):
         prop = ProposalState.create(2)
-        stream = rng_mod.serial_stream(5)
+        stream = rng_mod.chain_stream(5, 0)
         incumbent = np.zeros(2)
         out = propose_cascade(flat_target(2), prop, incumbent, 0.0, 1, stream)
         assert out.accepted_at_stage == 0
@@ -221,7 +221,7 @@ class TestProposeCascade:
 
     def test_full_rejection_returns_incumbent(self):
         prop = ProposalState.create(1, dr_scales=(0.5, 0.25))
-        stream = rng_mod.serial_stream(5)
+        stream = rng_mod.chain_stream(5, 0)
         incumbent = np.array([1.5])
         out = propose_cascade(wall_target(1), prop, incumbent, 0.0, 2, stream)
         assert out.accepted_at_stage == REJECTED
@@ -235,9 +235,9 @@ class TestProposeCascade:
         d = 3
         prop = ProposalState.create(d, dr_scales=(0.5, 0.25))
         target = flat_target(d) if accepts else wall_target(d)
-        used = rng_mod.serial_stream(17)
+        used = rng_mod.chain_stream(17, 0)
         propose_cascade(target, prop, np.zeros(d), 0.0, stages, used)
-        replay = rng_mod.serial_stream(17)
+        replay = rng_mod.chain_stream(17, 0)
         for _ in range(stages + 1):
             replay.standard_normal(d)
             replay.random()
@@ -257,7 +257,7 @@ class TestNonFiniteTarget:
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         incumbent = np.zeros(3)
         out = propose_cascade(
-            nan_target(3), prop, incumbent, 0.0, stages, rng_mod.serial_stream(5)
+            nan_target(3), prop, incumbent, 0.0, stages, rng_mod.chain_stream(5, 0)
         )
         assert out.accepted_at_stage == REJECTED
         assert out.proposals_consumed == stages + 1
@@ -266,9 +266,9 @@ class TestNonFiniteTarget:
     @pytest.mark.parametrize("stages", [0, 1, 2])
     def test_nan_keeps_the_stream_budget(self, stages):
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
-        used = rng_mod.serial_stream(17)
+        used = rng_mod.chain_stream(17, 0)
         propose_cascade(nan_target(3), prop, np.zeros(3), 0.0, stages, used)
-        walled = rng_mod.serial_stream(17)
+        walled = rng_mod.chain_stream(17, 0)
         propose_cascade(wall_target(3), prop, np.zeros(3), 0.0, stages, walled)
         assert used.random() == walled.random()
 
@@ -276,10 +276,10 @@ class TestNonFiniteTarget:
     def test_plus_inf_raises_naming_the_point(self, stages):
         prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
         target = TargetDensity("spike", 2, lambda x: float("inf"))
-        stream = rng_mod.serial_stream(3)
+        stream = rng_mod.chain_stream(3, 0)
         with pytest.raises(NonFiniteTarget) as info:
             propose_cascade(target, prop, np.zeros(2), 0.0, stages, stream)
-        replay = rng_mod.serial_stream(3)
+        replay = rng_mod.chain_stream(3, 0)
         point = prop.scale_factor * (prop.chol_factor @ replay.standard_normal(2))
         assert "+inf at (%.17g, %.17g)" % tuple(point) in str(info.value)
 
@@ -292,7 +292,7 @@ class TestNonFiniteTarget:
             "core", 1,
             lambda x: float("inf") if abs(x[0]) < 1.0 else float("-inf"),
         )
-        stream = rng_mod.serial_stream(8)
+        stream = rng_mod.chain_stream(8, 0)
         with pytest.raises(NonFiniteTarget):
             propose_cascade(target, prop, np.zeros(1), 0.0, stages, stream)
 
@@ -318,50 +318,56 @@ class TestBurninLocation:
 
 
 class TestStreams:
-    def test_serial_stream_is_chain_zero(self):
-        a = rng_mod.serial_stream(42)
-        b = rng_mod.chain_stream(42, 0)
-        assert a.random(8).tolist() == b.random(8).tolist()
-
     def test_serial_state_round_trip_is_bitwise(self):
         s = SerialStreams(seed=7)
-        s.for_iteration(0).random(13)
+        [(pid, gen)] = s.scan(0)
+        assert pid == 1
+        gen.random(13)
         snap = json.loads(json.dumps(s.state_dict()))
-        tail = s.for_iteration(1).random(50)
+        tail = s.scan(1)[0][1].random(50)
         s2 = SerialStreams(seed=7)
         s2.load_state(snap)
-        assert s2.for_iteration(1).random(50).tolist() == tail.tolist()
+        assert s2.scan(1)[0][1].random(50).tolist() == tail.tolist()
 
     @staticmethod
-    def draws(streams, round_index):
-        gen = streams.for_iteration(round_index)
-        return gen.standard_normal(3).tolist() + [gen.random()]
+    def draws(streams, round_index, rank):
+        for pid, gen in streams.scan(round_index):
+            if pid == rank:
+                return gen.standard_normal(3).tolist() + [gen.random()]
+
+    def test_round_streams_scan_ranks_in_order(self):
+        streams = RoundStreams(seed=9, worker_count=4)
+        assert [pid for pid, _ in streams.scan(0)] == [1, 2, 3, 4]
+        assert streams.process_id == 1
+        with pytest.raises(ValueError):
+            RoundStreams(seed=9, worker_count=0)
 
     def test_round_streams_keyed_only_by_round_and_rank(self):
-        a = RoundStreams(seed=9, rank=3)
-        b = RoundStreams(seed=9, rank=3)
-        a.for_iteration(0).random(100)  # consumption leaves no trace
-        a.for_iteration(7)  # nor does a reseat without draws
-        a.for_iteration(5).random(3)  # nor a partly drawn stream
-        assert self.draws(a, 5) == self.draws(b, 5)
-        assert self.draws(a, 5) != self.draws(RoundStreams(seed=9, rank=4), 5)
-        assert self.draws(a, 5) != self.draws(a, 6)
-        assert self.draws(a, 5) != self.draws(RoundStreams(seed=10, rank=3), 5)
+        a = RoundStreams(seed=9, worker_count=4)
+        b = RoundStreams(seed=9, worker_count=3)
+        for _, gen in a.scan(0):
+            gen.random(100)  # consumption leaves no trace
+        next(iter(a.scan(7)))  # nor does a reseat without draws
+        next(iter(a.scan(5)))[1].random(3)  # nor a partly drawn stream
+        assert self.draws(a, 5, 3) == self.draws(b, 5, 3)
+        assert self.draws(a, 5, 3) != self.draws(a, 5, 4)
+        assert self.draws(a, 5, 3) != self.draws(a, 6, 3)
+        other_seed = RoundStreams(seed=10, worker_count=3)
+        assert self.draws(a, 5, 3) != self.draws(other_seed, 5, 3)
 
     def test_round_streams_in_alternation_match_one_after_the_other(self):
-        a, b = RoundStreams(seed=9, rank=1), RoundStreams(seed=9, rank=2)
-        alternating = [(self.draws(a, i), self.draws(b, i)) for i in range(20)]
-        a2, b2 = RoundStreams(seed=9, rank=1), RoundStreams(seed=9, rank=2)
-        first = [self.draws(a2, i) for i in range(20)]
-        second = [self.draws(b2, i) for i in range(20)]
+        a, b, a2, b2 = (RoundStreams(seed=9, worker_count=2) for _ in range(4))
+        alternating = [(self.draws(a, i, 1), self.draws(b, i, 2)) for i in range(20)]
+        first = [self.draws(a2, i, 1) for i in range(20)]
+        second = [self.draws(b2, i, 2) for i in range(20)]
         assert alternating == list(zip(first, second))
 
     def test_round_stream_draws_stay_in_their_counter_block(self):
-        gen = RoundStreams(seed=9, rank=3).for_iteration(41)
-        gen.standard_normal(500)
-        gen.random(500)
-        counter = gen.bit_generator.state["state"]["counter"]
-        assert counter[2:].tolist() == [41, 3]
+        for rank, gen in RoundStreams(seed=9, worker_count=3).scan(41):
+            gen.standard_normal(500)
+            gen.random(500)
+            counter = gen.bit_generator.state["state"]["counter"]
+            assert counter[2:].tolist() == [41, rank]
 
     def test_no_generator_built_per_round(self, monkeypatch):
         built = {}
@@ -390,7 +396,7 @@ class TestStreams:
         assert counts[0] == counts[1]
 
     def test_restore_rejects_foreign_generator(self):
-        st = rng_mod.stream_state(rng_mod.serial_stream(1))
+        st = rng_mod.stream_state(rng_mod.chain_stream(1, 0))
         st["bit_generator"] = "MT19937"
         with pytest.raises(ValueError):
             rng_mod.restore_stream(st)

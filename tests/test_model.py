@@ -14,7 +14,6 @@ from dramp.model import (
     banana_target,
     gaussian_target,
     himmelblau_target,
-    log_density,
     make_builtin_target,
 )
 
@@ -24,20 +23,20 @@ HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 class TestGaussian:
     def test_standard_normal_peak(self):
         t = gaussian_target([0.0], [[1.0]])
-        assert log_density(t, [0.0]) == pytest.approx(-0.91893853, abs=1e-8)
+        assert t.evaluate(np.array([0.0])) == pytest.approx(-0.91893853, abs=1e-8)
 
     def test_standard_normal_at_one(self):
         t = gaussian_target([0.0], [[1.0]])
-        assert log_density(t, [1.0]) == pytest.approx(-1.41893853, abs=1e-8)
+        assert t.evaluate(np.array([1.0])) == pytest.approx(-1.41893853, abs=1e-8)
 
     def test_identity_4d_peak(self):
         t = gaussian_target(np.zeros(4), np.eye(4))
-        assert log_density(t, np.zeros(4)) == pytest.approx(-3.67575413, abs=1e-8)
+        assert t.evaluate(np.zeros(4)) == pytest.approx(-3.67575413, abs=1e-8)
 
     def test_diag_determinant_term(self):
         t = gaussian_target([0.0, 0.0], [[1.0, 0.0], [0.0, 4.0]])
         # -ln 2pi - (1/2) ln 4
-        assert log_density(t, [0.0, 0.0]) == pytest.approx(-2.53102424, abs=1e-8)
+        assert t.evaluate(np.array([0.0, 0.0])) == pytest.approx(-2.53102424, abs=1e-8)
 
     def test_matches_scipy_logpdf_on_random_inputs(self):
         rng = np.random.default_rng(0)
@@ -49,7 +48,7 @@ class TestGaussian:
             oracle = stats.multivariate_normal(mean=mean, cov=cov)
             for _ in range(20):
                 x = rng.standard_normal(d) * 3.0
-                assert log_density(t, x) == pytest.approx(
+                assert t.evaluate(x) == pytest.approx(
                     float(oracle.logpdf(x)), rel=1e-10
                 )
 
@@ -69,12 +68,12 @@ class TestGaussian:
 class TestHimmelblau:
     def test_zero_at_root_with_unit_scale(self):
         t = himmelblau_target(scale=1.0)
-        assert log_density(t, [3.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+        assert t.evaluate(np.array([3.0, 2.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_origin_value_at_scale_ten(self):
         # Himmelblau(0,0) = 11^2 + 7^2 = 170
         t = himmelblau_target(scale=10.0)
-        assert log_density(t, [0.0, 0.0]) == pytest.approx(-17.0, abs=1e-12)
+        assert t.evaluate(np.array([0.0, 0.0])) == pytest.approx(-17.0, abs=1e-12)
 
     def test_four_modes_are_equal_roots(self):
         t = himmelblau_target(scale=1.0)
@@ -85,7 +84,7 @@ class TestHimmelblau:
             (3.584428340330492, -1.848126526964404),
         ]
         for m in modes:
-            assert log_density(t, m) == pytest.approx(0.0, abs=1e-9)
+            assert t.evaluate(np.array(m)) == pytest.approx(0.0, abs=1e-9)
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
@@ -105,13 +104,13 @@ class TestBanana:
                 - math.log(s1)
                 - 0.5 * ((x[0] / s1) ** 2 + ridge ** 2)
             )
-            assert log_density(t, x) == pytest.approx(expected, rel=1e-12)
+            assert t.evaluate(x) == pytest.approx(expected, rel=1e-12)
 
     def test_extra_dimensions_are_unit_normal(self):
         t2 = banana_target(2, 0.1, 10.0)
         t4 = banana_target(4, 0.1, 10.0)
         x = np.array([1.0, 2.0, 0.7, -0.3])
-        gap = log_density(t4, x) - log_density(t2, x[:2])
+        gap = t4.evaluate(x) - t2.evaluate(x[:2])
         expected = -2.0 * HALF_LOG_TWO_PI - 0.5 * (0.7 ** 2 + 0.3 ** 2)
         assert gap == pytest.approx(expected, rel=1e-12)
 
@@ -130,13 +129,13 @@ class TestBuiltinSpec:
             d = 2
             t = make_builtin_target(BuiltinTargetSpec(kind=kind, dimension=d))
             assert t.dimension == d
-            assert math.isfinite(log_density(t, t.start_point()))
+            assert math.isfinite(t.evaluate(t.start_point()))
 
     def test_mvn_defaults_to_standard_normal(self):
         t = make_builtin_target(BuiltinTargetSpec(kind="mvn", dimension=3))
         oracle = stats.multivariate_normal(mean=np.zeros(3), cov=np.eye(3))
         x = np.array([0.3, -1.2, 0.5])
-        assert log_density(t, x) == pytest.approx(float(oracle.logpdf(x)), rel=1e-12)
+        assert t.evaluate(x) == pytest.approx(float(oracle.logpdf(x)), rel=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -164,7 +163,3 @@ class TestTargetDensity:
         s[0] = 99.0
         assert t.start_point()[0] == 1.0
 
-    def test_log_density_checks_shape(self):
-        t = gaussian_target([0.0, 0.0], np.eye(2))
-        with pytest.raises(DimensionMismatch):
-            log_density(t, [1.0])

@@ -171,7 +171,7 @@ class TestRunForkjoin:
         cfg = KernelConfig(400, (0.0, 0.0), rng_seed=5, dr_stage_count=1)
         fj = run_forkjoin(target, cfg, ProposalState.create(2), worker_count=1)
         serial = run_kernel(
-            target, cfg, ProposalState.create(2), streams=RoundStreams(5, rank=1)
+            target, cfg, ProposalState.create(2), streams=RoundStreams(5)
         )
         assert chains_equal(fj.summary.chain, serial.chain)
         assert fj.tally.counts == (serial.chain.n_rows - 1,)
