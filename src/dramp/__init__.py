@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatch,
     EmptyRange,
     EmptySample,
-    InvalidAlpha,
     IoFailure,
     NonFiniteStart,
     NonFiniteTarget,

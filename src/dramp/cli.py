@@ -25,6 +25,7 @@ from .parallel import (
     PREDICTION_GRID,
     ContributionTally,
     fit_geometric,
+    measured_speedup,
     predict_speedup,
     recommend_workers,
 )
@@ -274,10 +275,7 @@ def cmd_export_plotdata(args) -> int:
             tally = _forkjoin_tally(chain)
             if tally is not None:
                 p_hat = fit_geometric(tally)
-                rounds = chain.verbose_length - 1
-                observed = (
-                    ((chain.n_rows - 1) / rounds) / p_hat if rounds > 0 else None
-                )
+                observed = measured_speedup(chain, spec.worker_count)
             else:
                 p_hat = chain.n_rows / chain.verbose_length
                 observed = None

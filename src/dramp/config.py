@@ -47,8 +47,10 @@ MODES = ("serial", "multichain", "forkjoin")
 
 # Bumped by every change that gives some spec a different trajectory, so a
 # resume never joins two trajectories. A snapshot without the field is 1;
-# 2 made the fork-join round streams counter-based.
-TRAJECTORY_VERSION = 2
+# 2 made the fork-join round streams counter-based; 3 charges every fork-join
+# attempt as a verbose step on its own attempt stream, and folds each row
+# into the moments once, with its final weight, in every mode.
+TRAJECTORY_VERSION = 3
 
 # every user-facing field, in echo order; descriptions double as CLI help
 FIELD_DESCRIPTIONS: Dict[str, str] = {

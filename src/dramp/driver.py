@@ -1,11 +1,12 @@
 """Run orchestration: wires the sampling kernel to the output file suite.
 
 One runner serves all three modes. It builds each chain's Kernel from one
-factory keyed by mode and chain index (fork-join's stream policy scans every
-worker per round, serial and multichain chains scan their own stream) and
-steps it through Kernel.run, with one persistence handler that writes rows,
-progress ticks and snapshots between rounds. Multichain runs their chains
-one after another into the same files and also snapshot between chains.
+factory keyed by mode and chain index (fork-join's stream policy gives every
+attempt its own stream, serial and multichain chains draw from their own)
+and steps it through Kernel.run, with one persistence handler that writes
+rows, progress ticks and snapshots between steps. Multichain runs their
+chains one after another into the same files and also snapshot between
+chains.
 
 The driver snapshots the kernel's exact state at every flush boundary (each
 adaptation and every 1000 written rows). A run killed at any instant
@@ -38,7 +39,12 @@ from .config import (
 from .errors import CorruptRestart, IoFailure, RefusedOverwrite, SamplerError
 from .kernel import Kernel, KernelSummary, RoundStreams, SerialStreams
 from .model import TargetDensity
-from .parallel import ContributionTally, build_speedup_report, fit_geometric
+from .parallel import (
+    ContributionTally,
+    build_speedup_report,
+    fit_geometric,
+    measured_speedup,
+)
 
 # The runner steps fork-join chains through Kernel.run and never calls this;
 # it stays importable here for tools that patch it by name.
@@ -315,8 +321,8 @@ def _make_kernel(
     chain_index: int,
     chain: Optional[CompactChain] = None,
 ) -> Kernel:
-    """Kernel of chain ``chain_index``: a fork-join chain scans every worker
-    per round; serial and multichain chains draw from their own stream."""
+    """Kernel of chain ``chain_index``: a fork-join chain draws each attempt
+    from its own stream; serial and multichain chains from the chain's."""
     if spec.mode == "forkjoin":
         streams = RoundStreams(spec.kernel.rng_seed, spec.worker_count)
     else:
@@ -420,12 +426,9 @@ def _run(
         tally = None
         observed = None
         if spec.mode == "forkjoin":
-            chain = chains[0]
-            tally = ContributionTally.from_chain(chain, spec.worker_count)
+            tally = ContributionTally.from_chain(chains[0], spec.worker_count)
             p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
-            if chain.verbose_length > 1 and p_hat > 0.0:
-                rounds = chain.verbose_length - 1
-                observed = ((chain.n_rows - 1) / rounds) / p_hat
+            observed = measured_speedup(chains[0], spec.worker_count)
         else:
             p_hat = sum(c.n_rows for c in chains) / sum(
                 c.verbose_length for c in chains

@@ -21,10 +21,6 @@ class StageOutOfRange(SamplerError, ValueError):
     """A delayed-rejection stage index exceeds the configured stages."""
 
 
-class InvalidAlpha(SamplerError, ValueError):
-    """An acceptance probability is outside [0, 1] (no longer raised)."""
-
-
 class NonFiniteTarget(SamplerError, ValueError):
     """The target reported a log-density of +inf at a proposed point."""
 

@@ -1,14 +1,14 @@
 """The sampling kernel and the one run loop every execution mode shares.
 
-A Kernel owns one chain. Each step is one round: the kernel's stream policy
-lists the (process id, generator) pairs the round scans, the kernel runs a
-full proposal cascade from each against the incumbent x in that order, and
-commits the first acceptor; if every cascade rejects, the incumbent's repeat
-weight grows. A serial or multichain policy scans one pair, the chain's own
-stream; the fork-join policy scans ranks 1..P on their (round, rank)
-streams. Every commit runs the same bookkeeping: moments, periodic proposal
-adaptation, burn-in tracking and the running columns. Kernel.run is the only
-loop that steps a chain; run_kernel, the parallel runners, the driver and the
+A Kernel owns one chain. Each step is one proposal attempt: a full cascade
+against the incumbent x on the generator the stream policy assigns to
+attempt n, the chain's verbose length, charged as one verbose step. A
+rejection adds 1 to x's weight and nothing else; an acceptance finalizes x's
+row and appends the new state. The serial and multichain policies draw every
+attempt from the chain's own stream; the fork-join policy gives attempt n its
+own counter-based stream, so workers that pre-fetch attempts write the same
+chain at any worker count (Brockwell 2006). Kernel.run is the only loop that
+steps a chain; run_kernel, the parallel runners, the driver and the
 adaptation replay all go through it.
 
 Within a cascade, a rejection at stage k falls through to stage k+1 with a
@@ -29,15 +29,16 @@ The target is evaluated in propose_cascade only: a NaN log-density counts as
 
 RNG budget contract: every stage consumes exactly d standard normals plus one
 uniform from the cascade's stream, whether or not the outcome is already
-decided. Restart replay and the fork-join round protocol both depend on
-stream consumption being a pure function of the event sequence.
+decided. Restart replay of a continuous stream depends on stream consumption
+being a pure function of the event sequence.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -281,8 +282,8 @@ def burnin_location(
 class SerialStreams:
     """One continuous generator for the whole chain (serial and multichain).
 
-    Every round scans a single cascade, stamped ``chain_index + 1``, drawn
-    from the chain's own stream.
+    Every attempt draws from the chain's own stream, and every row is
+    stamped ``chain_index + 1``.
     """
 
     kind = "serial"
@@ -290,12 +291,13 @@ class SerialStreams:
     def __init__(self, seed: int, chain_index: int = 0):
         self.seed = int(seed)
         self.chain_index = int(chain_index)
-        self.process_id = self.chain_index + 1
         self._gen = rng_mod.chain_stream(self.seed, self.chain_index)
-        self._pairs = ((self.process_id, self._gen),)  # built once, not per round
 
-    def scan(self, round_index: int) -> Iterable[Tuple[int, np.random.Generator]]:
-        return self._pairs
+    def generator(self, attempt: int) -> np.random.Generator:
+        return self._gen
+
+    def process_id(self, weight: int) -> int:
+        return self.chain_index + 1
 
     def state_dict(self) -> dict:
         return {
@@ -307,24 +309,20 @@ class SerialStreams:
 
     def load_state(self, state: dict) -> None:
         self._gen = rng_mod.restore_stream(state["generator"])
-        self._pairs = ((self.process_id, self._gen),)
 
 
 class RoundStreams:
-    """Ranks 1..worker_count per round, each on its (seed, round, rank) stream.
+    """Fork-join: P = worker_count workers pre-fetch the chain's attempts.
 
-    This is the fork-join convention: worker ``rank`` in round ``i`` owns an
-    independent stream regardless of what other workers or earlier rounds
-    consumed, so a run is a pure function of (seed, spec, P). The object owns
-    one counter-based generator that every scanned rank reseats, so the
-    generator yielded for one rank is valid only until the scan moves on.
-    Ranks are yielded lazily and the kernel stops at the first acceptance;
-    the skipped ranks' streams are independent of everything committed, so
-    stopping early is exact.
+    Attempt n draws from its own (seed, n) counter-based stream, so the chain
+    is the same at every P; only the process ids differ. Workers take the
+    attempts from one incumbent in rounds of P, in rank order, so the row
+    accepted after w attempts from its predecessor was drawn by rank
+    ((w - 1) mod P) + 1. The generator returned for one attempt is the
+    object's one generator, reseated, and is valid only until the next.
     """
 
     kind = "per_round"
-    process_id = 1  # the seed row is stamped with the first rank
 
     def __init__(self, seed: int, worker_count: int = 1):
         if worker_count < 1:
@@ -333,16 +331,17 @@ class RoundStreams:
         self.worker_count = int(worker_count)
         self._owner = rng_mod.RoundGenerator(self.seed)
 
-    def scan(self, round_index: int) -> Iterable[Tuple[int, np.random.Generator]]:
-        for rank in range(1, self.worker_count + 1):
-            yield rank, rng_mod.round_stream(self.seed, round_index, rank, self._owner)
+    def generator(self, attempt: int) -> np.random.Generator:
+        return rng_mod.round_stream(self._owner, attempt)
+
+    def process_id(self, weight: int) -> int:
+        return (weight - 1) % self.worker_count + 1
 
     def state_dict(self) -> dict:
-        # "rank" is the first scanned rank, as every per-round snapshot stores
-        return {"kind": self.kind, "seed": self.seed, "rank": 1}
+        return {"kind": self.kind, "seed": self.seed}
 
     def load_state(self, state: dict) -> None:
-        pass  # nothing stateful; streams are derived per round
+        pass  # nothing stateful; streams are derived per attempt
 
 
 @dataclass
@@ -371,12 +370,12 @@ class Kernel:
     """The stepping engine of every mode: one chain, one stream policy.
 
     Owns the chain, the running moment accumulators, the adaptation schedule
-    and the burn-in tracker. ``step()`` runs one round: a cascade for each
-    (process id, generator) pair ``streams.scan`` yields, in order, until one
-    accepts, then one commit. It returns the bookkeeping events the round
-    produced. ``run()`` steps until the chain is full and hands each round's
-    events to a callback, so callers persist rows and snapshots between
-    rounds, never mid-round. The seed row is stamped ``streams.process_id``.
+    and the burn-in tracker. ``step()`` runs one cascade on the generator
+    ``streams.generator(verbose_length)`` and commits it as one verbose
+    step; it returns the bookkeeping events the step produced. ``run()``
+    steps until the chain is full and hands each step's events to a
+    callback, so callers persist rows and snapshots between steps. The seed
+    row is stamped ``streams.process_id(1)``.
     """
 
     def __init__(
@@ -428,10 +427,9 @@ class Kernel:
             )
         self._log_incumbent = log_start
         self._run_max = log_start
-        self._burnin = 0
         self.chain.append_row(
             ChainRow(
-                process_id=streams.process_id,
+                process_id=streams.process_id(1),
                 dr_stage=0,
                 mean_acceptance_rate=1.0,
                 adaptation_measure=0.0,
@@ -441,7 +439,6 @@ class Kernel:
                 state=start,
             )
         )
-        self._moments_full.update(start, 1.0)
         self._moments_greedy.update(start, 1.0)
 
     @property
@@ -459,52 +456,59 @@ class Kernel:
         self._burnin = int(self.chain.verbose_starts[row])
 
     def step(self) -> List[tuple]:
-        incumbent = self.chain.last_state()
-        attempts = self._stage_attempts
-        for process_id, stream in self.streams.scan(self.chain.verbose_length):
-            outcome = propose_cascade(
-                self.target,
-                self.proposal,
-                incumbent,
-                self._log_incumbent,
-                self.config.dr_stage_count,
-                stream,
-            )
-            for s in range(outcome.proposals_consumed):
-                attempts[s] += 1
-            if outcome.accepted_at_stage != REJECTED:
-                break
-        return self.commit(outcome, process_id)
+        outcome = propose_cascade(
+            self.target,
+            self.proposal,
+            self.chain.last_state(),
+            self._log_incumbent,
+            self.config.dr_stage_count,
+            self.streams.generator(self.chain.verbose_length),
+        )
+        return self.commit(outcome)
 
     def run(
         self, on_step: Optional[Callable[[List[tuple]], None]] = None
     ) -> KernelSummary:
         """Step until the chain holds ``chain_length_target`` rows, handing
-        each round's event list to ``on_step``, and return the summary."""
+        each step's event list to ``on_step``, and return the summary."""
         while not self.done:
             events = self.step()
             if on_step is not None:
                 on_step(events)
         return self.summary()
 
-    def commit(self, outcome: StepOutcome, process_id: int) -> List[tuple]:
-        """Fold one round's outcome into the chain and run the shared
-        bookkeeping (moments, adaptation, burn-in, running columns).
+    def _stamp_live(self) -> None:
+        # the running columns of a row are its values when it is finalized
+        self.chain.restamp_last(
+            self.chain.n_rows / self.chain.verbose_length, self._burnin
+        )
 
-        An accepted outcome becomes a row stamped ``process_id``; a rejected
-        one (every scanned cascade rejected) grows the incumbent's weight and
-        ignores ``process_id``. Stage attempt tallies are counted by step,
-        over every scanned cascade; only the accept tally is counted here.
+    def commit(self, outcome: StepOutcome) -> List[tuple]:
+        """Charge one cascade to the chain as one verbose step.
+
+        A rejection only adds 1 to the live row's weight. An acceptance
+        finalizes the live row (stamps its running columns, folds it into the
+        full moments with its final weight, the attempts made from it), then
+        appends the accepted state stamped with the process id the stream
+        policy derives from that weight, and runs burn-in and adaptation.
         """
-        events: List[tuple] = []
-        if outcome.accepted_at_stage != REJECTED:
+        chain = self.chain
+        for s in range(outcome.proposals_consumed):
+            self._stage_attempts[s] += 1
+        if outcome.accepted_at_stage == REJECTED:
+            chain.increment_last(1)
+            events: List[tuple] = []
+        else:
+            finalized = chain.n_rows - 1
+            weight = int(chain.weights[finalized])
+            self._stamp_live()
+            self._moments_full.update(chain.last_state(), float(weight))
             self._stage_accepts[outcome.accepted_at_stage] += 1
-            finalized = self.chain.n_rows - 1
-            self.chain.append_row(
+            chain.append_row(
                 ChainRow(
-                    process_id=process_id,
+                    process_id=self.streams.process_id(weight),
                     dr_stage=outcome.accepted_at_stage,
-                    mean_acceptance_rate=0.0,  # restamped below
+                    mean_acceptance_rate=0.0,  # stamped when finalized
                     adaptation_measure=self._pending_measure,
                     burnin_location=self._burnin,
                     weight=1,
@@ -514,42 +518,35 @@ class Kernel:
             )
             self._pending_measure = 0.0
             self._log_incumbent = outcome.accepted_log_func
-            events.append(("row_final", finalized))
+            events = [("row_final", finalized)]
             if outcome.accepted_log_func > self._run_max:
                 self._run_max = outcome.accepted_log_func
                 self._rescan_burnin()
             self._moments_greedy.update(outcome.accepted_state, 1.0)
-        else:
-            self.chain.increment_last(1)
-        self._moments_full.update(self.chain.last_state(), 1.0)
-        if (
-            outcome.accepted_at_stage != REJECTED
-            and self.chain.n_rows % self._period == 0
-        ):
-            use_greedy = (
-                self.proposal.adaptation_count < self.config.greedy_adaptation_count
-            )
-            moments = self._moments_greedy if use_greedy else self._moments_full
-            self.proposal, record = adapt(
-                self.proposal,
-                moments.mean,
-                moments.covariance(),
-                chain_length=self.chain.n_rows,
-            )
-            self._pending_measure = record.measure
-            events.append(("adapt", record))
-        self.chain.restamp_last(
-            self.chain.n_rows / self.chain.verbose_length, self._burnin
-        )
-        if self.chain.verbose_length % 1000 == 0:
+            if chain.n_rows % self._period == 0:
+                if self.proposal.adaptation_count < self.config.greedy_adaptation_count:
+                    moments = self._moments_greedy
+                else:
+                    # every verbose step so far: the live row has made one
+                    moments = copy.copy(self._moments_full)
+                    moments.update(outcome.accepted_state, 1.0)
+                self.proposal, record = adapt(
+                    self.proposal,
+                    moments.mean,
+                    moments.covariance(),
+                    chain_length=chain.n_rows,
+                )
+                self._pending_measure = record.measure
+                events.append(("adapt", record))
+        if chain.verbose_length % 1000 == 0:
             events.append(
                 (
                     "tick",
                     {
-                        "verbose_length": self.chain.verbose_length,
-                        "compact_length": self.chain.n_rows,
-                        "mean_acceptance_rate": self.chain.n_rows
-                        / self.chain.verbose_length,
+                        "verbose_length": chain.verbose_length,
+                        "compact_length": chain.n_rows,
+                        "mean_acceptance_rate": chain.n_rows
+                        / chain.verbose_length,
                         "last_adaptation_measure": self._pending_measure,
                     },
                 )
@@ -557,6 +554,7 @@ class Kernel:
         return events
 
     def summary(self) -> KernelSummary:
+        self._stamp_live()  # the end of the run finalizes the last row
         return KernelSummary(
             chain=self.chain,
             final_proposal=self.proposal,

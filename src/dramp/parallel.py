@@ -5,22 +5,17 @@ Two modes, both deterministic and in-process, both stepped by Kernel.run:
 Multi-chain: independent samplers with per-chain RNG streams; finished chains
 are refined and cross-compared pairwise for convergence evidence.
 
-Fork-join: one shared chain whose stream policy is RoundStreams. Per round,
-Kernel.step has every worker rank draw a full proposal cascade against the
-incumbent from its own (seed, round, rank) stream, in rank order, and commits
-the lowest accepting rank's state, or bumps the incumbent's weight when all
-reject. Under this commit rule the rank that contributes each state follows
-a truncated geometric law in the per-attempt acceptance probability, which
-is what makes scanning ranks in order a fair work model and gives the
-closed-form speedup curve below. The contributing rank is the row's process
-id, so the contribution tally is read off the finished chain.
-
-Because every random draw is indexed by (round, rank), the outcome is a pure
-function of (seed, spec, P): physical scheduling cannot change it. The
-(round, rank) stream is the Philox4x64 counter block (round, rank) under the
-run's key (see dramp.rng). Scanning stops at the first acceptance; the
-skipped higher ranks' streams are independent of everything committed, so
-short-circuiting is exact, not an approximation.
+Fork-join: pre-fetching (Brockwell 2006). P workers draw the chain's next
+P proposal attempts against the incumbent, one cascade each, in rank order;
+the round commits the first acceptor, and each attempt before it is a
+rejection that costs the incumbent one verbose step, as in the serial chain.
+Attempt n draws from its own stream (see dramp.rng), so a run at any P writes
+the P = 1 chain bit for bit in every column but the process id, and the
+weights record the rounds and ranks: a row of weight w was left after w
+attempts in ceil(w / P) rounds, and rank ((w - 1) mod P) + 1 drew the next
+row, whose process id that rank is. For a constant per-attempt acceptance
+probability that rank follows a truncated geometric law, which the tally fit
+inverts and which gives the closed-form speedup curve below.
 """
 
 from __future__ import annotations
@@ -43,7 +38,7 @@ from .kernel import (
     run_kernel,
 )
 
-# Kernel.step runs the fork-join scan, so nothing here calls this; it stays
+# Kernel.step runs every cascade, so nothing here calls this; it stays
 # importable here for tools that patch it by name.
 from .kernel import propose_cascade  # noqa: F401
 from .model import TargetDensity
@@ -61,6 +56,7 @@ __all__ = [
     "predict_speedup",
     "recommend_workers",
     "build_speedup_report",
+    "measured_speedup",
     "PREDICTION_GRID",
 ]
 
@@ -190,6 +186,16 @@ def fit_geometric(tally: ContributionTally) -> float:
     return float(brentq(dlogl, lo, hi, xtol=1e-10))
 
 
+def measured_speedup(chain: CompactChain, worker_count: int) -> Optional[float]:
+    """Observed fork-join speedup: proposal attempts per round. Every row but
+    the last was left after ``weight`` attempts in ceil(weight / P) rounds;
+    None for a chain that never left its seed row."""
+    rounds = int(np.sum(-(-chain.weights[:-1] // worker_count)))
+    if rounds == 0:
+        return None
+    return (chain.verbose_length - 1) / rounds
+
+
 def build_speedup_report(
     p_hat: float, observed_speedup: Optional[float] = None
 ) -> SpeedupReport:
@@ -258,12 +264,12 @@ def run_forkjoin(
     worker_count: int,
     on_event: Optional[Callable[[tuple], None]] = None,
 ) -> ForkJoinResult:
-    """Build one chain with P round-parallel workers.
+    """Build one chain with P pre-fetching workers.
 
     This is run_kernel under RoundStreams(seed, P): adaptation, burn-in
-    tracking and chain accounting are the serial kernel's, so a one-worker
-    fork-join run is the serial chain under the per-round stream convention
-    bit for bit. ``on_event`` sees the kernel's events, then ("done", rows).
+    tracking and chain accounting are the serial kernel's, and the chain is
+    the same at every P but for its process ids. ``on_event`` sees the
+    kernel's events, then ("done", rows).
     """
     summary = run_kernel(
         target, config, proposal, RoundStreams(config.rng_seed, worker_count),
@@ -274,5 +280,7 @@ def run_forkjoin(
     return ForkJoinResult(
         summary=summary,
         tally=tally,
-        speedup=build_speedup_report(p_hat),
+        speedup=build_speedup_report(
+            p_hat, measured_speedup(summary.chain, worker_count)
+        ),
     )

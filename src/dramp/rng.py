@@ -7,16 +7,16 @@ Two stream families, each a pure function of integer indices:
   its stream once and consumes it continuously; ``stream_state`` and
   ``restore_stream`` carry its exact position through a restart snapshot.
 
-- Fork-join round streams are counter-based (Salmon et al. 2011, "Parallel
+- Fork-join attempt streams are counter-based (Salmon et al. 2011, "Parallel
   random numbers: as easy as 1, 2, 3"). The run's Philox4x64 key is the two
   64-bit words ``SeedSequence(seed).generate_state(2, uint64)``, derived once
-  per ``RoundGenerator``. Worker ``rank`` of round ``i`` owns the counter
-  blocks whose two high words are ``(i, rank)``: its stream starts at counter
-  ``(0, 0, i, rank)`` and its draws advance only the two low words, so no
-  (round, rank) stream can run into another's. Nothing is hashed or built
-  per stream: a ``RoundGenerator`` owns one Philox bit generator and one
-  Generator and reseats them by assigning a reused state dict whose counter
-  list is rewritten in place.
+  per ``RoundGenerator``. Proposal attempt ``n`` owns the counter blocks
+  whose two high words are ``(n, 0)``, the attempt and the chain: its stream
+  starts at counter ``(0, 0, n, 0)`` and its draws advance only the two low
+  words, so no attempt's stream can run into another's, and any worker may
+  draw it. Nothing is hashed or built per stream: a ``RoundGenerator`` owns
+  one Philox bit generator and one Generator and reseats them by assigning a
+  reused state dict whose counter list is rewritten in place.
 
 Lifetime rule: the Generator that ``round_stream`` returns is the owner's one
 Generator, valid only until that owner's next reseat. Owners share nothing,
@@ -35,15 +35,14 @@ def chain_stream(seed: int, chain_index: int) -> np.random.Generator:
 
 
 class RoundGenerator:
-    """One Philox4x64 generator, reseated to the stream of any (round, rank).
+    """One Philox4x64 generator, reseated to the stream of any attempt.
 
     ``reseat`` returns the same Generator every time; what it drew for one
-    (round, rank) is gone after the next reseat.
+    attempt is gone after the next reseat.
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
+        key = np.random.SeedSequence(int(seed)).generate_state(2, np.uint64)
         self._bit_generator = np.random.Philox(key=key)
         self.generator = np.random.Generator(self._bit_generator)
         # Python ints: the state setter reads them faster than numpy scalars
@@ -57,30 +56,18 @@ class RoundGenerator:
             "uinteger": 0,
         }
 
-    def reseat(self, round_index: int, rank: int) -> np.random.Generator:
-        counter = self._counter
-        counter[2] = round_index
-        counter[3] = rank
+    def reseat(self, attempt: int) -> np.random.Generator:
+        self._counter[2] = attempt
         self._bit_generator.state = self._state
         return self.generator
 
 
-def round_stream(
-    seed: int, round_index: int, rank: int, owner: RoundGenerator
-) -> np.random.Generator:
-    """Per-round, per-rank stream for the fork-join protocol.
-
-    rank is 1-based; every (round, rank) pair gets its own stream so a
-    worker's draws never depend on scheduling or on other workers. The
-    stream is ``owner``'s generator, which must be built from the same seed,
-    reseated; it is valid until the owner's next reseat.
-    """
-    if owner.seed != seed:
-        raise ValueError(
-            "round stream for seed %d requested from the owner of seed %d"
-            % (seed, owner.seed)
-        )
-    return owner.reseat(round_index, rank)
+# Named for the per-(round, rank) streams it once served; it keeps the name
+# because the benchmark's tracer counts its calls by it, one per attempt now.
+def round_stream(owner: RoundGenerator, attempt: int) -> np.random.Generator:
+    """Stream of proposal attempt ``attempt``: ``owner``'s generator,
+    reseated; it is valid until the owner's next reseat."""
+    return owner.reseat(attempt)
 
 
 def stream_state(gen: np.random.Generator) -> dict:

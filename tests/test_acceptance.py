@@ -541,3 +541,50 @@ def test_criterion_11_detailed_balance_five_cells():
          "retries on: worst |freq - target| = %.2f correlation-adjusted "
          "standard errors (<= 3)" % z_dr),
     ])
+
+
+def test_forkjoin_detailed_balance_five_cells():
+    # criterion 11's check with eight fork-join workers: a rejected rank
+    # must cost its incumbent one verbose step, exactly as a serial
+    # rejection does, or the chain holds for rounds instead of attempts and
+    # samples pi * alpha / (1 - (1 - alpha)^P) instead of pi
+    heights = np.array([1.0, 2.0, 4.0, 2.0, 1.0])
+    pi = heights / heights.sum()
+
+    def step_density(x):
+        v = x[0]
+        if v < 0.0 or v >= 5.0:
+            return float("-inf")
+        return float(np.log(heights[int(v)]))
+
+    target = TargetDensity("fivecell", 1, step_density)
+    worst = {}
+    for dr_stages in (0, 2):
+        cfg = KernelConfig(
+            chain_length_target=10 ** 9, start_point=(2.5,), rng_seed=77,
+            dr_stage_count=dr_stages, adaptation_period=10 ** 9,
+            greedy_adaptation_count=0,
+        )
+        proposal = ProposalState.create(
+            1, covariance=np.eye(1), scale_factor=1.8, dr_scales=(0.5, 0.25)
+        )
+        kern = Kernel(target, cfg, proposal, RoundStreams(77, 8))
+        while kern.chain.verbose_length < 1_000_000:
+            kern.step()
+        chain = kern.chain
+        weights = chain.weights.astype(np.int64)
+        n = float(weights.sum())
+        cells = np.floor(chain.states[:, 0]).astype(int)
+        worst[dr_stages] = 0.0
+        for i in range(5):
+            indicator = (cells == i).astype(float)
+            freq = float((indicator * weights).sum() / n)
+            se = np.sqrt(pi[i] * (1.0 - pi[i]) * estimate_iac(indicator, weights) / n)
+            worst[dr_stages] = max(worst[dr_stages], abs(freq - pi[i]) / se)
+    print("fork-join P=8 five cells: worst z %.2f (DR 0), %.2f (DR 2)"
+          % (worst[0], worst[2]))
+    assert worst[0] <= 3.0 and worst[2] <= 3.0, (
+        "worst |freq - target| in correlation-adjusted standard errors: "
+        "%.2f with retries off, %.2f with retries on (each <= 3)"
+        % (worst[0], worst[2])
+    )

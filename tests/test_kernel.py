@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dramp import rng as rng_mod
-from dramp.chain import CompactChain, chain_stats
+from dramp.chain import CompactChain, WeightedMoments, chain_stats
 from dramp.errors import (
     DimensionMismatch,
     EmptyRange,
@@ -320,54 +320,56 @@ class TestBurninLocation:
 class TestStreams:
     def test_serial_state_round_trip_is_bitwise(self):
         s = SerialStreams(seed=7)
-        [(pid, gen)] = s.scan(0)
-        assert pid == 1
-        gen.random(13)
+        assert s.process_id(1) == s.process_id(5) == 1
+        assert s.generator(0) is s.generator(9)  # one continuous stream
+        s.generator(0).random(13)
         snap = json.loads(json.dumps(s.state_dict()))
-        tail = s.scan(1)[0][1].random(50)
+        tail = s.generator(1).random(50)
         s2 = SerialStreams(seed=7)
         s2.load_state(snap)
-        assert s2.scan(1)[0][1].random(50).tolist() == tail.tolist()
+        assert s2.generator(1).random(50).tolist() == tail.tolist()
 
     @staticmethod
-    def draws(streams, round_index, rank):
-        for pid, gen in streams.scan(round_index):
-            if pid == rank:
-                return gen.standard_normal(3).tolist() + [gen.random()]
+    def draws(streams, attempt):
+        gen = streams.generator(attempt)
+        return gen.standard_normal(3).tolist() + [gen.random()]
 
-    def test_round_streams_scan_ranks_in_order(self):
+    def test_round_streams_rank_rule(self):
+        # the row accepted after w attempts was drawn by rank (w-1) mod P + 1
         streams = RoundStreams(seed=9, worker_count=4)
-        assert [pid for pid, _ in streams.scan(0)] == [1, 2, 3, 4]
-        assert streams.process_id == 1
+        assert [streams.process_id(w) for w in range(1, 10)] == [
+            1, 2, 3, 4, 1, 2, 3, 4, 1]
+        assert RoundStreams(seed=9).process_id(7) == 1
         with pytest.raises(ValueError):
             RoundStreams(seed=9, worker_count=0)
 
-    def test_round_streams_keyed_only_by_round_and_rank(self):
+    def test_round_streams_keyed_only_by_attempt(self):
         a = RoundStreams(seed=9, worker_count=4)
         b = RoundStreams(seed=9, worker_count=3)
-        for _, gen in a.scan(0):
-            gen.random(100)  # consumption leaves no trace
-        next(iter(a.scan(7)))  # nor does a reseat without draws
-        next(iter(a.scan(5)))[1].random(3)  # nor a partly drawn stream
-        assert self.draws(a, 5, 3) == self.draws(b, 5, 3)
-        assert self.draws(a, 5, 3) != self.draws(a, 5, 4)
-        assert self.draws(a, 5, 3) != self.draws(a, 6, 3)
+        for attempt in range(4):
+            a.generator(attempt).random(100)  # consumption leaves no trace
+        a.generator(7)  # nor does a reseat without draws
+        a.generator(5).random(3)  # nor a partly drawn stream
+        assert self.draws(a, 5) == self.draws(b, 5)
+        assert self.draws(a, 5) != self.draws(a, 6)
         other_seed = RoundStreams(seed=10, worker_count=3)
-        assert self.draws(a, 5, 3) != self.draws(other_seed, 5, 3)
+        assert self.draws(a, 5) != self.draws(other_seed, 5)
 
     def test_round_streams_in_alternation_match_one_after_the_other(self):
         a, b, a2, b2 = (RoundStreams(seed=9, worker_count=2) for _ in range(4))
-        alternating = [(self.draws(a, i, 1), self.draws(b, i, 2)) for i in range(20)]
-        first = [self.draws(a2, i, 1) for i in range(20)]
-        second = [self.draws(b2, i, 2) for i in range(20)]
+        alternating = [(self.draws(a, i), self.draws(b, i + 20)) for i in range(20)]
+        first = [self.draws(a2, i) for i in range(20)]
+        second = [self.draws(b2, i + 20) for i in range(20)]
         assert alternating == list(zip(first, second))
 
     def test_round_stream_draws_stay_in_their_counter_block(self):
-        for rank, gen in RoundStreams(seed=9, worker_count=3).scan(41):
+        streams = RoundStreams(seed=9, worker_count=3)
+        for attempt in (0, 41, 2 ** 40):
+            gen = streams.generator(attempt)
             gen.standard_normal(500)
             gen.random(500)
             counter = gen.bit_generator.state["state"]["counter"]
-            assert counter[2:].tolist() == [41, rank]
+            assert counter[2:].tolist() == [attempt, 0]
 
     def test_no_generator_built_per_round(self, monkeypatch):
         built = {}
@@ -392,7 +394,7 @@ class TestStreams:
                 ProposalState.create(2), worker_count=2,
             )
             counts.append(dict(built))
-        assert result.summary.chain.verbose_length > 500  # rounds run
+        assert result.summary.chain.verbose_length > 500  # attempts run
         assert counts[0] == counts[1]
 
     def test_restore_rejects_foreign_generator(self):
@@ -509,26 +511,39 @@ class TestKernelRuns:
 
 
 class TestCommitPath:
-    def test_rejection_commits_as_weight_with_callers_pid(self):
+    def test_rejection_commits_as_weight_only(self, monkeypatch):
         cfg = KernelConfig(50, (0.0,), rng_seed=1)
         k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1), SerialStreams(1))
         state = k.chain.last_state()
-        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 1), process_id=0)
+        calls = []
+        monkeypatch.setattr(WeightedMoments, "update", lambda *args: calls.append(args))
+        monkeypatch.setattr(CompactChain, "restamp_last", lambda *args: calls.append(args))
+        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 1))
         assert k.chain.n_rows == 1
         assert k.chain.weights[0] == 2
         assert k.chain.process_ids[0] == 1  # seed row keeps its own pid
-        assert all(e[0] != "row_final" for e in events)
+        assert events == []
+        assert calls == []  # no moment fold, no restamp
+        assert k.summary().stage_attempts == (1, 0)
 
     def test_acceptance_commits_a_new_row_with_given_pid(self):
         cfg = KernelConfig(50, (0.0,), rng_seed=1)
-        k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1), SerialStreams(1))
+        k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1),
+                   RoundStreams(1, worker_count=4))
+        state = k.chain.last_state()
+        for _ in range(5):
+            k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 2))
         out = StepOutcome(np.array([0.5]), -0.125, 1, 2)
-        events = k.commit(out, process_id=7)
+        events = k.commit(out)
         assert k.chain.n_rows == 2
-        assert k.chain.process_ids[1] == 7
+        assert k.chain.weights.tolist() == [6, 1]
+        assert k.chain.process_ids.tolist() == [1, 2]  # (6 - 1) mod 4 + 1
         assert k.chain.dr_stages[1] == 1
         assert k.chain.log_funcs[1] == -0.125
+        assert k.chain.mean_acceptance_rates[0] == 1 / 6  # stamped when finalized
         assert ("row_final", 0) in events
+        assert k._moments_full.total_weight == 6.0
+        assert k.summary().stage_attempts == (6, 6)
 
 
 class TestStateTransport:

@@ -13,13 +13,15 @@ import pytest
 
 from dramp.errors import DegenerateTally, SamplerError
 from dramp.kernel import KernelConfig, RoundStreams, run_kernel
-from dramp.model import TargetDensity, gaussian_target
+from dramp.chain import ChainRow, CompactChain
+from dramp.model import TargetDensity, banana_target, gaussian_target
 from dramp.parallel import (
     PREDICTION_GRID,
     WORKER_CAP,
     ContributionTally,
     build_speedup_report,
     fit_geometric,
+    measured_speedup,
     predict_speedup,
     recommend_workers,
     run_forkjoin,
@@ -165,7 +167,61 @@ class TestSpeedupReport:
         assert rep.recommended_workers == recommend_workers(0.5)
 
 
+class TestMeasuredSpeedup:
+    def test_attempts_per_round_of_a_hand_built_chain(self):
+        chain = CompactChain(1)
+        for w in (3, 1, 9, 1):
+            chain.append_row(ChainRow(1, 0, 1.0, 0.0, 0, w, 0.0, np.zeros(1)))
+        # 13 attempts leave the first three rows, in 1 + 1 + 3 = 5 rounds
+        assert measured_speedup(chain, 4) == 2.6
+        assert measured_speedup(chain, 1) == 1.0
+
+    def test_seed_row_alone_has_no_rounds(self):
+        chain = CompactChain(1)
+        chain.append_row(ChainRow(1, 0, 1.0, 0.0, 0, 1, 0.0, np.zeros(1)))
+        assert measured_speedup(chain, 8) is None
+
+
+def _mvn8():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((8, 8))
+    return gaussian_target(np.zeros(8), a @ a.T / 8 + np.eye(8))
+
+
 class TestRunForkjoin:
+    @pytest.mark.parametrize("dr_stages", [0, 2])
+    @pytest.mark.parametrize("make_target", [lambda: banana_target(4), _mvn8],
+                             ids=["banana4", "mvn8"])
+    def test_any_worker_count_writes_the_one_worker_chain(
+        self, make_target, dr_stages
+    ):
+        target = make_target()
+        d = target.dimension
+        cfg = KernelConfig(3000, (0.0,) * d, rng_seed=11,
+                           dr_stage_count=dr_stages, adaptation_period=50)
+
+        def run(workers):
+            proposal = ProposalState.create(d, dr_scales=(0.5, 0.25))
+            return run_forkjoin(target, cfg, proposal, worker_count=workers)
+
+        one = run(1).summary
+        assert np.all(one.chain.process_ids == 1)
+        for workers in (2, 8, 64):
+            fj = run(workers)
+            s = fj.summary
+            a, b = s.chain, one.chain
+            for column in ("states", "log_funcs", "weights", "dr_stages",
+                           "mean_acceptance_rates", "adaptation_measures",
+                           "burnin_locations"):
+                assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+            assert s.stage_attempts == one.stage_attempts
+            assert s.stage_accepts == one.stage_accepts
+            # row i + 1 came from the rank that drew attempt w_i of row i
+            assert np.array_equal(
+                a.process_ids[1:], (a.weights[:-1] - 1) % workers + 1
+            )
+            assert fj.speedup.observed_speedup == measured_speedup(a, workers)
+
     def test_one_worker_reduces_to_the_serial_kernel(self):
         target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
         cfg = KernelConfig(400, (0.0, 0.0), rng_seed=5, dr_stage_count=1)
