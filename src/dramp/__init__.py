@@ -1,7 +1,7 @@
 """Adaptive MCMC with delayed rejection, compact weighted chains, recursive
 sample refinement, restartable runs, and simulated parallel protocols."""
 
-from .chain import ChainRow, CompactChain, WeightedMoments, chain_stats
+from .chain import ChainRow, CompactChain, WeightedMoments
 from .config import (
     SimulationSpec,
     build_spec,

@@ -22,7 +22,6 @@ __all__ = [
     "CompactChain",
     "WeightedMoments",
     "to_verbose",
-    "chain_stats",
 ]
 
 _INITIAL_CAPACITY = 1024
@@ -219,41 +218,13 @@ def to_verbose(chain: CompactChain) -> Tuple[np.ndarray, np.ndarray]:
     return np.repeat(chain.log_funcs, w), np.repeat(chain.states, w, axis=0)
 
 
-def chain_stats(
-    chain: CompactChain, from_verbose_index: int = 0
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Weighted moments and acceptance rate over a verbose tail.
-
-    Moments cover verbose indices >= from_verbose_index with population
-    normalization (divide by total weight); the acceptance rate is the number
-    of rows intersecting the range over the verbose states in it.
-    """
-    total = chain.verbose_length
-    if not 0 <= from_verbose_index < total:
-        raise EmptyRange(
-            "from_verbose_index %d outside [0, %d)" % (from_verbose_index, total)
-        )
-    starts = chain.verbose_starts
-    weights = chain.weights
-    ends = starts + weights
-    first = int(np.searchsorted(ends, from_verbose_index, side="right"))
-    eff = weights[first:].astype(np.float64).copy()
-    eff[0] = float(ends[first] - from_verbose_index)
-    points = chain.states[first:]
-    w_total = float(eff.sum())
-    mean = (eff @ points) / w_total
-    centered = points - mean
-    cov = (centered.T * eff) @ centered / w_total
-    acceptance = (chain.n_rows - first) / w_total
-    return mean, cov, float(acceptance)
-
-
 class WeightedMoments:
-    """Streaming weighted mean and covariance, one rank-1 update per state.
+    """Weighted mean and covariance, merged one block of points at a time.
 
-    The symmetric update keeps the accumulator replayable: feeding the same
-    sequence of (x, w) pairs reproduces bit-identical values, which the
-    restart contract relies on. Covariance is population-normalized.
+    A block's own moments join the running ones by the pairwise update of
+    Chan, Golub & LeVeque (1983). Merging the same sequence of blocks
+    reproduces bit-identical values, which the restart contract relies on.
+    Covariance is population-normalized.
     """
 
     __slots__ = ("dimension", "total_weight", "mean", "m2")
@@ -264,12 +235,21 @@ class WeightedMoments:
         self.mean = np.zeros(dimension)
         self.m2 = np.zeros((dimension, dimension))
 
-    def update(self, x: np.ndarray, weight: float = 1.0) -> None:
-        self.total_weight += weight
-        frac = weight / self.total_weight
-        delta = x - self.mean
-        self.mean = self.mean + frac * delta
-        self.m2 = self.m2 + weight * (1.0 - frac) * np.outer(delta, delta)
+    def update(self, points: np.ndarray, weights: np.ndarray) -> None:
+        """Merge a non-empty block: ``points`` (n, d), ``weights`` (n,)."""
+        weights = np.asarray(weights, dtype=float)
+        block_weight = float(weights.sum())
+        block_mean = (weights @ points) / block_weight
+        centered = points - block_mean
+        total = self.total_weight + block_weight
+        delta = block_mean - self.mean
+        self.m2 = (
+            self.m2
+            + (centered.T * weights) @ centered
+            + (self.total_weight * block_weight / total) * np.outer(delta, delta)
+        )
+        self.mean = self.mean + (block_weight / total) * delta
+        self.total_weight = total
 
     def covariance(self) -> np.ndarray:
         if self.total_weight <= 0.0:

@@ -8,13 +8,17 @@ rows, progress ticks and snapshots between steps. Multichain runs their
 chains one after another into the same files and also snapshot between
 chains.
 
-The driver snapshots the kernel's exact state at every flush boundary (each
-adaptation and every 1000 written rows). A run killed at any instant
-therefore resumes from the last snapshot through one preamble: the chain and
-progress files are truncated to the snapshot's byte offsets, the in-memory
-chain is rebuilt from the truncated file, and the kernel counters, moment
-accumulators and stream cursors are restored bit for bit. The completed
-outputs of a resumed run are byte-identical to an uninterrupted one.
+The driver snapshots the kernel at every flush boundary (each adaptation and
+every 1000 written rows). A snapshot holds only what the chain rows cannot
+give back: the stream cursor, the proposal, the pending adaptation measure
+and the live row, plus each completed multichain chain's adaptation count. A
+run killed at any instant therefore resumes from the last snapshot through
+one preamble: the chain and progress files are truncated to the snapshot's
+byte offsets, the in-memory chain is rebuilt from the truncated file, the
+kernel restores the snapshot's fields and derives the rest from the rows
+(moment accumulators, burn-in, stage tallies) by the rules a run applies.
+The completed outputs of a resumed run are byte-identical to an
+uninterrupted one.
 """
 
 from __future__ import annotations
@@ -37,7 +41,13 @@ from .config import (
     spec_to_items,
 )
 from .errors import CorruptRestart, IoFailure, RefusedOverwrite, SamplerError
-from .kernel import Kernel, KernelSummary, RoundStreams, SerialStreams
+from .kernel import (
+    Kernel,
+    KernelSummary,
+    RoundStreams,
+    SerialStreams,
+    stage_tallies,
+)
 from .model import TargetDensity
 from .parallel import (
     ContributionTally,
@@ -241,6 +251,12 @@ def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> CompactChain:
         "chain file holds %d rows, snapshot says %d"
         % (stored.n_rows, int(snap["rows_written"])),
     )
+    # the stage tallies are read off this column
+    stages = stored.dr_stages
+    _require(
+        np.all((stages >= 0) & (stages <= spec.kernel.dr_stage_count)),
+        "chain file holds a DR stage outside [0, %d]" % spec.kernel.dr_stage_count,
+    )
     try:
         for path, offset in cuts:
             os.truncate(path, offset)
@@ -364,13 +380,15 @@ def _run(
                 block = _slice_chain(stored, offset, n_rows)
                 offset += n_rows
                 chains.append(block)
+                attempts, accepts = stage_tallies(block, spec.kernel.dr_stage_count)
                 summaries.append(
                     KernelSummary(
                         chain=block,
                         final_proposal=None,
-                        stage_attempts=tuple(int(v) for v in meta["stage_attempts"]),
-                        stage_accepts=tuple(int(v) for v in meta["stage_accepts"]),
-                        burnin_location=int(meta["burnin"]),
+                        stage_attempts=attempts,
+                        stage_accepts=accepts,
+                        # the run's end stamps its burn-in on the last row
+                        burnin_location=int(block.burnin_locations[-1]),
                         adaptation_count=int(meta["adaptation_count"]),
                     )
                 )
@@ -410,12 +428,7 @@ def _run(
             if multichain:
                 completed_rows.append(kern.chain.n_rows)
                 completed_meta.append(
-                    {
-                        "stage_attempts": list(summary.stage_attempts),
-                        "stage_accepts": list(summary.stage_accepts),
-                        "burnin": summary.burnin_location,
-                        "adaptation_count": summary.adaptation_count,
-                    }
+                    {"adaptation_count": summary.adaptation_count}
                 )
                 sw.snapshot(_payload(spec, sw, None, extra(index + 1)))
             else:

@@ -69,6 +69,7 @@ __all__ = [
     "dr_log_alpha",
     "propose_cascade",
     "burnin_location",
+    "stage_tallies",
     "Kernel",
     "run_kernel",
 ]
@@ -263,20 +264,32 @@ def burnin_location(
 
     The threshold is the typical-set log-density deficit of a d-dimensional
     Gaussian. Falls back to the index of the maximum, though the maximum
-    itself always qualifies.
+    itself always qualifies. Without ``weights`` every row has weight 1.
     """
     logf = np.asarray(log_funcs, dtype=float)
     if logf.size == 0:
         raise EmptyRange("burn-in location of an empty series")
-    if weights is None:
-        starts = np.arange(logf.size, dtype=np.int64)
-    else:
-        w = np.asarray(weights, dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(w)[:-1]))
     threshold = float(np.max(logf)) - dimension / 2.0
     hits = np.nonzero(logf >= threshold)[0]
     row = int(hits[0]) if hits.size else int(np.argmax(logf))
-    return int(starts[row])
+    if weights is None:
+        return row
+    return int(np.sum(np.asarray(weights, dtype=np.int64)[:row]))
+
+
+def stage_tallies(
+    chain: CompactChain, dr_stage_count: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(attempts, accepts) per cascade stage, read off a kernel's chain.
+
+    Every verbose step after the seed row is one cascade. accepts[k] counts
+    the rows after the seed accepted at stage k; a cascade accepted at stage
+    k ran stages 0..k, and a rejected one (a weight increment) ran them all.
+    """
+    accepts = np.bincount(chain.dr_stages[1:], minlength=dr_stage_count + 1)
+    rejected = chain.verbose_length - chain.n_rows
+    attempts = rejected + np.cumsum(accepts[::-1])[::-1]
+    return tuple(int(v) for v in attempts), tuple(int(v) for v in accepts)
 
 
 class SerialStreams:
@@ -369,13 +382,17 @@ class KernelSummary:
 class Kernel:
     """The stepping engine of every mode: one chain, one stream policy.
 
-    Owns the chain, the running moment accumulators, the adaptation schedule
+    Owns the chain, the full moment accumulator, the adaptation schedule
     and the burn-in tracker. ``step()`` runs one cascade on the generator
     ``streams.generator(verbose_length)`` and commits it as one verbose
     step; it returns the bookkeeping events the step produced. ``run()``
     steps until the chain is full and hands each step's events to a
     callback, so callers persist rows and snapshots between steps. The seed
     row is stamped ``streams.process_id(1)``.
+
+    Apart from the stream cursor, the proposal, the pending adaptation
+    measure and the live row, the kernel's state is a function of the
+    chain's rows, which load_state derives on resume.
     """
 
     def __init__(
@@ -402,16 +419,12 @@ class Kernel:
         self.streams = streams
         d = target.dimension
         self._period = config.resolved_adaptation_period(d)
-        self._stage_attempts = [0] * (config.dr_stage_count + 1)
-        self._stage_accepts = [0] * (config.dr_stage_count + 1)
-        self._moments_full = WeightedMoments(d)
-        self._moments_greedy = WeightedMoments(d)
+        self._moments = WeightedMoments(d)
         self._pending_measure = 0.0
         self._run_max = NEG_INF
         self._burnin = 0
-        self._log_incumbent = NEG_INF
         if chain is not None:
-            self.chain = chain  # restart path: counters arrive via load_state
+            self.chain = chain  # restart path: load_state adds the live row
             return
         self.chain = CompactChain(d)
         start = np.asarray(config.start_point, dtype=float)
@@ -425,7 +438,6 @@ class Kernel:
             raise NonFiniteStart(
                 "start point has non-finite log-density %g" % log_start
             )
-        self._log_incumbent = log_start
         self._run_max = log_start
         self.chain.append_row(
             ChainRow(
@@ -439,7 +451,6 @@ class Kernel:
                 state=start,
             )
         )
-        self._moments_greedy.update(start, 1.0)
 
     @property
     def done(self) -> bool:
@@ -447,20 +458,25 @@ class Kernel:
 
     @property
     def log_incumbent(self) -> float:
-        return self._log_incumbent
+        return float(self.chain.log_funcs[-1])
 
     def _rescan_burnin(self) -> None:
-        threshold = self._run_max - self.target.dimension / 2.0
-        hits = np.nonzero(self.chain.log_funcs >= threshold)[0]
-        row = int(hits[0]) if hits.size else int(np.argmax(self.chain.log_funcs))
-        self._burnin = int(self.chain.verbose_starts[row])
+        chain = self.chain
+        self._burnin = burnin_location(
+            chain.log_funcs, self.target.dimension, chain.weights
+        )
+
+    def _fold(self, boundary: int) -> None:
+        # the rows finalized since the previous boundary, with final weights
+        rows = slice(max(boundary - self._period - 1, 0), boundary - 1)
+        self._moments.update(self.chain.states[rows], self.chain.weights[rows])
 
     def step(self) -> List[tuple]:
         outcome = propose_cascade(
             self.target,
             self.proposal,
             self.chain.last_state(),
-            self._log_incumbent,
+            self.log_incumbent,
             self.config.dr_stage_count,
             self.streams.generator(self.chain.verbose_length),
         )
@@ -487,14 +503,15 @@ class Kernel:
         """Charge one cascade to the chain as one verbose step.
 
         A rejection only adds 1 to the live row's weight. An acceptance
-        finalizes the live row (stamps its running columns, folds it into the
-        full moments with its final weight, the attempts made from it), then
-        appends the accepted state stamped with the process id the stream
-        policy derives from that weight, and runs burn-in and adaptation.
+        finalizes the live row (stamps its running columns; its final weight
+        is the attempts made from it), then appends the accepted state
+        stamped with the process id the stream policy derives from that
+        weight, and runs burn-in. At an adaptation boundary it folds the
+        rows finalized since the previous one into the full moments and
+        adapts. The stage tallies are read off the chain (``stage_tallies``),
+        so a step counts nothing else.
         """
         chain = self.chain
-        for s in range(outcome.proposals_consumed):
-            self._stage_attempts[s] += 1
         if outcome.accepted_at_stage == REJECTED:
             chain.increment_last(1)
             events: List[tuple] = []
@@ -502,8 +519,6 @@ class Kernel:
             finalized = chain.n_rows - 1
             weight = int(chain.weights[finalized])
             self._stamp_live()
-            self._moments_full.update(chain.last_state(), float(weight))
-            self._stage_accepts[outcome.accepted_at_stage] += 1
             chain.append_row(
                 ChainRow(
                     process_id=self.streams.process_id(weight),
@@ -517,19 +532,20 @@ class Kernel:
                 )
             )
             self._pending_measure = 0.0
-            self._log_incumbent = outcome.accepted_log_func
             events = [("row_final", finalized)]
             if outcome.accepted_log_func > self._run_max:
                 self._run_max = outcome.accepted_log_func
                 self._rescan_burnin()
-            self._moments_greedy.update(outcome.accepted_state, 1.0)
             if chain.n_rows % self._period == 0:
+                self._fold(chain.n_rows)
                 if self.proposal.adaptation_count < self.config.greedy_adaptation_count:
-                    moments = self._moments_greedy
+                    # the accepted states, unweighted
+                    moments = WeightedMoments(chain.dimension)
+                    moments.update(chain.states, np.ones(chain.n_rows))
                 else:
                     # every verbose step so far: the live row has made one
-                    moments = copy.copy(self._moments_full)
-                    moments.update(outcome.accepted_state, 1.0)
+                    moments = copy.copy(self._moments)
+                    moments.update(chain.states[-1:], np.ones(1))
                 self.proposal, record = adapt(
                     self.proposal,
                     moments.mean,
@@ -555,17 +571,19 @@ class Kernel:
 
     def summary(self) -> KernelSummary:
         self._stamp_live()  # the end of the run finalizes the last row
+        attempts, accepts = stage_tallies(self.chain, self.config.dr_stage_count)
         return KernelSummary(
             chain=self.chain,
             final_proposal=self.proposal,
-            stage_attempts=tuple(self._stage_attempts),
-            stage_accepts=tuple(self._stage_accepts),
+            stage_attempts=attempts,
+            stage_accepts=accepts,
             burnin_location=self._burnin,
             adaptation_count=self.proposal.adaptation_count,
         )
 
     # restart transport: plain structures; persist owns the exact encoding
     def state_dict(self) -> dict:
+        """What the chain's rows cannot give back; see load_state."""
         live = self.chain.row(self.chain.n_rows - 1)
         return {
             "stream": self.streams.state_dict(),
@@ -576,22 +594,7 @@ class Kernel:
                 "dr_scales": list(self.proposal.dr_scales),
                 "adaptation_count": self.proposal.adaptation_count,
             },
-            "moments_full": {
-                "total_weight": self._moments_full.total_weight,
-                "mean": self._moments_full.mean.copy(),
-                "m2": self._moments_full.m2.copy(),
-            },
-            "moments_greedy": {
-                "total_weight": self._moments_greedy.total_weight,
-                "mean": self._moments_greedy.mean.copy(),
-                "m2": self._moments_greedy.m2.copy(),
-            },
-            "stage_attempts": list(self._stage_attempts),
-            "stage_accepts": list(self._stage_accepts),
             "pending_measure": self._pending_measure,
-            "run_max": self._run_max,
-            "burnin": self._burnin,
-            "log_incumbent": self._log_incumbent,
             "live_row": {
                 "process_id": live.process_id,
                 "dr_stage": live.dr_stage,
@@ -605,8 +608,10 @@ class Kernel:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore counters and the live row after the chain prefix was
-        rebuilt from the chain file. Inverse of state_dict."""
+        """Inverse of state_dict, once the chain's finalized rows were
+        rebuilt from the chain file: restore the stream, the proposal and
+        the pending measure, append the live row, and derive the rest from
+        the rows by the rules a run applies, replaying every moment fold."""
         self.streams.load_state(state["stream"])
         p = state["proposal"]
         base = ProposalState.create(
@@ -616,23 +621,10 @@ class Kernel:
             dr_scales=tuple(float(s) for s in p["dr_scales"]),
         )
         self.proposal = replace(base, adaptation_count=int(p["adaptation_count"]))
-        for name, key in (
-            ("_moments_full", "moments_full"),
-            ("_moments_greedy", "moments_greedy"),
-        ):
-            m = WeightedMoments(self.target.dimension)
-            m.total_weight = float(state[key]["total_weight"])
-            m.mean = np.asarray(state[key]["mean"], dtype=float)
-            m.m2 = np.asarray(state[key]["m2"], dtype=float)
-            setattr(self, name, m)
-        self._stage_attempts = [int(v) for v in state["stage_attempts"]]
-        self._stage_accepts = [int(v) for v in state["stage_accepts"]]
         self._pending_measure = float(state["pending_measure"])
-        self._run_max = float(state["run_max"])
-        self._burnin = int(state["burnin"])
-        self._log_incumbent = float(state["log_incumbent"])
         lr = state["live_row"]
-        self.chain.append_row(
+        chain = self.chain
+        chain.append_row(
             ChainRow(
                 process_id=int(lr["process_id"]),
                 dr_stage=int(lr["dr_stage"]),
@@ -644,6 +636,11 @@ class Kernel:
                 state=np.asarray(lr["state"], dtype=float),
             )
         )
+        self._run_max = float(np.max(chain.log_funcs))
+        self._rescan_burnin()
+        # commit folds at n_rows = k * period once n_rows >= 2
+        for boundary in range(max(self._period, 2), chain.n_rows + 1, self._period):
+            self._fold(boundary)
 
 
 def run_kernel(

@@ -9,7 +9,6 @@ from dramp.chain import (
     ChainRow,
     CompactChain,
     WeightedMoments,
-    chain_stats,
     to_verbose,
 )
 from dramp.errors import DimensionMismatch, EmptyRange
@@ -120,57 +119,14 @@ class TestVerboseExpansion:
         assert ch.verbose_length == 6
 
 
-class TestChainStats:
-    def test_single_row_degenerate(self):
-        ch = CompactChain(dimension=1)
-        ch.append_row(mk_row([4.0], weight=5))
-        mean, cov, acc = chain_stats(ch, 0)
-        assert mean[0] == 4.0
-        assert cov[0, 0] == 0.0
-        assert acc == pytest.approx(0.2)
-
-    def test_two_unit_rows(self):
-        ch = CompactChain(dimension=1)
-        ch.append_row(mk_row([0.0]))
-        ch.append_row(mk_row([2.0]))
-        mean, cov, acc = chain_stats(ch, 0)
-        assert mean[0] == pytest.approx(1.0)
-        assert cov[0, 0] == pytest.approx(1.0)  # population normalization
-        assert acc == pytest.approx(1.0)
-
-    def test_tail_from_last_verbose_index(self):
-        ch = CompactChain(dimension=1)
-        ch.append_row(mk_row([1.0], weight=2))
-        ch.append_row(mk_row([9.0], weight=3))
-        mean, _, _ = chain_stats(ch, ch.verbose_length - 1)
-        assert mean[0] == 9.0
-
-    def test_matches_numpy_on_weighted_data(self):
-        rng = np.random.default_rng(8)
-        ch = CompactChain(dimension=2)
-        for _ in range(30):
-            ch.append_row(mk_row(rng.standard_normal(2),
-                                 weight=int(rng.integers(1, 5))))
-        mean, cov, _ = chain_stats(ch, 0)
-        _, states = to_verbose(ch)
-        assert np.allclose(mean, states.mean(axis=0))
-        assert np.allclose(cov, np.cov(states.T, bias=True))
-
-    def test_out_of_range_start(self):
-        ch = CompactChain(dimension=1)
-        ch.append_row(mk_row([0.0]))
-        with pytest.raises(EmptyRange):
-            chain_stats(ch, 1)
-
-
 class TestWeightedMoments:
     def test_matches_batch_computation(self):
         rng = np.random.default_rng(5)
         xs = rng.standard_normal((200, 3))
         ws = rng.integers(1, 6, size=200).astype(float)
         acc = WeightedMoments(3)
-        for x, w in zip(xs, ws):
-            acc.update(x, w)
+        for lo, hi in ((0, 1), (1, 60), (60, 61), (61, 200)):
+            acc.update(xs[lo:hi], ws[lo:hi])
         mean = (ws @ xs) / ws.sum()
         centered = xs - mean
         cov = (centered.T * ws) @ centered / ws.sum()
@@ -181,9 +137,10 @@ class TestWeightedMoments:
         rng = np.random.default_rng(6)
         xs = rng.standard_normal((50, 2))
         a, b = WeightedMoments(2), WeightedMoments(2)
-        for x in xs:
-            a.update(x, 2.0)
-            b.update(x, 2.0)
+        for lo in range(0, 50, 7):
+            block = xs[lo:lo + 7]
+            a.update(block, np.full(len(block), 2.0))
+            b.update(block.copy(), np.full(len(block), 2.0))
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.m2, b.m2)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dramp
-from dramp.chain import ChainRow
+from dramp.chain import ChainRow, CompactChain
 from dramp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -819,7 +819,7 @@ class TestResume:
                 "--mode", "forkjoin", "--workers", "4",
                 "--deterministic-test-mode"]
         # 1 is a snapshot written before the field existed
-        for stale in (1, 2):
+        for stale in (1, 2, 3):
             older = dict(snap, trajectory_version=stale)
             if stale == 1:
                 del older["trajectory_version"]
@@ -832,6 +832,63 @@ class TestResume:
             assert "trajectory version %d differs from this build's %d" % (
                 stale, TRAJECTORY_VERSION) in err
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    # 1200-row chains also snapshot between adaptations, at written row
+    # 1000; so does the second 600-row multichain chain
+    @pytest.mark.parametrize("overrides,stop", [
+        ({"mode": "serial", "dr-stages": "0", "chain-len": "1200"}, None),
+        ({"mode": "serial", "dr-stages": "2", "chain-len": "1200"}, None),
+        ({"mode": "multichain", "chains": "2"}, 949),
+        ({"mode": "forkjoin", "workers": "8", "chain-len": "1200"}, None),
+    ], ids=["serial-dr0", "serial-dr2", "multichain-chain2", "forkjoin-p8"])
+    def test_rebuilt_accumulators_match_the_running_ones_at_every_snapshot(
+        self, tmp_path, monkeypatch, overrides, stop
+    ):
+        # a kernel rebuilt from the files and the snapshot, as a resume
+        # rebuilds it, holds the running kernel's moments bit for bit
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(**overrides)
+        running = []
+        state_dict = Kernel.state_dict
+
+        def recording_state_dict(kern):
+            running.append(kern)
+            return state_dict(kern)
+
+        write = dramp.driver.write_snapshot
+        checked = []
+
+        def checking_write(path, payload):
+            write(path, payload)
+            if payload["kernel"] is None:
+                return
+            kern = running[-1]
+            stored = read_chain(spec.output.chain_path, spec.output.delimiter,
+                                size=payload["chain_offset"])
+            prefix = CompactChain(stored.dimension)
+            for i in range(sum(payload.get("completed_rows", [])), stored.n_rows):
+                prefix.append_row(stored.row(i))
+            index = payload.get("chain_index", 0)
+            rebuilt = dramp.driver._make_kernel(spec, kern.target, index, chain=prefix)
+            rebuilt.load_state(read_snapshot(path)["kernel"])
+            for field in ("total_weight", "mean", "m2"):
+                assert np.array_equal(getattr(rebuilt._moments, field),
+                                      getattr(kern._moments, field))
+            assert rebuilt._run_max == kern._run_max
+            assert rebuilt._burnin == kern._burnin
+            checked.append((index, kern.chain.n_rows, kern._period))
+
+        monkeypatch.setattr(Kernel, "state_dict", recording_state_dict)
+        monkeypatch.setattr(dramp.driver, "write_snapshot", checking_write)
+        if stop is None:
+            run_simulation(spec)
+        else:
+            run_to_interrupt(spec, stop)
+            assert run_simulation(spec).restarted is True
+        # a snapshot between two folds, and for multichain in chain 2
+        assert any(n > period and n % period for _, n, period in checked)
+        if stop is not None:
+            assert any(index == 1 for index, _, _ in checked)
 
     @pytest.mark.parametrize("overrides", [
         {"mode": "serial"},
@@ -916,6 +973,32 @@ class TestResume:
         assert err.startswith("runtime error:") and err.count("\n") == 1
         assert "chain row 10" in err
         assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_dr_stage_out_of_range_refused_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # row 10 decodes, but its DR stage is past the spec's one stage; the
+        # stage tallies are read off that column
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here()
+        run_to_interrupt(spec, 350)
+        path = pathlib.Path(spec.output.chain_path)
+        lines = path.read_bytes().split(b"\n")
+        header = next(i for i, ln in enumerate(lines)
+                      if ln and not ln.startswith(b"#"))
+        fields = lines[header + 11].split(b",")
+        fields[1] = b"5"
+        lines[header + 11] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--deterministic-test-mode"]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and err.count("\n") == 1
+        assert "DR stage outside [0, 1]" in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dramp import kernel as kernel_mod
 from dramp import rng as rng_mod
-from dramp.chain import CompactChain, WeightedMoments, chain_stats
+from dramp.chain import CompactChain, WeightedMoments
 from dramp.errors import (
     DimensionMismatch,
     EmptyRange,
@@ -504,9 +505,13 @@ class TestKernelRuns:
         # truth well inside Monte Carlo error
         cfg = KernelConfig(100_000, (0.0,), rng_seed=3)
         s = run_kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1))
-        mean, cov, acc = chain_stats(s.chain)
-        assert abs(mean[0]) <= 0.02
-        assert abs(cov[0, 0] - 1.0) <= 0.05
+        w = s.chain.weights.astype(float)
+        x = s.chain.states[:, 0]
+        mean = (w @ x) / w.sum()
+        var = (w @ (x - mean) ** 2) / w.sum()
+        acc = s.chain.n_rows / s.chain.verbose_length
+        assert abs(mean) <= 0.02
+        assert abs(var - 1.0) <= 0.05
         assert 0.2 < acc < 0.95
 
 
@@ -518,16 +523,18 @@ class TestCommitPath:
         calls = []
         monkeypatch.setattr(WeightedMoments, "update", lambda *args: calls.append(args))
         monkeypatch.setattr(CompactChain, "restamp_last", lambda *args: calls.append(args))
-        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 1))
+        # a rejected cascade runs every stage: two under DR 1
+        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 2))
         assert k.chain.n_rows == 1
         assert k.chain.weights[0] == 2
         assert k.chain.process_ids[0] == 1  # seed row keeps its own pid
         assert events == []
         assert calls == []  # no moment fold, no restamp
-        assert k.summary().stage_attempts == (1, 0)
+        assert k.summary().stage_attempts == (1, 1)
 
     def test_acceptance_commits_a_new_row_with_given_pid(self):
-        cfg = KernelConfig(50, (0.0,), rng_seed=1)
+        # period 2: the acceptance that makes row 1 is an adaptation boundary
+        cfg = KernelConfig(50, (0.0,), rng_seed=1, adaptation_period=2)
         k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1),
                    RoundStreams(1, worker_count=4))
         state = k.chain.last_state()
@@ -542,8 +549,42 @@ class TestCommitPath:
         assert k.chain.log_funcs[1] == -0.125
         assert k.chain.mean_acceptance_rates[0] == 1 / 6  # stamped when finalized
         assert ("row_final", 0) in events
-        assert k._moments_full.total_weight == 6.0
+        assert [e[0] for e in events] == ["row_final", "adapt"]
+        # the boundary folds the finalized seed row with its final weight
+        assert k._moments.total_weight == 6.0
+        assert k._moments.mean.tolist() == [0.0]
         assert k.summary().stage_attempts == (6, 6)
+
+
+class TestStageTallies:
+    @pytest.mark.parametrize("dr_stages", [0, 1, 2])
+    @pytest.mark.parametrize("round_streams", [False, True], ids=["serial", "rounds8"])
+    def test_derived_tallies_match_the_cascades(
+        self, monkeypatch, dr_stages, round_streams
+    ):
+        # an independent tally of what each cascade consumed and accepted
+        attempts = [0] * (dr_stages + 1)
+        accepts = [0] * (dr_stages + 1)
+        cascade = kernel_mod.propose_cascade
+
+        def counting(*args):
+            out = cascade(*args)
+            for stage in range(out.proposals_consumed):
+                attempts[stage] += 1
+            if out.accepted_at_stage != REJECTED:
+                accepts[out.accepted_at_stage] += 1
+            return out
+
+        monkeypatch.setattr(kernel_mod, "propose_cascade", counting)
+        target = gaussian_target([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
+        cfg = KernelConfig(600, (3.0, -3.0), rng_seed=12, dr_stage_count=dr_stages,
+                           adaptation_period=50)
+        prop = ProposalState.create(2, scale_factor=4.0, dr_scales=(0.5, 0.1))
+        streams = RoundStreams(12, 8) if round_streams else SerialStreams(12)
+        s = Kernel(target, cfg, prop, streams).run()
+        assert min(accepts) > 0  # every stage accepted some cascade
+        assert s.stage_attempts == tuple(attempts)
+        assert s.stage_accepts == tuple(accepts)
 
 
 class TestStateTransport:
