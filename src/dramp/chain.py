@@ -11,7 +11,7 @@ acceptance rate, adaptation measure, running burn-in location.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +25,17 @@ __all__ = [
 ]
 
 _INITIAL_CAPACITY = 1024
+
+# CompactChain's per-row columns, in ChainRow's field order
+_ROW_COLUMNS = (
+    "_process_id",
+    "_dr_stage",
+    "_mean_acceptance_rate",
+    "_adaptation_measure",
+    "_burnin_location",
+    "_weight",
+    "_log_func",
+)
 
 
 @dataclass(eq=False)
@@ -44,15 +55,17 @@ class ChainRow:
 class CompactChain:
     """Growable column store for chain rows.
 
-    Columns live in preallocated numpy arrays that double on demand; the
-    kernel appends one row per accepted state and bumps the last row's weight
-    on rejection, so appends must be cheap. Single writer by contract.
+    Columns live in numpy arrays preallocated to ``capacity`` rows that
+    double on demand; the kernel appends one row per accepted state and
+    bumps the last row's weight on rejection, so appends must be cheap.
+    Single writer by contract.
     """
 
     def __init__(
         self,
         dimension: int,
         variable_names: Optional[Sequence[str]] = None,
+        capacity: int = _INITIAL_CAPACITY,
     ):
         if dimension < 1:
             raise DimensionMismatch("dimension must be >= 1, got %d" % dimension)
@@ -67,7 +80,7 @@ class CompactChain:
                 )
         self.dimension = dimension
         self.variable_names = variable_names
-        cap = _INITIAL_CAPACITY
+        cap = capacity
         self._process_id = np.zeros(cap, dtype=np.int64)
         self._dr_stage = np.zeros(cap, dtype=np.int64)
         self._mean_acceptance_rate = np.zeros(cap, dtype=np.float64)
@@ -125,18 +138,72 @@ class CompactChain:
     def verbose_starts(self) -> np.ndarray:
         return self._verbose_start[: self._n]
 
+    @classmethod
+    def from_columns(
+        cls,
+        variable_names: Sequence[str],
+        process_ids,
+        dr_stages,
+        mean_acceptance_rates,
+        adaptation_measures,
+        burnin_locations,
+        weights,
+        log_funcs,
+        states,
+    ) -> "CompactChain":
+        """A chain holding copies of the given columns, in ChainRow's field
+        order; ``states`` is (n, d). The verbose starts are the running sum
+        of the weights. Capacity is n + 1, so the live row a resume appends
+        needs no growth."""
+        states = np.asarray(states, dtype=np.float64)
+        if states.ndim != 2:
+            raise DimensionMismatch(
+                "states must be (n, d), got shape %r" % (states.shape,)
+            )
+        n, dimension = states.shape
+        chain = cls(dimension, variable_names, capacity=n + 1)
+        columns = (
+            process_ids,
+            dr_stages,
+            mean_acceptance_rates,
+            adaptation_measures,
+            burnin_locations,
+            weights,
+            log_funcs,
+        )
+        for name, values in zip(_ROW_COLUMNS, columns):
+            values = np.asarray(values)
+            if values.shape != (n,):
+                raise DimensionMismatch(
+                    "column %s has shape %r for %d states"
+                    % (name[1:], values.shape, n)
+                )
+            getattr(chain, name)[:n] = values
+        w = chain._weight[:n]
+        if n and w.min() < 1:
+            raise ValueError("weight must be >= 1, got %d" % w.min())
+        chain._states[:n] = states
+        np.cumsum(w[:-1], out=chain._verbose_start[1:n])
+        chain._n = n
+        chain._verbose = int(w.sum())
+        return chain
+
+    def slice(self, start: int, count: int) -> "CompactChain":
+        """Rows [start, start + count) as a new chain that owns its arrays."""
+        end = start + count
+        if start < 0 or count < 0 or end > self._n:
+            raise IndexError(
+                "rows [%d, %d) out of range [0, %d)" % (start, end, self._n)
+            )
+        return CompactChain.from_columns(
+            self.variable_names,
+            *(getattr(self, name)[start:end] for name in _ROW_COLUMNS),
+            self._states[start:end],
+        )
+
     def _grow(self):
         cap = self._process_id.size * 2
-        for name in (
-            "_process_id",
-            "_dr_stage",
-            "_mean_acceptance_rate",
-            "_adaptation_measure",
-            "_burnin_location",
-            "_weight",
-            "_log_func",
-            "_verbose_start",
-        ):
+        for name in _ROW_COLUMNS + ("_verbose_start",):
             old = getattr(self, name)
             new = np.zeros(cap, dtype=old.dtype)
             new[: self._n] = old[: self._n]
@@ -202,10 +269,6 @@ class CompactChain:
             log_func=float(self._log_func[i]),
             state=self._states[i].copy(),
         )
-
-    def rows(self) -> Iterator[ChainRow]:
-        for i in range(self._n):
-            yield self.row(i)
 
 
 def to_verbose(chain: CompactChain) -> Tuple[np.ndarray, np.ndarray]:

@@ -200,10 +200,7 @@ def _make_handler(
 
 
 def _slice_chain(chain: CompactChain, start: int, count: int) -> CompactChain:
-    out = CompactChain(chain.dimension, variable_names=chain.variable_names)
-    for i in range(start, start + count):
-        out.append_row(chain.row(i))
-    return out
+    return chain.slice(start, count)
 
 
 def _require(condition: bool, message: str) -> None:
@@ -384,7 +381,6 @@ def _run(
                 summaries.append(
                     KernelSummary(
                         chain=block,
-                        final_proposal=None,
                         stage_attempts=attempts,
                         stage_accepts=accepts,
                         # the run's end stamps its burn-in on the last row

@@ -362,7 +362,6 @@ class KernelSummary:
     """What a finished run hands to reporting and refinement."""
 
     chain: CompactChain
-    final_proposal: ProposalState
     stage_attempts: Tuple[int, ...]
     stage_accepts: Tuple[int, ...]
     burnin_location: int
@@ -574,7 +573,6 @@ class Kernel:
         attempts, accepts = stage_tallies(self.chain, self.config.dr_stage_count)
         return KernelSummary(
             chain=self.chain,
-            final_proposal=self.proposal,
             stage_attempts=attempts,
             stage_accepts=accepts,
             burnin_location=self._burnin,

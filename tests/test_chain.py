@@ -173,3 +173,122 @@ class TestChainBookkeeping:
         assert got.weight == 3
         assert got.log_func == -0.25
         assert np.array_equal(got.state, [1.5, -2.5])
+
+
+# the chain's columns in ChainRow's field order, then the derived one
+ROW_COLUMNS = (
+    "process_ids",
+    "dr_stages",
+    "mean_acceptance_rates",
+    "adaptation_measures",
+    "burnin_locations",
+    "weights",
+    "log_funcs",
+    "states",
+)
+
+
+def random_rows(seed, n, d):
+    r = np.random.default_rng(seed)
+    return [
+        ChainRow(
+            process_id=int(r.integers(0, 9)),
+            dr_stage=int(r.integers(0, 3)),
+            mean_acceptance_rate=float(r.random()),
+            adaptation_measure=float(r.random()),
+            burnin_location=int(r.integers(0, 100)),
+            weight=int(r.integers(1, 9)),
+            log_func=float(r.standard_normal()),
+            state=r.standard_normal(d),
+        )
+        for _ in range(n)
+    ]
+
+
+def appended(rows, d, names=None):
+    """The append_row oracle."""
+    ch = CompactChain(d, variable_names=names)
+    for row in rows:
+        ch.append_row(row)
+    return ch
+
+
+def assert_same_chain(a, b):
+    assert a.variable_names == b.variable_names
+    assert (a.n_rows, a.verbose_length) == (b.n_rows, b.verbose_length)
+    for name in ROW_COLUMNS + ("verbose_starts",):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+
+
+class TestColumnsAndSlices:
+    @pytest.mark.parametrize("n", [0, 1, 7, 1500])
+    def test_from_columns_matches_append_row(self, n):
+        rows = random_rows(n, n, 3)
+        want = appended(rows, 3, names=("a", "b", "c"))
+        got = CompactChain.from_columns(
+            ("a", "b", "c"), *(getattr(want, c) for c in ROW_COLUMNS)
+        )
+        assert_same_chain(got, want)
+
+    def test_from_columns_then_append_matches_append_row(self):
+        # the first append fills the spare row, the next ones grow the arrays
+        rows = random_rows(2, 50, 2)
+        got = CompactChain.from_columns(
+            ("Var1", "Var2"),
+            *(getattr(appended(rows[:20], 2), c) for c in ROW_COLUMNS),
+        )
+        for row in rows[20:]:
+            got.append_row(row)
+        got.increment_last(4)
+        want = appended(rows, 2)
+        want.increment_last(4)
+        assert_same_chain(got, want)
+
+    def test_from_columns_copies_its_input(self):
+        source = appended(random_rows(3, 10, 2), 2)
+        columns = [getattr(source, c).copy() for c in ROW_COLUMNS]
+        got = CompactChain.from_columns(source.variable_names, *columns)
+        for column in columns:
+            column[...] = 1
+        assert_same_chain(got, source)
+
+    def test_from_columns_rejects_bad_shapes_and_weights(self):
+        source = appended(random_rows(4, 5, 2), 2)
+        columns = [getattr(source, c) for c in ROW_COLUMNS]
+        with pytest.raises(DimensionMismatch):
+            CompactChain.from_columns(("x",), *columns)
+        short = list(columns)
+        short[0] = short[0][:4]
+        with pytest.raises(DimensionMismatch):
+            CompactChain.from_columns(source.variable_names, *short)
+        zero = list(columns)
+        zero[5] = np.array([1, 2, 0, 1, 1])
+        with pytest.raises(ValueError):
+            CompactChain.from_columns(source.variable_names, *zero)
+
+    @pytest.mark.parametrize("start,count", [
+        (0, 0), (0, 40), (13, 20), (39, 1), (40, 0),
+    ])
+    def test_slice_matches_append_row(self, start, count):
+        rows = random_rows(5, 40, 2)
+        assert_same_chain(
+            appended(rows, 2).slice(start, count),
+            appended(rows[start:start + count], 2),
+        )
+
+    @pytest.mark.parametrize("start,count", [(-1, 2), (0, -1), (30, 11)])
+    def test_slice_out_of_range(self, start, count):
+        with pytest.raises(IndexError):
+            appended(random_rows(6, 40, 2), 2).slice(start, count)
+
+    def test_slice_owns_its_arrays(self):
+        rows = random_rows(7, 30, 2)
+        source = appended(rows, 2)
+        part = source.slice(10, 10)
+        part.increment_last(5)
+        part.restamp_last(0.125, 77)
+        part.append_row(random_rows(8, 1, 2)[0])
+        part.states[0] += 1.0
+        assert_same_chain(source, appended(rows, 2))

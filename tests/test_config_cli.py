@@ -1,5 +1,6 @@
 """Configuration resolution, the command-line front end, and crash recovery."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -865,9 +866,8 @@ class TestResume:
             kern = running[-1]
             stored = read_chain(spec.output.chain_path, spec.output.delimiter,
                                 size=payload["chain_offset"])
-            prefix = CompactChain(stored.dimension)
-            for i in range(sum(payload.get("completed_rows", [])), stored.n_rows):
-                prefix.append_row(stored.row(i))
+            start = sum(payload.get("completed_rows", []))
+            prefix = stored.slice(start, stored.n_rows - start)
             index = payload.get("chain_index", 0)
             rebuilt = dramp.driver._make_kernel(spec, kern.target, index, chain=prefix)
             rebuilt.load_state(read_snapshot(path)["kernel"])
@@ -974,6 +974,106 @@ class TestResume:
         assert "chain row 10" in err
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_weight_past_int64_refused_untouched(
+        self, tmp_path, monkeypatch, capsys, fmt
+    ):
+        # row 10 of the resumable prefix holds a weight int64 cannot hold: a
+        # 20-digit integer (ascii), 2**63 (binary)
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(format=fmt)
+        run_to_interrupt(spec, 350)
+        path = pathlib.Path(spec.output.chain_path)
+        raw = bytearray(path.read_bytes())
+        if fmt == "ascii":
+            lines = raw.split(b"\n")
+            header = next(i for i, ln in enumerate(lines)
+                          if ln and not ln.startswith(b"#"))
+            fields = lines[header + 11].split(b",")
+            fields[5] = b"18446744073709551616"
+            lines[header + 11] = b",".join(fields)
+            raw = bytearray(b"\n".join(lines))
+        else:
+            name_len = struct.unpack_from("<III", raw, len(CHAIN_MAGIC))[2]
+            record = struct.calcsize("<IIddQQd" + "d" * 2)
+            weight_at = len(CHAIN_MAGIC) + 12 + name_len + 10 * record + 32
+            struct.pack_into("<Q", raw, weight_at, 2 ** 63)
+        path.write_bytes(bytes(raw))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--format", fmt, "--deterministic-test-mode"]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and err.count("\n") == 1
+        assert "damaged chain row 10: SampleWeight" in err
+        assert "does not fit int64" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_multichain_resume_returns_the_uninterrupted_summaries(
+        self, tmp_path, monkeypatch
+    ):
+        # chain 1 completed before the stop; its summary is rebuilt from the
+        # chain file and the snapshot's adaptation count
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        monkeypatch.chdir(clean)
+        spec = self.spec_here(mode="multichain", chains=2)
+        uninterrupted = run_simulation(spec)
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        monkeypatch.chdir(broken)
+        run_to_interrupt(spec, 949)
+        resumed = run_simulation(spec)
+        assert resumed.restarted is True
+        assert len(resumed.summaries) == len(uninterrupted.summaries) == 2
+        for a, b in zip(uninterrupted.summaries, resumed.summaries):
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                if field.name != "chain":
+                    assert x == y, field.name
+                    continue
+                assert x.verbose_length == y.verbose_length
+                for column in ("process_ids", "dr_stages", "mean_acceptance_rates",
+                               "adaptation_measures", "burnin_locations",
+                               "weights", "log_funcs", "states",
+                               "verbose_starts"):
+                    assert (getattr(x, column).tobytes()
+                            == getattr(y, column).tobytes()), column
+
+    @pytest.mark.parametrize("overrides,stop", [
+        ({"mode": "serial", "format": "ascii", "chain-len": "1200"}, 1100),
+        ({"mode": "forkjoin", "workers": "8", "format": "binary",
+          "chain-len": "1200"}, 1100),
+        ({"mode": "multichain", "chains": "2", "format": "binary"}, 949),
+    ], ids=["serial-ascii", "forkjoin-binary", "multichain-binary"])
+    def test_resume_preamble_appends_at_most_the_live_row(
+        self, tmp_path, monkeypatch, overrides, stop
+    ):
+        # the chain file is read, and a multichain prefix split, as columns;
+        # only load_state appends a row, the snapshot's live one
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, stop)
+        appends = [0]
+        at_first_run = []
+        append_row = CompactChain.append_row
+        run = Kernel.run
+
+        def counting_append(chain, row):
+            appends[0] += 1
+            return append_row(chain, row)
+
+        def recording_run(kern, *args, **kwargs):
+            at_first_run.append(appends[0])
+            return run(kern, *args, **kwargs)
+
+        monkeypatch.setattr(CompactChain, "append_row", counting_append)
+        monkeypatch.setattr(Kernel, "run", recording_run)
+        assert run_simulation(spec).restarted is True
+        assert at_first_run[0] <= 1
 
     def test_dr_stage_out_of_range_refused_untouched(
         self, tmp_path, monkeypatch, capsys

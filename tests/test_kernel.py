@@ -483,13 +483,14 @@ class TestKernelRuns:
     def test_adaptation_schedule_fires_per_period(self):
         events = []
         cfg = KernelConfig(300, (0.0,), rng_seed=8, adaptation_period=50)
-        s = run_kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1),
-                       on_event=events.append)
+        kern = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1),
+                      SerialStreams(cfg.rng_seed))
+        s = kern.run(events.extend)
         adapts = [e[1] for e in events if e[0] == "adapt"]
         assert len(adapts) == 6
         assert [a.at_chain_length for a in adapts] == [50, 100, 150, 200, 250, 300]
         assert s.adaptation_count == 6
-        assert s.final_proposal.adaptation_count == 6
+        assert kern.proposal.adaptation_count == 6
         assert all(0.0 <= a.measure < 1.0 for a in adapts)
 
     def test_weight_accounting_matches_attempts(self):
@@ -603,9 +604,7 @@ class TestStateTransport:
                     snap = copy.deepcopy(ka.state_dict())
                     snap_rows = ka.chain.n_rows - 1
         # rebuild: finalized prefix from storage, live tail from the snapshot
-        pre = CompactChain(2)
-        for i in range(snap_rows):
-            pre.append_row(ka.chain.row(i))
+        pre = ka.chain.slice(0, snap_rows)
         kb = Kernel(target, cfg, ProposalState.create(2), SerialStreams(99), chain=pre)
         kb.load_state(snap)
         while not kb.done:
@@ -623,4 +622,4 @@ class TestStateTransport:
         assert sa.stage_accepts == sb.stage_accepts
         assert sa.burnin_location == sb.burnin_location
         assert sa.adaptation_count == sb.adaptation_count
-        assert np.array_equal(sa.final_proposal.covariance, sb.final_proposal.covariance)
+        assert np.array_equal(ka.proposal.covariance, kb.proposal.covariance)

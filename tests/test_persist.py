@@ -225,6 +225,104 @@ class TestBinaryChainFile:
         p.write_bytes(CHAIN_MAGIC + struct.pack("<III", 9, 2, 3) + raw[20:])
         with pytest.raises(IoFailure):
             read_chain(str(p))
+        p.write_bytes(raw[:20] + b"\xff" + raw[21:])  # name block not UTF-8
+        with pytest.raises(IoFailure):
+            read_chain(str(p))
+
+
+class TestDamagedRows:
+    """Either codec reads a file into columns; a row it cannot decode into
+    them refuses the read with IoFailure naming the first such row, however
+    far into the file it lies."""
+
+    NAMES = ("a", "b")
+    # ascii field index of each damage kind; "fields" drops the last field
+    FIELD = {"pid": 0, "burnin": 4, "weight": 5, "state": 8}
+
+    def write(self, tmp_path, fmt, rows):
+        suite = OutputSuite(str(tmp_path / "run"), chain_format=fmt)
+        with ChainWriter(suite, self.NAMES) as w:
+            for row in rows:
+                w.write_row(row)
+        return suite.chain_path
+
+    def rows(self, seed, n):
+        chain = random_chain(seed, n=n, d=len(self.NAMES))
+        return [chain.row(i) for i in range(n)]
+
+    def damage_ascii(self, path, damage):
+        lines = open(path, "rb").read().split(b"\n")
+        for row, (kind, text) in damage.items():
+            fields = lines[row + 2].split(b",")  # format and header lines
+            if kind == "fields":
+                del fields[-1]
+            else:
+                fields[self.FIELD[kind]] = text
+            lines[row + 2] = b",".join(fields)
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    @pytest.mark.parametrize("field", ["weight", "burnin_location"])
+    @pytest.mark.parametrize("value", [2 ** 63, 2 ** 64 - 1])
+    def test_past_int64_is_a_damaged_row(self, tmp_path, fmt, field, value):
+        rows = self.rows(7, 30)
+        setattr(rows[12], field, value)
+        path = self.write(tmp_path, fmt, rows)
+        with pytest.raises(IoFailure,
+                           match=r"^damaged chain row 12: .*does not fit int64"):
+            read_chain(path)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_verbose_length_past_int64_is_a_damaged_row(self, tmp_path, fmt):
+        rows = self.rows(8, 6)
+        rows[1].weight = rows[3].weight = 2 ** 62
+        path = self.write(tmp_path, fmt, rows)
+        with pytest.raises(IoFailure,
+                           match=r"^damaged chain row 3: verbose length"):
+            read_chain(path)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_damage_past_the_first_block_names_its_row(self, tmp_path, fmt):
+        path = self.write(tmp_path, fmt, self.rows(9, 1100))
+        if fmt == "ascii":
+            self.damage_ascii(path, {700: ("pid", b"x"), 900: ("weight", b"0")})
+        else:
+            raw = bytearray(open(path, "rb").read())
+            record = struct.calcsize("<IIddQQd" + "d" * len(self.NAMES))
+            body = len(raw) - 1100 * record
+            for row in (700, 900):
+                struct.pack_into("<Q", raw, body + row * record + 32, 0)
+            with open(path, "wb") as fh:
+                fh.write(bytes(raw))
+        with pytest.raises(IoFailure, match=r"^damaged chain row 700: "):
+            read_chain(path)
+
+    @pytest.mark.parametrize("damage,first,reason", [
+        ({600: ("weight", b"0"), 650: ("pid", b"x")}, 600, "SampleWeight 0 is below 1"),
+        ({650: ("fields", None), 620: ("state", b"1.5.2")}, 620, "b: could not convert"),
+        ({530: ("state", b"?"), 520: ("burnin", b"99999999999999999999")}, 520,
+         "BurninLocation 99999999999999999999 does not fit int64"),
+        ({700: ("fields", None), 701: ("weight", b"-1")}, 700, "8 fields, expected 9"),
+        ({1099: ("weight", b"-3")}, 1099, "SampleWeight -3 is below 1"),
+    ])
+    def test_first_damaged_row_of_a_block_is_named(
+        self, tmp_path, damage, first, reason
+    ):
+        path = self.write(tmp_path, "ascii", self.rows(10, 1100))
+        self.damage_ascii(path, damage)
+        with pytest.raises(IoFailure) as info:
+            read_chain(path)
+        assert str(info.value).startswith("damaged chain row %d: %s" % (first, reason))
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_round_trip_across_blocks_is_bitwise(self, tmp_path, fmt):
+        chain = random_chain(11, n=1100, d=2)
+        path = self.write(tmp_path, fmt, [chain.row(i) for i in range(1100)])
+        back = read_chain(path)
+        assert_chains_bitwise(chain, back)
+        assert back.verbose_starts.tobytes() == chain.verbose_starts.tobytes()
+        assert back.verbose_length == chain.verbose_length
 
 
 class TestSampleFile:
