@@ -29,7 +29,7 @@ from .parallel import (
     predict_speedup,
     recommend_workers,
 )
-from .persist import read_chain, read_report_echo, write_sample
+from .persist import _fmt, read_chain, read_report_echo, write_sample
 from .refine import refine_two_phase
 
 __all__ = ["main", "build_parser"]
@@ -40,10 +40,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_REFUSED = 3
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,7 @@ simulation.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -27,7 +28,7 @@ from .model import (
     TargetDensity,
     make_builtin_target,
 )
-from .persist import OutputSuite
+from .persist import OutputSuite, _fmt
 from .proposal import ProposalState, default_dr_scales, default_scale_factor
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "FIELD_DESCRIPTIONS",
     "DIGEST_EXCLUDED",
     "TRAJECTORY_VERSION",
+    "SNAPSHOT_FORMAT_VERSION",
     "parse_config_file",
     "build_spec",
     "spec_to_items",
@@ -52,6 +54,10 @@ MODES = ("serial", "multichain", "forkjoin")
 # into the moments once, with its final weight, in every mode; 4 folds the
 # moments in blocks at adaptation boundaries only.
 TRAJECTORY_VERSION = 4
+
+# Layout of the restart snapshot. 2 dropped the proposal, which resume
+# rebuilds from the rows, and hashes the mvn arrays' bytes in the digest.
+SNAPSHOT_FORMAT_VERSION = 2
 
 # every user-facing field, in echo order; descriptions double as CLI help
 FIELD_DESCRIPTIONS: Dict[str, str] = {
@@ -320,32 +326,24 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
     )
 
 
-def _render_float(value: float) -> str:
-    return "%.17g" % value
-
-
 def _render_floats(values) -> str:
-    return ",".join(_render_float(float(v)) for v in values)
+    return ",".join(_fmt(float(v)) for v in values)
 
 
-def spec_to_items(spec: SimulationSpec) -> List[Tuple[str, str, str]]:
-    """Render a spec as ordered (key, value, description) triples.
-
-    Feeding the keys and values back through build_spec reproduces the spec
-    exactly; 17-digit float rendering keeps the round trip lossless.
-    """
+def _spec_pairs(spec: SimulationSpec, render_array=_render_floats
+                ) -> List[Tuple[str, str]]:
+    """Every field of ``spec`` as ordered (key, value) pairs, with the mvn
+    mean and covariance rendered by ``render_array``."""
     t = spec.target_spec
     items: List[Tuple[str, str]] = [("target", t.kind), ("dim", str(t.dimension))]
     if t.kind == "mvn":
-        items.append(("target-mean", _render_floats(t.mean)))
-        items.append(("target-cov", _render_floats(t.covariance)))
+        items.append(("target-mean", render_array(t.mean)))
+        items.append(("target-cov", render_array(t.covariance)))
     elif t.kind == "himmelblau":
-        items.append(("target-scale", _render_float(t.shape_params["scale"])))
+        items.append(("target-scale", _fmt(t.shape_params["scale"])))
     else:
-        items.append(
-            ("target-curvature", _render_float(t.shape_params["curvature"]))
-        )
-        items.append(("target-sigma1", _render_float(t.shape_params["sigma1"])))
+        items.append(("target-curvature", _fmt(t.shape_params["curvature"])))
+        items.append(("target-sigma1", _fmt(t.shape_params["sigma1"])))
     k = spec.kernel
     items.extend(
         [
@@ -354,7 +352,7 @@ def spec_to_items(spec: SimulationSpec) -> List[Tuple[str, str, str]]:
             ("seed", str(k.rng_seed)),
             ("dr-stages", str(k.dr_stage_count)),
             ("dr-scales", _render_floats(spec.dr_scales)),
-            ("scale-factor", _render_float(spec.scale_factor)),
+            ("scale-factor", _fmt(spec.scale_factor)),
             ("adaptation-period", str(k.adaptation_period)),
             ("greedy-count", str(k.greedy_adaptation_count)),
             ("mode", spec.mode),
@@ -369,24 +367,54 @@ def spec_to_items(spec: SimulationSpec) -> List[Tuple[str, str, str]]:
             ),
         ]
     )
-    return [(key, value, FIELD_DESCRIPTIONS[key]) for key, value in items]
+    return items
+
+
+def spec_to_items(spec: SimulationSpec) -> List[Tuple[str, str, str]]:
+    """Render a spec as ordered (key, value, description) triples.
+
+    Feeding the keys and values back through build_spec reproduces the spec
+    exactly; 17-digit float rendering keeps the round trip lossless.
+    """
+    return [(key, value, FIELD_DESCRIPTIONS[key]) for key, value in _spec_pairs(spec)]
+
+
+def _bytes_digest(values) -> str:
+    # the values' exact <f8 bytes, hashed without rendering each as text
+    return hashlib.sha256(struct.pack("<%dd" % len(values), *values)).hexdigest()
 
 
 def spec_digest(spec: SimulationSpec) -> int:
-    """64-bit digest of the trajectory-determining fields."""
+    """64-bit digest of the trajectory-determining fields: the key=value
+    lines of spec_to_items, except that the mvn mean and covariance are
+    the SHA-256 of their bytes as little-endian doubles."""
     lines = [
         "%s=%s" % (key, value)
-        for key, value, _ in spec_to_items(spec)
+        for key, value in _spec_pairs(spec, _bytes_digest)
         if key not in DIGEST_EXCLUDED
     ]
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
-def check_restart_compatibility(spec: SimulationSpec, snapshot: dict) -> None:
+def check_restart_compatibility(
+    spec: SimulationSpec, snapshot: dict, digest: int
+) -> None:
     """Refuse to resume under a spec that would change the trajectory or the
-    on-disk layout of the files being appended to."""
-    if int(snapshot["spec_digest"]) != spec_digest(spec):
+    on-disk layout of the files being appended to; ``digest`` is
+    spec_digest(spec)."""
+    for name, stored, built in (
+        ("format", snapshot.get("format_version"), SNAPSHOT_FORMAT_VERSION),
+        # a snapshot without the field is trajectory version 1
+        ("trajectory", snapshot.get("trajectory_version", 1), TRAJECTORY_VERSION),
+    ):
+        if stored != built:
+            raise SpecMismatch(
+                "snapshot %s version %r differs from this build's %d; the run "
+                "cannot be resumed, only restarted with force overwrite"
+                % (name, stored, built)
+            )
+    if int(snapshot["spec_digest"]) != digest:
         raise SpecMismatch(
             "the resumed specification differs from the one that started "
             "this run in a trajectory-determining field"
@@ -400,18 +428,6 @@ def check_restart_compatibility(spec: SimulationSpec, snapshot: dict) -> None:
                 "%s changed since the run started (%r -> %r); the existing "
                 "files cannot be appended to" % (key, snapshot.get(key), live)
             )
-    if int(snapshot.get("format_version", -1)) != 1:
-        raise SpecMismatch(
-            "snapshot format version %r is not supported"
-            % snapshot.get("format_version")
-        )
-    stored = int(snapshot.get("trajectory_version", 1))
-    if stored != TRAJECTORY_VERSION:
-        raise SpecMismatch(
-            "snapshot trajectory version %d differs from this build's %d; the "
-            "run cannot be resumed, only restarted with force overwrite"
-            % (stored, TRAJECTORY_VERSION)
-        )
 
 
 def make_target(spec: SimulationSpec) -> TargetDensity:

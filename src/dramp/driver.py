@@ -10,15 +10,15 @@ chains.
 
 The driver snapshots the kernel at every flush boundary (each adaptation and
 every 1000 written rows). A snapshot holds only what the chain rows cannot
-give back: the stream cursor, the proposal, the pending adaptation measure
-and the live row, plus each completed multichain chain's adaptation count. A
-run killed at any instant therefore resumes from the last snapshot through
-one preamble: the chain and progress files are truncated to the snapshot's
-byte offsets, the in-memory chain is rebuilt from the truncated file, the
-kernel restores the snapshot's fields and derives the rest from the rows
-(moment accumulators, burn-in, stage tallies) by the rules a run applies.
-The completed outputs of a resumed run are byte-identical to an
-uninterrupted one.
+give back: the stream cursor, the adaptation count, the pending adaptation
+measure and the live row, plus each completed multichain chain's adaptation
+count. A run killed at any instant therefore resumes from the last snapshot,
+as detect_incomplete read it, through one preamble: the chain and progress
+files are truncated to the snapshot's byte offsets, the in-memory chain is
+rebuilt from the truncated file, the kernel restores the snapshot's fields
+and derives the rest from the rows (moment accumulators, burn-in, stage
+tallies, the proposal) by the rules a run applies. The completed outputs of
+a resumed run are byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from .chain import CompactChain
 from .config import (
+    SNAPSHOT_FORMAT_VERSION,
     TRAJECTORY_VERSION,
     SimulationSpec,
     check_restart_compatibility,
@@ -56,16 +57,16 @@ from .parallel import (
     measured_speedup,
 )
 
-# The runner steps fork-join chains through Kernel.run and never calls this;
-# it stays importable here for tools that patch it by name.
+# Nothing here calls these (detect_incomplete reads the snapshot); they stay
+# importable here for tools that patch them by name.
 from .parallel import run_forkjoin  # noqa: F401
+from .persist import read_snapshot  # noqa: F401
 from .persist import (
     ChainWriter,
     ProgressWriter,
     RunState,
     detect_incomplete,
     read_chain,
-    read_snapshot,
     write_report,
     write_sample,
     write_snapshot,
@@ -137,30 +138,36 @@ class _SuiteFiles:
         self.progress.close()
 
 
-def _payload(spec: SimulationSpec, sw: _SuiteFiles,
-             kernel_state: Optional[dict], extra: dict) -> dict:
-    body = {
-        "format_version": 1,
+def _snapshot_header(spec: SimulationSpec, digest: int) -> dict:
+    """The snapshot fields fixed for the whole run."""
+    return {
+        "format_version": SNAPSHOT_FORMAT_VERSION,
         "trajectory_version": TRAJECTORY_VERSION,
-        "spec_digest": spec_digest(spec),
+        "spec_digest": digest,
         "mode": spec.mode,
         "chain_format": spec.output.chain_format,
         "delimiter": spec.output.delimiter,
         "n_chains": spec.n_chains,
         "worker_count": spec.worker_count,
-        "rows_written": sw.rows_written,
-        "chain_offset": sw.writer.tell(),
-        "progress_offset": sw.progress.tell(),
-        "kernel": kernel_state,
     }
-    body.update(extra)
-    return body
+
+
+def _payload(header: dict, sw: _SuiteFiles,
+             kernel_state: Optional[dict], extra: dict) -> dict:
+    return dict(
+        header,
+        rows_written=sw.rows_written,
+        chain_offset=sw.writer.tell(),
+        progress_offset=sw.progress.tell(),
+        kernel=kernel_state,
+        **extra,
+    )
 
 
 def _make_handler(
     kern: Kernel,
     sw: _SuiteFiles,
-    spec: SimulationSpec,
+    header: dict,
     extra_fn: Callable[[], dict],
     on_event: Optional[Callable[[tuple], None]],
 ) -> Callable[[List[tuple]], None]:
@@ -191,7 +198,7 @@ def _make_handler(
             elif kind == "tick":
                 sw.tick(event[1])
         if snapshot_due:
-            sw.snapshot(_payload(spec, sw, kern.state_dict(), extra_fn()))
+            sw.snapshot(_payload(header, sw, kern.state_dict(), extra_fn()))
         if on_event is not None:
             for event in events:
                 on_event(event)
@@ -346,6 +353,7 @@ def _make_kernel(
 def _run(
     spec: SimulationSpec,
     target: TargetDensity,
+    header: dict,
     resume: Optional[dict],
     stored: Optional[CompactChain],
     on_event,
@@ -416,9 +424,9 @@ def _run(
         for index in range(first_index, spec.n_chains if multichain else 1):
             if kern is None:
                 kern = _make_kernel(spec, target, index)
-                sw.snapshot(_payload(spec, sw, kern.state_dict(), extra(index)))
+                sw.snapshot(_payload(header, sw, kern.state_dict(), extra(index)))
             summary = kern.run(
-                _make_handler(kern, sw, spec, lambda: extra(index), on_event)
+                _make_handler(kern, sw, header, lambda: extra(index), on_event)
             )
             sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
             if multichain:
@@ -426,7 +434,7 @@ def _run(
                 completed_meta.append(
                     {"adaptation_count": summary.adaptation_count}
                 )
-                sw.snapshot(_payload(spec, sw, None, extra(index + 1)))
+                sw.snapshot(_payload(header, sw, None, extra(index + 1)))
             else:
                 sw.flush()
             summaries.append(summary)
@@ -470,9 +478,9 @@ def run_simulation(
         except OSError as exc:
             raise IoFailure("cannot create output directory: %s" % exc) from exc
     if force_overwrite:
-        state = RunState.FRESH
+        state, snap = RunState.FRESH, None
     else:
-        state = detect_incomplete(spec.output.prefix)
+        state, snap = detect_incomplete(spec.output.prefix)
     if state is RunState.COMPLETE:
         raise RefusedOverwrite(
             "a completed run already exists under prefix %r; pass "
@@ -482,19 +490,18 @@ def run_simulation(
         # forced, or the row-free leftovers of a run stopped before its
         # first snapshot
         _remove_suite(spec)
-    resume = None
+    digest = spec_digest(spec)
     stored = None
     if state is RunState.RESTARTABLE:
-        snap = read_snapshot(spec.output.restart_path)
-        check_restart_compatibility(spec, snap)
+        check_restart_compatibility(spec, snap, digest)
         _require(
             snap.get("mode") == spec.mode,
             "snapshot mode %r does not match spec mode %r"
             % (snap.get("mode"), spec.mode),
         )
         stored = _truncate_for_resume(spec, snap)
-        resume = snap
-    return _run(spec, make_target(spec), resume, stored, on_event)
+    return _run(spec, make_target(spec), _snapshot_header(spec, digest),
+                snap, stored, on_event)
 
 
 def replay_adaptation_covariances(

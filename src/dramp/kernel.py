@@ -389,9 +389,9 @@ class Kernel:
     callback, so callers persist rows and snapshots between steps. The seed
     row is stamped ``streams.process_id(1)``.
 
-    Apart from the stream cursor, the proposal, the pending adaptation
-    measure and the live row, the kernel's state is a function of the
-    chain's rows, which load_state derives on resume.
+    Apart from the stream cursor, the adaptation count, the pending
+    adaptation measure and the live row, the kernel's state is a function of
+    the chain's rows, which load_state derives on resume.
     """
 
     def __init__(
@@ -470,6 +470,25 @@ class Kernel:
         rows = slice(max(boundary - self._period - 1, 0), boundary - 1)
         self._moments.update(self.chain.states[rows], self.chain.weights[rows])
 
+    def _adapt_at(self, boundary: int, measured: bool = True) -> AdaptationRecord:
+        """The adaptation at ``boundary`` rows: fold the rows finalized since
+        the previous boundary, then adapt (``measured`` as for adapt) to the
+        moments of the first ``boundary`` rows."""
+        self._fold(boundary)
+        states = self.chain.states[:boundary]
+        if self.proposal.adaptation_count < self.config.greedy_adaptation_count:
+            # the accepted states, unweighted
+            moments = WeightedMoments(self.chain.dimension)
+            moments.update(states, np.ones(boundary))
+        else:
+            # every verbose step so far: the boundary's live row has made one
+            moments = copy.copy(self._moments)
+            moments.update(states[-1:], np.ones(1))
+        self.proposal, record = adapt(
+            self.proposal, moments.mean, moments.covariance(), boundary, measured
+        )
+        return record
+
     def step(self) -> List[tuple]:
         outcome = propose_cascade(
             self.target,
@@ -536,21 +555,7 @@ class Kernel:
                 self._run_max = outcome.accepted_log_func
                 self._rescan_burnin()
             if chain.n_rows % self._period == 0:
-                self._fold(chain.n_rows)
-                if self.proposal.adaptation_count < self.config.greedy_adaptation_count:
-                    # the accepted states, unweighted
-                    moments = WeightedMoments(chain.dimension)
-                    moments.update(chain.states, np.ones(chain.n_rows))
-                else:
-                    # every verbose step so far: the live row has made one
-                    moments = copy.copy(self._moments)
-                    moments.update(chain.states[-1:], np.ones(1))
-                self.proposal, record = adapt(
-                    self.proposal,
-                    moments.mean,
-                    moments.covariance(),
-                    chain_length=chain.n_rows,
-                )
+                record = self._adapt_at(chain.n_rows)
                 self._pending_measure = record.measure
                 events.append(("adapt", record))
         if chain.verbose_length % 1000 == 0:
@@ -581,64 +586,40 @@ class Kernel:
 
     # restart transport: plain structures; persist owns the exact encoding
     def state_dict(self) -> dict:
-        """What the chain's rows cannot give back; see load_state."""
-        live = self.chain.row(self.chain.n_rows - 1)
+        """What the chain's rows cannot give back: the stream cursor, the
+        adaptation count, the pending adaptation measure and the live row.
+        The proposal is not stored; load_state rebuilds it."""
         return {
             "stream": self.streams.state_dict(),
-            "proposal": {
-                "dimension": self.proposal.dimension,
-                "covariance": self.proposal.covariance.copy(),
-                "scale_factor": self.proposal.scale_factor,
-                "dr_scales": list(self.proposal.dr_scales),
-                "adaptation_count": self.proposal.adaptation_count,
-            },
+            "adaptation_count": self.proposal.adaptation_count,
             "pending_measure": self._pending_measure,
-            "live_row": {
-                "process_id": live.process_id,
-                "dr_stage": live.dr_stage,
-                "mean_acceptance_rate": live.mean_acceptance_rate,
-                "adaptation_measure": live.adaptation_measure,
-                "burnin_location": live.burnin_location,
-                "weight": live.weight,
-                "log_func": live.log_func,
-                "state": live.state,
-            },
+            # a fresh ChainRow: its fields, without a deep copy
+            "live_row": vars(self.chain.row(self.chain.n_rows - 1)),
         }
 
     def load_state(self, state: dict) -> None:
-        """Inverse of state_dict, once the chain's finalized rows were
-        rebuilt from the chain file: restore the stream, the proposal and
-        the pending measure, append the live row, and derive the rest from
-        the rows by the rules a run applies, replaying every moment fold."""
+        """Inverse of state_dict, on a kernel built with its initial proposal
+        and the finalized rows: restore the stream and the pending measure,
+        append the live row, and derive the rest from the rows as a run does,
+        replaying every fold but only the last adaptation."""
         self.streams.load_state(state["stream"])
-        p = state["proposal"]
-        base = ProposalState.create(
-            int(p["dimension"]),
-            covariance=np.asarray(p["covariance"], dtype=float),
-            scale_factor=float(p["scale_factor"]),
-            dr_scales=tuple(float(s) for s in p["dr_scales"]),
-        )
-        self.proposal = replace(base, adaptation_count=int(p["adaptation_count"]))
         self._pending_measure = float(state["pending_measure"])
-        lr = state["live_row"]
         chain = self.chain
-        chain.append_row(
-            ChainRow(
-                process_id=int(lr["process_id"]),
-                dr_stage=int(lr["dr_stage"]),
-                mean_acceptance_rate=float(lr["mean_acceptance_rate"]),
-                adaptation_measure=float(lr["adaptation_measure"]),
-                burnin_location=int(lr["burnin_location"]),
-                weight=int(lr["weight"]),
-                log_func=float(lr["log_func"]),
-                state=np.asarray(lr["state"], dtype=float),
-            )
-        )
+        chain.append_row(ChainRow(**state["live_row"]))
         self._run_max = float(np.max(chain.log_funcs))
         self._rescan_burnin()
-        # commit folds at n_rows = k * period once n_rows >= 2
-        for boundary in range(max(self._period, 2), chain.n_rows + 1, self._period):
+        # commit adapts at n_rows = k * period once n_rows >= 2
+        boundaries = range(max(self._period, 2), chain.n_rows + 1, self._period)
+        for boundary in boundaries[:-1]:
             self._fold(boundary)
+        if boundaries:
+            last = boundaries[-1]
+            # the count before the last adaptation; below d + 1 rows adapt
+            # is a no-op and counts nothing
+            count = int(state["adaptation_count"]) - (last > chain.dimension)
+            self.proposal = replace(self.proposal, adaptation_count=count)
+            # the snapshot holds the measure a run would have pending
+            self._adapt_at(last, measured=False)
 
 
 def run_kernel(

@@ -8,7 +8,9 @@ platforms.
 
 The restart file is a checksummed binary envelope around an exact state
 payload (floats as hex strings), written atomically; a crash can only ever
-leave the previous snapshot in place, never a corrupt one.
+leave the previous snapshot in place, never a corrupt one. The payload holds
+O(d) values, never the d x d proposal, which resume rebuilds from the chain
+rows; detect_incomplete hands its caller the payload it checked.
 """
 
 from __future__ import annotations
@@ -142,6 +144,11 @@ class ChainWriter:
         self.suite = suite
         self.variable_names = tuple(variable_names)
         self._struct = _record_struct(len(self.variable_names))
+        # the format of one ASCII row: integers as %d, reals as _fmt renders
+        self._line = suite.delimiter.replace("%", "%%").join(
+            "%d %d %.17g %.17g %d %d %.17g".split()
+            + ["%.17g"] * len(self.variable_names)
+        ) + "\n"
         self.rows_written = 0
         try:
             self._fh = open(suite.chain_path, "ab" if append else "wb")
@@ -167,33 +174,21 @@ class ChainWriter:
             self._fh.write(names)
 
     def write_row(self, row: ChainRow) -> None:
+        fields = (
+            row.process_id,
+            row.dr_stage,
+            row.mean_acceptance_rate,
+            row.adaptation_measure,
+            row.burnin_location,
+            row.weight,
+            row.log_func,
+            *np.asarray(row.state, dtype=float).tolist(),
+        )
         try:
             if self.suite.chain_format == "ascii":
-                fields = [
-                    str(row.process_id),
-                    str(row.dr_stage),
-                    _fmt(row.mean_acceptance_rate),
-                    _fmt(row.adaptation_measure),
-                    str(row.burnin_location),
-                    str(row.weight),
-                    _fmt(row.log_func),
-                ] + [_fmt(v) for v in row.state]
-                self._fh.write(
-                    (self.suite.delimiter.join(fields) + "\n").encode("utf-8")
-                )
+                self._fh.write((self._line % fields).encode("utf-8"))
             else:
-                self._fh.write(
-                    self._struct.pack(
-                        row.process_id,
-                        row.dr_stage,
-                        row.mean_acceptance_rate,
-                        row.adaptation_measure,
-                        row.burnin_location,
-                        row.weight,
-                        row.log_func,
-                        *row.state,
-                    )
-                )
+                self._fh.write(self._struct.pack(*fields))
         except OSError as exc:
             raise IoFailure("chain write failed: %s" % exc) from exc
         self.rows_written += 1
@@ -750,14 +745,15 @@ def _chain_holds_rows(path: str) -> bool:
         raise CorruptRestart("cannot read chain file: %s" % exc) from exc
 
 
-def detect_incomplete(prefix: str) -> RunState:
+def detect_incomplete(prefix: str) -> Tuple[RunState, Optional[dict]]:
     """Classify what a previous run left behind under this prefix.
 
     Complete: report present and properly terminated. Restartable: chain plus
     a checksum-valid restart snapshot without a terminated report. Fresh: no
     suite files, or only what a run stopped before its first snapshot leaves
     (chain files holding no row and a progress file). Anything else is
-    reported as corrupt rather than silently treated as fresh.
+    reported as corrupt rather than silently treated as fresh. Returns the
+    state and, if restartable, the decoded snapshot, else None.
     """
     report = "%s_report.txt" % prefix
     if os.path.exists(report):
@@ -768,7 +764,7 @@ def detect_incomplete(prefix: str) -> RunState:
             raise CorruptRestart("cannot read report: %s" % exc) from exc
         tail = [ln for ln in text.split("\n") if ln.strip()]
         if tail and tail[-1] == REPORT_TERMINATOR:
-            return RunState.COMPLETE
+            return RunState.COMPLETE, None
     chain_candidates = [
         "%s_chain.txt" % prefix,
         "%s_chain.bin" % prefix,
@@ -776,8 +772,8 @@ def detect_incomplete(prefix: str) -> RunState:
     restart = "%s_restart.bin" % prefix
     chain_exists = any(os.path.exists(p) for p in chain_candidates)
     if chain_exists and os.path.exists(restart):
-        read_snapshot(restart)  # raises CorruptRestart on damage
-        return RunState.RESTARTABLE
+        # raises CorruptRestart on damage
+        return RunState.RESTARTABLE, read_snapshot(restart)
     started = any(
         os.path.exists(p) for p in (report, restart, "%s_sample.txt" % prefix)
     ) or any(_chain_holds_rows(p) for p in chain_candidates if os.path.exists(p))
@@ -786,4 +782,4 @@ def detect_incomplete(prefix: str) -> RunState:
             "output files under prefix %r are neither complete nor resumable"
             % prefix
         )
-    return RunState.FRESH
+    return RunState.FRESH, None

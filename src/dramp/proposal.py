@@ -197,6 +197,7 @@ def adapt(
     running_mean: np.ndarray,
     running_cov: np.ndarray,
     chain_length: int,
+    measured: bool = True,
 ) -> Tuple[ProposalState, AdaptationRecord]:
     """Re-estimate the proposal shape from running chain moments.
 
@@ -207,7 +208,9 @@ def adapt(
 
     ``running_mean`` is accepted for interface completeness but does not enter
     the update: proposals are re-centered at the current state every step, so
-    only shape and scale matter, here and in the adaptation measure.
+    only shape and scale matter, here and in the adaptation measure. With
+    ``measured`` false the record's measure is NaN and its three
+    log-determinants are skipped, for a caller that only rebuilds the shape.
     """
     d = state.dimension
     if chain_length < d + 1:
@@ -225,7 +228,7 @@ def adapt(
         chol_factor=_factor(shape),
         adaptation_count=state.adaptation_count + 1,
     )
-    measure = adaptation_measure(state, new_state)
+    measure = adaptation_measure(state, new_state) if measured else float("nan")
     return new_state, AdaptationRecord(measure=measure, at_chain_length=chain_length)
 
 

@@ -1,6 +1,7 @@
 """Configuration resolution, the command-line front end, and crash recovery."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import pathlib
@@ -28,6 +29,7 @@ from dramp.config import (
     DIGEST_EXCLUDED,
     FIELD_DESCRIPTIONS,
     MODES,
+    SNAPSHOT_FORMAT_VERSION,
     TRAJECTORY_VERSION,
     build_spec,
     check_restart_compatibility,
@@ -36,6 +38,8 @@ from dramp.config import (
     spec_to_items,
 )
 import dramp.driver
+import dramp.kernel
+import dramp.persist
 from dramp.driver import run_simulation
 from dramp.errors import BadDimension, SpecMismatch
 from dramp.kernel import Kernel
@@ -272,24 +276,41 @@ class TestSpecRendering:
     def test_digest_tracks_trajectory_fields(self, key, value):
         assert spec_digest(self.spec(**{key: value})) != spec_digest(self.spec())
 
+    def test_digest_tracks_one_ulp_of_the_mvn_arrays(self):
+        # the mvn mean and covariance enter the digest as their bytes
+        cov = [2.0, 0.3, 0.3, 0.5]
+        base = spec_digest(self.spec(**{"target-cov": "2,0.3,0.3,0.5"}))
+        for i in range(4):
+            nudged = list(cov)
+            nudged[i] = float(np.nextafter(cov[i], np.inf))
+            text = ",".join(repr(v) for v in nudged)
+            assert spec_digest(self.spec(**{"target-cov": text})) != base
+        nudged_mean = "0,%r" % float(np.nextafter(0.0, 1.0))
+        assert spec_digest(self.spec(**{"target-mean": nudged_mean})) != spec_digest(
+            self.spec()
+        )
+
     def test_restart_compatibility(self):
+        def check(spec, snap):
+            check_restart_compatibility(spec, snap, spec_digest(spec))
+
         spec = self.spec()
         snap = {
             "spec_digest": spec_digest(spec),
             "chain_format": "ascii",
             "delimiter": ",",
-            "format_version": 1,
+            "format_version": SNAPSHOT_FORMAT_VERSION,
             "trajectory_version": TRAJECTORY_VERSION,
         }
-        check_restart_compatibility(spec, snap)  # must not raise
+        check(spec, snap)  # must not raise
         with pytest.raises(SpecMismatch):
-            check_restart_compatibility(self.spec(seed=9), snap)
+            check(self.spec(seed=9), snap)
         with pytest.raises(SpecMismatch, match="chain_format"):
-            check_restart_compatibility(spec, dict(snap, chain_format="binary"))
+            check(spec, dict(snap, chain_format="binary"))
         with pytest.raises(SpecMismatch, match="delimiter"):
-            check_restart_compatibility(spec, dict(snap, delimiter=";"))
-        with pytest.raises(SpecMismatch, match="version"):
-            check_restart_compatibility(spec, dict(snap, format_version=2))
+            check(spec, dict(snap, delimiter=";"))
+        with pytest.raises(SpecMismatch, match="version 1 differs .* 2"):
+            check(spec, dict(snap, format_version=1))
         older = dict(snap)
         del older["trajectory_version"]  # written before the field existed
         for stale in (older, dict(snap, trajectory_version=TRAJECTORY_VERSION + 1)):
@@ -298,7 +319,7 @@ class TestSpecRendering:
                 SpecMismatch,
                 match="trajectory version %d .* %d" % (stored, TRAJECTORY_VERSION),
             ):
-                check_restart_compatibility(spec, stale)
+                check(spec, stale)
 
 
 class TestParserCoverage:
@@ -834,19 +855,82 @@ class TestResume:
                 stale, TRAJECTORY_VERSION) in err
             assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "serial"},
+        {"mode": "multichain", "chains": "2"},
+        {"mode": "forkjoin", "workers": "4"},
+    ], ids=["serial", "multichain", "forkjoin"])
+    def test_resume_reads_the_snapshot_once(self, tmp_path, monkeypatch, overrides):
+        # detect_incomplete hands the snapshot it checked to the resume
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, 350)
+        reads = []
+        read = dramp.persist.read_snapshot
+
+        def counting_read(path):
+            reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(dramp.persist, "read_snapshot", counting_read)
+        monkeypatch.setattr(dramp.driver, "read_snapshot", counting_read)
+        assert run_simulation(spec).restarted is True
+        assert reads == [spec.output.restart_path]
+
+    def test_format_1_snapshot_refused_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a snapshot in the version-1 layout: the proposal block in the
+        # kernel state, and a digest of the rendered mvn arrays
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here()
+        run_to_interrupt(spec, 350)
+        snap = read_snapshot(spec.output.restart_path)
+        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 2
+        lines = ["%s=%s" % (key, value) for key, value, _ in spec_to_items(spec)
+                 if key not in DIGEST_EXCLUDED]
+        rendered = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
+        d = spec.target_spec.dimension
+        kernel = dict(snap["kernel"], proposal={
+            "dimension": d,
+            "covariance": np.eye(d),
+            "scale_factor": spec.scale_factor,
+            "dr_scales": list(spec.dr_scales),
+            "adaptation_count": snap["kernel"]["adaptation_count"],
+        })
+        del kernel["adaptation_count"]
+        older = dict(snap, format_version=1, kernel=kernel,
+                     spec_digest=int.from_bytes(rendered[:8], "big"))
+        write_snapshot(spec.output.restart_path, older)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--deterministic-test-mode"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "snapshot format version 1 differs from this build's 2" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     # 1200-row chains also snapshot between adaptations, at written row
-    # 1000; so does the second 600-row multichain chain
+    # 1000; so does the second 600-row multichain chain. At d = 8 with a
+    # period of 4 the boundaries at 4 and 8 rows adapt nothing. Every spec
+    # passes from greedy to full adaptations.
     @pytest.mark.parametrize("overrides,stop", [
         ({"mode": "serial", "dr-stages": "0", "chain-len": "1200"}, None),
         ({"mode": "serial", "dr-stages": "2", "chain-len": "1200"}, None),
         ({"mode": "multichain", "chains": "2"}, 949),
         ({"mode": "forkjoin", "workers": "8", "chain-len": "1200"}, None),
-    ], ids=["serial-dr0", "serial-dr2", "multichain-chain2", "forkjoin-p8"])
+        ({"mode": "serial", "dim": "8", "adaptation-period": "4",
+          "dr-stages": "0", "chain-len": "1100", "format": "binary"}, None),
+    ], ids=["serial-dr0", "serial-dr2", "multichain-chain2", "forkjoin-p8",
+            "serial-noop-boundaries"])
     def test_rebuilt_accumulators_match_the_running_ones_at_every_snapshot(
         self, tmp_path, monkeypatch, overrides, stop
     ):
         # a kernel rebuilt from the files and the snapshot, as a resume
-        # rebuilds it, holds the running kernel's moments bit for bit
+        # rebuilds it, holds the running kernel's moments and proposal bit
+        # for bit, and rebuilds the proposal with at most one adaptation
         monkeypatch.chdir(tmp_path)
         spec = self.spec_here(**overrides)
         running = []
@@ -855,6 +939,13 @@ class TestResume:
         def recording_state_dict(kern):
             running.append(kern)
             return state_dict(kern)
+
+        adapt = dramp.kernel.adapt
+        adapts = [0]
+
+        def counting_adapt(*args, **kwargs):
+            adapts[0] += 1
+            return adapt(*args, **kwargs)
 
         write = dramp.driver.write_snapshot
         checked = []
@@ -870,15 +961,24 @@ class TestResume:
             prefix = stored.slice(start, stored.n_rows - start)
             index = payload.get("chain_index", 0)
             rebuilt = dramp.driver._make_kernel(spec, kern.target, index, chain=prefix)
+            adapts[0] = 0
             rebuilt.load_state(read_snapshot(path)["kernel"])
+            assert adapts[0] <= 1
             for field in ("total_weight", "mean", "m2"):
                 assert np.array_equal(getattr(rebuilt._moments, field),
                                       getattr(kern._moments, field))
             assert rebuilt._run_max == kern._run_max
             assert rebuilt._burnin == kern._burnin
-            checked.append((index, kern.chain.n_rows, kern._period))
+            for field in ("covariance", "chol_factor"):
+                assert np.array_equal(getattr(rebuilt.proposal, field),
+                                      getattr(kern.proposal, field))
+            count = kern.proposal.adaptation_count
+            assert rebuilt.proposal.adaptation_count == count
+            assert rebuilt._pending_measure == kern._pending_measure
+            checked.append((index, kern.chain.n_rows, kern._period, count))
 
         monkeypatch.setattr(Kernel, "state_dict", recording_state_dict)
+        monkeypatch.setattr(dramp.kernel, "adapt", counting_adapt)
         monkeypatch.setattr(dramp.driver, "write_snapshot", checking_write)
         if stop is None:
             run_simulation(spec)
@@ -886,9 +986,14 @@ class TestResume:
             run_to_interrupt(spec, stop)
             assert run_simulation(spec).restarted is True
         # a snapshot between two folds, and for multichain in chain 2
-        assert any(n > period and n % period for _, n, period in checked)
+        assert any(n > period and n % period for _, n, period, _ in checked)
         if stop is not None:
-            assert any(index == 1 for index, _, _ in checked)
+            assert any(index == 1 for index, _, _, _ in checked)
+        # past the greedy adaptations, and past boundaries that adapted nothing
+        greedy = spec.kernel.greedy_adaptation_count
+        assert any(count > greedy for _, _, _, count in checked)
+        if spec.kernel.adaptation_period <= spec.target_spec.dimension:
+            assert any(n >= period and count == 0 for _, n, period, count in checked)
 
     @pytest.mark.parametrize("overrides", [
         {"mode": "serial"},

@@ -623,3 +623,16 @@ class TestStateTransport:
         assert sa.burnin_location == sb.burnin_location
         assert sa.adaptation_count == sb.adaptation_count
         assert np.array_equal(ka.proposal.covariance, kb.proposal.covariance)
+
+    def test_state_dict_holds_no_proposal(self):
+        # load_state rebuilds the proposal from the rows, so a snapshot's
+        # size grows with d, not d^2
+        target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
+        cfg = KernelConfig(300, (0.0, 0.0), rng_seed=99, adaptation_period=60)
+        kern = Kernel(target, cfg, ProposalState.create(2), SerialStreams(99))
+        kern.run()
+        assert kern.proposal.adaptation_count == 5
+        state = kern.state_dict()
+        assert set(state) == {"stream", "adaptation_count", "pending_measure",
+                              "live_row"}
+        assert state["adaptation_count"] == 5

@@ -129,6 +129,18 @@ class TestAsciiChainFile:
         assert lines[1] == ",".join(FIXED_COLUMNS + ("Var1",))
         assert lines[2] == "1,0,1,0,0,1,-0.91893853320467267,0"
 
+    def test_percent_delimiter_is_written_literally(self, tmp_path):
+        # each row is rendered by one printf-style format built from the
+        # delimiter
+        suite = OutputSuite(str(tmp_path / "run"), delimiter="%")
+        row = mk_row([0.25, -3.0], -1.5, weight=7, pid=2, stage=1, burnin=4)
+        with ChainWriter(suite, ("a", "b")) as w:
+            w.write_row(row)
+        lines = open(suite.chain_path, "rb").read().decode().split("\n")
+        assert lines[2] == "2%1%0.5%0%4%7%-1.5%0.25%-3"
+        back = read_chain(suite.chain_path, "%")
+        assert back.states.tolist() == [[0.25, -3.0]]
+
     def test_line_endings_are_lf_only(self, tmp_path):
         suite = OutputSuite(str(tmp_path / "run"))
         write_chain(suite, random_chain(1), ("a", "b", "c"))
@@ -515,12 +527,13 @@ class TestDetectIncomplete:
         write_snapshot(suite.restart_path, {"rows": 4})
 
     def test_fresh_when_nothing_exists(self, tmp_path):
-        assert detect_incomplete(str(tmp_path / "run")) == RunState.FRESH
+        assert detect_incomplete(str(tmp_path / "run")) == (RunState.FRESH, None)
 
     def test_restartable_with_chain_and_snapshot(self, tmp_path):
         prefix = str(tmp_path / "run")
         self.chain_and_restart(prefix)
-        assert detect_incomplete(prefix) == RunState.RESTARTABLE
+        # the decoded snapshot comes back with the state
+        assert detect_incomplete(prefix) == (RunState.RESTARTABLE, {"rows": 4})
 
     def test_complete_needs_the_terminator(self, tmp_path, tiny_summary):
         prefix = str(tmp_path / "run")
@@ -529,10 +542,10 @@ class TestDetectIncomplete:
         write_report(suite, TestReport.ECHO, tiny_summary,
                      None, build_speedup_report(1.0), mode="serial",
                      complete=False)
-        assert detect_incomplete(prefix) == RunState.RESTARTABLE
+        assert detect_incomplete(prefix) == (RunState.RESTARTABLE, {"rows": 4})
         write_report(suite, TestReport.ECHO, tiny_summary,
                      None, build_speedup_report(1.0), mode="serial")
-        assert detect_incomplete(prefix) == RunState.COMPLETE
+        assert detect_incomplete(prefix) == (RunState.COMPLETE, None)
 
     def test_leftovers_without_snapshot_are_corrupt(self, tmp_path):
         prefix = str(tmp_path / "run")
@@ -549,10 +562,10 @@ class TestDetectIncomplete:
         names = ("Var1", "Var10")  # a name block holding a newline byte
         write_chain(suite, random_chain(8, n=0, d=2), names)
         ProgressWriter(suite.progress_path).close()
-        assert detect_incomplete(prefix) == RunState.FRESH
+        assert detect_incomplete(prefix) == (RunState.FRESH, None)
         header = open(suite.chain_path, "rb").read()
         open(suite.chain_path, "wb").write(header[:-3])  # header cut short
-        assert detect_incomplete(prefix) == RunState.FRESH
+        assert detect_incomplete(prefix) == (RunState.FRESH, None)
         write_chain(suite, random_chain(8, n=1, d=2), names)
         with pytest.raises(CorruptRestart):
             detect_incomplete(prefix)

@@ -146,6 +146,12 @@ class TestAdapt:
         assert new.scale_factor == p.scale_factor
         assert 0.0 < rec.measure < 1.0
         assert rec.at_chain_length == 100
+        # unmeasured, the same shape and count, and no measure
+        bare, bare_rec = adapt(p, np.zeros(2), cov, chain_length=100, measured=False)
+        assert np.array_equal(bare.covariance, new.covariance)
+        assert np.array_equal(bare.chol_factor, new.chol_factor)
+        assert bare.adaptation_count == 1
+        assert math.isnan(bare_rec.measure)
 
     def test_identical_covariance_measures_zero(self):
         p = ProposalState.create(2)
