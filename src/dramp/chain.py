@@ -80,16 +80,17 @@ class CompactChain:
                 )
         self.dimension = dimension
         self.variable_names = variable_names
+        # rows past n are never read, so the arrays are left unzeroed
         cap = capacity
-        self._process_id = np.zeros(cap, dtype=np.int64)
-        self._dr_stage = np.zeros(cap, dtype=np.int64)
-        self._mean_acceptance_rate = np.zeros(cap, dtype=np.float64)
-        self._adaptation_measure = np.zeros(cap, dtype=np.float64)
-        self._burnin_location = np.zeros(cap, dtype=np.int64)
-        self._weight = np.zeros(cap, dtype=np.int64)
-        self._log_func = np.zeros(cap, dtype=np.float64)
-        self._verbose_start = np.zeros(cap, dtype=np.int64)
-        self._states = np.zeros((cap, dimension), dtype=np.float64)
+        self._process_id = np.empty(cap, dtype=np.int64)
+        self._dr_stage = np.empty(cap, dtype=np.int64)
+        self._mean_acceptance_rate = np.empty(cap, dtype=np.float64)
+        self._adaptation_measure = np.empty(cap, dtype=np.float64)
+        self._burnin_location = np.empty(cap, dtype=np.int64)
+        self._weight = np.empty(cap, dtype=np.int64)
+        self._log_func = np.empty(cap, dtype=np.float64)
+        self._verbose_start = np.empty(cap, dtype=np.int64)
+        self._states = np.empty((cap, dimension), dtype=np.float64)
         self._n = 0
         self._verbose = 0
 
@@ -153,24 +154,42 @@ class CompactChain:
     ) -> "CompactChain":
         """A chain holding copies of the given columns, in ChainRow's field
         order; ``states`` is (n, d). The verbose starts are the running sum
-        of the weights. Capacity is n + 1, so the live row a resume appends
-        needs no growth."""
+        of the weights. The capacity is what appending n + 1 rows leaves
+        (1024, doubled as needed), so a resumed chain, once its live row is
+        appended, grows at the rows where an uninterrupted one grows."""
+        columns = (process_ids, dr_stages, mean_acceptance_rates,
+                   adaptation_measures, burnin_locations, weights, log_funcs)
+        return cls._filled(variable_names, columns, states, room=True)
+
+    def slice(self, start: int, count: int) -> "CompactChain":
+        """Rows [start, start + count) as a new chain that owns its arrays,
+        with room for one more row only."""
+        return self._rows(start, start + count, room=False)
+
+    def tail(self, start: int) -> "CompactChain":
+        """Rows [start, n) as a new chain, with from_columns's room."""
+        return self._rows(start, self._n, room=True)
+
+    def _rows(self, start: int, end: int, room: bool) -> "CompactChain":
+        if start < 0 or end < start or end > self._n:
+            raise IndexError(
+                "rows [%d, %d) out of range [0, %d)" % (start, end, self._n)
+            )
+        columns = [getattr(self, name)[start:end] for name in _ROW_COLUMNS]
+        return self._filled(self.variable_names, columns, self._states[start:end], room)
+
+    @classmethod
+    def _filled(cls, variable_names, columns, states, room: bool):
         states = np.asarray(states, dtype=np.float64)
         if states.ndim != 2:
             raise DimensionMismatch(
                 "states must be (n, d), got shape %r" % (states.shape,)
             )
         n, dimension = states.shape
-        chain = cls(dimension, variable_names, capacity=n + 1)
-        columns = (
-            process_ids,
-            dr_stages,
-            mean_acceptance_rates,
-            adaptation_measures,
-            burnin_locations,
-            weights,
-            log_funcs,
-        )
+        capacity = _INITIAL_CAPACITY if room else n + 1
+        while capacity < n + 1:
+            capacity *= 2
+        chain = cls(dimension, variable_names, capacity=capacity)
         for name, values in zip(_ROW_COLUMNS, columns):
             values = np.asarray(values)
             if values.shape != (n,):
@@ -183,32 +202,20 @@ class CompactChain:
         if n and w.min() < 1:
             raise ValueError("weight must be >= 1, got %d" % w.min())
         chain._states[:n] = states
+        chain._verbose_start[:1] = 0
         np.cumsum(w[:-1], out=chain._verbose_start[1:n])
         chain._n = n
         chain._verbose = int(w.sum())
         return chain
 
-    def slice(self, start: int, count: int) -> "CompactChain":
-        """Rows [start, start + count) as a new chain that owns its arrays."""
-        end = start + count
-        if start < 0 or count < 0 or end > self._n:
-            raise IndexError(
-                "rows [%d, %d) out of range [0, %d)" % (start, end, self._n)
-            )
-        return CompactChain.from_columns(
-            self.variable_names,
-            *(getattr(self, name)[start:end] for name in _ROW_COLUMNS),
-            self._states[start:end],
-        )
-
     def _grow(self):
         cap = self._process_id.size * 2
         for name in _ROW_COLUMNS + ("_verbose_start",):
             old = getattr(self, name)
-            new = np.zeros(cap, dtype=old.dtype)
+            new = np.empty(cap, dtype=old.dtype)
             new[: self._n] = old[: self._n]
             setattr(self, name, new)
-        states = np.zeros((cap, self.dimension), dtype=np.float64)
+        states = np.empty((cap, self.dimension), dtype=np.float64)
         states[: self._n] = self._states[: self._n]
         self._states = states
 

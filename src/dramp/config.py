@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -56,8 +56,10 @@ MODES = ("serial", "multichain", "forkjoin")
 TRAJECTORY_VERSION = 4
 
 # Layout of the restart snapshot. 2 dropped the proposal, which resume
-# rebuilds from the rows, and hashes the mvn arrays' bytes in the digest.
-SNAPSHOT_FORMAT_VERSION = 2
+# rebuilds from the rows, and hashes the mvn arrays' bytes in the digest;
+# 3 dropped the adaptation count, the stream's identity and the multichain
+# bookkeeping, which resume derives from the rows.
+SNAPSHOT_FORMAT_VERSION = 3
 
 # every user-facing field, in echo order; descriptions double as CLI help
 FIELD_DESCRIPTIONS: Dict[str, str] = {
@@ -279,11 +281,9 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
     )
     if not scale_factor > 0.0:
         raise ValueError("scale-factor: must be positive")
-    period = (
-        max(10 * dim, 100)
-        if merged["adaptation-period"] is None
-        else _int(merged["adaptation-period"], "adaptation-period")
-    )
+    period = merged["adaptation-period"]
+    if period is not None:
+        period = _int(period, "adaptation-period")
 
     mode = str(merged["mode"]).strip().lower()
     if mode not in MODES:
@@ -306,6 +306,8 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
         adaptation_period=period,
         greedy_adaptation_count=_int(merged["greedy-count"], "greedy-count"),
     )
+    # the echo and the digest hold the concrete period
+    kernel = replace(kernel, adaptation_period=kernel.resolved_adaptation_period(dim))
     output = OutputSuite(
         prefix=str(merged["out"]),
         chain_format=str(merged["format"]).strip().lower(),

@@ -9,16 +9,17 @@ chains one after another into the same files and also snapshot between
 chains.
 
 The driver snapshots the kernel at every flush boundary (each adaptation and
-every 1000 written rows). A snapshot holds only what the chain rows cannot
-give back: the stream cursor, the adaptation count, the pending adaptation
-measure and the live row, plus each completed multichain chain's adaptation
-count. A run killed at any instant therefore resumes from the last snapshot,
-as detect_incomplete read it, through one preamble: the chain and progress
-files are truncated to the snapshot's byte offsets, the in-memory chain is
-rebuilt from the truncated file, the kernel restores the snapshot's fields
-and derives the rest from the rows (moment accumulators, burn-in, stage
-tallies, the proposal) by the rules a run applies. The completed outputs of
-a resumed run are byte-identical to an uninterrupted one.
+every 1000 written rows). A snapshot (format version 3) holds the file
+offsets and what the rows cannot give back: the kernel's stream cursor,
+pending adaptation measure and live row, or no kernel between multichain
+chains. A run killed at any instant resumes from the last snapshot, as
+detect_incomplete read it, through one preamble: the rows it counts are
+read, checked and split into multichain chains by process id (chain i
+stamps i + 1; the live row names the chain in progress), the files are cut
+back to its offsets, and the kernel restores its fields and derives the
+rest (moments, burn-in, stage tallies, the proposal and its adaptation
+count) by the rules a run applies. The completed outputs of a resumed run
+are byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -47,14 +48,13 @@ from .kernel import (
     KernelSummary,
     RoundStreams,
     SerialStreams,
-    stage_tallies,
 )
 from .model import TargetDensity
 from .parallel import (
     ContributionTally,
+    SpeedupReport,
     build_speedup_report,
-    fit_geometric,
-    measured_speedup,
+    forkjoin_speedup,
 )
 
 # Nothing here calls these (detect_incomplete reads the snapshot); they stay
@@ -152,15 +152,13 @@ def _snapshot_header(spec: SimulationSpec, digest: int) -> dict:
     }
 
 
-def _payload(header: dict, sw: _SuiteFiles,
-             kernel_state: Optional[dict], extra: dict) -> dict:
+def _payload(header: dict, sw: _SuiteFiles, kernel_state: Optional[dict]) -> dict:
     return dict(
         header,
         rows_written=sw.rows_written,
         chain_offset=sw.writer.tell(),
         progress_offset=sw.progress.tell(),
         kernel=kernel_state,
-        **extra,
     )
 
 
@@ -168,7 +166,6 @@ def _make_handler(
     kern: Kernel,
     sw: _SuiteFiles,
     header: dict,
-    extra_fn: Callable[[], dict],
     on_event: Optional[Callable[[tuple], None]],
 ) -> Callable[[List[tuple]], None]:
     """Shared persistence reaction to the events of one kernel step.
@@ -198,7 +195,7 @@ def _make_handler(
             elif kind == "tick":
                 sw.tick(event[1])
         if snapshot_due:
-            sw.snapshot(_payload(header, sw, kern.state_dict(), extra_fn()))
+            sw.snapshot(_payload(header, sw, kern.state_dict()))
         if on_event is not None:
             for event in events:
                 on_event(event)
@@ -228,11 +225,36 @@ def _remove_suite(spec: SimulationSpec) -> None:
             pass
 
 
-def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> CompactChain:
-    """Read the chain rows the snapshot counts, then cut the chain and
+def _split_chains(spec: SimulationSpec, stored: CompactChain,
+                  snap: dict) -> List[int]:
+    """[0, end of chain 1, ..., end of chain k]: the k completed multichain
+    chains in ``stored``, then the finalized rows of chain k + 1 (none
+    between chains). Chain i stamps its rows i + 1, so the runs of equal
+    process ids must be 1, ..., m, and the live row names chain k + 1."""
+    ids = stored.process_ids
+    ends = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist() + [ids.size]
+    runs = ids[[0] + ends[:-1]] if ids.size else ids
+    live = snap["kernel"]
+    k = runs.size if live is None else int(live["live_row"]["process_id"]) - 1
+    _require(
+        np.array_equal(runs, np.arange(1, runs.size + 1))
+        and runs.size - k in (0, 1)
+        and 0 <= k <= spec.n_chains - (live is not None),
+        "chain file process ids run %s, not 1, 2, ... up to chain %d, which "
+        "the snapshot resumes" % (runs[:10].tolist(), k + 1),
+    )
+    return ([0] + ends)[: k + 1]
+
+
+def _truncate_for_resume(
+    spec: SimulationSpec, snap: dict
+) -> Tuple[CompactChain, List[int]]:
+    """Read the chain rows the snapshot counts, split multichain rows into
+    chains (_split_chains; one chain otherwise), then cut the chain and
     progress files back to the snapshot's offsets. A file shorter than its
-    offset (truncating would pad it with NULs), a damaged row or a wrong row
-    count refuses the resume before any file is modified."""
+    offset (truncating would pad it with NULs), a damaged row, a wrong row
+    count or process ids that do not split refuse the resume before any
+    file is modified."""
     cuts = (
         (spec.output.chain_path, int(snap["chain_offset"])),
         (spec.output.progress_path, int(snap["progress_offset"])),
@@ -255,12 +277,18 @@ def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> CompactChain:
         "chain file holds %d rows, snapshot says %d"
         % (stored.n_rows, int(snap["rows_written"])),
     )
+    _require(
+        stored.dimension == spec.target_spec.dimension,
+        "chain file dimension %d does not match the target's %d"
+        % (stored.dimension, spec.target_spec.dimension),
+    )
     # the stage tallies are read off this column
     stages = stored.dr_stages
     _require(
         np.all((stages >= 0) & (stages <= spec.kernel.dr_stage_count)),
         "chain file holds a DR stage outside [0, %d]" % spec.kernel.dr_stage_count,
     )
+    edges = _split_chains(spec, stored, snap) if spec.mode == "multichain" else [0]
     try:
         for path, offset in cuts:
             os.truncate(path, offset)
@@ -268,7 +296,7 @@ def _truncate_for_resume(spec: SimulationSpec, snap: dict) -> CompactChain:
         raise CorruptRestart(
             "cannot truncate output files to the snapshot boundary: %s" % exc
         ) from exc
-    return stored
+    return stored, edges
 
 
 def _finish(
@@ -277,8 +305,7 @@ def _finish(
     summaries: List[KernelSummary],
     chains: List[CompactChain],
     tally: Optional[ContributionTally],
-    p_hat: float,
-    observed_speedup: Optional[float],
+    speedup: SpeedupReport,
     restarted: bool,
 ) -> RunResult:
     per_chain: List[Optional[RefinedSample]] = []
@@ -311,7 +338,6 @@ def _finish(
             rounds=usable[0].rounds,
         )
     write_sample(sw.suite.sample_path, pooled, spec.output.delimiter)
-    speedup = build_speedup_report(p_hat, observed_speedup)
     write_report(
         sw.suite,
         spec_to_items(spec),
@@ -356,102 +382,51 @@ def _run(
     header: dict,
     resume: Optional[dict],
     stored: Optional[CompactChain],
+    edges: List[int],
     on_event,
 ) -> RunResult:
     multichain = spec.mode == "multichain"
-    completed_rows: List[int] = []
-    completed_meta: List[dict] = []
     summaries: List[KernelSummary] = []
     chains: List[CompactChain] = []
-    first_index = 0
     kern: Optional[Kernel] = None
 
     if resume is None:
         sw = _SuiteFiles(spec, target.dimension, append=False)
     else:
-        _require(
-            stored.dimension == target.dimension,
-            "chain file dimension %d does not match the target's %d"
-            % (stored.dimension, target.dimension),
-        )
-        if multichain:
-            # the stored file holds the completed chains, then the prefix of
-            # the chain the snapshot was taken in
-            completed_rows = [int(v) for v in resume["completed_rows"]]
-            completed_meta = [dict(m) for m in resume["completed_meta"]]
-            first_index = int(resume["chain_index"])
-            offset = 0
-            for meta, n_rows in zip(completed_meta, completed_rows):
-                block = _slice_chain(stored, offset, n_rows)
-                offset += n_rows
-                chains.append(block)
-                attempts, accepts = stage_tallies(block, spec.kernel.dr_stage_count)
-                summaries.append(
-                    KernelSummary(
-                        chain=block,
-                        stage_attempts=attempts,
-                        stage_accepts=accepts,
-                        # the run's end stamps its burn-in on the last row
-                        burnin_location=int(block.burnin_locations[-1]),
-                        adaptation_count=int(meta["adaptation_count"]),
-                    )
-                )
-            prefix = _slice_chain(stored, offset, stored.n_rows - offset)
-        else:
-            prefix = stored
+        for start, end in zip(edges, edges[1:]):
+            chains.append(_slice_chain(stored, start, end - start))
+            summaries.append(KernelSummary.of(chains[-1], spec.kernel))
         sw = _SuiteFiles(spec, target.dimension, append=True,
                          rows_written=stored.n_rows)
-        if resume["kernel"] is None:
-            _require(
-                prefix.n_rows == 0,
-                "snapshot taken between chains but %d stray rows follow the "
-                "last completed chain" % prefix.n_rows,
-            )
-        else:
-            kern = _make_kernel(spec, target, first_index, chain=prefix)
+        if resume["kernel"] is not None:
+            # no copy when the stored rows are all the chain in progress
+            prefix = stored.tail(edges[-1]) if edges[-1] else stored
+            kern = _make_kernel(spec, target, len(chains), chain=prefix)
             kern.load_state(resume["kernel"])
 
-    def extra(chain_index: int) -> dict:
-        if not multichain:
-            return {}
-        return {
-            "chain_index": chain_index,
-            "completed_rows": list(completed_rows),
-            "completed_meta": list(completed_meta),
-        }
-
     try:
-        for index in range(first_index, spec.n_chains if multichain else 1):
+        for index in range(len(chains), spec.n_chains if multichain else 1):
             if kern is None:
                 kern = _make_kernel(spec, target, index)
-                sw.snapshot(_payload(header, sw, kern.state_dict(), extra(index)))
-            summary = kern.run(
-                _make_handler(kern, sw, header, lambda: extra(index), on_event)
-            )
+                sw.snapshot(_payload(header, sw, kern.state_dict()))
+            summary = kern.run(_make_handler(kern, sw, header, on_event))
             sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
             if multichain:
-                completed_rows.append(kern.chain.n_rows)
-                completed_meta.append(
-                    {"adaptation_count": summary.adaptation_count}
-                )
-                sw.snapshot(_payload(header, sw, None, extra(index + 1)))
+                sw.snapshot(_payload(header, sw, None))
             else:
                 sw.flush()
             summaries.append(summary)
             chains.append(kern.chain)
             kern = None
-        tally = None
-        observed = None
         if spec.mode == "forkjoin":
-            tally = ContributionTally.from_chain(chains[0], spec.worker_count)
-            p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
-            observed = measured_speedup(chains[0], spec.worker_count)
+            tally, speedup = forkjoin_speedup(chains[0], spec.worker_count)
         else:
-            p_hat = sum(c.n_rows for c in chains) / sum(
-                c.verbose_length for c in chains
+            tally = None
+            speedup = build_speedup_report(
+                sum(c.n_rows for c in chains) / sum(c.verbose_length for c in chains)
             )
         return _finish(
-            spec, sw, summaries, chains, tally, p_hat, observed,
+            spec, sw, summaries, chains, tally, speedup,
             restarted=resume is not None,
         )
     finally:
@@ -491,7 +466,7 @@ def run_simulation(
         # first snapshot
         _remove_suite(spec)
     digest = spec_digest(spec)
-    stored = None
+    stored, edges = None, [0]
     if state is RunState.RESTARTABLE:
         check_restart_compatibility(spec, snap, digest)
         _require(
@@ -499,9 +474,9 @@ def run_simulation(
             "snapshot mode %r does not match spec mode %r"
             % (snap.get("mode"), spec.mode),
         )
-        stored = _truncate_for_resume(spec, snap)
+        stored, edges = _truncate_for_resume(spec, snap)
     return _run(spec, make_target(spec), _snapshot_header(spec, digest),
-                snap, stored, on_event)
+                snap, stored, edges, on_event)
 
 
 def replay_adaptation_covariances(

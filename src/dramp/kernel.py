@@ -70,6 +70,7 @@ __all__ = [
     "propose_cascade",
     "burnin_location",
     "stage_tallies",
+    "adaptation_count",
     "Kernel",
     "run_kernel",
 ]
@@ -277,6 +278,14 @@ def burnin_location(
     return int(np.sum(np.asarray(weights, dtype=np.int64)[:row]))
 
 
+def adaptation_count(n_rows: int, dimension: int, period: int) -> int:
+    """Adaptations a chain makes by ``n_rows`` rows: commit adapts at every
+    multiple of the period from 2 rows on, and adapt counts one only past
+    ``dimension`` rows, so the multiples in [max(2, d + 1), n_rows]."""
+    first = max(2, dimension + 1)
+    return max(0, n_rows // period - (first - 1) // period)
+
+
 def stage_tallies(
     chain: CompactChain, dr_stage_count: int
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -296,15 +305,12 @@ class SerialStreams:
     """One continuous generator for the whole chain (serial and multichain).
 
     Every attempt draws from the chain's own stream, and every row is
-    stamped ``chain_index + 1``.
+    stamped ``chain_index + 1``. Its state is the generator's.
     """
 
-    kind = "serial"
-
     def __init__(self, seed: int, chain_index: int = 0):
-        self.seed = int(seed)
         self.chain_index = int(chain_index)
-        self._gen = rng_mod.chain_stream(self.seed, self.chain_index)
+        self._gen = rng_mod.chain_stream(seed, self.chain_index)
 
     def generator(self, attempt: int) -> np.random.Generator:
         return self._gen
@@ -313,15 +319,10 @@ class SerialStreams:
         return self.chain_index + 1
 
     def state_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "chain_index": self.chain_index,
-            "generator": rng_mod.stream_state(self._gen),
-        }
+        return rng_mod.stream_state(self._gen)
 
     def load_state(self, state: dict) -> None:
-        self._gen = rng_mod.restore_stream(state["generator"])
+        self._gen = rng_mod.restore_stream(state)
 
 
 class RoundStreams:
@@ -333,16 +334,14 @@ class RoundStreams:
     accepted after w attempts from its predecessor was drawn by rank
     ((w - 1) mod P) + 1. The generator returned for one attempt is the
     object's one generator, reseated, and is valid only until the next.
+    Nothing here has state: a stream is derived per attempt.
     """
-
-    kind = "per_round"
 
     def __init__(self, seed: int, worker_count: int = 1):
         if worker_count < 1:
             raise ValueError("worker_count must be >= 1, got %d" % worker_count)
-        self.seed = int(seed)
         self.worker_count = int(worker_count)
-        self._owner = rng_mod.RoundGenerator(self.seed)
+        self._owner = rng_mod.RoundGenerator(seed)
 
     def generator(self, attempt: int) -> np.random.Generator:
         return rng_mod.round_stream(self._owner, attempt)
@@ -350,11 +349,11 @@ class RoundStreams:
     def process_id(self, weight: int) -> int:
         return (weight - 1) % self.worker_count + 1
 
-    def state_dict(self) -> dict:
-        return {"kind": self.kind, "seed": self.seed}
+    def state_dict(self) -> None:
+        return None
 
-    def load_state(self, state: dict) -> None:
-        pass  # nothing stateful; streams are derived per attempt
+    def load_state(self, state: None) -> None:
+        pass
 
 
 @dataclass
@@ -366,6 +365,16 @@ class KernelSummary:
     stage_accepts: Tuple[int, ...]
     burnin_location: int
     adaptation_count: int
+
+    @classmethod
+    def of(cls, chain: CompactChain, config: KernelConfig) -> "KernelSummary":
+        """The summary of a finished chain, read off its rows; the run's
+        end stamps its burn-in on the last row."""
+        attempts, accepts = stage_tallies(chain, config.dr_stage_count)
+        d = chain.dimension
+        period = config.resolved_adaptation_period(d)
+        return cls(chain, attempts, accepts, int(chain.burnin_locations[-1]),
+                   adaptation_count(chain.n_rows, d, period))
 
     @property
     def mean_acceptance_rate(self) -> float:
@@ -389,9 +398,9 @@ class Kernel:
     callback, so callers persist rows and snapshots between steps. The seed
     row is stamped ``streams.process_id(1)``.
 
-    Apart from the stream cursor, the adaptation count, the pending
-    adaptation measure and the live row, the kernel's state is a function of
-    the chain's rows, which load_state derives on resume.
+    Apart from the stream cursor, the pending adaptation measure and the
+    live row, the kernel's state is a function of the chain's rows, which
+    load_state derives on resume.
     """
 
     def __init__(
@@ -575,23 +584,16 @@ class Kernel:
 
     def summary(self) -> KernelSummary:
         self._stamp_live()  # the end of the run finalizes the last row
-        attempts, accepts = stage_tallies(self.chain, self.config.dr_stage_count)
-        return KernelSummary(
-            chain=self.chain,
-            stage_attempts=attempts,
-            stage_accepts=accepts,
-            burnin_location=self._burnin,
-            adaptation_count=self.proposal.adaptation_count,
-        )
+        return KernelSummary.of(self.chain, self.config)
 
     # restart transport: plain structures; persist owns the exact encoding
     def state_dict(self) -> dict:
-        """What the chain's rows cannot give back: the stream cursor, the
-        adaptation count, the pending adaptation measure and the live row.
-        The proposal is not stored; load_state rebuilds it."""
+        """What the chain's rows cannot give back: the stream cursor (None
+        for fork-join), the pending adaptation measure and the live row.
+        The proposal and its adaptation count are not stored; load_state
+        derives them."""
         return {
             "stream": self.streams.state_dict(),
-            "adaptation_count": self.proposal.adaptation_count,
             "pending_measure": self._pending_measure,
             # a fresh ChainRow: its fields, without a deep copy
             "live_row": vars(self.chain.row(self.chain.n_rows - 1)),
@@ -614,9 +616,8 @@ class Kernel:
             self._fold(boundary)
         if boundaries:
             last = boundaries[-1]
-            # the count before the last adaptation; below d + 1 rows adapt
-            # is a no-op and counts nothing
-            count = int(state["adaptation_count"]) - (last > chain.dimension)
+            # the count the adaptations before the last one reached
+            count = adaptation_count(last - 1, chain.dimension, self._period)
             self.proposal = replace(self.proposal, adaptation_count=count)
             # the snapshot holds the measure a run would have pending
             self._adapt_at(last, measured=False)

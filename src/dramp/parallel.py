@@ -57,6 +57,7 @@ __all__ = [
     "recommend_workers",
     "build_speedup_report",
     "measured_speedup",
+    "forkjoin_speedup",
     "PREDICTION_GRID",
 ]
 
@@ -208,6 +209,16 @@ def build_speedup_report(
     )
 
 
+def forkjoin_speedup(
+    chain: CompactChain, worker_count: int
+) -> Tuple[ContributionTally, SpeedupReport]:
+    """A fork-join chain's contribution tally and its speedup report: p-hat
+    fitted to the tally (1.0 for an empty one) and the observed speedup."""
+    tally = ContributionTally.from_chain(chain, worker_count)
+    p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
+    return tally, build_speedup_report(p_hat, measured_speedup(chain, worker_count))
+
+
 def run_multichain(
     target: TargetDensity,
     config: KernelConfig,
@@ -275,12 +286,5 @@ def run_forkjoin(
         target, config, proposal, RoundStreams(config.rng_seed, worker_count),
         on_event,
     )
-    tally = ContributionTally.from_chain(summary.chain, worker_count)
-    p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
-    return ForkJoinResult(
-        summary=summary,
-        tally=tally,
-        speedup=build_speedup_report(
-            p_hat, measured_speedup(summary.chain, worker_count)
-        ),
-    )
+    tally, speedup = forkjoin_speedup(summary.chain, worker_count)
+    return ForkJoinResult(summary=summary, tally=tally, speedup=speedup)

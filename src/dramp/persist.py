@@ -8,9 +8,10 @@ platforms.
 
 The restart file is a checksummed binary envelope around an exact state
 payload (floats as hex strings), written atomically; a crash can only ever
-leave the previous snapshot in place, never a corrupt one. The payload holds
-O(d) values, never the d x d proposal, which resume rebuilds from the chain
-rows; detect_incomplete hands its caller the payload it checked.
+leave the previous snapshot in place, never a corrupt one. The payload
+(format version 3) holds file offsets and O(d) kernel values, never what
+the rows determine (the proposal, the adaptation count, each row's chain);
+detect_incomplete hands its caller the payload it checked.
 """
 
 from __future__ import annotations
@@ -149,7 +150,6 @@ class ChainWriter:
             "%d %d %.17g %.17g %d %d %.17g".split()
             + ["%.17g"] * len(self.variable_names)
         ) + "\n"
-        self.rows_written = 0
         try:
             self._fh = open(suite.chain_path, "ab" if append else "wb")
         except OSError as exc:
@@ -191,7 +191,6 @@ class ChainWriter:
                 self._fh.write(self._struct.pack(*fields))
         except OSError as exc:
             raise IoFailure("chain write failed: %s" % exc) from exc
-        self.rows_written += 1
 
     def flush(self) -> None:
         self._fh.flush()

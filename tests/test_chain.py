@@ -233,13 +233,13 @@ class TestColumnsAndSlices:
         assert_same_chain(got, want)
 
     def test_from_columns_then_append_matches_append_row(self):
-        # the first append fills the spare row, the next ones grow the arrays
-        rows = random_rows(2, 50, 2)
+        # the appends fill the spare rows, then grow the arrays at 1024
+        rows = random_rows(2, 1100, 2)
         got = CompactChain.from_columns(
             ("Var1", "Var2"),
-            *(getattr(appended(rows[:20], 2), c) for c in ROW_COLUMNS),
+            *(getattr(appended(rows[:1000], 2), c) for c in ROW_COLUMNS),
         )
-        for row in rows[20:]:
+        for row in rows[1000:]:
             got.append_row(row)
         got.increment_last(4)
         want = appended(rows, 2)
@@ -282,6 +282,47 @@ class TestColumnsAndSlices:
     def test_slice_out_of_range(self, start, count):
         with pytest.raises(IndexError):
             appended(random_rows(6, 40, 2), 2).slice(start, count)
+
+    @pytest.mark.parametrize("start", [0, 13, 40])
+    def test_tail_matches_append_row(self, start):
+        rows = random_rows(9, 40, 2)
+        assert_same_chain(appended(rows, 2).tail(start),
+                          appended(rows[start:], 2))
+
+    @pytest.mark.parametrize("start", [-1, 41])
+    def test_tail_out_of_range(self, start):
+        with pytest.raises(IndexError):
+            appended(random_rows(10, 40, 2), 2).tail(start)
+
+    def test_tail_owns_its_arrays_and_has_room_to_grow(self):
+        # the chain a multichain resume steps is the tail of the chain read
+        # from the file: its appends fill spare rows, then grow the arrays
+        rows = random_rows(12, 1200, 2)
+        source = appended(rows[:1000], 2)
+        part = source.tail(900)
+        assert part._weight.size == 1024
+        for row in rows[1000:]:
+            part.append_row(row)
+        part.increment_last(3)
+        part.restamp_last(0.125, 77)
+        want = appended(rows[900:], 2)
+        want.increment_last(3)
+        want.restamp_last(0.125, 77)
+        assert_same_chain(part, want)
+        assert_same_chain(source, appended(rows[:1000], 2))
+
+    @pytest.mark.parametrize("n", [0, 1, 500, 1023, 1024, 2500])
+    def test_read_chain_has_the_capacity_appending_leaves(self, n):
+        # a resume appends the live row to a chain of n rows read from the
+        # file; it then has the capacity of a chain that appended n + 1
+        # rows, and grows where that one grows. A slice, which holds a
+        # completed chain, keeps room for one row only.
+        rows = random_rows(11, n + 1, 2)
+        oracle = appended(rows, 2)
+        columns = [getattr(appended(rows[:n], 2), c) for c in ROW_COLUMNS]
+        rebuilt = CompactChain.from_columns(("Var1", "Var2"), *columns)
+        assert rebuilt._weight.size == oracle._weight.size
+        assert oracle.slice(1, n)._weight.size == n + 1
 
     def test_slice_owns_its_arrays(self):
         rows = random_rows(7, 30, 2)

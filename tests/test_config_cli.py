@@ -41,7 +41,7 @@ import dramp.driver
 import dramp.kernel
 import dramp.persist
 from dramp.driver import run_simulation
-from dramp.errors import BadDimension, SpecMismatch
+from dramp.errors import BadDimension, CorruptRestart, SpecMismatch
 from dramp.kernel import Kernel
 from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import PREDICTION_GRID
@@ -309,8 +309,13 @@ class TestSpecRendering:
             check(spec, dict(snap, chain_format="binary"))
         with pytest.raises(SpecMismatch, match="delimiter"):
             check(spec, dict(snap, delimiter=";"))
-        with pytest.raises(SpecMismatch, match="version 1 differs .* 2"):
-            check(spec, dict(snap, format_version=1))
+        for stale in (1, 2):
+            with pytest.raises(
+                SpecMismatch,
+                match="format version %d differs .* %d"
+                % (stale, SNAPSHOT_FORMAT_VERSION),
+            ):
+                check(spec, dict(snap, format_version=stale))
         older = dict(snap)
         del older["trajectory_version"]  # written before the field existed
         for stale in (older, dict(snap, trajectory_version=TRAJECTORY_VERSION + 1)):
@@ -877,40 +882,161 @@ class TestResume:
         assert run_simulation(spec).restarted is True
         assert reads == [spec.output.restart_path]
 
+    @staticmethod
+    def version_2_kernel(spec, snap, chain_index):
+        """The kernel block of a version-2 snapshot: the adaptation count,
+        and the stream's kind, seed and chain index around its state."""
+        kernel = snap["kernel"]
+        n_rows = read_chain(spec.output.chain_path, spec.output.delimiter,
+                            size=snap["chain_offset"]).n_rows + 1
+        count = dramp.kernel.adaptation_count(
+            n_rows, spec.target_spec.dimension, spec.kernel.adaptation_period)
+        stream = {"kind": "serial", "seed": spec.kernel.rng_seed,
+                  "chain_index": chain_index, "generator": kernel["stream"]}
+        return dict(kernel, stream=stream, adaptation_count=count)
+
+    def refused_untouched(self, tmp_path, capsys, argv, older, version):
+        write_snapshot("run_restart.bin", older)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                     "--deterministic-test-mode"] + argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "snapshot format version %d differs from this build's %d" % (
+            version, SNAPSHOT_FORMAT_VERSION) in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_format_1_snapshot_refused_untouched(
         self, tmp_path, monkeypatch, capsys
     ):
-        # a snapshot in the version-1 layout: the proposal block in the
-        # kernel state, and a digest of the rendered mvn arrays
+        # a snapshot in the version-1 layout: the version-2 kernel block
+        # plus the proposal, and a digest of the rendered mvn arrays
         monkeypatch.chdir(tmp_path)
         spec = self.spec_here()
         run_to_interrupt(spec, 350)
         snap = read_snapshot(spec.output.restart_path)
-        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 2
+        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 3
         lines = ["%s=%s" % (key, value) for key, value, _ in spec_to_items(spec)
                  if key not in DIGEST_EXCLUDED]
         rendered = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
         d = spec.target_spec.dimension
-        kernel = dict(snap["kernel"], proposal={
+        kernel = self.version_2_kernel(spec, snap, 0)
+        kernel["proposal"] = {
             "dimension": d,
             "covariance": np.eye(d),
             "scale_factor": spec.scale_factor,
             "dr_scales": list(spec.dr_scales),
-            "adaptation_count": snap["kernel"]["adaptation_count"],
-        })
-        del kernel["adaptation_count"]
+            "adaptation_count": kernel.pop("adaptation_count"),
+        }
         older = dict(snap, format_version=1, kernel=kernel,
                      spec_digest=int.from_bytes(rendered[:8], "big"))
-        write_snapshot(spec.output.restart_path, older)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        self.refused_untouched(tmp_path, capsys, [], older, 1)
 
-        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
-                "--deterministic-test-mode"]
-        assert main(argv) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and err.count("\n") == 1
-        assert "snapshot format version 1 differs from this build's 2" in err
+    def test_format_2_snapshot_refused_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a snapshot in the version-2 layout, taken in chain 2 of 2: the
+        # adaptation count and the stream's identity in the kernel block,
+        # and the multichain bookkeeping beside it
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(mode="multichain", chains="2")
+        run_to_interrupt(spec, 949)
+        snap = read_snapshot(spec.output.restart_path)
+        first = read_chain(spec.output.chain_path).slice(0, 600)
+        older = dict(
+            snap, format_version=2, kernel=self.version_2_kernel(spec, snap, 1),
+            chain_index=1, completed_rows=[600],
+            completed_meta=[{"adaptation_count": dramp.kernel.adaptation_count(
+                first.n_rows, spec.target_spec.dimension,
+                spec.kernel.adaptation_period)}],
+        )
+        self.refused_untouched(tmp_path, capsys,
+                               ["--mode", "multichain", "--chains", "2"], older, 2)
+
+    def test_snapshots_hold_no_multichain_bookkeeping(self, tmp_path, monkeypatch):
+        # which chain a row belongs to, and how often a completed chain
+        # adapted, are read off the rows on resume
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(mode="multichain", chains="3")
+        payloads = []
+        write = dramp.driver.write_snapshot
+
+        def recording_write(path, payload):
+            payloads.append(payload)
+            write(path, payload)
+
+        monkeypatch.setattr(dramp.driver, "write_snapshot", recording_write)
+        run_simulation(spec)
+        assert sum(p["kernel"] is None for p in payloads) == 3
+        for payload in payloads:
+            assert not {"chain_index", "completed_rows", "completed_meta"} & set(payload)
+            assert set(payload) == {
+                "format_version", "trajectory_version", "spec_digest", "mode",
+                "chain_format", "delimiter", "n_chains", "worker_count",
+                "rows_written", "chain_offset", "progress_offset", "kernel"}
+
+    # rows 0-599 are chain 1, row 700 is among chain 2's finalized rows
+    @pytest.mark.parametrize("rows,process_id", [
+        ([100], 2), ([100], 3), ([599], 3), ([700], 1), ([700], 3),
+        (range(600), 5), ("live", 1),
+    ], ids=["row100-id2", "row100-id3", "row599-id3", "row700-id1",
+            "row700-id3", "chain1-id5", "live-id1"])
+    def test_process_ids_that_do_not_split_refused_untouched(
+        self, tmp_path, monkeypatch, rows, process_id
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(mode="multichain", chains="2", format="binary")
+        run_to_interrupt(spec, 949)
+        path = pathlib.Path(spec.output.chain_path)
+        if rows == "live":
+            snap = read_snapshot(spec.output.restart_path)
+            snap["kernel"]["live_row"]["process_id"] = process_id
+            write_snapshot(spec.output.restart_path, snap)
+        else:
+            raw = bytearray(path.read_bytes())
+            names = struct.unpack_from("<III", raw, len(CHAIN_MAGIC))[2]
+            size = struct.calcsize("<IIddQQd") + 8 * spec.target_spec.dimension
+            for row in rows:
+                offset = len(CHAIN_MAGIC) + 12 + names + row * size
+                struct.pack_into("<I", raw, offset, process_id)
+            path.write_bytes(bytes(raw))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(CorruptRestart, match="process ids run"):
+            run_simulation(spec)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "serial"},
+        {"mode": "multichain", "chains": "2"},
+        {"mode": "forkjoin", "workers": "8"},
+    ], ids=["serial", "multichain", "forkjoin"])
+    def test_resumed_chain_has_room_for_its_next_rows(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        # the rebuilt chain holds the live row and the rows after it
+        # without reallocating its columns
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, 950 if overrides["mode"] == "multichain" else 350)
+        grows = []
+        counting = [False]
+        grow = CompactChain._grow
+        load_state = Kernel.load_state
+
+        def counting_grow(chain):
+            if counting[0]:
+                grows.append(chain.n_rows)
+            grow(chain)
+
+        def counting_load_state(kern, state):
+            counting[0] = True
+            load_state(kern, state)
+
+        monkeypatch.setattr(CompactChain, "_grow", counting_grow)
+        monkeypatch.setattr(Kernel, "load_state", counting_load_state)
+        with pytest.raises(Interrupt):
+            run_simulation(spec, on_event=interrupt_after(1))
+        assert counting[0] and grows == []
 
     # 1200-row chains also snapshot between adaptations, at written row
     # 1000; so does the second 600-row multichain chain. At d = 8 with a
@@ -949,17 +1075,23 @@ class TestResume:
 
         write = dramp.driver.write_snapshot
         checked = []
+        between = []
 
         def checking_write(path, payload):
             write(path, payload)
-            if payload["kernel"] is None:
-                return
-            kern = running[-1]
             stored = read_chain(spec.output.chain_path, spec.output.delimiter,
                                 size=payload["chain_offset"])
-            start = sum(payload.get("completed_rows", []))
-            prefix = stored.slice(start, stored.n_rows - start)
-            index = payload.get("chain_index", 0)
+            # the split a resume derives from the rows and the live row
+            edges = [0]
+            if spec.mode == "multichain":
+                edges = dramp.driver._split_chains(spec, stored, payload)
+            index = len(edges) - 1
+            if payload["kernel"] is None:
+                between.append(index)
+                return
+            kern = running[-1]
+            assert index == getattr(kern.streams, "chain_index", 0)
+            prefix = stored.tail(edges[-1])
             rebuilt = dramp.driver._make_kernel(spec, kern.target, index, chain=prefix)
             adapts[0] = 0
             rebuilt.load_state(read_snapshot(path)["kernel"])
@@ -989,6 +1121,8 @@ class TestResume:
         assert any(n > period and n % period for _, n, period, _ in checked)
         if stop is not None:
             assert any(index == 1 for index, _, _, _ in checked)
+            # after chain 1 (first run) and chain 2 (the resumed one)
+            assert between == [1, 2]
         # past the greedy adaptations, and past boundaries that adapted nothing
         greedy = spec.kernel.greedy_adaptation_count
         assert any(count > greedy for _, _, _, count in checked)

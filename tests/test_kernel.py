@@ -633,6 +633,9 @@ class TestStateTransport:
         kern.run()
         assert kern.proposal.adaptation_count == 5
         state = kern.state_dict()
-        assert set(state) == {"stream", "adaptation_count", "pending_measure",
-                              "live_row"}
-        assert state["adaptation_count"] == 5
+        # the adaptation count and the stream's identity are derived too:
+        # the stream block is the generator's own state
+        assert set(state) == {"stream", "pending_measure", "live_row"}
+        assert set(state["stream"]) == {"bit_generator", "state", "inc",
+                                        "has_uint32", "uinteger"}
+        assert RoundStreams(99, 4).state_dict() is None
