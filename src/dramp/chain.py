@@ -263,19 +263,25 @@ class CompactChain:
             raise EmptyRange("empty chain has no last state")
         return self._states[self._n - 1]
 
-    def row(self, i: int) -> ChainRow:
+    def fields(self, i: int) -> tuple:
+        """Row i as a chain file lays it out: the seven columns in ChainRow's
+        field order, then the state's coordinates, all as Python numbers."""
         if not 0 <= i < self._n:
             raise IndexError("row %d out of range [0, %d)" % (i, self._n))
-        return ChainRow(
-            process_id=int(self._process_id[i]),
-            dr_stage=int(self._dr_stage[i]),
-            mean_acceptance_rate=float(self._mean_acceptance_rate[i]),
-            adaptation_measure=float(self._adaptation_measure[i]),
-            burnin_location=int(self._burnin_location[i]),
-            weight=int(self._weight[i]),
-            log_func=float(self._log_func[i]),
-            state=self._states[i].copy(),
+        return (
+            self._process_id.item(i),
+            self._dr_stage.item(i),
+            self._mean_acceptance_rate.item(i),
+            self._adaptation_measure.item(i),
+            self._burnin_location.item(i),
+            self._weight.item(i),
+            self._log_func.item(i),
+            *self._states[i].tolist(),
         )
+
+    def row(self, i: int) -> ChainRow:
+        values = self.fields(i)
+        return ChainRow(*values[:7], state=np.array(values[7:]))
 
 
 def to_verbose(chain: CompactChain) -> Tuple[np.ndarray, np.ndarray]:

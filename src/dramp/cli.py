@@ -13,6 +13,7 @@ name as its config-file key; flags override file values.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -21,14 +22,7 @@ import numpy as np
 from .config import FIELD_DESCRIPTIONS, build_spec, parse_config_file
 from .driver import replay_adaptation_covariances, run_simulation
 from .errors import RefusedOverwrite, SamplerError, SpecMismatch
-from .parallel import (
-    PREDICTION_GRID,
-    ContributionTally,
-    fit_geometric,
-    measured_speedup,
-    predict_speedup,
-    recommend_workers,
-)
+from .parallel import predict_speedup, run_speedup
 from .persist import _fmt, read_chain, read_report_echo, write_sample
 from .refine import refine_two_phase
 
@@ -87,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     predict = sub.add_parser(
         "predict",
-        help="forecast fork-join scaling from a chain file",
+        help="forecast fork-join scaling from a chain file (and the run's "
+        "report next to it, if any)",
     )
     predict.add_argument("chain", help="chain file (ASCII or binary)")
     predict.add_argument(
@@ -172,23 +167,14 @@ def cmd_refine(args) -> int:
     return EXIT_OK
 
 
-def _forkjoin_tally(chain) -> Optional[ContributionTally]:
-    """Contribution tally if the chain came from a fork-join run.
-
-    The rank column of a fork-join chain fluctuates with each round's winner;
-    serial and independent-chain files carry constant or block-sorted ids.
-    The seed row belongs to no worker and is excluded.
-    """
-    pids = chain.process_ids[1:]
-    if pids.size == 0 or np.all(pids[1:] >= pids[:-1]):
-        return None
-    return ContributionTally.from_chain(chain, int(pids.max()))
-
-
 def cmd_predict(args) -> int:
     try:
         chain = read_chain(args.chain, args.delimiter)
-    except (SamplerError, OSError) as exc:
+        stem, sep, ext = args.chain.rpartition("_chain.")
+        spec = None
+        if sep and ext in ("txt", "bin") and os.path.exists(stem + "_report.txt"):
+            spec = _run_spec(stem)
+    except (SamplerError, OSError, ValueError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_CONFIG
     if chain.n_rows < 2:
@@ -200,30 +186,35 @@ def cmd_predict(args) -> int:
     if args.max_workers < 1:
         print("max-workers must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
-    tally = _forkjoin_tally(chain)
+    mode, workers = ("serial", 1) if spec is None else (spec.mode, spec.worker_count)
+    tally, speedup = run_speedup([chain], mode, workers)
     if tally is not None:
-        p_hat = fit_geometric(tally)
         print("source: worker contribution tally (%d workers)" % tally.worker_count)
     else:
-        p_hat = chain.n_rows / chain.verbose_length
         print("source: measured acceptance rate")
+    p_hat = speedup.fitted_acceptance_prob
     print("p-hat: %s" % _fmt(p_hat))
     print("P,PredictedSpeedup")
     workers = 1
     while workers <= args.max_workers:
         print("%d,%s" % (workers, _fmt(predict_speedup(p_hat, workers))))
         workers *= 2
-    print("recommended workers: %d" % recommend_workers(p_hat))
+    print("recommended workers: %d" % speedup.recommended_workers)
     return EXIT_OK
 
 
-def _load_run(prefix: str):
+def _run_spec(prefix: str):
+    """The spec a completed run echoed into its report."""
     echo = dict(read_report_echo("%s_report.txt" % prefix))
     if not echo:
         raise ValueError(
             "report for prefix %r is missing its specification echo" % prefix
         )
-    spec = build_spec(echo)
+    return build_spec(echo)
+
+
+def _load_run(prefix: str):
+    spec = _run_spec(prefix)
     ext = "txt" if spec.output.chain_format == "ascii" else "bin"
     chain = read_chain(
         "%s_chain.%s" % (prefix, ext), spec.output.delimiter
@@ -262,27 +253,19 @@ def cmd_export_plotdata(args) -> int:
                 raise ValueError(
                     "contribution data exists only for forkjoin runs"
                 )
-            tally = ContributionTally.from_chain(chain, spec.worker_count)
-            p_hat = fit_geometric(tally)
+            tally, speedup = run_speedup([chain], spec.mode, spec.worker_count)
+            p_hat = _fmt(speedup.fitted_acceptance_prob)
             lines.append("Rank,Count,FittedProbability")
             for rank, count in enumerate(tally.counts, start=1):
-                lines.append("%d,%d,%s" % (rank, count, _fmt(p_hat)))
+                lines.append("%d,%d,%s" % (rank, count, p_hat))
         else:  # scaling
-            tally = _forkjoin_tally(chain)
-            if tally is not None:
-                p_hat = fit_geometric(tally)
-                observed = measured_speedup(chain, spec.worker_count)
-            else:
-                p_hat = chain.n_rows / chain.verbose_length
-                observed = None
+            _, speedup = run_speedup([chain], spec.mode, spec.worker_count)
             lines.append("P,PredictedSpeedup,ObservedSpeedup")
-            for workers in PREDICTION_GRID:
+            for workers, value in speedup.predicted_curve:
                 obs = ""
-                if observed is not None and workers == spec.worker_count:
-                    obs = _fmt(observed)
-                lines.append(
-                    "%d,%s,%s" % (workers, _fmt(predict_speedup(p_hat, workers)), obs)
-                )
+                if speedup.observed_speedup is not None and workers == spec.worker_count:
+                    obs = _fmt(speedup.observed_speedup)
+                lines.append("%d,%s,%s" % (workers, _fmt(value), obs))
         with open(args.out_csv, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     except (SamplerError, OSError, ValueError) as exc:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,12 +50,7 @@ from .kernel import (
     SerialStreams,
 )
 from .model import TargetDensity
-from .parallel import (
-    ContributionTally,
-    SpeedupReport,
-    build_speedup_report,
-    forkjoin_speedup,
-)
+from .parallel import ContributionTally, SpeedupReport, run_speedup
 
 # Nothing here calls these (detect_incomplete reads the snapshot); they stay
 # importable here for tools that patch them by name.
@@ -116,8 +111,8 @@ class _SuiteFiles:
             return None
         return time.monotonic() - self._t0
 
-    def write_row(self, row) -> None:
-        self.writer.write_row(row)
+    def write_row(self, chain: CompactChain, i: int) -> None:
+        self.writer.write_row(chain.fields(i))
         self.rows_written += 1
 
     def tick(self, tick: dict) -> None:
@@ -167,7 +162,7 @@ def _make_handler(
     sw: _SuiteFiles,
     header: dict,
     on_event: Optional[Callable[[tuple], None]],
-) -> Callable[[List[tuple]], None]:
+) -> Callable[[Sequence[tuple]], None]:
     """Shared persistence reaction to the events of one kernel step.
 
     A snapshot stores the kernel state after the whole step, so a resume is
@@ -182,12 +177,12 @@ def _make_handler(
     the crash tests operate.
     """
 
-    def handle(events: List[tuple]) -> None:
+    def handle(events: Sequence[tuple]) -> None:
         snapshot_due = False
         for event in events:
             kind = event[0]
             if kind == "row_final":
-                sw.write_row(kern.chain.row(event[1]))
+                sw.write_row(kern.chain, event[1])
                 if sw.rows_written % _SNAPSHOT_ROW_PERIOD == 0:
                     snapshot_due = True
             elif kind == "adapt":
@@ -410,7 +405,7 @@ def _run(
                 kern = _make_kernel(spec, target, index)
                 sw.snapshot(_payload(header, sw, kern.state_dict()))
             summary = kern.run(_make_handler(kern, sw, header, on_event))
-            sw.write_row(kern.chain.row(kern.chain.n_rows - 1))
+            sw.write_row(kern.chain, kern.chain.n_rows - 1)
             if multichain:
                 sw.snapshot(_payload(header, sw, None))
             else:
@@ -418,13 +413,7 @@ def _run(
             summaries.append(summary)
             chains.append(kern.chain)
             kern = None
-        if spec.mode == "forkjoin":
-            tally, speedup = forkjoin_speedup(chains[0], spec.worker_count)
-        else:
-            tally = None
-            speedup = build_speedup_report(
-                sum(c.n_rows for c in chains) / sum(c.verbose_length for c in chains)
-            )
+        tally, speedup = run_speedup(chains, spec.mode, spec.worker_count)
         return _finish(
             spec, sw, summaries, chains, tally, speedup,
             restarted=resume is not None,
@@ -492,7 +481,7 @@ def replay_adaptation_covariances(
     kern = _make_kernel(spec, make_target(spec), 0)
     captured: List[Tuple[int, np.ndarray]] = []
 
-    def capture(events: List[tuple]) -> None:
+    def capture(events: Sequence[tuple]) -> None:
         for event in events:
             if event[0] == "adapt":
                 captured.append(

@@ -21,8 +21,11 @@ in an acceptance ratio is a squared norm of offsets the cascade already
 holds, and the Gaussian normalizing constants cancel: the step path has no
 linear solve and no log-determinant. The ratio also needs the acceptance
 probabilities of subpaths, each a contiguous index range walked forwards or
-backwards, so a cascade has O(k^2) of them; dr_log_alpha memoizes them by
-(first, last) across the cascade's stages and serves every stage >= 1.
+backwards, so a cascade has O(k^2) of them. dr_log_alpha serves every stage
+>= 1 from one memo per cascade that holds the subpath probabilities by
+(first, last), each whitened offset s_{m-1} z_m, computed once, and each
+squared norm of an offset difference, keyed by the unordered pair because
+the subtraction is exactly antisymmetric.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
@@ -38,7 +41,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,8 +128,7 @@ class KernelConfig:
         return max(10 * dimension, 100)
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """Result of one full proposal cascade against an incumbent."""
 
     accepted_state: np.ndarray
@@ -150,11 +152,33 @@ def _log1mexp(a: float) -> float:
     return math.log1p(-math.exp(a))
 
 
+_NORM = "norm"
+
+
+def _sq_dist(draws, scales, memo: dict, a: int, b: int) -> float:
+    """||w_a - w_b||^2 for the whitened offsets w_m = s_{m-1} z_m (w_0 = 0),
+    so L^-1 (y_a - y_b) = w_a - w_b. Offsets and norms are memoized; the
+    norm of a pair is the same bits in either order, since w_b - w_a is
+    exactly -(w_a - w_b)."""
+    key = (a, b, _NORM) if a < b else (b, a, _NORM)
+    norm = memo.get(key)
+    if norm is None:
+        w_a = memo.get(a)
+        if w_a is None:
+            w_a = memo[a] = scales[a - 1] * draws[a - 1] if a else 0.0
+        w_b = memo.get(b)
+        if w_b is None:
+            w_b = memo[b] = scales[b - 1] * draws[b - 1] if b else 0.0
+        diff = w_a - w_b
+        norm = memo[key] = float(diff @ diff)
+    return norm
+
+
 def dr_log_alpha(
     log_funcs: Sequence[float],
     draws: Sequence[np.ndarray],
     scales: Sequence[float],
-    memo: Optional[Dict[Tuple[int, int], float]] = None,
+    memo: Optional[dict] = None,
     first: int = 0,
     last: Optional[int] = None,
 ) -> float:
@@ -166,8 +190,10 @@ def dr_log_alpha(
     kernel is centered at its origin y_first; the final stage's kernel is
     symmetric and cancels, the earlier ones and the rejection probabilities
     of the forward prefixes and reversed suffixes remain. The path defaults
-    to x followed by every candidate. ``memo`` caches subpaths by
-    (first, last); pass one dict for all stages of a cascade.
+    to x followed by every candidate. ``memo`` holds what one cascade has
+    computed: subpath probabilities by (first, last), whitened offsets w_m
+    by m, and squared offset distances by (a, b, "norm") with a < b; pass
+    one dict for all stages of a cascade.
     """
     if last is None:
         last = len(log_funcs) - 1
@@ -179,18 +205,13 @@ def dr_log_alpha(
     log_num = log_funcs[last]
     log_den = log_funcs[first]
     if abs(last - first) > 1 and log_num != NEG_INF:
-        # whitened offsets: L^-1 (y_a - y_b) = w_a - w_b, w_m = s_{m-1} z_m
-        w_first = scales[first - 1] * draws[first - 1] if first else 0.0
-        w_last = scales[last - 1] * draws[last - 1] if last else 0.0
         step = 1 if last > first else -1
         for j in range(abs(last - first) - 1):
             fwd = first + step * (j + 1)
             rev = last - step * (j + 1)
-            a = scales[fwd - 1] * draws[fwd - 1] - w_first
-            b = scales[rev - 1] * draws[rev - 1] - w_last
             variance = scales[j] * scales[j]
-            log_den -= 0.5 * float(a @ a) / variance
-            log_num -= 0.5 * float(b @ b) / variance
+            log_den -= 0.5 * _sq_dist(draws, scales, memo, fwd, first) / variance
+            log_num -= 0.5 * _sq_dist(draws, scales, memo, rev, last) / variance
             log_num += _log1mexp(
                 dr_log_alpha(log_funcs, draws, scales, memo, last, rev)
             )
@@ -244,7 +265,7 @@ def propose_cascade(
                     )
                 log_funcs = [log_incumbent, log_candidate]
                 draws = [z]
-                memo: Dict[Tuple[int, int], float] = {}
+                memo: dict = {}
         else:
             log_funcs.append(log_candidate)
             draws.append(z)
@@ -380,12 +401,6 @@ class KernelSummary:
     def mean_acceptance_rate(self) -> float:
         return self.chain.n_rows / self.chain.verbose_length
 
-    @property
-    def stage0_acceptance_rate(self) -> float:
-        if self.stage_attempts[0] == 0:
-            return 0.0
-        return self.stage_accepts[0] / self.stage_attempts[0]
-
 
 class Kernel:
     """The stepping engine of every mode: one chain, one stream policy.
@@ -400,7 +415,9 @@ class Kernel:
 
     Apart from the stream cursor, the pending adaptation measure and the
     live row, the kernel's state is a function of the chain's rows, which
-    load_state derives on resume.
+    load_state derives on resume. The incumbent (the live row's state and
+    log-density) is also held apart from the chain, so a step reads no
+    column: __init__, an acceptance in commit and load_state set it.
     """
 
     def __init__(
@@ -432,7 +449,8 @@ class Kernel:
         self._run_max = NEG_INF
         self._burnin = 0
         if chain is not None:
-            self.chain = chain  # restart path: load_state adds the live row
+            # restart path: load_state adds the live row and the incumbent
+            self.chain = chain
             return
         self.chain = CompactChain(d)
         start = np.asarray(config.start_point, dtype=float)
@@ -447,26 +465,16 @@ class Kernel:
                 "start point has non-finite log-density %g" % log_start
             )
         self._run_max = log_start
-        self.chain.append_row(
-            ChainRow(
-                process_id=streams.process_id(1),
-                dr_stage=0,
-                mean_acceptance_rate=1.0,
-                adaptation_measure=0.0,
-                burnin_location=0,
-                weight=1,
-                log_func=log_start,
-                state=start,
-            )
-        )
+        self.incumbent, self.log_incumbent = start, log_start
+        self.chain.append_row(ChainRow(
+            process_id=streams.process_id(1), dr_stage=0,
+            mean_acceptance_rate=1.0, adaptation_measure=0.0,
+            burnin_location=0, weight=1, log_func=log_start, state=start,
+        ))
 
     @property
     def done(self) -> bool:
         return self.chain.n_rows >= self.config.chain_length_target
-
-    @property
-    def log_incumbent(self) -> float:
-        return float(self.chain.log_funcs[-1])
 
     def _rescan_burnin(self) -> None:
         chain = self.chain
@@ -498,11 +506,11 @@ class Kernel:
         )
         return record
 
-    def step(self) -> List[tuple]:
+    def step(self) -> Sequence[tuple]:
         outcome = propose_cascade(
             self.target,
             self.proposal,
-            self.chain.last_state(),
+            self.incumbent,
             self.log_incumbent,
             self.config.dr_stage_count,
             self.streams.generator(self.chain.verbose_length),
@@ -510,13 +518,14 @@ class Kernel:
         return self.commit(outcome)
 
     def run(
-        self, on_step: Optional[Callable[[List[tuple]], None]] = None
+        self, on_step: Optional[Callable[[Sequence[tuple]], None]] = None
     ) -> KernelSummary:
         """Step until the chain holds ``chain_length_target`` rows, handing
-        each step's event list to ``on_step``, and return the summary."""
+        the events of each step that has any to ``on_step``, and return the
+        summary."""
         while not self.done:
             events = self.step()
-            if on_step is not None:
+            if events and on_step is not None:
                 on_step(events)
         return self.summary()
 
@@ -526,42 +535,42 @@ class Kernel:
             self.chain.n_rows / self.chain.verbose_length, self._burnin
         )
 
-    def commit(self, outcome: StepOutcome) -> List[tuple]:
+    def commit(self, outcome: StepOutcome) -> Sequence[tuple]:
         """Charge one cascade to the chain as one verbose step.
 
-        A rejection only adds 1 to the live row's weight. An acceptance
+        A rejection only adds 1 to the live row's weight; away from a tick
+        it produces no event and returns an empty tuple. An acceptance
         finalizes the live row (stamps its running columns; its final weight
         is the attempts made from it), then appends the accepted state
         stamped with the process id the stream policy derives from that
-        weight, and runs burn-in. At an adaptation boundary it folds the
-        rows finalized since the previous one into the full moments and
-        adapts. The stage tallies are read off the chain (``stage_tallies``),
-        so a step counts nothing else.
+        weight, makes it the incumbent and runs burn-in. At an adaptation
+        boundary it folds the rows finalized since the previous one into the
+        full moments and adapts. The stage tallies are read off the chain
+        (``stage_tallies``), so a step counts nothing else.
         """
+        state, log_func, stage, _ = outcome
         chain = self.chain
-        if outcome.accepted_at_stage == REJECTED:
+        if stage == REJECTED:
             chain.increment_last(1)
+            if chain.verbose_length % 1000:
+                return ()
             events: List[tuple] = []
         else:
             finalized = chain.n_rows - 1
             weight = int(chain.weights[finalized])
             self._stamp_live()
-            chain.append_row(
-                ChainRow(
-                    process_id=self.streams.process_id(weight),
-                    dr_stage=outcome.accepted_at_stage,
-                    mean_acceptance_rate=0.0,  # stamped when finalized
-                    adaptation_measure=self._pending_measure,
-                    burnin_location=self._burnin,
-                    weight=1,
-                    log_func=outcome.accepted_log_func,
-                    state=outcome.accepted_state,
-                )
-            )
+            chain.append_row(ChainRow(
+                process_id=self.streams.process_id(weight), dr_stage=stage,
+                mean_acceptance_rate=0.0,  # stamped when finalized
+                adaptation_measure=self._pending_measure,
+                burnin_location=self._burnin, weight=1, log_func=log_func,
+                state=state,
+            ))
+            self.incumbent, self.log_incumbent = state, log_func
             self._pending_measure = 0.0
             events = [("row_final", finalized)]
-            if outcome.accepted_log_func > self._run_max:
-                self._run_max = outcome.accepted_log_func
+            if log_func > self._run_max:
+                self._run_max = log_func
                 self._rescan_burnin()
             if chain.n_rows % self._period == 0:
                 record = self._adapt_at(chain.n_rows)
@@ -608,6 +617,8 @@ class Kernel:
         self._pending_measure = float(state["pending_measure"])
         chain = self.chain
         chain.append_row(ChainRow(**state["live_row"]))
+        self.incumbent = chain.last_state()
+        self.log_incumbent = float(chain.log_funcs[-1])
         self._run_max = float(np.max(chain.log_funcs))
         self._rescan_burnin()
         # commit adapts at n_rows = k * period once n_rows >= 2
@@ -643,7 +654,7 @@ def run_kernel(
     if on_event is None:
         return kern.run()
 
-    def each_event(events: List[tuple]) -> None:
+    def each_event(events: Sequence[tuple]) -> None:
         for event in events:
             on_event(event)
 

@@ -58,6 +58,7 @@ __all__ = [
     "build_speedup_report",
     "measured_speedup",
     "forkjoin_speedup",
+    "run_speedup",
     "PREDICTION_GRID",
 ]
 
@@ -217,6 +218,17 @@ def forkjoin_speedup(
     tally = ContributionTally.from_chain(chain, worker_count)
     p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
     return tally, build_speedup_report(p_hat, measured_speedup(chain, worker_count))
+
+
+def run_speedup(
+    chains: List[CompactChain], mode: str, worker_count: int
+) -> Tuple[Optional[ContributionTally], SpeedupReport]:
+    """The speedup a run reports: the fork-join chain's tally and its fit,
+    otherwise no tally and the acceptance rate measured over the chains."""
+    if mode == "forkjoin":
+        return forkjoin_speedup(chains[0], worker_count)
+    rows = sum(c.n_rows for c in chains)
+    return None, build_speedup_report(rows / sum(c.verbose_length for c in chains))
 
 
 def run_multichain(

@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import ChainRow, CompactChain
+from .chain import CompactChain
 from .errors import CorruptRestart, IoFailure
 from .refine import RefinedSample
 
@@ -146,10 +146,11 @@ class ChainWriter:
         self.variable_names = tuple(variable_names)
         self._struct = _record_struct(len(self.variable_names))
         # the format of one ASCII row: integers as %d, reals as _fmt renders
-        self._line = suite.delimiter.replace("%", "%%").join(
+        self._line = (suite.delimiter.replace("%", "%%").join(
             "%d %d %.17g %.17g %d %d %.17g".split()
             + ["%.17g"] * len(self.variable_names)
-        ) + "\n"
+        ) + "\n").encode("utf-8")
+        self._ascii = suite.chain_format == "ascii"
         try:
             self._fh = open(suite.chain_path, "ab" if append else "wb")
         except OSError as exc:
@@ -173,20 +174,12 @@ class ChainWriter:
             )
             self._fh.write(names)
 
-    def write_row(self, row: ChainRow) -> None:
-        fields = (
-            row.process_id,
-            row.dr_stage,
-            row.mean_acceptance_rate,
-            row.adaptation_measure,
-            row.burnin_location,
-            row.weight,
-            row.log_func,
-            *np.asarray(row.state, dtype=float).tolist(),
-        )
+    def write_row(self, fields: tuple) -> None:
+        """Write one row: a tuple in ``CompactChain.fields``'s layout, the
+        seven fixed columns and then the state's coordinates."""
         try:
-            if self.suite.chain_format == "ascii":
-                self._fh.write((self._line % fields).encode("utf-8"))
+            if self._ascii:
+                self._fh.write(self._line % fields)
             else:
                 self._fh.write(self._struct.pack(*fields))
         except OSError as exc:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from scipy import integrate, signal, stats
 
-from dramp.chain import ChainRow
 from dramp.cli import EXIT_OK, EXIT_REFUSED, main
 from dramp.config import build_spec
 from dramp.driver import run_simulation
@@ -283,15 +282,10 @@ def test_criterion_06_compression_accounting(tmp_path):
     verbose_suite = OutputSuite(prefix=str(tmp_path / "verbose"))
     with ChainWriter(verbose_suite, chain.variable_names) as writer:
         for i in range(chain.n_rows):
-            row = chain.row(i)
-            for _ in range(row.weight):
-                writer.write_row(ChainRow(
-                    process_id=row.process_id, dr_stage=row.dr_stage,
-                    mean_acceptance_rate=row.mean_acceptance_rate,
-                    adaptation_measure=row.adaptation_measure,
-                    burnin_location=row.burnin_location, weight=1,
-                    log_func=row.log_func, state=row.state,
-                ))
+            fields = chain.fields(i)
+            unit = fields[:5] + (1,) + fields[6:]  # the weight column
+            for _ in range(fields[5]):
+                writer.write_row(unit)
     binary = dict(values, out=str(tmp_path / "bin"), format="binary")
     run_simulation(build_spec(binary))
 
@@ -488,6 +482,34 @@ def test_criterion_10_determinism_and_reductions(tmp_path, monkeypatch):
     ])
 
 
+# Bound on the worst per-stage flow asymmetry of the five-cell balance gates,
+# calibrated on the correct code (see worst_flow_z)
+FLOW_Z_BOUND = 4.5
+
+
+def worst_flow_z(chain, dr_stages, min_moves=50):
+    """Worst per-stage flow asymmetry of a five-cell chain, over the cell
+    pairs with at least ``min_moves`` moves, and the number of such pairs.
+
+    N_k(i -> j) counts the moves from cell i to cell j accepted at DR stage
+    k. Delayed rejection keeps detailed balance at each stage on its own
+    (Tierney & Mira 1999), so for cells i < j the asymmetry
+    |N_k(i -> j) - N_k(j -> i)| / sqrt(N_k(i -> j) + N_k(j -> i)) stays of
+    the order of a standard normal. An error in one stage's ratio shows here
+    even when that stage accepts too few moves to move the occupancies.
+    """
+    cells = np.floor(chain.states[:, 0]).astype(np.int64)
+    index = (chain.dr_stages[1:] * 5 + cells[:-1]) * 5 + cells[1:]
+    counts = np.bincount(index, minlength=(dr_stages + 1) * 25)
+    counts = counts.reshape(dr_stages + 1, 5, 5)
+    i, j = np.triu_indices(5, 1)
+    forward, backward = counts[:, i, j], counts[:, j, i]
+    total = forward + backward
+    counted = total >= min_moves
+    z = np.abs(forward - backward)[counted] / np.sqrt(total[counted])
+    return float(z.max(initial=0.0)), int(counted.sum())
+
+
 def test_criterion_11_detailed_balance_five_cells():
     heights = np.array([1.0, 2.0, 4.0, 2.0, 1.0])
     pi = heights / heights.sum()
@@ -527,10 +549,10 @@ def test_criterion_11_detailed_balance_five_cells():
             iac = estimate_iac(indicator, weights)
             se = np.sqrt(pi[i] * (1.0 - pi[i]) * iac / n)
             worst = max(worst, abs(freq - pi[i]) / se)
-        return worst, int(n)
+        return worst, int(n), worst_flow_z(chain, dr_stages)
 
-    z_plain, n_plain = worst_z(0)
-    z_dr, n_dr = worst_z(2)
+    z_plain, n_plain, (flow_plain, pairs_plain) = worst_z(0)
+    z_dr, n_dr, (flow_dr, pairs_dr) = worst_z(2)
     announce(11, "cell occupancies match the stepped target density", [
         (n_plain == 1_000_000 and n_dr == 1_000_000,
          "chains realized %d and %d steps" % (n_plain, n_dr)),
@@ -540,6 +562,10 @@ def test_criterion_11_detailed_balance_five_cells():
         (z_dr <= 3.0,
          "retries on: worst |freq - target| = %.2f correlation-adjusted "
          "standard errors (<= 3)" % z_dr),
+        (flow_plain <= FLOW_Z_BOUND and flow_dr <= FLOW_Z_BOUND,
+         "worst per-stage flow asymmetry = %.2f over %d (stage, cell pair) "
+         "flows with retries off, %.2f over %d with retries on (<= %g)"
+         % (flow_plain, pairs_plain, flow_dr, pairs_dr, FLOW_Z_BOUND)),
     ])
 
 
@@ -558,7 +584,7 @@ def test_forkjoin_detailed_balance_five_cells():
         return float(np.log(heights[int(v)]))
 
     target = TargetDensity("fivecell", 1, step_density)
-    worst = {}
+    worst, flows = {}, {}
     for dr_stages in (0, 2):
         cfg = KernelConfig(
             chain_length_target=10 ** 9, start_point=(2.5,), rng_seed=77,
@@ -581,10 +607,16 @@ def test_forkjoin_detailed_balance_five_cells():
             freq = float((indicator * weights).sum() / n)
             se = np.sqrt(pi[i] * (1.0 - pi[i]) * estimate_iac(indicator, weights) / n)
             worst[dr_stages] = max(worst[dr_stages], abs(freq - pi[i]) / se)
-    print("fork-join P=8 five cells: worst z %.2f (DR 0), %.2f (DR 2)"
-          % (worst[0], worst[2]))
+        flows[dr_stages] = worst_flow_z(chain, dr_stages)
+    print("fork-join P=8 five cells: worst z %.2f (DR 0), %.2f (DR 2); worst "
+          "flow asymmetry %.2f over %d flows (DR 0), %.2f over %d (DR 2)"
+          % (worst[0], worst[2], *flows[0], *flows[2]))
     assert worst[0] <= 3.0 and worst[2] <= 3.0, (
         "worst |freq - target| in correlation-adjusted standard errors: "
         "%.2f with retries off, %.2f with retries on (each <= 3)"
         % (worst[0], worst[2])
+    )
+    assert flows[0][0] <= FLOW_Z_BOUND and flows[2][0] <= FLOW_Z_BOUND, (
+        "worst per-stage flow asymmetry %.2f with retries off, %.2f with "
+        "retries on (each <= %g)" % (flows[0][0], flows[2][0], FLOW_Z_BOUND)
     )

@@ -174,6 +174,21 @@ class TestChainBookkeeping:
         assert got.log_func == -0.25
         assert np.array_equal(got.state, [1.5, -2.5])
 
+    def test_fields_lay_out_the_row(self):
+        ch = CompactChain(dimension=2)
+        ch.append_row(mk_row([1.5, -2.5], weight=3, logf=-0.25, pid=7))
+        ch.append_row(mk_row([0.0, 4.0]))
+        got = ch.fields(0)
+        row = ch.row(0)
+        assert got == (7, row.dr_stage, row.mean_acceptance_rate,
+                       row.adaptation_measure, row.burnin_location, 3, -0.25,
+                       1.5, -2.5)
+        assert [type(v) for v in got] == [int] * 2 + [float] * 2 + [int] * 2 + [float] * 3
+        with pytest.raises(IndexError):
+            ch.fields(2)
+        with pytest.raises(IndexError):
+            ch.fields(-1)
+
 
 # the chain's columns in ChainRow's field order, then the derived one
 ROW_COLUMNS = (

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dramp
-from dramp.chain import ChainRow, CompactChain
+from dramp.chain import CompactChain
 from dramp.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -83,18 +83,8 @@ def write_flat_chain(path, weights, delimiter=","):
     suite = OutputSuite(prefix=prefix, chain_format="ascii", delimiter=delimiter)
     with ChainWriter(suite, ("Var1",)) as writer:
         for i, w in enumerate(weights):
-            writer.write_row(
-                ChainRow(
-                    process_id=1,
-                    dr_stage=0,
-                    mean_acceptance_rate=0.5,
-                    adaptation_measure=0.0,
-                    burnin_location=0,
-                    weight=int(w),
-                    log_func=-0.5,
-                    state=(float(i),),
-                )
-            )
+            # pid, stage, acceptance rate, measure, burn-in, weight, log f, x
+            writer.write_row((1, 0, 0.5, 0.0, 0, int(w), -0.5, float(i)))
     return suite.chain_path
 
 
@@ -547,6 +537,34 @@ class TestCliPredict:
     def test_bad_max_workers(self, tmp_path, capsys):
         chain = write_flat_chain(tmp_path / "half_chain.txt", (2, 2))
         assert main(["predict", chain, "--max-workers", "0"]) == EXIT_CONFIG
+
+    def test_forkjoin_worker_count_comes_from_the_report(self, tmp_path, capsys):
+        # the top ranks of 64 never win here: the largest process id is 6,
+        # so a count guessed from the ids would fit a different p-hat
+        prefix = tmp_path / "fj64"
+        assert main(["run", "--mode", "forkjoin", "--workers", "64",
+                     "--chain-len", "400", "--seed", "3", "--out", str(prefix),
+                     "--deterministic-test-mode"]) == EXIT_OK
+        chain = "%s_chain.txt" % prefix
+        assert read_chain(chain).process_ids.max() < 64
+        report = pathlib.Path("%s_report.txt" % prefix).read_text()
+        fitted = report.split("fitted acceptance prob   : ")[1].split("\n")[0]
+        capsys.readouterr()
+        assert main(["predict", chain, "--max-workers", "64"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "source: worker contribution tally (64 workers)"
+        assert out[1] == "p-hat: %s" % fitted
+        assert "64,%s" % report.split("    P     64 -> ")[1].split("\n")[0] in out
+        csv = tmp_path / "s.csv"
+        assert main(["export-plotdata", str(prefix), "scaling", str(csv)]) == EXIT_OK
+        rows = {l.split(",")[0]: l.split(",") for l in csv.read_text().splitlines()}
+        assert rows["64"][2] != "" and rows["32"][2] == ""
+        # without its report the same chain is read as a bare chain file
+        bare = tmp_path / "bare.txt"
+        bare.write_bytes(pathlib.Path(chain).read_bytes())
+        capsys.readouterr()
+        assert main(["predict", str(bare)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("source: measured acceptance rate\n")
 
 
 @pytest.fixture(scope="module")

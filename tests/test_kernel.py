@@ -161,15 +161,19 @@ def path_product(prop, states, log_funcs, alpha, order):
 
 @st.composite
 def dr_paths(draw):
+    """A proposal, an incumbent, and the log-densities and draws of k = 1..4
+    candidates; the memo's reuse of offsets and norms begins at k = 3."""
     d = draw(st.sampled_from([1, 3, 8]))
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.standard_normal((d, d))
     prop = ProposalState.create(
         d,
         covariance=a @ a.T + 0.5 * np.eye(d),
         scale_factor=draw(st.floats(0.2, 3.0)),
-        dr_scales=draw(st.sampled_from([(0.5, 0.25), (0.8, 0.4), (0.9, 0.3)])),
+        dr_scales=draw(st.sampled_from(
+            [(0.5, 0.25, 0.125), (0.8, 0.4, 0.2), (0.9, 0.3, 0.1)]
+        )),
     )
     level = st.one_of(
         st.just(float("-inf")), st.sampled_from([0.0, -1.0]), st.floats(-30.0, 5.0)
@@ -207,6 +211,67 @@ class TestPathwiseDetailedBalance:
             assert forward == reverse
         else:
             assert abs(forward - reverse) <= 1e-10
+
+
+def reference_dr_log_alpha(log_funcs, draws, scales, memo=None, first=0,
+                           last=None):
+    """dr_log_alpha as it was before it memoized offsets and pair norms: the
+    same recursion, recomputing every whitened offset and squared norm."""
+    if last is None:
+        last = len(log_funcs) - 1
+    if memo is None:
+        memo = {}
+    cached = memo.get((first, last))
+    if cached is not None:
+        return cached
+    log_num = log_funcs[last]
+    log_den = log_funcs[first]
+    if abs(last - first) > 1 and log_num != float("-inf"):
+        w_first = scales[first - 1] * draws[first - 1] if first else 0.0
+        w_last = scales[last - 1] * draws[last - 1] if last else 0.0
+        step = 1 if last > first else -1
+        for j in range(abs(last - first) - 1):
+            fwd = first + step * (j + 1)
+            rev = last - step * (j + 1)
+            a = scales[fwd - 1] * draws[fwd - 1] - w_first
+            b = scales[rev - 1] * draws[rev - 1] - w_last
+            variance = scales[j] * scales[j]
+            log_den -= 0.5 * float(a @ a) / variance
+            log_num -= 0.5 * float(b @ b) / variance
+            log_num += kernel_mod._log1mexp(reference_dr_log_alpha(
+                log_funcs, draws, scales, memo, last, rev))
+            log_den += kernel_mod._log1mexp(reference_dr_log_alpha(
+                log_funcs, draws, scales, memo, first, fwd))
+            if log_num == float("-inf"):
+                break
+    result = (float("-inf") if log_num == float("-inf")
+              else min(0.0, log_num - log_den))
+    memo[(first, last)] = result
+    return result
+
+
+class TestDrMemoOracle:
+    """The memoized offsets and pair norms change no bit of any ratio."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dr_paths())
+    def test_every_subpath_matches_the_unmemoized_recursion(self, case):
+        prop, _, log_funcs, draws = case
+        k = len(draws)
+        scales = [prop.stage_scale(j) for j in range(k)]
+        memo, reference_memo = {}, {}
+        # the stages of one cascade share its memo, each adding a candidate
+        for stage in range(1, k):
+            args = (log_funcs[:stage + 2], draws[:stage + 1], scales)
+            assert dr_log_alpha(*args, memo) == reference_dr_log_alpha(
+                *args, reference_memo)
+        for first in range(k + 1):
+            for last in range(k + 1):
+                if first != last:
+                    got = dr_log_alpha(log_funcs, draws, scales, memo, first, last)
+                    want = reference_dr_log_alpha(
+                        log_funcs, draws, scales, None, first, last)
+                    assert got == want, (first, last)
 
 
 class TestProposeCascade:
@@ -466,7 +531,7 @@ class TestKernelRuns:
         assert s.chain.verbose_length == 500
         assert np.all(s.chain.weights == 1)
         assert s.mean_acceptance_rate == 1.0
-        assert s.stage0_acceptance_rate == 1.0
+        assert s.stage_accepts[0] == s.stage_attempts[0] == 499
 
     def test_event_protocol(self):
         events = []
@@ -529,7 +594,7 @@ class TestCommitPath:
         assert k.chain.n_rows == 1
         assert k.chain.weights[0] == 2
         assert k.chain.process_ids[0] == 1  # seed row keeps its own pid
-        assert events == []
+        assert events == ()  # no event list is built
         assert calls == []  # no moment fold, no restamp
         assert k.summary().stage_attempts == (1, 1)
 
