@@ -28,6 +28,7 @@ from .errors import (
     SeriesTooShort,
     SpecMismatch,
     StageOutOfRange,
+    UnencodableValue,
 )
 from .kernel import (
     Kernel,

@@ -57,8 +57,11 @@ class CompactChain:
 
     Columns live in numpy arrays preallocated to ``capacity`` rows that
     double on demand; the kernel appends one row per accepted state and
-    bumps the last row's weight on rejection, so appends must be cheap.
-    Single writer by contract.
+    adds 1 to the last row's weight on every rejection, so both must be
+    cheap. The live (last) row's weight is the verbose length past its
+    start, so a rejection only adds to the plain attribute
+    ``verbose_length``; the weight column is settled when it is read and
+    when the next row is appended. Single writer by contract.
     """
 
     def __init__(
@@ -91,53 +94,31 @@ class CompactChain:
         self._log_func = np.empty(cap, dtype=np.float64)
         self._verbose_start = np.empty(cap, dtype=np.int64)
         self._states = np.empty((cap, dimension), dtype=np.float64)
-        self._n = 0
-        self._verbose = 0
+        self.n_rows = 0
+        self.verbose_length = 0
 
-    @property
-    def n_rows(self) -> int:
-        return self._n
-
-    @property
-    def verbose_length(self) -> int:
-        return self._verbose
+    def _settle(self) -> None:
+        # the live row's weight from the verbose length
+        n = self.n_rows
+        if n:
+            self._weight[n - 1] = self.verbose_length - self._verbose_start[n - 1]
 
     # read-only column views over the filled prefix
     @property
     def weights(self) -> np.ndarray:
-        return self._weight[: self._n]
+        self._settle()
+        return self._weight[: self.n_rows]
 
-    @property
-    def log_funcs(self) -> np.ndarray:
-        return self._log_func[: self._n]
-
-    @property
-    def states(self) -> np.ndarray:
-        return self._states[: self._n]
-
-    @property
-    def process_ids(self) -> np.ndarray:
-        return self._process_id[: self._n]
-
-    @property
-    def dr_stages(self) -> np.ndarray:
-        return self._dr_stage[: self._n]
-
-    @property
-    def mean_acceptance_rates(self) -> np.ndarray:
-        return self._mean_acceptance_rate[: self._n]
-
-    @property
-    def adaptation_measures(self) -> np.ndarray:
-        return self._adaptation_measure[: self._n]
-
-    @property
-    def burnin_locations(self) -> np.ndarray:
-        return self._burnin_location[: self._n]
-
-    @property
-    def verbose_starts(self) -> np.ndarray:
-        return self._verbose_start[: self._n]
+    log_funcs = property(lambda self: self._log_func[: self.n_rows])
+    states = property(lambda self: self._states[: self.n_rows])
+    process_ids = property(lambda self: self._process_id[: self.n_rows])
+    dr_stages = property(lambda self: self._dr_stage[: self.n_rows])
+    mean_acceptance_rates = property(
+        lambda self: self._mean_acceptance_rate[: self.n_rows])
+    adaptation_measures = property(
+        lambda self: self._adaptation_measure[: self.n_rows])
+    burnin_locations = property(lambda self: self._burnin_location[: self.n_rows])
+    verbose_starts = property(lambda self: self._verbose_start[: self.n_rows])
 
     @classmethod
     def from_columns(
@@ -168,15 +149,21 @@ class CompactChain:
 
     def tail(self, start: int) -> "CompactChain":
         """Rows [start, n) as a new chain, with from_columns's room."""
-        return self._rows(start, self._n, room=True)
+        return self._rows(start, self.n_rows, room=True)
 
     def _rows(self, start: int, end: int, room: bool) -> "CompactChain":
-        if start < 0 or end < start or end > self._n:
+        return self._filled(self.variable_names, *self.columns(start, end), room)
+
+    def columns(self, start: int, end: int) -> Tuple[list, np.ndarray]:
+        """Rows [start, end) as views: the seven fixed columns in ChainRow's
+        field order, and the (end - start, d) states."""
+        if start < 0 or end < start or end > self.n_rows:
             raise IndexError(
-                "rows [%d, %d) out of range [0, %d)" % (start, end, self._n)
+                "rows [%d, %d) out of range [0, %d)" % (start, end, self.n_rows)
             )
-        columns = [getattr(self, name)[start:end] for name in _ROW_COLUMNS]
-        return self._filled(self.variable_names, columns, self._states[start:end], room)
+        self._settle()
+        return ([getattr(self, name)[start:end] for name in _ROW_COLUMNS],
+                self._states[start:end])
 
     @classmethod
     def _filled(cls, variable_names, columns, states, room: bool):
@@ -204,8 +191,8 @@ class CompactChain:
         chain._states[:n] = states
         chain._verbose_start[:1] = 0
         np.cumsum(w[:-1], out=chain._verbose_start[1:n])
-        chain._n = n
-        chain._verbose = int(w.sum())
+        chain.n_rows = n
+        chain.verbose_length = int(w.sum())
         return chain
 
     def _grow(self):
@@ -213,10 +200,10 @@ class CompactChain:
         for name in _ROW_COLUMNS + ("_verbose_start",):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
-            new[: self._n] = old[: self._n]
+            new[: self.n_rows] = old[: self.n_rows]
             setattr(self, name, new)
         states = np.empty((cap, self.dimension), dtype=np.float64)
-        states[: self._n] = self._states[: self._n]
+        states[: self.n_rows] = self._states[: self.n_rows]
         self._states = states
 
     def append_row(self, row: ChainRow) -> None:
@@ -228,46 +215,55 @@ class CompactChain:
             )
         if row.weight < 1:
             raise ValueError("weight must be >= 1, got %d" % row.weight)
-        if self._n == self._process_id.size:
+        self.append(row.process_id, row.dr_stage, row.mean_acceptance_rate,
+                    row.adaptation_measure, row.burnin_location, row.weight,
+                    row.log_func, state)
+
+    def append(self, process_id, dr_stage, mean_acceptance_rate,
+               adaptation_measure, burnin_location, weight, log_func,
+               state) -> None:
+        """Append one row from its values, unchecked (append_row checks)."""
+        i = self.n_rows
+        if i == self._process_id.size:
             self._grow()
-        i = self._n
-        self._process_id[i] = row.process_id
-        self._dr_stage[i] = row.dr_stage
-        self._mean_acceptance_rate[i] = row.mean_acceptance_rate
-        self._adaptation_measure[i] = row.adaptation_measure
-        self._burnin_location[i] = row.burnin_location
-        self._weight[i] = row.weight
-        self._log_func[i] = row.log_func
-        self._verbose_start[i] = self._verbose
+        self._settle()  # the live row's weight is final
+        self._process_id[i] = process_id
+        self._dr_stage[i] = dr_stage
+        self._mean_acceptance_rate[i] = mean_acceptance_rate
+        self._adaptation_measure[i] = adaptation_measure
+        self._burnin_location[i] = burnin_location
+        self._weight[i] = weight
+        self._log_func[i] = log_func
+        self._verbose_start[i] = self.verbose_length
         self._states[i] = state
-        self._n += 1
-        self._verbose += row.weight
+        self.n_rows = i + 1
+        self.verbose_length += weight
 
     def increment_last(self, extra_weight: int = 1) -> None:
-        if self._n == 0:
+        if self.n_rows == 0:
             raise EmptyRange("cannot increment an empty chain")
-        self._weight[self._n - 1] += extra_weight
-        self._verbose += extra_weight
+        self.verbose_length += extra_weight
 
     def restamp_last(
         self, mean_acceptance_rate: float, burnin_location: int
     ) -> None:
         """Refresh the running columns of the live (last) row."""
-        if self._n == 0:
+        if self.n_rows == 0:
             raise EmptyRange("cannot restamp an empty chain")
-        self._mean_acceptance_rate[self._n - 1] = mean_acceptance_rate
-        self._burnin_location[self._n - 1] = burnin_location
+        self._mean_acceptance_rate[self.n_rows - 1] = mean_acceptance_rate
+        self._burnin_location[self.n_rows - 1] = burnin_location
 
     def last_state(self) -> np.ndarray:
-        if self._n == 0:
+        if self.n_rows == 0:
             raise EmptyRange("empty chain has no last state")
-        return self._states[self._n - 1]
+        return self._states[self.n_rows - 1]
 
     def fields(self, i: int) -> tuple:
         """Row i as a chain file lays it out: the seven columns in ChainRow's
         field order, then the state's coordinates, all as Python numbers."""
-        if not 0 <= i < self._n:
-            raise IndexError("row %d out of range [0, %d)" % (i, self._n))
+        if not 0 <= i < self.n_rows:
+            raise IndexError("row %d out of range [0, %d)" % (i, self.n_rows))
+        self._settle()
         return (
             self._process_id.item(i),
             self._dr_stage.item(i),

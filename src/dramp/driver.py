@@ -4,12 +4,12 @@ One runner serves all three modes. It builds each chain's Kernel from one
 factory keyed by mode and chain index (fork-join's stream policy gives every
 attempt its own stream, serial and multichain chains draw from their own)
 and steps it through Kernel.run, with one persistence handler that writes
-rows, progress ticks and snapshots between steps. Multichain runs their
-chains one after another into the same files and also snapshot between
-chains.
+rows, progress ticks and snapshots between steps; rows reach the chain file
+in blocks (_SuiteFiles). Multichain runs their chains one after another
+into the same files and also snapshot between chains.
 
 The driver snapshots the kernel at every flush boundary (each adaptation and
-every 1000 written rows). A snapshot (format version 3) holds the file
+every 1000 finalized rows). A snapshot (format version 3) holds the file
 offsets and what the rows cannot give back: the kernel's stream cursor,
 pending adaptation measure and live row, or no kernel between multichain
 chains. A run killed at any instant resumes from the last snapshot, as
@@ -93,7 +93,15 @@ class RunResult:
 
 
 class _SuiteFiles:
-    """Open handles plus the write counters shared by all modes."""
+    """Open handles plus the write counters shared by all modes.
+
+    Chain rows reach the file in blocks: each finalized row of the current
+    chain is marked pending, and the pending range is written in one
+    ChainWriter.write_rows call before a snapshot builds its payload (its
+    offsets count the rows), at the end of each chain, on flush and on
+    close, so a run stopped by an exception leaves every finalized row on
+    disk. Snapshots, every 1000 rows at the latest, bound the range.
+    """
 
     def __init__(self, spec: SimulationSpec, dimension: int, append: bool,
                  rows_written: int = 0):
@@ -102,35 +110,55 @@ class _SuiteFiles:
         self.suite = suite
         self.writer = ChainWriter(suite, names, append=append)
         self.progress = ProgressWriter(suite.progress_path, append=append)
-        self.rows_written = rows_written
+        self.rows_written = rows_written  # finalized rows, pending ones too
+        self._chain: Optional[CompactChain] = None
+        self._start = self._end = 0  # the pending rows of _chain
         self._t0 = time.monotonic()
         self._blank_clock = spec.deterministic_test_mode
 
-    def elapsed(self) -> Optional[float]:
-        if self._blank_clock:
-            return None
-        return time.monotonic() - self._t0
-
-    def write_row(self, chain: CompactChain, i: int) -> None:
-        self.writer.write_row(chain.fields(i))
+    def finalize(self, chain: CompactChain, i: int) -> int:
+        """Mark row i of ``chain`` pending; return the rows finalized so far.
+        A chain's first finalized row is its first row not on disk."""
+        if chain is not self._chain:
+            self._chain, self._start = chain, i
+        self._end = i + 1
         self.rows_written += 1
+        return self.rows_written
 
     def tick(self, tick: dict) -> None:
-        self.progress.write_tick(tick, self.elapsed())
+        elapsed = None if self._blank_clock else time.monotonic() - self._t0
+        self.progress.write_tick(tick, elapsed)
 
     def flush(self) -> None:
+        if self._end > self._start:
+            self.writer.write_rows(self._chain, self._start, self._end)
+            self._start = self._end
         self.writer.flush()
         self.progress.flush()
 
-    def snapshot(self, payload: dict) -> None:
-        # the payload's offsets count buffered bytes too; a kill after the
-        # snapshot lands must find them on disk
+    def snapshot(self, header: dict, kernel_state: Optional[dict]) -> None:
+        # the payload's offsets count the pending rows and the buffered
+        # bytes; a kill after the snapshot lands must find them on disk
         self.flush()
-        write_snapshot(self.suite.restart_path, payload)
+        write_snapshot(self.suite.restart_path, _payload(header, self, kernel_state))
 
-    def close(self) -> None:
-        self.writer.close()
-        self.progress.close()
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        """Write the pending rows, then close both files even if that fails;
+        a failed write does not replace an exception that ends the run."""
+        try:
+            self.flush()
+        except (OSError, SamplerError):
+            if exc_type is None:
+                raise
+        finally:
+            try:
+                self.writer.close()
+            finally:
+                self.progress.close()
+        return False
 
 
 def _snapshot_header(spec: SimulationSpec, digest: int) -> dict:
@@ -168,13 +196,12 @@ def _make_handler(
     A snapshot stores the kernel state after the whole step, so a resume is
     byte-identical only if every byte that the snapshot's offsets count, and
     every line that the snapshotted state has already emitted, is on disk
-    before the snapshot is written. The handler therefore writes all of the
-    step's output (its finalized row and its progress tick) first, then
-    takes at most one snapshot (on an adaptation or every 1000th written
-    row), and _SuiteFiles.snapshot flushes both files before writing it. The
-    user callback observes the step's events after persistence, so an
-    exception thrown from it leaves a resumable suite behind, which is how
-    the crash tests operate.
+    before the snapshot is written. The handler therefore marks the step's
+    finalized row pending and writes its progress tick first, then takes at
+    most one snapshot (on an adaptation or every 1000th finalized row),
+    which writes the pending rows and flushes both files first. The user
+    callback observes the step's events after persistence, so an exception
+    thrown from it leaves a resumable suite behind (the crash tests).
     """
 
     def handle(events: Sequence[tuple]) -> None:
@@ -182,15 +209,14 @@ def _make_handler(
         for event in events:
             kind = event[0]
             if kind == "row_final":
-                sw.write_row(kern.chain, event[1])
-                if sw.rows_written % _SNAPSHOT_ROW_PERIOD == 0:
+                if sw.finalize(kern.chain, event[1]) % _SNAPSHOT_ROW_PERIOD == 0:
                     snapshot_due = True
             elif kind == "adapt":
                 snapshot_due = True
             elif kind == "tick":
                 sw.tick(event[1])
         if snapshot_due:
-            sw.snapshot(_payload(header, sw, kern.state_dict()))
+            sw.snapshot(header, kern.state_dict())
         if on_event is not None:
             for event in events:
                 on_event(event)
@@ -399,15 +425,16 @@ def _run(
             kern = _make_kernel(spec, target, len(chains), chain=prefix)
             kern.load_state(resume["kernel"])
 
-    try:
+    with sw:
         for index in range(len(chains), spec.n_chains if multichain else 1):
             if kern is None:
                 kern = _make_kernel(spec, target, index)
-                sw.snapshot(_payload(header, sw, kern.state_dict()))
+                sw.snapshot(header, kern.state_dict())
             summary = kern.run(_make_handler(kern, sw, header, on_event))
-            sw.write_row(kern.chain, kern.chain.n_rows - 1)
+            # the end of the run finalizes the live row
+            sw.finalize(kern.chain, kern.chain.n_rows - 1)
             if multichain:
-                sw.snapshot(_payload(header, sw, None))
+                sw.snapshot(header, None)
             else:
                 sw.flush()
             summaries.append(summary)
@@ -418,8 +445,6 @@ def _run(
             spec, sw, summaries, chains, tally, speedup,
             restarted=resume is not None,
         )
-    finally:
-        sw.close()
 
 
 def run_simulation(

@@ -59,3 +59,7 @@ class RefusedOverwrite(SamplerError, RuntimeError):
 
 class IoFailure(SamplerError, OSError):
     """An output file could not be written or read back."""
+
+
+class UnencodableValue(SamplerError, ValueError):
+    """A chain value does not fit its field in the binary chain codec."""

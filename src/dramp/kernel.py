@@ -27,6 +27,12 @@ backwards, so a cascade has O(k^2) of them. dr_log_alpha serves every stage
 squared norm of an offset difference, keyed by the unordered pair because
 the subtraction is exactly antisymmetric.
 
+The step path is bound by per-call overhead, not arithmetic, so its
+per-attempt products (the candidate's L z, the offset norms, the built-in
+targets' quadratic forms) use ndarray.dot, about half the cost of @ at small
+d. On C-contiguous float64 operands both reach the same BLAS routine and
+give the same bits; adaptation, moments and refinement keep @.
+
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
 
@@ -170,7 +176,7 @@ def _sq_dist(draws, scales, memo: dict, a: int, b: int) -> float:
         if w_b is None:
             w_b = memo[b] = scales[b - 1] * draws[b - 1] if b else 0.0
         diff = w_a - w_b
-        norm = memo[key] = float(diff @ diff)
+        norm = memo[key] = float(diff.dot(diff))
     return norm
 
 
@@ -243,7 +249,7 @@ def propose_cascade(
     scale = proposal.scale_factor
     for stage in range(dr_stage_count + 1):
         z = stream.standard_normal(proposal.dimension)
-        candidate = incumbent + scale * (chol @ z)
+        candidate = incumbent + scale * chol.dot(z)
         log_candidate = float(target.evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = NEG_INF  # NaN: outside the support
@@ -523,7 +529,7 @@ class Kernel:
         """Step until the chain holds ``chain_length_target`` rows, handing
         the events of each step that has any to ``on_step``, and return the
         summary."""
-        while not self.done:
+        while self.chain.n_rows < self.config.chain_length_target:
             events = self.step()
             if events and on_step is not None:
                 on_step(events)
@@ -538,10 +544,11 @@ class Kernel:
     def commit(self, outcome: StepOutcome) -> Sequence[tuple]:
         """Charge one cascade to the chain as one verbose step.
 
-        A rejection only adds 1 to the live row's weight; away from a tick
-        it produces no event and returns an empty tuple. An acceptance
-        finalizes the live row (stamps its running columns; its final weight
-        is the attempts made from it), then appends the accepted state
+        A rejection only adds 1 to the chain's verbose length, and so to
+        the live row's weight; away from a tick it produces no event and
+        returns an empty tuple. An acceptance finalizes the live row (stamps
+        its running columns; its final weight is the attempts made from
+        it), then appends the accepted state, without a ChainRow,
         stamped with the process id the stream policy derives from that
         weight, makes it the incumbent and runs burn-in. At an adaptation
         boundary it folds the rows finalized since the previous one into the
@@ -551,21 +558,17 @@ class Kernel:
         state, log_func, stage, _ = outcome
         chain = self.chain
         if stage == REJECTED:
-            chain.increment_last(1)
+            chain.verbose_length += 1  # the live row's weight
             if chain.verbose_length % 1000:
                 return ()
             events: List[tuple] = []
         else:
             finalized = chain.n_rows - 1
-            weight = int(chain.weights[finalized])
+            weight = chain.weights.item(finalized)
             self._stamp_live()
-            chain.append_row(ChainRow(
-                process_id=self.streams.process_id(weight), dr_stage=stage,
-                mean_acceptance_rate=0.0,  # stamped when finalized
-                adaptation_measure=self._pending_measure,
-                burnin_location=self._burnin, weight=1, log_func=log_func,
-                state=state,
-            ))
+            # the rate is stamped when the row is finalized
+            chain.append(self.streams.process_id(weight), stage, 0.0,
+                         self._pending_measure, self._burnin, 1, log_func, state)
             self.incumbent, self.log_incumbent = state, log_func
             self._pending_measure = 0.0
             events = [("row_final", finalized)]

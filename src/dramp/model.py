@@ -100,8 +100,8 @@ def gaussian_target(
     whiten = np.linalg.inv(chol)
 
     def evaluate(x: np.ndarray) -> float:
-        z = whiten @ (x - mu)
-        return const - 0.5 * float(z @ z)
+        z = whiten.dot(x - mu)
+        return const - 0.5 * float(z.dot(z))
 
     return TargetDensity(
         name="mvn", dimension=d, evaluate=evaluate, preferred_start=mu
@@ -156,7 +156,7 @@ def banana_target(
         quad = (x[0] / s1) ** 2 + ridge * ridge
         if d > 2:
             rest = x[2:]
-            quad += float(rest @ rest)
+            quad += float(rest.dot(rest))
         return const - 0.5 * quad
 
     return TargetDensity(

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .chain import CompactChain
-from .errors import CorruptRestart, IoFailure
+from .errors import CorruptRestart, IoFailure, UnencodableValue
 from .refine import RefinedSample
 
 __all__ = [
@@ -129,32 +129,49 @@ def _fmt(value: float) -> str:
     return "%.17g" % value
 
 
-def _record_struct(dimension: int) -> struct.Struct:
-    return struct.Struct("<IIddQQd" + "d" * dimension)
+class _OutputFile:
+    """An output file opened in binary mode, so tell() is a true byte
+    offset; restart truncation depends on it."""
+
+    def __init__(self, path: str, append: bool, what: str):
+        try:
+            self._fh = open(path, "ab" if append else "wb")
+        except OSError as exc:
+            raise IoFailure("cannot open %s file: %s" % (what, exc)) from exc
+
+    def flush(self) -> None:
+        self._fh.flush()
+
+    def tell(self) -> int:
+        return self._fh.tell()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
 
 
-class ChainWriter:
-    """Streaming chain-file writer for either codec.
-
-    Binary mode underneath in both cases so tell() is a true byte offset;
-    restart truncation depends on it.
-    """
+class ChainWriter(_OutputFile):
+    """Streaming chain-file writer for either codec: write_rows writes a
+    range of a chain's rows from its columns, write_row one row's fields."""
 
     def __init__(self, suite: OutputSuite, variable_names: Sequence[str],
                  append: bool = False):
+        super().__init__(suite.chain_path, append, "chain")
         self.suite = suite
         self.variable_names = tuple(variable_names)
-        self._struct = _record_struct(len(self.variable_names))
+        self._record = _record_dtype(len(self.variable_names))
         # the format of one ASCII row: integers as %d, reals as _fmt renders
         self._line = (suite.delimiter.replace("%", "%%").join(
             "%d %d %.17g %.17g %d %d %.17g".split()
             + ["%.17g"] * len(self.variable_names)
         ) + "\n").encode("utf-8")
         self._ascii = suite.chain_format == "ascii"
-        try:
-            self._fh = open(suite.chain_path, "ab" if append else "wb")
-        except OSError as exc:
-            raise IoFailure("cannot open chain file: %s" % exc) from exc
         if not append:
             self._write_header()
 
@@ -176,30 +193,42 @@ class ChainWriter:
 
     def write_row(self, fields: tuple) -> None:
         """Write one row: a tuple in ``CompactChain.fields``'s layout, the
-        seven fixed columns and then the state's coordinates."""
+        seven fixed columns and then the state's coordinates. It is encoded
+        as a one-row block, whose row an encoding error names as row 0."""
+        fixed = [np.asarray([v]) for v in fields[:7]]
+        self._write_block(fixed, np.asarray([fields[7:]], dtype=float), 0)
+
+    def write_rows(self, chain: CompactChain, start: int, end: int) -> None:
+        """Write rows [start, end) of ``chain`` from its columns, the bytes
+        write_row writes for each row's fields."""
+        for first in range(start, end, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, end)
+            self._write_block(*chain.columns(first, last), first)
+
+    def _write_block(self, fixed, states: np.ndarray, first: int) -> None:
+        """Write a block, its seven fixed columns and its states, from row
+        ``first``: ASCII as lines of the one-row format, binary as one array
+        of records. Casting would wrap an integer its binary field cannot
+        hold, so that raises UnencodableValue naming its column and row."""
+        if self._ascii:
+            columns = [column.tolist() for column in fixed] + states.T.tolist()
+            data = b"".join([self._line % row for row in zip(*columns)])
+        else:
+            data = np.empty(len(states), self._record)
+            for name, column, values in zip(self._record.names, FIXED_COLUMNS, fixed):
+                field = self._record[name]
+                if field.kind == "u":
+                    bad = np.flatnonzero((values < 0) | (values > np.iinfo(field).max))
+                    if bad.size:
+                        raise UnencodableValue(
+                            "chain row %d: %s %d does not fit the binary field %s"
+                            % (first + bad[0], column, values[bad[0]], field.str))
+                data[name] = values
+            data["state"] = states
         try:
-            if self._ascii:
-                self._fh.write(self._line % fields)
-            else:
-                self._fh.write(self._struct.pack(*fields))
+            self._fh.write(data)
         except OSError as exc:
             raise IoFailure("chain write failed: %s" % exc) from exc
-
-    def flush(self) -> None:
-        self._fh.flush()
-
-    def tell(self) -> int:
-        return self._fh.tell()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 # How the ASCII codec parses each fixed column, and the array type both
@@ -208,14 +237,15 @@ _INT, _REAL = (int, np.int64), (float, np.float64)
 _FIELD_TYPES = (_INT, _INT, _REAL, _REAL, _INT, _INT, _REAL)
 _WEIGHT = FIXED_COLUMNS.index("SampleWeight")
 _INT64_MAX = np.iinfo(np.int64).max
-# ASCII lines are split into fields a block at a time, because the split
-# strings dominate the read's memory: on `serial-dr2`, 512-line blocks
-# raised peak RSS by 1.1 MB, 256-line blocks (with the text freed) by 0.4 MB
+# Rows are encoded, and ASCII lines split into fields, a block at a time,
+# because the Python objects per row dominate the memory: on `serial-dr2`,
+# 512-line read blocks raised peak RSS by 1.1 MB, 256-line blocks (with the
+# text freed) by 0.4 MB
 _BLOCK_ROWS = 256
 
 
 def _record_dtype(dimension: int) -> np.dtype:
-    """The binary record as numpy reads it, field for field _record_struct."""
+    """The binary record, packed: struct format "<IIddQQd" + "d" * d."""
     return np.dtype([
         ("process_id", "<u4"),
         ("dr_stage", "<u4"),
@@ -421,7 +451,7 @@ def write_sample(path: str, refined: RefinedSample, delimiter: str = ",") -> Non
         raise IoFailure("cannot write sample file: %s" % exc) from exc
 
 
-class ProgressWriter:
+class ProgressWriter(_OutputFile):
     """Appends one CSV line per progress tick (every 1000 verbose states)."""
 
     HEADER = (
@@ -430,10 +460,7 @@ class ProgressWriter:
     )
 
     def __init__(self, path: str, append: bool = False):
-        try:
-            self._fh = open(path, "ab" if append else "wb")
-        except OSError as exc:
-            raise IoFailure("cannot open progress file: %s" % exc) from exc
+        super().__init__(path, append, "progress")
         if not append:
             self._fh.write(
                 (FORMAT_COMMENT + "\n" + self.HEADER + "\n").encode("utf-8")
@@ -453,22 +480,6 @@ class ProgressWriter:
             self._fh.flush()
         except OSError as exc:
             raise IoFailure("progress write failed: %s" % exc) from exc
-
-    def flush(self) -> None:
-        self._fh.flush()
-
-    def tell(self) -> int:
-        return self._fh.tell()
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def _windowed_means(values: np.ndarray, n_windows: int = 10) -> List[float]:

@@ -1300,6 +1300,67 @@ class TestResume:
                     assert (getattr(x, column).tobytes()
                             == getattr(y, column).tobytes()), column
 
+    # snapshots land at every adaptation (each 100 rows here): 350 and 949
+    # stop a run between two, and 949 stops chain 2 of a multichain run,
+    # whose chain 1 has written all its 600 rows
+    @pytest.mark.parametrize("overrides,stop,rows", [
+        ({"mode": "serial", "format": "ascii"}, 350, 350),
+        ({"mode": "multichain", "chains": "2", "format": "binary"}, 949, 950),
+    ], ids=["serial-ascii", "multichain-binary"])
+    def test_interrupt_between_snapshots_leaves_every_finalized_row(
+        self, tmp_path, monkeypatch, overrides, stop, rows
+    ):
+        # rows reach the chain file in blocks; the close of a stopped run
+        # writes the ones no snapshot has written yet
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        monkeypatch.chdir(clean)
+        run_simulation(self.spec_here(**overrides))
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        monkeypatch.chdir(broken)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, stop)
+        left = (broken / spec.output.chain_path).read_bytes()
+        assert read_snapshot(spec.output.restart_path)["rows_written"] < rows
+        assert read_chain(spec.output.chain_path).n_rows == rows
+        assert left == (clean / spec.output.chain_path).read_bytes()[: len(left)]
+        assert run_simulation(spec).restarted is True
+        assert_suites_identical(clean, broken)
+
+    def test_failed_row_write_at_close_keeps_the_run_exception(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        closed = []
+        for writer in (ChainWriter, dramp.persist.ProgressWriter):
+            def close(self, original=writer.close, name=writer.__name__):
+                closed.append(name)
+                original(self)
+
+            monkeypatch.setattr(writer, "close", close)
+        stopping = []
+        write_rows = ChainWriter.write_rows
+
+        def failing_write_rows(self, chain, start, end):
+            if stopping:
+                raise dramp.persist.IoFailure("chain write failed: disk full")
+            write_rows(self, chain, start, end)
+
+        monkeypatch.setattr(ChainWriter, "write_rows", failing_write_rows)
+        bomb = interrupt_after(350)
+
+        def stop(event):
+            try:
+                bomb(event)
+            except Interrupt:
+                stopping.append(event)
+                raise
+
+        with pytest.raises(Interrupt):
+            run_simulation(self.spec_here(), on_event=stop)
+        assert stopping and sorted(closed) == ["ChainWriter", "ProgressWriter"]
+
     @pytest.mark.parametrize("overrides,stop", [
         ({"mode": "serial", "format": "ascii", "chain-len": "1200"}, 1100),
         ({"mode": "forkjoin", "workers": "8", "format": "binary",

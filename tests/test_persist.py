@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dramp.chain import ChainRow, CompactChain
-from dramp.errors import CorruptRestart, IoFailure
+from dramp.errors import CorruptRestart, IoFailure, UnencodableValue
 from dramp.kernel import KernelConfig, run_kernel
 from dramp.model import TargetDensity
 from dramp.parallel import build_speedup_report
@@ -247,6 +247,104 @@ class TestBinaryChainFile:
         p.write_bytes(raw[:20] + b"\xff" + raw[21:])  # name block not UTF-8
         with pytest.raises(IoFailure):
             read_chain(str(p))
+
+
+def multichain_shaped(seed, lengths=(700, 650), d=3):
+    """Chains as a multichain run steps them, chain i stamping i + 1: rows
+    appended with weight 1 and their weights grown by increments, as the
+    kernel grows them, so each chain's live row holds the increments past
+    its last append."""
+    r = np.random.default_rng(seed)
+    chains = []
+    for pid, n in enumerate(lengths, start=1):
+        chain = CompactChain(d)
+        for _ in range(n):
+            chain.append_row(mk_row(
+                r.standard_normal(d) * 10.0 ** r.integers(-4, 5),
+                r.standard_normal() * 100, pid=pid,
+                stage=int(r.integers(0, 3)), rate=float(r.random()),
+                measure=float(r.random()), burnin=int(r.integers(0, 50)),
+            ))
+            chain.increment_last(int(r.integers(0, 8)))
+        chains.append(chain)
+    return chains
+
+
+class TestBlockWrites:
+    """ChainWriter.write_rows writes a range of a chain from its columns;
+    the bytes are those write_row writes for each row's fields."""
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary"])
+    def test_block_bytes_equal_row_bytes(self, tmp_path, fmt):
+        names = ("a", "b", "c")
+        first, second = multichain_shaped(1)
+        rows = tmp_path / "rows"
+        blocks = tmp_path / "blocks"
+        with ChainWriter(OutputSuite(str(blocks), chain_format=fmt), names) as w:
+            # a block that runs to the end of chain 1, then one that starts
+            # chain 2 and ends on its live row's predecessor
+            w.write_rows(first, 0, 300)
+            w.write_rows(first, 300, first.n_rows)
+            w.write_rows(second, 0, second.n_rows - 1)
+            # the live row gains weight before the end of its chain
+            second.increment_last(5)
+            w.write_rows(second, second.n_rows - 1, second.n_rows)
+            w.write_rows(second, second.n_rows, second.n_rows)  # empty
+        with ChainWriter(OutputSuite(str(rows), chain_format=fmt), names) as w:
+            for chain in (first, second):
+                for i in range(chain.n_rows):
+                    w.write_row(chain.fields(i))
+        path = OutputSuite(str(rows), chain_format=fmt).chain_path
+        want = open(path, "rb").read()
+        got = open(OutputSuite(str(blocks), chain_format=fmt).chain_path, "rb").read()
+        assert got == want
+        back = read_chain(path)
+        assert back.n_rows == first.n_rows + second.n_rows
+        assert back.weights[-1] == second.weights[-1]
+
+    @pytest.mark.parametrize("column,value", [
+        ("process_ids", -1),
+        ("process_ids", 2 ** 32),
+        ("dr_stages", 2 ** 32),
+        ("burnin_locations", -1),
+    ])
+    def test_binary_encoder_refuses_what_its_field_cannot_hold(
+        self, tmp_path, column, value
+    ):
+        # numpy casting would wrap these values silently
+        suite = OutputSuite(str(tmp_path / "run"), chain_format="binary")
+        chain = random_chain(12, n=20, d=2)
+        clean = chain.fields(12)
+        getattr(chain, column)[13] = value
+        name = {"process_ids": "ProcessID", "dr_stages": "DelayedRejectionStage",
+                "burnin_locations": "BurninLocation"}[column]
+        with ChainWriter(suite, ("a", "b")) as w:
+            header = w.tell()
+            with pytest.raises(UnencodableValue,
+                               match=r"^chain row 13: %s %d does not fit the "
+                                     r"binary field <u" % (name, value)):
+                w.write_rows(chain, 10, 20)
+            with pytest.raises(UnencodableValue,
+                               match=r"^chain row 0: %s %d " % (name, value)):
+                w.write_row(chain.fields(13))
+            with pytest.raises(UnencodableValue,
+                               match=r"^chain row 0: SampleWeight 18446744073709551616 "):
+                w.write_row(clean[:5] + (2 ** 64,) + clean[6:])
+            # a refused block writes nothing
+            assert w.tell() == header
+            w.write_rows(chain, 0, 13)
+            w.write_row(clean)
+        assert read_chain(suite.chain_path).n_rows == 14
+
+    def test_ascii_writes_integers_of_any_size(self, tmp_path):
+        suite = OutputSuite(str(tmp_path / "run"))
+        chain = random_chain(13, n=3, d=1)
+        chain.process_ids[1] = -1
+        with ChainWriter(suite, ("a",)) as w:
+            w.write_rows(chain, 0, 3)
+            w.write_row((2 ** 32, 0, 0.5, 0.0, 0, 1, -0.5, 1.0))
+        lines = open(suite.chain_path, "rb").read().decode().split("\n")
+        assert lines[3].startswith("-1,") and lines[5].startswith("4294967296,")
 
 
 class TestDamagedRows:
