@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .chain import CompactChain
 from .errors import DegenerateTally, SamplerError
@@ -162,9 +161,13 @@ def recommend_workers(p: float, efficiency_floor: float = 0.05) -> int:
 def fit_geometric(tally: ContributionTally) -> float:
     """Maximum-likelihood acceptance probability from a contribution tally.
 
-    Model: P(rank = r) proportional to p (1-p)^(r-1) on r in {1..P}. The
-    likelihood derivative is solved by bracketed root finding to 1e-10 in p.
-    All mass in rank 1 means every round was won immediately: p = 1.
+    Model: P(rank = r) proportional to p (1-p)^(r-1) on r in {1..P}. That
+    law is an exponential family in log(1-p) with sufficient statistic r - 1,
+    so for n ranks whose r - 1 sum to s the likelihood derivative has the
+    sign of n E_p[r-1] - s, which falls with p: it changes sign once.
+    Bisection of [1e-12, 1 - 1e-12] runs to adjacent floats and returns the
+    lower one, where the derivative is still positive. All mass in rank 1
+    means every round was won immediately: p = 1.
     """
     if tally.total < 1:
         raise DegenerateTally("tally holds no accepted states")
@@ -173,19 +176,27 @@ def fit_geometric(tally: ContributionTally) -> float:
     s = float(counts @ np.arange(tally.worker_count))  # sum of (rank-1) weights
     if s == 0.0:
         return 1.0
-    big_p = tally.worker_count
-
-    def dlogl(p: float) -> float:
-        # 1 - q^P via expm1/log1p: the naive form loses ~11 digits near p=0
-        # and flips the sign of the boundary test below
-        q = 1.0 - p
-        one_minus_q_pow = -math.expm1(big_p * math.log1p(-p))
-        return n / p - s / q - n * big_p * q ** (big_p - 1) / one_minus_q_pow
-
     lo, hi = 1e-12, 1.0 - 1e-12
-    if dlogl(lo) <= 0.0:
+    if _geometric_score(lo, n, s, tally.worker_count) <= 0.0:
         return lo  # heavier-than-uniform tail; boundary solution
-    return float(brentq(dlogl, lo, hi, xtol=1e-10))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if _geometric_score(mid, n, s, tally.worker_count) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _geometric_score(p: float, n: float, s: float, big_p: int) -> float:
+    """Derivative in p of the truncated-geometric log-likelihood of n ranks
+    whose (rank - 1) values sum to s."""
+    # 1 - q^P via expm1/log1p: the naive form loses ~11 digits near p=0
+    # and flips the sign of the boundary test
+    q = 1.0 - p
+    one_minus_q_pow = -math.expm1(big_p * math.log1p(-p))
+    return n / p - s / q - n * big_p * q ** (big_p - 1) / one_minus_q_pow
 
 
 def measured_speedup(chain: CompactChain, worker_count: int) -> Optional[float]:

@@ -1472,3 +1472,38 @@ class TestProcessKill:
         assert rerun.returncode == EXIT_OK
         assert rerun.stdout.startswith("resumed run under prefix")
         assert_suites_identical(clean, killed)
+
+
+# the run path without scipy: with sys.modules["scipy"] = None any scipy
+# import raises ImportError, so this child fails if one comes back
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None
+import dramp
+from dramp.cli import main
+from dramp.config import build_spec
+from dramp.driver import run_simulation
+run_simulation(build_spec({"mode": "forkjoin", "workers": "4", "chain-len": "300",
+                           "seed": "2", "out": "fj", "deterministic-test-mode": "true"}))
+sys.exit(main(["predict", "fj_chain.txt", "--max-workers", "8"]))
+"""
+
+
+class TestNoScipyAtRunTime:
+    def test_forkjoin_run_and_predict_without_scipy(self, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_RUN], cwd=tmp_path, env=child_env(),
+            capture_output=True, text=True,
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        assert child.stdout.startswith("source: worker contribution tally (4 workers)\n")
+        assert "fitted acceptance prob" in (tmp_path / "fj_report.txt").read_text()
+
+    def test_import_loads_no_scipy_module(self, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys, dramp; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        assert child.stdout == "[]\n"

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from dramp.errors import DegenerateTally, SamplerError
 from dramp.kernel import KernelConfig, RoundStreams, run_kernel
@@ -20,6 +21,7 @@ from dramp.parallel import (
     WORKER_CAP,
     ContributionTally,
     build_speedup_report,
+    _geometric_score,
     fit_geometric,
     measured_speedup,
     predict_speedup,
@@ -154,6 +156,30 @@ class TestFitGeometric:
     def test_empty_tally_raises(self):
         with pytest.raises(DegenerateTally):
             fit_geometric(ContributionTally(4, (0, 0, 0, 0)))
+
+    def test_bisection_matches_brentq_on_seeded_tallies(self):
+        # the scipy root finder the fit once used is the oracle; the bisection
+        # must also stop at adjacent floats across the score's sign change
+        r = np.random.default_rng(31)
+        fitted = 0
+        for _ in range(300):
+            big_p = int(r.integers(2, 65))
+            draws = r.geometric(r.uniform(0.02, 0.98), size=int(r.integers(20, 2000)))
+            draws = draws[draws <= big_p]
+            counts = np.bincount(draws, minlength=big_p + 1)[1:]
+            tally = ContributionTally(big_p, tuple(int(c) for c in counts))
+            if tally.total == tally.counts[0]:
+                continue  # empty, or the p = 1 rule
+            n = float(tally.total)
+            s = float(counts @ np.arange(big_p))
+            score = lambda p: _geometric_score(p, n, s, big_p)
+            if score(1e-12) <= 0.0:
+                continue  # the boundary rule
+            p_hat = fit_geometric(tally)
+            assert p_hat == pytest.approx(brentq(score, 1e-12, 1.0 - 1e-12, xtol=1e-10), abs=1e-10)
+            assert score(p_hat) > 0.0 >= score(math.nextafter(p_hat, 1.0))
+            fitted += 1
+        assert fitted >= 200
 
 
 class TestSpeedupReport:
