@@ -239,11 +239,6 @@ class CompactChain:
         self.n_rows = i + 1
         self.verbose_length += weight
 
-    def increment_last(self, extra_weight: int = 1) -> None:
-        if self.n_rows == 0:
-            raise EmptyRange("cannot increment an empty chain")
-        self.verbose_length += extra_weight
-
     def restamp_last(
         self, mean_acceptance_rate: float, burnin_location: int
     ) -> None:

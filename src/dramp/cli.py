@@ -19,11 +19,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import FIELD_DESCRIPTIONS, build_spec, parse_config_file
-from .driver import replay_adaptation_covariances, run_simulation
+from .config import FIELD_DESCRIPTIONS, build_spec, make_target, parse_config_file
+from .driver import _make_kernel, run_simulation
 from .errors import RefusedOverwrite, SamplerError, SpecMismatch
 from .parallel import predict_speedup, run_speedup
-from .persist import _fmt, read_chain, read_report_echo, write_sample
+from .persist import OutputSuite, _fmt, read_chain, read_report_echo, write_sample
 from .refine import refine_two_phase
 
 __all__ = ["main", "build_parser"]
@@ -215,11 +215,20 @@ def _run_spec(prefix: str):
 
 def _load_run(prefix: str):
     spec = _run_spec(prefix)
-    ext = "txt" if spec.output.chain_format == "ascii" else "bin"
-    chain = read_chain(
-        "%s_chain.%s" % (prefix, ext), spec.output.delimiter
-    )
-    return spec, chain
+    suite = OutputSuite(prefix, spec.output.chain_format, spec.output.delimiter)
+    return spec, read_chain(suite.chain_path, suite.delimiter)
+
+
+def _adapted_covariances(spec, chain) -> List[np.ndarray]:
+    """The shape matrix after each adaptation of the run's first chain,
+    read off its rows through the kernel's own adaptation code; the target
+    is built but never evaluated. A multichain run's first chain is its
+    leading rows, which carry process id 1."""
+    if spec.mode == "multichain":
+        others = np.flatnonzero(chain.process_ids != 1)
+        chain = chain.slice(0, int(others[0]) if others.size else chain.n_rows)
+    kern = _make_kernel(spec, make_target(spec), 0, chain=chain)
+    return [proposal.covariance for _, proposal in kern.adaptations()]
 
 
 def cmd_export_plotdata(args) -> int:
@@ -236,11 +245,11 @@ def cmd_export_plotdata(args) -> int:
             for i in hits:
                 lines.append("%d,%s" % (int(starts[i]), _fmt(float(measures[i]))))
         elif args.figure == "covariance":
-            captured = replay_adaptation_covariances(spec)
-            if not captured:
+            matrices = _adapted_covariances(spec, chain)
+            if not matrices:
                 raise ValueError("run recorded no adaptation events")
             lines.append("AdaptationIndex,Row,Col,Value")
-            for index, (_, matrix) in enumerate(captured, start=1):
+            for index, matrix in enumerate(matrices, start=1):
                 d = matrix.shape[0]
                 for i in range(d):
                     for j in range(d):

@@ -73,7 +73,7 @@ from .refine import (
     refine_two_phase,
 )
 
-__all__ = ["RunResult", "run_simulation", "replay_adaptation_covariances"]
+__all__ = ["RunResult", "run_simulation"]
 
 _SNAPSHOT_ROW_PERIOD = 1000
 
@@ -492,26 +492,3 @@ def run_simulation(
     return _run(spec, make_target(spec), _snapshot_header(spec, digest),
                 snap, stored, edges, on_event)
 
-
-def replay_adaptation_covariances(
-    spec: SimulationSpec,
-) -> List[Tuple[int, np.ndarray]]:
-    """Re-run a simulation in memory and capture the proposal shape matrix at
-    every adaptation, as (chain_length, matrix) pairs.
-
-    The trajectory is fully determined by the spec, so this reproduces
-    exactly the matrices the original run adapted through. Multichain specs
-    replay their first chain, whose stream convention matches a serial run.
-    """
-    kern = _make_kernel(spec, make_target(spec), 0)
-    captured: List[Tuple[int, np.ndarray]] = []
-
-    def capture(events: Sequence[tuple]) -> None:
-        for event in events:
-            if event[0] == "adapt":
-                captured.append(
-                    (event[1].at_chain_length, kern.proposal.covariance.copy())
-                )
-
-    kern.run(capture)
-    return captured

@@ -8,8 +8,9 @@ row and appends the new state. The serial and multichain policies draw every
 attempt from the chain's own stream; the fork-join policy gives attempt n its
 own counter-based stream, so workers that pre-fetch attempts write the same
 chain at any worker count (Brockwell 2006). Kernel.run is the only loop that
-steps a chain; run_kernel, the parallel runners, the driver and the
-adaptation replay all go through it.
+steps a chain; run_kernel, the parallel runners and the driver all go
+through it. What a finished chain adapted to is read back off its rows
+(Kernel.adaptations), with no target evaluation.
 
 Within a cascade, a rejection at stage k falls through to stage k+1 with a
 narrower proposal, up to the configured stage count. Delayed-rejection
@@ -47,7 +48,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -611,11 +612,25 @@ class Kernel:
             "live_row": vars(self.chain.row(self.chain.n_rows - 1)),
         }
 
+    def _boundaries(self) -> range:
+        # commit adapts at n_rows = k * period once n_rows >= 2
+        return range(max(self._period, 2), self.chain.n_rows + 1, self._period)
+
+    def adaptations(self) -> Iterator[Tuple[AdaptationRecord, ProposalState]]:
+        """Replay the adaptations of a kernel built on a finished chain's
+        rows, yielding each record and the proposal after it. The
+        adaptation at b rows is a function of those b rows, so the
+        proposals and measures are those the run made, bit for bit."""
+        for boundary in self._boundaries():
+            record = self._adapt_at(boundary)
+            yield record, self.proposal
+
     def load_state(self, state: dict) -> None:
         """Inverse of state_dict, on a kernel built with its initial proposal
         and the finalized rows: restore the stream and the pending measure,
-        append the live row, and derive the rest from the rows as a run does,
-        replaying every fold but only the last adaptation."""
+        append the live row, and derive the rest from the rows as a run does.
+        Of the adaptations, only the last is made (unmeasured: the snapshot
+        holds the pending measure); the earlier boundaries only fold."""
         self.streams.load_state(state["stream"])
         self._pending_measure = float(state["pending_measure"])
         chain = self.chain
@@ -624,8 +639,7 @@ class Kernel:
         self.log_incumbent = float(chain.log_funcs[-1])
         self._run_max = float(np.max(chain.log_funcs))
         self._rescan_burnin()
-        # commit adapts at n_rows = k * period once n_rows >= 2
-        boundaries = range(max(self._period, 2), chain.n_rows + 1, self._period)
+        boundaries = self._boundaries()
         for boundary in boundaries[:-1]:
             self._fold(boundary)
         if boundaries:
@@ -633,7 +647,6 @@ class Kernel:
             # the count the adaptations before the last one reached
             count = adaptation_count(last - 1, chain.dimension, self._period)
             self.proposal = replace(self.proposal, adaptation_count=count)
-            # the snapshot holds the measure a run would have pending
             self._adapt_at(last, measured=False)
 
 

@@ -35,11 +35,16 @@ class TestAppendOrIncrement:
         assert ch.weights[0] == 1
 
     def test_repeat_increments_weight(self):
+        # a rejection adds to the verbose length, which the live row's
+        # weight follows
         ch = CompactChain(dimension=1)
         ch.append_row(mk_row([1.0]))
-        ch.increment_last(1)
+        ch.verbose_length += 1
         assert ch.n_rows == 1
         assert ch.weights[0] == 2
+        ch.verbose_length += 3
+        assert ch.weights[0] == 5
+        assert ch.verbose_length == 5
 
     def test_reappearance_is_a_new_row(self):
         ch = CompactChain(dimension=1)
@@ -94,7 +99,7 @@ class TestVerboseExpansion:
         # so the reference chain merges them too
         def visit(chain, state, logf=0.0):
             if chain.n_rows and np.array_equal(chain.last_state(), state):
-                chain.increment_last(1)
+                chain.verbose_length += 1
             else:
                 chain.append_row(mk_row(state, logf=logf))
 
@@ -150,13 +155,6 @@ class TestWeightedMoments:
 
 
 class TestChainBookkeeping:
-    def test_increment_last_adds_weight(self):
-        ch = CompactChain(dimension=1)
-        ch.append_row(mk_row([1.0]))
-        ch.increment_last(3)
-        assert ch.weights[0] == 4
-        assert ch.verbose_length == 4
-
     def test_growth_preserves_rows(self):
         ch = CompactChain(dimension=1)
         for v in range(3000):  # crosses the initial capacity
@@ -256,9 +254,9 @@ class TestColumnsAndSlices:
         )
         for row in rows[1000:]:
             got.append_row(row)
-        got.increment_last(4)
+        got.verbose_length += 4
         want = appended(rows, 2)
-        want.increment_last(4)
+        want.verbose_length += 4
         assert_same_chain(got, want)
 
     def test_from_columns_copies_its_input(self):
@@ -318,10 +316,10 @@ class TestColumnsAndSlices:
         assert part._weight.size == 1024
         for row in rows[1000:]:
             part.append_row(row)
-        part.increment_last(3)
+        part.verbose_length += 3
         part.restamp_last(0.125, 77)
         want = appended(rows[900:], 2)
-        want.increment_last(3)
+        want.verbose_length += 3
         want.restamp_last(0.125, 77)
         assert_same_chain(part, want)
         assert_same_chain(source, appended(rows[:1000], 2))
@@ -343,7 +341,7 @@ class TestColumnsAndSlices:
         rows = random_rows(7, 30, 2)
         source = appended(rows, 2)
         part = source.slice(10, 10)
-        part.increment_last(5)
+        part.verbose_length += 5
         part.restamp_last(0.125, 77)
         part.append_row(random_rows(8, 1, 2)[0])
         part.states[0] += 1.0

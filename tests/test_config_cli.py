@@ -37,6 +37,7 @@ from dramp.config import (
     spec_digest,
     spec_to_items,
 )
+import dramp.config
 import dramp.driver
 import dramp.kernel
 import dramp.persist
@@ -606,6 +607,73 @@ class TestCliExport:
         ).reshape(2, 2)
         assert np.allclose(first, first.T)
         assert np.all(np.linalg.eigvalsh(first) > 0)
+
+    @pytest.mark.parametrize("stop", [None, 350], ids=["clean", "resumed"])
+    @pytest.mark.parametrize("overrides", [
+        {"dr-stages": "2"},
+        {"mode": "multichain", "chains": "3"},
+        {"mode": "forkjoin", "workers": "4"},
+    ], ids=["serial-dr2", "multichain", "forkjoin"])
+    def test_covariance_csv_holds_the_matrices_the_run_adapted_to(
+        self, tmp_path, monkeypatch, capsys, overrides, stop
+    ):
+        values = {"out": str(tmp_path / "run"), "chain-len": "600", "seed": "4",
+                  "adaptation-period": "40", "deterministic-test-mode": "true"}
+        spec = build_spec(dict(values, **overrides))
+        adapted = []
+        real_adapt = dramp.kernel.adapt
+
+        def capture(state, mean, cov, chain_length, measured=True):
+            new_state, record = real_adapt(state, mean, cov, chain_length, measured)
+            # a resume rebuilds its last proposal unmeasured; that is no
+            # adaptation of the run
+            if measured:
+                adapted.append((record, new_state.covariance))
+            return new_state, record
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dramp.kernel, "adapt", capture)
+            if stop is not None:
+                run_to_interrupt(spec, stop)
+            assert run_simulation(spec).restarted is (stop is not None)
+        # 15 boundaries per chain, and the first chain's come first
+        assert len(adapted) == 15 * spec.n_chains
+        adapted = adapted[:15]
+
+        lines = self.export(spec.output.prefix, "covariance", tmp_path / "c.csv")
+        exported = np.array([float(line.split(",")[3]) for line in lines[1:]])
+        assert np.array_equal(
+            exported, np.concatenate([cov.ravel() for _, cov in adapted])
+        )
+
+        # each measure is the one the run stamped on the row after its boundary
+        chain = read_chain(spec.output.chain_path).slice(0, 600)
+        kern = dramp.driver._make_kernel(
+            spec, dramp.config.make_target(spec), 0, chain=chain
+        )
+        replayed = [record for record, _ in kern.adaptations()]
+        assert replayed == [record for record, _ in adapted]
+        for record in replayed[:-1]:
+            stamped = chain.adaptation_measures[record.at_chain_length]
+            assert record.measure.hex() == float(stamped).hex()
+
+    def test_covariance_export_evaluates_no_target(
+        self, forkjoin_run, tmp_path, monkeypatch, capsys
+    ):
+        want = tmp_path / "want.csv"
+        self.export(forkjoin_run, "covariance", want)
+        real_target = dramp.config.make_builtin_target
+
+        def refuse(point):
+            raise AssertionError("the covariance export evaluated the target")
+
+        def target_that_refuses(target_spec):
+            return dataclasses.replace(real_target(target_spec), evaluate=refuse)
+
+        monkeypatch.setattr(dramp.config, "make_builtin_target", target_that_refuses)
+        got = tmp_path / "got.csv"
+        self.export(forkjoin_run, "covariance", got)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_contributions_rows_match_worker_count(
         self, forkjoin_run, tmp_path, capsys

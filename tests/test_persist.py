@@ -265,7 +265,7 @@ def multichain_shaped(seed, lengths=(700, 650), d=3):
                 stage=int(r.integers(0, 3)), rate=float(r.random()),
                 measure=float(r.random()), burnin=int(r.integers(0, 50)),
             ))
-            chain.increment_last(int(r.integers(0, 8)))
+            chain.verbose_length += int(r.integers(0, 8))
         chains.append(chain)
     return chains
 
@@ -287,7 +287,7 @@ class TestBlockWrites:
             w.write_rows(first, 300, first.n_rows)
             w.write_rows(second, 0, second.n_rows - 1)
             # the live row gains weight before the end of its chain
-            second.increment_last(5)
+            second.verbose_length += 5
             w.write_rows(second, second.n_rows - 1, second.n_rows)
             w.write_rows(second, second.n_rows, second.n_rows)  # empty
         with ChainWriter(OutputSuite(str(rows), chain_format=fmt), names) as w:
