@@ -23,7 +23,8 @@ from .config import FIELD_DESCRIPTIONS, build_spec, make_target, parse_config_fi
 from .driver import _make_kernel, run_simulation
 from .errors import RefusedOverwrite, SamplerError, SpecMismatch
 from .parallel import predict_speedup, run_speedup
-from .persist import OutputSuite, _fmt, read_chain, read_report_echo, write_sample
+from .persist import OutputSuite, _fmt, chain_prefix, read_chain, read_report_echo
+from .persist import write_sample
 from .refine import refine_two_phase
 
 __all__ = ["main", "build_parser"]
@@ -170,10 +171,10 @@ def cmd_refine(args) -> int:
 def cmd_predict(args) -> int:
     try:
         chain = read_chain(args.chain, args.delimiter)
-        stem, sep, ext = args.chain.rpartition("_chain.")
+        prefix = chain_prefix(args.chain)
         spec = None
-        if sep and ext in ("txt", "bin") and os.path.exists(stem + "_report.txt"):
-            spec = _run_spec(stem)
+        if prefix is not None and os.path.exists(OutputSuite(prefix).report_path):
+            spec = _run_spec(prefix)
     except (SamplerError, OSError, ValueError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_CONFIG
@@ -205,7 +206,7 @@ def cmd_predict(args) -> int:
 
 def _run_spec(prefix: str):
     """The spec a completed run echoed into its report."""
-    echo = dict(read_report_echo("%s_report.txt" % prefix))
+    echo = dict(read_report_echo(OutputSuite(prefix).report_path))
     if not echo:
         raise ValueError(
             "report for prefix %r is missing its specification echo" % prefix

@@ -58,8 +58,11 @@ TRAJECTORY_VERSION = 4
 # Layout of the restart snapshot. 2 dropped the proposal, which resume
 # rebuilds from the rows, and hashes the mvn arrays' bytes in the digest;
 # 3 dropped the adaptation count, the stream's identity and the multichain
-# bookkeeping, which resume derives from the rows.
-SNAPSHOT_FORMAT_VERSION = 3
+# bookkeeping, which resume derives from the rows; 4 dropped the hex-float
+# and array encoding for plain JSON, the flattened stream state for numpy's
+# own PCG64 state dict, the mode, chain count and worker count, which the
+# digest pins, and the kernel-less snapshot between multichain chains.
+SNAPSHOT_FORMAT_VERSION = 4
 
 # every user-facing field, in echo order; descriptions double as CLI help
 FIELD_DESCRIPTIONS: Dict[str, str] = {

@@ -5,21 +5,22 @@ factory keyed by mode and chain index (fork-join's stream policy gives every
 attempt its own stream, serial and multichain chains draw from their own)
 and steps it through Kernel.run, with one persistence handler that writes
 rows, progress ticks and snapshots between steps; rows reach the chain file
-in blocks (_SuiteFiles). Multichain runs their chains one after another
-into the same files and also snapshot between chains.
+in blocks (_SuiteFiles). Multichain runs its chains one after another into
+the same files.
 
-The driver snapshots the kernel at every flush boundary (each adaptation and
-every 1000 finalized rows). A snapshot (format version 3) holds the file
-offsets and what the rows cannot give back: the kernel's stream cursor,
-pending adaptation measure and live row, or no kernel between multichain
-chains. A run killed at any instant resumes from the last snapshot, as
-detect_incomplete read it, through one preamble: the rows it counts are
-read, checked and split into multichain chains by process id (chain i
-stamps i + 1; the live row names the chain in progress), the files are cut
-back to its offsets, and the kernel restores its fields and derives the
-rest (moments, burn-in, stage tallies, the proposal and its adaptation
-count) by the rules a run applies. The completed outputs of a resumed run
-are byte-identical to an uninterrupted one.
+The driver snapshots each kernel when it builds it and at every flush
+boundary (each adaptation and every 1000 finalized rows). A snapshot
+(format version 4) holds the file offsets and what the rows cannot give
+back: the kernel's stream cursor, pending adaptation measure and live row.
+A run killed at any instant, between two multichain chains too, resumes
+from the last snapshot, as detect_incomplete read it, through one
+preamble: the rows it counts are read, checked and split into multichain
+chains by process id (chain i stamps i + 1; the live row names the chain
+in progress), the files are cut back to its offsets, and the kernel
+restores its fields and derives the rest (moments, burn-in, stage tallies,
+the proposal and its adaptation count) by the rules a run applies. The
+completed outputs of a resumed run are byte-identical to an uninterrupted
+one.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class _SuiteFiles:
         self.writer.flush()
         self.progress.flush()
 
-    def snapshot(self, header: dict, kernel_state: Optional[dict]) -> None:
+    def snapshot(self, header: dict, kernel_state: dict) -> None:
         # the payload's offsets count the pending rows and the buffered
         # bytes; a kill after the snapshot lands must find them on disk
         self.flush()
@@ -162,20 +163,18 @@ class _SuiteFiles:
 
 
 def _snapshot_header(spec: SimulationSpec, digest: int) -> dict:
-    """The snapshot fields fixed for the whole run."""
+    """The snapshot fields fixed for the whole run; the digest pins the
+    mode, the chain count and the worker count."""
     return {
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "trajectory_version": TRAJECTORY_VERSION,
         "spec_digest": digest,
-        "mode": spec.mode,
         "chain_format": spec.output.chain_format,
         "delimiter": spec.output.delimiter,
-        "n_chains": spec.n_chains,
-        "worker_count": spec.worker_count,
     }
 
 
-def _payload(header: dict, sw: _SuiteFiles, kernel_state: Optional[dict]) -> dict:
+def _payload(header: dict, sw: _SuiteFiles, kernel_state: dict) -> dict:
     return dict(
         header,
         rows_written=sw.rows_written,
@@ -234,10 +233,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _remove_suite(spec: SimulationSpec) -> None:
-    paths = set(spec.output.all_paths())
-    # the chain extension depends on the codec; clear both variants
-    paths.add("%s_chain.txt" % spec.output.prefix)
-    paths.add("%s_chain.bin" % spec.output.prefix)
+    # the chain extension depends on the codec; clear every variant
+    paths = set(spec.output.all_paths() + spec.output.chain_paths)
     paths.add(spec.output.restart_path + ".tmp")
     for path in paths:
         try:
@@ -249,18 +246,17 @@ def _remove_suite(spec: SimulationSpec) -> None:
 def _split_chains(spec: SimulationSpec, stored: CompactChain,
                   snap: dict) -> List[int]:
     """[0, end of chain 1, ..., end of chain k]: the k completed multichain
-    chains in ``stored``, then the finalized rows of chain k + 1 (none
-    between chains). Chain i stamps its rows i + 1, so the runs of equal
-    process ids must be 1, ..., m, and the live row names chain k + 1."""
+    chains in ``stored``, then the finalized rows of chain k + 1. Chain i
+    stamps its rows i + 1, so the runs of equal process ids must be
+    1, ..., m, and the live row names chain k + 1."""
     ids = stored.process_ids
     ends = (np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist() + [ids.size]
     runs = ids[[0] + ends[:-1]] if ids.size else ids
-    live = snap["kernel"]
-    k = runs.size if live is None else int(live["live_row"]["process_id"]) - 1
+    k = int(snap["kernel"]["live_row"]["process_id"]) - 1
     _require(
         np.array_equal(runs, np.arange(1, runs.size + 1))
         and runs.size - k in (0, 1)
-        and 0 <= k <= spec.n_chains - (live is not None),
+        and 0 <= k < spec.n_chains,
         "chain file process ids run %s, not 1, 2, ... up to chain %d, which "
         "the snapshot resumes" % (runs[:10].tolist(), k + 1),
     )
@@ -419,11 +415,10 @@ def _run(
             summaries.append(KernelSummary.of(chains[-1], spec.kernel))
         sw = _SuiteFiles(spec, target.dimension, append=True,
                          rows_written=stored.n_rows)
-        if resume["kernel"] is not None:
-            # no copy when the stored rows are all the chain in progress
-            prefix = stored.tail(edges[-1]) if edges[-1] else stored
-            kern = _make_kernel(spec, target, len(chains), chain=prefix)
-            kern.load_state(resume["kernel"])
+        # no copy when the stored rows are all the chain in progress
+        prefix = stored.tail(edges[-1]) if edges[-1] else stored
+        kern = _make_kernel(spec, target, len(chains), chain=prefix)
+        kern.load_state(resume["kernel"])
 
     with sw:
         for index in range(len(chains), spec.n_chains if multichain else 1):
@@ -433,10 +428,7 @@ def _run(
             summary = kern.run(_make_handler(kern, sw, header, on_event))
             # the end of the run finalizes the live row
             sw.finalize(kern.chain, kern.chain.n_rows - 1)
-            if multichain:
-                sw.snapshot(header, None)
-            else:
-                sw.flush()
+            sw.flush()
             summaries.append(summary)
             chains.append(kern.chain)
             kern = None
@@ -483,11 +475,6 @@ def run_simulation(
     stored, edges = None, [0]
     if state is RunState.RESTARTABLE:
         check_restart_compatibility(spec, snap, digest)
-        _require(
-            snap.get("mode") == spec.mode,
-            "snapshot mode %r does not match spec mode %r"
-            % (snap.get("mode"), spec.mode),
-        )
         stored, edges = _truncate_for_resume(spec, snap)
     return _run(spec, make_target(spec), _snapshot_header(spec, digest),
                 snap, stored, edges, on_event)

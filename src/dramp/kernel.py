@@ -333,7 +333,7 @@ class SerialStreams:
     """One continuous generator for the whole chain (serial and multichain).
 
     Every attempt draws from the chain's own stream, and every row is
-    stamped ``chain_index + 1``. Its state is the generator's.
+    stamped ``chain_index + 1``. Its state is numpy's own PCG64 state dict.
     """
 
     def __init__(self, seed: int, chain_index: int = 0):
@@ -347,10 +347,10 @@ class SerialStreams:
         return self.chain_index + 1
 
     def state_dict(self) -> dict:
-        return rng_mod.stream_state(self._gen)
+        return self._gen.bit_generator.state
 
     def load_state(self, state: dict) -> None:
-        self._gen = rng_mod.restore_stream(state)
+        self._gen.bit_generator.state = state
 
 
 class RoundStreams:
@@ -509,7 +509,7 @@ class Kernel:
             moments = copy.copy(self._moments)
             moments.update(states[-1:], np.ones(1))
         self.proposal, record = adapt(
-            self.proposal, moments.mean, moments.covariance(), boundary, measured
+            self.proposal, moments.covariance(), boundary, measured
         )
         return record
 
@@ -599,17 +599,18 @@ class Kernel:
         self._stamp_live()  # the end of the run finalizes the last row
         return KernelSummary.of(self.chain, self.config)
 
-    # restart transport: plain structures; persist owns the exact encoding
     def state_dict(self) -> dict:
-        """What the chain's rows cannot give back: the stream cursor (None
-        for fork-join), the pending adaptation measure and the live row.
-        The proposal and its adaptation count are not stored; load_state
-        derives them."""
+        """What the chain's rows cannot give back, as plain JSON values: the
+        stream cursor (None for fork-join), the pending adaptation measure
+        and the live row. The proposal and its adaptation count are not
+        stored; load_state derives them."""
+        # a fresh ChainRow: its fields, without a deep copy
+        live = vars(self.chain.row(self.chain.n_rows - 1))
+        live["state"] = live["state"].tolist()
         return {
             "stream": self.streams.state_dict(),
             "pending_measure": self._pending_measure,
-            # a fresh ChainRow: its fields, without a deep copy
-            "live_row": vars(self.chain.row(self.chain.n_rows - 1)),
+            "live_row": live,
         }
 
     def _boundaries(self) -> range:

@@ -6,12 +6,13 @@ round-trips IEEE doubles exactly. All text files are written in binary mode
 with LF line endings so that byte-identical reruns stay byte-identical across
 platforms.
 
-The restart file is a checksummed binary envelope around an exact state
-payload (floats as hex strings), written atomically; a crash can only ever
-leave the previous snapshot in place, never a corrupt one. The payload
-(format version 3) holds file offsets and O(d) kernel values, never what
-the rows determine (the proposal, the adaptation count, each row's chain);
-detect_incomplete hands its caller the payload it checked.
+The restart file is a checksummed binary envelope around a plain JSON
+payload (a float as its shortest repr, which reads back to the same double),
+written atomically; a crash can only ever leave the previous snapshot in
+place, never a corrupt one. The payload (format version 4) holds file
+offsets and O(d) kernel values, never what the rows determine (the
+proposal, the adaptation count, each row's chain); detect_incomplete hands
+its caller the payload it checked.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,6 +43,7 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "detect_incomplete",
+    "chain_prefix",
     "CHAIN_MAGIC",
     "RESTART_MAGIC",
     "REPORT_TERMINATOR",
@@ -68,6 +70,10 @@ FIXED_COLUMNS = (
 )
 
 
+# The chain file's extension for each codec
+CHAIN_EXTENSIONS = {"ascii": "txt", "binary": "bin"}
+
+
 class RunState(Enum):
     FRESH = "fresh"
     RESTARTABLE = "restartable"
@@ -85,7 +91,7 @@ class OutputSuite:
     def __post_init__(self):
         if not self.prefix:
             raise ValueError("output prefix must be non-empty")
-        if self.chain_format not in ("ascii", "binary"):
+        if self.chain_format not in CHAIN_EXTENSIONS:
             raise ValueError(
                 "chain_format must be 'ascii' or 'binary', got %r"
                 % self.chain_format
@@ -95,8 +101,12 @@ class OutputSuite:
 
     @property
     def chain_path(self) -> str:
-        ext = "txt" if self.chain_format == "ascii" else "bin"
-        return "%s_chain.%s" % (self.prefix, ext)
+        return "%s_chain.%s" % (self.prefix, CHAIN_EXTENSIONS[self.chain_format])
+
+    @property
+    def chain_paths(self) -> Tuple[str, ...]:
+        """Each codec's chain path; a run wrote at most one of them."""
+        return tuple(replace(self, chain_format=c).chain_path for c in CHAIN_EXTENSIONS)
 
     @property
     def sample_path(self) -> str:
@@ -651,49 +661,11 @@ def read_report_echo(path: str) -> List[Tuple[str, str]]:
     return items
 
 
-# --- exact state transport -------------------------------------------------
-
-def _encode_exact(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, (int, str)) or obj is None:
-        return obj
-    if isinstance(obj, float):
-        return {"__float__": obj.hex()}
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return {"__float__": float(obj).hex()}
-    if isinstance(obj, np.ndarray):
-        return {
-            "__array__": list(obj.shape),
-            "data": [float(v).hex() for v in obj.ravel().tolist()],
-        }
-    if isinstance(obj, dict):
-        return {str(k): _encode_exact(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_exact(v) for v in obj]
-    raise TypeError("cannot snapshot value of type %s" % type(obj).__name__)
-
-
-def _decode_exact(obj):
-    if isinstance(obj, dict):
-        if "__float__" in obj and len(obj) == 1:
-            return float.fromhex(obj["__float__"])
-        if "__array__" in obj:
-            flat = np.array(
-                [float.fromhex(v) for v in obj["data"]], dtype=float
-            )
-            return flat.reshape(obj["__array__"])
-        return {k: _decode_exact(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode_exact(v) for v in obj]
-    return obj
-
-
 def write_snapshot(path: str, payload: dict) -> None:
-    """Atomically persist a restart snapshot (write-new then rename)."""
-    body = json.dumps(_encode_exact(payload), sort_keys=True).encode("utf-8")
+    """Atomically persist a restart snapshot (write-new then rename) as
+    plain JSON; a value JSON cannot hold, such as an ndarray, raises
+    TypeError."""
+    body = json.dumps(payload, sort_keys=True).encode("utf-8")
     blob = (
         RESTART_MAGIC
         + struct.pack("<II", 1, len(body))
@@ -727,7 +699,7 @@ def read_snapshot(path: str) -> dict:
     digest = raw[head + body_len:]
     if hashlib.sha256(body).digest() != digest:
         raise CorruptRestart("snapshot checksum mismatch")
-    return _decode_exact(json.loads(body.decode("utf-8")))
+    return json.loads(body.decode("utf-8"))
 
 
 def _chain_holds_rows(path: str) -> bool:
@@ -758,7 +730,8 @@ def detect_incomplete(prefix: str) -> Tuple[RunState, Optional[dict]]:
     reported as corrupt rather than silently treated as fresh. Returns the
     state and, if restartable, the decoded snapshot, else None.
     """
-    report = "%s_report.txt" % prefix
+    suite = OutputSuite(prefix)
+    report, restart = suite.report_path, suite.restart_path
     if os.path.exists(report):
         try:
             with open(report, "rb") as fh:
@@ -768,21 +741,22 @@ def detect_incomplete(prefix: str) -> Tuple[RunState, Optional[dict]]:
         tail = [ln for ln in text.split("\n") if ln.strip()]
         if tail and tail[-1] == REPORT_TERMINATOR:
             return RunState.COMPLETE, None
-    chain_candidates = [
-        "%s_chain.txt" % prefix,
-        "%s_chain.bin" % prefix,
-    ]
-    restart = "%s_restart.bin" % prefix
-    chain_exists = any(os.path.exists(p) for p in chain_candidates)
-    if chain_exists and os.path.exists(restart):
+    chains = [p for p in suite.chain_paths if os.path.exists(p)]
+    if chains and os.path.exists(restart):
         # raises CorruptRestart on damage
         return RunState.RESTARTABLE, read_snapshot(restart)
     started = any(
-        os.path.exists(p) for p in (report, restart, "%s_sample.txt" % prefix)
-    ) or any(_chain_holds_rows(p) for p in chain_candidates if os.path.exists(p))
+        os.path.exists(p) for p in (report, restart, suite.sample_path)
+    ) or any(_chain_holds_rows(p) for p in chains)
     if started:
         raise CorruptRestart(
             "output files under prefix %r are neither complete nor resumable"
             % prefix
         )
     return RunState.FRESH, None
+
+
+def chain_prefix(path: str) -> Optional[str]:
+    """The prefix of the suite whose chain file ``path`` names, or None."""
+    stem = path.rpartition("_chain.")[0]
+    return stem if stem and path in OutputSuite(stem).chain_paths else None

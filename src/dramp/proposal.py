@@ -194,7 +194,6 @@ def effective_covariance(state: ProposalState, stage: int = 0) -> np.ndarray:
 
 def adapt(
     state: ProposalState,
-    running_mean: np.ndarray,
     running_cov: np.ndarray,
     chain_length: int,
     measured: bool = True,
@@ -206,11 +205,11 @@ def adapt(
     highly correlated targets. Chains shorter than d+1 states cannot support a
     covariance estimate; the call is then a no-op with measure 0.
 
-    ``running_mean`` is accepted for interface completeness but does not enter
-    the update: proposals are re-centered at the current state every step, so
-    only shape and scale matter, here and in the adaptation measure. With
-    ``measured`` false the record's measure is NaN and its three
-    log-determinants are skipped, for a caller that only rebuilds the shape.
+    The running mean does not enter the update: proposals are re-centered at
+    the current state every step, so only shape and scale matter, here and in
+    the adaptation measure. With ``measured`` false the record's measure is
+    NaN and its three log-determinants are skipped, for a caller that only
+    rebuilds the shape.
     """
     d = state.dimension
     if chain_length < d + 1:

@@ -1,11 +1,10 @@
-"""Deterministic random-stream construction and exact state transport.
+"""Deterministic random-stream construction.
 
 Two stream families, each a pure function of integer indices:
 
 - Serial and multichain streams are PCG64 generators seeded by
   ``SeedSequence(entropy=seed, spawn_key=(chain_index,))``. A chain builds
-  its stream once and consumes it continuously; ``stream_state`` and
-  ``restore_stream`` carry its exact position through a restart snapshot.
+  its stream once and consumes it continuously.
 
 - Fork-join attempt streams are counter-based (Salmon et al. 2011, "Parallel
   random numbers: as easy as 1, 2, 3"). The run's Philox4x64 key is the two
@@ -68,29 +67,3 @@ def round_stream(owner: RoundGenerator, attempt: int) -> np.random.Generator:
     """Stream of proposal attempt ``attempt``: ``owner``'s generator,
     reseated; it is valid until the owner's next reseat."""
     return owner.reseat(attempt)
-
-
-def stream_state(gen: np.random.Generator) -> dict:
-    """Bit-generator state as a JSON-safe dict (Python ints are exact)."""
-    st = gen.bit_generator.state
-    return {
-        "bit_generator": st["bit_generator"],
-        "state": int(st["state"]["state"]),
-        "inc": int(st["state"]["inc"]),
-        "has_uint32": int(st["has_uint32"]),
-        "uinteger": int(st["uinteger"]),
-    }
-
-
-def restore_stream(state: dict) -> np.random.Generator:
-    """Rebuild a Generator bit-for-bit from stream_state output."""
-    if state.get("bit_generator") != "PCG64":
-        raise ValueError("unsupported bit generator %r" % state.get("bit_generator"))
-    bg = np.random.PCG64()
-    bg.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": int(state["state"]), "inc": int(state["inc"])},
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
-    return np.random.Generator(bg)

@@ -78,6 +78,21 @@ def run_to_interrupt(spec, n_rows):
         run_simulation(spec, on_event=interrupt_after(n_rows))
 
 
+def hex_encoded(obj):
+    """``obj`` in the transport of snapshot formats 1 to 3: each float as
+    {"__float__": its hex}, each array as its shape and its floats' hexes."""
+    if isinstance(obj, float):
+        return {"__float__": obj.hex()}
+    if isinstance(obj, np.ndarray):
+        return {"__array__": list(obj.shape),
+                "data": [v.hex() for v in obj.ravel().tolist()]}
+    if isinstance(obj, dict):
+        return {k: hex_encoded(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [hex_encoded(v) for v in obj]
+    return obj
+
+
 def write_flat_chain(path, weights, delimiter=","):
     """Hand-build a one-dimensional serial chain with the given row weights."""
     prefix = str(path)[: -len("_chain.txt")]
@@ -623,8 +638,8 @@ class TestCliExport:
         adapted = []
         real_adapt = dramp.kernel.adapt
 
-        def capture(state, mean, cov, chain_length, measured=True):
-            new_state, record = real_adapt(state, mean, cov, chain_length, measured)
+        def capture(state, cov, chain_length, measured=True):
+            new_state, record = real_adapt(state, cov, chain_length, measured)
             # a resume rebuilds its last proposal unmeasured; that is no
             # adaptation of the run
             if measured:
@@ -749,8 +764,9 @@ class TestResume:
         return build_spec(values)
 
     def check_resume(self, tmp_path, monkeypatch, capsys, overrides, stop):
-        """Stop a run after ``stop`` finalized rows, or in its report when
-        ``stop`` is "finish", resume it through ``dramp run`` and compare the
+        """Stop a run after ``stop`` finalized rows, in its report when
+        ``stop`` is "finish", or at chain 2's first snapshot when it is
+        "chain-2-start", resume it through ``dramp run`` and compare the
         suite with an uninterrupted one."""
         clean = tmp_path / "clean"
         clean.mkdir()
@@ -767,6 +783,17 @@ class TestResume:
 
             with monkeypatch.context() as patched:
                 patched.setattr(dramp.driver, "write_report", refuse)
+                with pytest.raises(Interrupt):
+                    run_simulation(self.spec_here(**overrides))
+        elif stop == "chain-2-start":
+            def refuse_chain_2(path, payload):
+                kernel = payload["kernel"]
+                if kernel and kernel["live_row"]["process_id"] == 2:
+                    raise Interrupt()
+                write_snapshot(path, payload)
+
+            with monkeypatch.context() as patched:
+                patched.setattr(dramp.driver, "write_snapshot", refuse_chain_2)
                 with pytest.raises(Interrupt):
                     run_simulation(self.spec_here(**overrides))
         else:
@@ -803,6 +830,15 @@ class TestResume:
         self.check_resume(
             tmp_path, monkeypatch, capsys, {**overrides, "format": fmt}, stop
         )
+
+    def test_kill_before_the_next_chains_first_snapshot_resumes_to_identical_bytes(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # chain 1 has ended and its rows are on disk, but chain 2's first
+        # snapshot never lands: the resume runs chain 1's tail again from
+        # its last snapshot, then chains 2 and 3
+        self.check_resume(tmp_path, monkeypatch, capsys,
+                          {"mode": "multichain", "chains": "3"}, "chain-2-start")
 
     def test_trajectory_field_change_refused_after_interrupt(
         self, tmp_path, monkeypatch, capsys
@@ -969,10 +1005,21 @@ class TestResume:
         assert reads == [spec.output.restart_path]
 
     @staticmethod
-    def version_2_kernel(spec, snap, chain_index):
+    def version_3_kernel(kernel):
+        """The kernel block of a version-3 snapshot: the stream's state
+        flattened into five fields, and the live row's state an array."""
+        stream = kernel["stream"]
+        flat = {"bit_generator": stream["bit_generator"],
+                "state": stream["state"]["state"], "inc": stream["state"]["inc"],
+                "has_uint32": stream["has_uint32"], "uinteger": stream["uinteger"]}
+        live_row = kernel["live_row"]
+        return dict(kernel, stream=flat,
+                    live_row=dict(live_row, state=np.array(live_row["state"])))
+
+    def version_2_kernel(self, spec, snap, chain_index):
         """The kernel block of a version-2 snapshot: the adaptation count,
         and the stream's kind, seed and chain index around its state."""
-        kernel = snap["kernel"]
+        kernel = self.version_3_kernel(snap["kernel"])
         n_rows = read_chain(spec.output.chain_path, spec.output.delimiter,
                             size=snap["chain_offset"]).n_rows + 1
         count = dramp.kernel.adaptation_count(
@@ -981,8 +1028,12 @@ class TestResume:
                   "chain_index": chain_index, "generator": kernel["stream"]}
         return dict(kernel, stream=stream, adaptation_count=count)
 
-    def refused_untouched(self, tmp_path, capsys, argv, older, version):
-        write_snapshot("run_restart.bin", older)
+    def refused_untouched(self, tmp_path, capsys, spec, argv, older, version):
+        # the layouts before version 4 also held the mode, the chain count
+        # and the worker count, and wrote floats and arrays as hex
+        older = dict(older, mode=spec.mode, n_chains=spec.n_chains,
+                     worker_count=spec.worker_count)
+        write_snapshot("run_restart.bin", hex_encoded(older))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert main(["run", "--out", "run", "--chain-len", "600", "--seed", "4",
                      "--deterministic-test-mode"] + argv) == EXIT_CONFIG
@@ -1001,7 +1052,7 @@ class TestResume:
         spec = self.spec_here()
         run_to_interrupt(spec, 350)
         snap = read_snapshot(spec.output.restart_path)
-        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 3
+        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 4
         lines = ["%s=%s" % (key, value) for key, value, _ in spec_to_items(spec)
                  if key not in DIGEST_EXCLUDED]
         rendered = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
@@ -1016,7 +1067,7 @@ class TestResume:
         }
         older = dict(snap, format_version=1, kernel=kernel,
                      spec_digest=int.from_bytes(rendered[:8], "big"))
-        self.refused_untouched(tmp_path, capsys, [], older, 1)
+        self.refused_untouched(tmp_path, capsys, spec, [], older, 1)
 
     def test_format_2_snapshot_refused_untouched(
         self, tmp_path, monkeypatch, capsys
@@ -1036,14 +1087,25 @@ class TestResume:
                 first.n_rows, spec.target_spec.dimension,
                 spec.kernel.adaptation_period)}],
         )
-        self.refused_untouched(tmp_path, capsys,
+        self.refused_untouched(tmp_path, capsys, spec,
                                ["--mode", "multichain", "--chains", "2"], older, 2)
 
-    def test_snapshots_hold_no_multichain_bookkeeping(self, tmp_path, monkeypatch):
-        # which chain a row belongs to, and how often a completed chain
-        # adapted, are read off the rows on resume
+    def test_format_3_snapshot_refused_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a snapshot in the version-3 layout: the stream flattened, the
+        # header's mode, chain count and worker count, hex floats and arrays
         monkeypatch.chdir(tmp_path)
-        spec = self.spec_here(mode="multichain", chains="3")
+        spec = self.spec_here()
+        run_to_interrupt(spec, 350)
+        snap = read_snapshot(spec.output.restart_path)
+        older = dict(snap, format_version=3,
+                     kernel=self.version_3_kernel(snap["kernel"]))
+        self.refused_untouched(tmp_path, capsys, spec, [], older, 3)
+
+    def multichain_payloads(self, tmp_path, monkeypatch):
+        """Every snapshot payload of a clean run of 3 chains, in order."""
+        monkeypatch.chdir(tmp_path)
         payloads = []
         write = dramp.driver.write_snapshot
 
@@ -1052,14 +1114,30 @@ class TestResume:
             write(path, payload)
 
         monkeypatch.setattr(dramp.driver, "write_snapshot", recording_write)
-        run_simulation(spec)
-        assert sum(p["kernel"] is None for p in payloads) == 3
-        for payload in payloads:
-            assert not {"chain_index", "completed_rows", "completed_meta"} & set(payload)
+        run_simulation(self.spec_here(mode="multichain", chains="3"))
+        return payloads
+
+    def test_snapshots_hold_no_multichain_bookkeeping(self, tmp_path, monkeypatch):
+        # which chain a row belongs to, and how often a completed chain
+        # adapted, are read off the rows on resume; the digest pins the
+        # mode, the chain count and the worker count
+        for payload in self.multichain_payloads(tmp_path, monkeypatch):
             assert set(payload) == {
-                "format_version", "trajectory_version", "spec_digest", "mode",
-                "chain_format", "delimiter", "n_chains", "worker_count",
-                "rows_written", "chain_offset", "progress_offset", "kernel"}
+                "format_version", "trajectory_version", "spec_digest",
+                "chain_format", "delimiter", "rows_written", "chain_offset",
+                "progress_offset", "kernel"}
+            assert set(payload["kernel"]) == {"stream", "pending_measure",
+                                              "live_row"}
+
+    def test_every_multichain_snapshot_holds_a_kernel(self, tmp_path, monkeypatch):
+        # no snapshot falls between two chains: each chain's first is taken
+        # when its kernel is built, before it has finalized a row
+        payloads = self.multichain_payloads(tmp_path, monkeypatch)
+        assert all(p["kernel"] is not None for p in payloads)
+        chains = [p["kernel"]["live_row"]["process_id"] for p in payloads]
+        assert chains == sorted(chains) and set(chains) == {1, 2, 3}
+        firsts = [payloads[chains.index(c)]["rows_written"] for c in (1, 2, 3)]
+        assert firsts == [0, 600, 1200]
 
     # rows 0-599 are chain 1, row 700 is among chain 2's finalized rows
     @pytest.mark.parametrize("rows,process_id", [
@@ -1161,7 +1239,6 @@ class TestResume:
 
         write = dramp.driver.write_snapshot
         checked = []
-        between = []
 
         def checking_write(path, payload):
             write(path, payload)
@@ -1172,9 +1249,6 @@ class TestResume:
             if spec.mode == "multichain":
                 edges = dramp.driver._split_chains(spec, stored, payload)
             index = len(edges) - 1
-            if payload["kernel"] is None:
-                between.append(index)
-                return
             kern = running[-1]
             assert index == getattr(kern.streams, "chain_index", 0)
             prefix = stored.tail(edges[-1])
@@ -1206,9 +1280,9 @@ class TestResume:
         # a snapshot between two folds, and for multichain in chain 2
         assert any(n > period and n % period for _, n, period, _ in checked)
         if stop is not None:
-            assert any(index == 1 for index, _, _, _ in checked)
-            # after chain 1 (first run) and chain 2 (the resumed one)
-            assert between == [1, 2]
+            # chain 2's first snapshot, taken when its kernel is built,
+            # splits off all of chain 1 and none of chain 2
+            assert (1, 1) in [(index, n) for index, n, _, _ in checked]
         # past the greedy adaptations, and past boundaries that adapted nothing
         greedy = spec.kernel.greedy_adaptation_count
         assert any(count > greedy for _, _, _, count in checked)

@@ -464,10 +464,17 @@ class TestStreams:
         assert counts[0] == counts[1]
 
     def test_restore_rejects_foreign_generator(self):
-        st = rng_mod.stream_state(rng_mod.chain_stream(1, 0))
-        st["bit_generator"] = "MT19937"
+        # the state is numpy's own PCG64 dict, so it survives JSON, and
+        # numpy's setter refuses a dict of another bit generator
+        streams = SerialStreams(1)
+        streams.generator(0).random(3)
+        state = json.loads(json.dumps(streams.state_dict()))
+        ahead = streams.generator(0).random(5)
+        streams.load_state(state)
+        assert np.array_equal(streams.generator(0).random(5), ahead)
+        state["bit_generator"] = "MT19937"
         with pytest.raises(ValueError):
-            rng_mod.restore_stream(st)
+            streams.load_state(state)
 
 
 class TestKernelConfig:
@@ -699,8 +706,12 @@ class TestStateTransport:
         assert kern.proposal.adaptation_count == 5
         state = kern.state_dict()
         # the adaptation count and the stream's identity are derived too:
-        # the stream block is the generator's own state
+        # the stream block is numpy's own PCG64 state dict
         assert set(state) == {"stream", "pending_measure", "live_row"}
-        assert set(state["stream"]) == {"bit_generator", "state", "inc",
+        assert state["stream"] == kern.streams.generator(0).bit_generator.state
+        assert set(state["stream"]) == {"bit_generator", "state",
                                         "has_uint32", "uinteger"}
+        assert set(state["stream"]["state"]) == {"state", "inc"}
+        # plain JSON values: the live row's state is a list
+        assert json.loads(json.dumps(state)) == state
         assert RoundStreams(99, 4).state_dict() is None

@@ -567,27 +567,40 @@ class TestReport:
         assert "rank    1: 15" in text
 
 
+def hexes(values):
+    return [v.hex() for v in values]
+
+
 class TestSnapshot:
     PAYLOAD = {
         "ints": [1, 2, 3],
         "big": 2 ** 80,
-        "floats": {"pi": math.pi, "tiny": 5e-324, "nz": -0.0},
-        "arr": np.array([[1.0, -0.0], [1e308, 2.5e-310]]),
+        "word": 2 ** 128 - 1,  # the size of a PCG64 state word
+        "floats": {"pi": math.pi, "tiny": 5e-324, "nz": -0.0,
+                   "inf": math.inf, "ninf": -math.inf, "nan": math.nan},
+        "rows": [[1.0, -0.0], [1e308, 2.5e-310]],
         "text": "hello",
         "none": None,
         "flag": True,
     }
 
-    def test_round_trip_is_exact(self, tmp_path):
-        path = str(tmp_path / "run_restart.bin")
-        write_snapshot(path, self.PAYLOAD)
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(width=64), max_size=8))
+    def test_round_trip_is_exact(self, tmp_path_factory, drawn):
+        path = str(tmp_path_factory.mktemp("snap") / "run_restart.bin")
+        write_snapshot(path, dict(self.PAYLOAD, drawn=drawn))
         back = read_snapshot(path)
         assert back["ints"] == [1, 2, 3]
         assert back["big"] == 2 ** 80
-        assert back["floats"]["pi"].hex() == math.pi.hex()
-        assert back["floats"]["tiny"].hex() == (5e-324).hex()
-        assert math.copysign(1.0, back["floats"]["nz"]) == -1.0
-        assert back["arr"].tobytes() == self.PAYLOAD["arr"].tobytes()
+        assert back["word"] == 2 ** 128 - 1
+        # every float by its bits: -0.0 keeps its sign, NaN and the
+        # infinities come back as themselves
+        floats = self.PAYLOAD["floats"]
+        assert set(back["floats"]) == set(floats)
+        assert hexes(back["floats"][k] for k in floats) == hexes(floats.values())
+        assert [hexes(r) for r in back["rows"]] == [
+            hexes(r) for r in self.PAYLOAD["rows"]]
+        assert hexes(back["drawn"]) == hexes(drawn)
         assert back["text"] == "hello" and back["none"] is None
         assert back["flag"] is True
 
@@ -620,9 +633,13 @@ class TestSnapshot:
         with pytest.raises(CorruptRestart):
             read_snapshot(str(tmp_path / "missing.bin"))
 
-    def test_unsnapshotable_value_raises(self, tmp_path):
+    @pytest.mark.parametrize("bad", [object(), np.array([[1.0, -0.0]])],
+                             ids=["object", "ndarray"])
+    def test_unsnapshotable_value_raises(self, tmp_path, bad):
+        # the payload is plain JSON: an array goes in as a list
         with pytest.raises(TypeError):
-            write_snapshot(str(tmp_path / "x.bin"), {"bad": object()})
+            write_snapshot(str(tmp_path / "x.bin"), {"bad": bad})
+        assert os.listdir(tmp_path) == []
 
 
 class TestDetectIncomplete:

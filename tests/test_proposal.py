@@ -132,14 +132,14 @@ class TestKernelDensity:
 class TestAdapt:
     def test_short_chain_is_noop(self):
         p = ProposalState.create(3)
-        new, rec = adapt(p, np.zeros(3), np.eye(3) * 5.0, chain_length=3)
+        new, rec = adapt(p, np.eye(3) * 5.0, chain_length=3)
         assert new is p
         assert rec == AdaptationRecord(measure=0.0, at_chain_length=3)
 
     def test_updates_shape_and_counts(self):
         p = ProposalState.create(2, scale_factor=1.0)
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-        new, rec = adapt(p, np.zeros(2), cov, chain_length=100)
+        new, rec = adapt(p, cov, chain_length=100)
         ridge = 1e-10 * np.trace(cov) / 2.0
         assert np.allclose(new.covariance, cov + ridge * np.eye(2))
         assert new.adaptation_count == 1
@@ -147,7 +147,7 @@ class TestAdapt:
         assert 0.0 < rec.measure < 1.0
         assert rec.at_chain_length == 100
         # unmeasured, the same shape and count, and no measure
-        bare, bare_rec = adapt(p, np.zeros(2), cov, chain_length=100, measured=False)
+        bare, bare_rec = adapt(p, cov, chain_length=100, measured=False)
         assert np.array_equal(bare.covariance, new.covariance)
         assert np.array_equal(bare.chol_factor, new.chol_factor)
         assert bare.adaptation_count == 1
@@ -157,8 +157,8 @@ class TestAdapt:
         p = ProposalState.create(2)
         ridge = 1e-10 * np.trace(p.covariance) / 2.0
         # feed the exact shape the previous adaptation produced
-        prev, _ = adapt(p, np.zeros(2), np.eye(2), chain_length=50)
-        again, rec = adapt(prev, np.zeros(2), prev.covariance - ridge * np.eye(2),
+        prev, _ = adapt(p, np.eye(2), chain_length=50)
+        again, rec = adapt(prev, prev.covariance - ridge * np.eye(2),
                            chain_length=60)
         assert rec.measure == 0.0
 
