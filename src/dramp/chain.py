@@ -21,7 +21,6 @@ __all__ = [
     "ChainRow",
     "CompactChain",
     "WeightedMoments",
-    "to_verbose",
 ]
 
 _INITIAL_CAPACITY = 1024
@@ -273,16 +272,6 @@ class CompactChain:
     def row(self, i: int) -> ChainRow:
         values = self.fields(i)
         return ChainRow(*values[:7], state=np.array(values[7:]))
-
-
-def to_verbose(chain: CompactChain) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand to the full Markov realization.
-
-    Returns (log_funcs, states) with each row repeated ``weight`` times in
-    order; total length is the verbose length.
-    """
-    w = chain.weights
-    return np.repeat(chain.log_funcs, w), np.repeat(chain.states, w, axis=0)
 
 
 class WeightedMoments:

@@ -6,7 +6,8 @@ attempt its own stream, serial and multichain chains draw from their own)
 and steps it through Kernel.run, with one persistence handler that writes
 rows, progress ticks and snapshots between steps; rows reach the chain file
 in blocks (_SuiteFiles). Multichain runs its chains one after another into
-the same files.
+the same files; a SamplerError from any chain's kernel ends the run with
+every finalized row on disk, and refine_chains refines what finished.
 
 The driver snapshots each kernel when it builds it and at every flush
 boundary (each adaptation and every 1000 finalized rows). A snapshot
@@ -74,7 +75,7 @@ from .refine import (
     refine_two_phase,
 )
 
-__all__ = ["RunResult", "run_simulation"]
+__all__ = ["RunResult", "refine_chains", "run_simulation"]
 
 _SNAPSHOT_ROW_PERIOD = 1000
 
@@ -316,6 +317,24 @@ def _truncate_for_resume(
     return stored, edges
 
 
+def refine_chains(
+    chains: Sequence[CompactChain],
+) -> Tuple[Tuple[Optional[RefinedSample], ...], Optional[ConvergenceCheck]]:
+    """Each chain's refined sample, None where refine_two_phase refuses the
+    chain's rows (the chain is then left out of the pooled sample and the
+    comparison), and the cross-chain check, None unless at least two
+    refined chains remain. Every mode and run_multichain refine this way."""
+    per_chain: List[Optional[RefinedSample]] = []
+    for chain in chains:
+        try:
+            per_chain.append(refine_two_phase(chain))
+        except SamplerError:
+            per_chain.append(None)
+    usable = [r for r in per_chain if r is not None]
+    check = cross_chain_check(usable) if len(usable) >= 2 else None
+    return tuple(per_chain), check
+
+
 def _finish(
     spec: SimulationSpec,
     sw: _SuiteFiles,
@@ -325,16 +344,8 @@ def _finish(
     speedup: SpeedupReport,
     restarted: bool,
 ) -> RunResult:
-    per_chain: List[Optional[RefinedSample]] = []
-    for chain in chains:
-        try:
-            per_chain.append(refine_two_phase(chain))
-        except SamplerError:
-            per_chain.append(None)
+    per_chain, check = refine_chains(chains)
     usable = [r for r in per_chain if r is not None]
-    check = None
-    if spec.mode == "multichain":
-        check = cross_chain_check(usable) if len(usable) >= 2 else None
     dimension = chains[0].dimension
     if not usable:
         pooled = RefinedSample(
@@ -371,7 +382,7 @@ def _finish(
         restarted=restarted,
         summaries=tuple(summaries),
         refined=pooled,
-        per_chain_refined=tuple(per_chain),
+        per_chain_refined=per_chain,
         check=check,
         tally=tally,
         speedup=speedup,

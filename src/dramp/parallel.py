@@ -3,7 +3,11 @@
 Two modes, both deterministic and in-process, both stepped by Kernel.run:
 
 Multi-chain: independent samplers with per-chain RNG streams; finished chains
-are refined and cross-compared pairwise for convergence evidence.
+are refined and cross-compared pairwise for convergence evidence. One failure
+policy, the driver's, holds for run_multichain and dramp run alike: a
+SamplerError from any chain's kernel ends the run; a chain whose rows
+refinement refuses is left out of the pooled sample and the comparison; and
+the comparison runs only when at least two refined chains remain.
 
 Fork-join: pre-fetching (Brockwell 2006). P workers draw the chain's next
 P proposal attempts against the incumbent, one cascade each, in rank order;
@@ -27,9 +31,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .chain import CompactChain
-from .errors import DegenerateTally, SamplerError
+from .errors import DegenerateTally
 from .kernel import (
-    Kernel,
     KernelConfig,
     KernelSummary,
     RoundStreams,
@@ -42,7 +45,7 @@ from .kernel import (
 from .kernel import propose_cascade  # noqa: F401
 from .model import TargetDensity
 from .proposal import ProposalState
-from .refine import ConvergenceCheck, RefinedSample, cross_chain_check, refine_two_phase
+from .refine import ConvergenceCheck, RefinedSample
 
 __all__ = [
     "ContributionTally",
@@ -108,10 +111,9 @@ class SpeedupReport:
 
 @dataclass(frozen=True)
 class MultiChainResult:
-    summaries: Tuple[Optional[KernelSummary], ...]
+    summaries: Tuple[KernelSummary, ...]
     refined: Tuple[Optional[RefinedSample], ...]
-    failures: Tuple[Tuple[int, str], ...]
-    check: ConvergenceCheck
+    check: Optional[ConvergenceCheck]
 
 
 @dataclass(frozen=True)
@@ -247,48 +249,26 @@ def run_multichain(
     config: KernelConfig,
     proposal: ProposalState,
     n_chains: int,
-    on_event: Optional[Callable[[int, tuple], None]] = None,
 ) -> MultiChainResult:
     """Run independent chains and cross-compare their refined samples.
 
-    Chain i draws from the (seed, i) stream and stamps process id i+1, so the
-    result is reproducible for a fixed (seed, n_chains) no matter how the
-    work would be scheduled. A failing chain is recorded and skipped by the
-    comparison rather than aborting the rest. ``on_event`` receives
-    (chain_index, event) pairs.
+    Chain i is run_kernel under SerialStreams(seed, i) and stamps process id
+    i + 1, so the result is reproducible for a fixed (seed, n_chains) no
+    matter how the work would be scheduled. The failure policy is the
+    driver's: a SamplerError from any chain's kernel propagates, and
+    refinement follows dramp.driver.refine_chains.
     """
+    # the driver imports this module, so its rule is imported at call time
+    from .driver import refine_chains
+
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1, got %d" % n_chains)
-    summaries: List[Optional[KernelSummary]] = []
-    refined: List[Optional[RefinedSample]] = []
-    failures: List[Tuple[int, str]] = []
-    for index in range(n_chains):
-        def each_event(events: List[tuple]) -> None:
-            for event in events:
-                on_event(index, event)
-
-        try:
-            kern = Kernel(
-                target, config, proposal, SerialStreams(config.rng_seed, index)
-            )
-            summaries.append(kern.run(each_event if on_event is not None else None))
-        except SamplerError as exc:
-            summaries.append(None)
-            refined.append(None)
-            failures.append((index, "%s: %s" % (type(exc).__name__, exc)))
-            continue
-        try:
-            refined.append(refine_two_phase(summaries[-1].chain))
-        except SamplerError as exc:
-            refined.append(None)
-            failures.append((index, "%s: %s" % (type(exc).__name__, exc)))
-    check = cross_chain_check([r for r in refined if r is not None])
-    return MultiChainResult(
-        summaries=tuple(summaries),
-        refined=tuple(refined),
-        failures=tuple(failures),
-        check=check,
+    summaries = tuple(
+        run_kernel(target, config, proposal, SerialStreams(config.rng_seed, index))
+        for index in range(n_chains)
     )
+    refined, check = refine_chains([s.chain for s in summaries])
+    return MultiChainResult(summaries=summaries, refined=refined, check=check)
 
 
 def run_forkjoin(

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dramp.chain import (
-    ChainRow,
-    CompactChain,
-    WeightedMoments,
-    to_verbose,
-)
+from dramp.chain import ChainRow, CompactChain, WeightedMoments
 from dramp.errors import DimensionMismatch, EmptyRange
+
+
+def to_verbose(chain):
+    """(log_funcs, states) of the verbose chain: row i repeated weight_i times."""
+    w = chain.weights
+    return np.repeat(chain.log_funcs, w), np.repeat(chain.states, w, axis=0)
 
 
 def mk_row(state, weight=1, logf=0.0, pid=1):

@@ -2,9 +2,11 @@
 
 import dataclasses
 import hashlib
+import importlib
 import math
 import os
 import pathlib
+import pkgutil
 import signal
 import struct
 import subprocess
@@ -1643,9 +1645,30 @@ class TestNoScipyAtRunTime:
 
     def test_import_loads_no_scipy_module(self, tmp_path):
         child = subprocess.run(
-            [sys.executable, "-c", "import sys, dramp; print(sorted("
+            [sys.executable, "-c", "import sys, dramp.driver, dramp.cli; print(sorted("
              "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
             cwd=tmp_path, env=child_env(), capture_output=True, text=True,
         )
         assert child.returncode == EXIT_OK, child.stderr
         assert child.stdout == "[]\n"
+
+
+class TestPackageSurface:
+    """Names come from their modules; ``import dramp`` re-exports nothing."""
+
+    def test_every_all_resolves_and_the_package_imports_alone(self, tmp_path):
+        names = sorted(m.name for m in pkgutil.iter_modules(dramp.__path__))
+        listed = []
+        for name in names:
+            module = importlib.import_module("dramp." + name)
+            if hasattr(module, "__all__"):
+                exec("from dramp.%s import *" % name, {})
+                listed.append(name)
+        assert {"driver", "kernel", "parallel", "refine"} <= set(listed)
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys, dramp; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'dramp'))"],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True,
+        )
+        assert child.returncode == EXIT_OK, child.stderr
+        assert child.stdout == "['dramp']\n"

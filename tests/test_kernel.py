@@ -309,6 +309,46 @@ class TestProposeCascade:
             replay.random()
         assert used.random() == replay.random()
 
+    def test_each_stage_draws_incumbent_plus_scaled_factor_times_normals(self):
+        # candidate k is x + s_k L z_k with C = L L^T; the DR ratio is exact
+        # for any factor, so only a non-diagonal C tells L from L^T
+        d = 3
+        cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 0.5]])
+        prop = ProposalState.create(d, covariance=cov, dr_scales=(0.5, 0.25))
+        seen = []
+        target = TargetDensity(
+            "wall", d, lambda x: seen.append(x.copy()) or float("-inf"))
+        stream = RecordedStream(rng_mod.chain_stream(23, 0))
+        incumbent = np.array([0.3, -1.2, 2.0])
+        propose_cascade(target, prop, incumbent, 0.0, 2, stream)
+        assert stream.calls == [("standard_normal", d), ("random", None)] * 3
+        normals = stream.draws[0::2]
+        chol = np.linalg.cholesky(cov)
+        scales = prop.scale_factor * np.array((1.0,) + prop.dr_scales)
+        assert len(seen) == 3
+        for candidate, s, z in zip(seen, scales, normals):
+            np.testing.assert_allclose(candidate, incumbent + s * (chol @ z),
+                                       rtol=1e-13, atol=1e-13)
+
+
+class RecordedStream:
+    """A generator that records each call and each value it hands out."""
+
+    def __init__(self, gen):
+        self._gen = gen
+        self.calls = []
+        self.draws = []
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        self.draws.append(self._gen.standard_normal(size))
+        return self.draws[-1]
+
+    def random(self):
+        self.calls.append(("random", None))
+        self.draws.append(self._gen.random())
+        return self.draws[-1]
+
 
 def nan_target(dimension):
     """Log-density NaN everywhere."""

@@ -6,14 +6,17 @@ their serial equivalents bit for bit; those two reductions are what make the
 simulated modes trustworthy stand-ins for the real thing.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from dramp.errors import DegenerateTally, SamplerError
-from dramp.kernel import KernelConfig, RoundStreams, run_kernel
+import dramp.driver
+from dramp.config import build_spec, initial_proposal, make_target
+from dramp.errors import DegenerateTally, NonFiniteTarget, SamplerError
+from dramp.kernel import KernelConfig, RoundStreams, SerialStreams, run_kernel
 from dramp.chain import ChainRow, CompactChain
 from dramp.model import TargetDensity, banana_target, gaussian_target
 from dramp.parallel import (
@@ -29,6 +32,7 @@ from dramp.parallel import (
     run_forkjoin,
     run_multichain,
 )
+from dramp.persist import read_chain
 from dramp.proposal import ProposalState
 
 
@@ -305,8 +309,7 @@ class TestRunMultichain:
         mc = run_multichain(target, cfg, ProposalState.create(2), n_chains=1)
         serial = run_kernel(target, cfg, ProposalState.create(2))
         assert chains_equal(mc.summaries[0].chain, serial.chain)
-        assert mc.failures == ()
-        assert mc.check.entries == ()  # one chain, nothing to compare
+        assert mc.check is None  # one chain, nothing to compare
 
     def test_chains_are_independent_and_compared(self):
         target = gaussian_target([0.0], [[1.0]])
@@ -318,7 +321,7 @@ class TestRunMultichain:
         assert len(mc.check.entries) == 3  # 3 choose 2 pairs, one dimension
         assert all(r is not None for r in mc.refined)
 
-    def test_failing_chains_are_recorded_not_raised(self):
+    def test_a_failing_chain_stops_the_run(self):
         def poison(x):
             if abs(float(x[0])) > 1e-6:
                 raise SamplerError("poison region")
@@ -326,18 +329,15 @@ class TestRunMultichain:
 
         target = TargetDensity("poison", 1, poison)
         cfg = KernelConfig(50, (0.0,), rng_seed=2)
-        mc = run_multichain(target, cfg, ProposalState.create(1), n_chains=2)
-        assert mc.summaries == (None, None)
-        assert [i for i, _ in mc.failures] == [0, 1]
-        assert all("poison" in msg for _, msg in mc.failures)
-        assert mc.check.all_pass  # vacuous, nothing comparable
+        with pytest.raises(SamplerError, match="poison region"):
+            run_multichain(target, cfg, ProposalState.create(1), n_chains=2)
 
     def test_unrefinable_chain_keeps_its_summary(self):
         cfg = KernelConfig(3, (0.0,), rng_seed=2, dr_stage_count=0)
         mc = run_multichain(flat_target(1), cfg, ProposalState.create(1), n_chains=1)
-        assert mc.summaries[0] is not None
+        assert mc.summaries[0].chain.n_rows >= 1
         assert mc.refined[0] is None
-        assert len(mc.failures) == 1 and "SeriesTooShort" in mc.failures[0][1]
+        assert mc.check is None
 
     def test_chain_count_validation(self):
         with pytest.raises(ValueError):
@@ -347,3 +347,49 @@ class TestRunMultichain:
                 ProposalState.create(1),
                 0,
             )
+
+
+def counted(target, spike_at=None):
+    """``target`` with its evaluations counted in ``calls[0]``; from
+    evaluation ``spike_at`` on it returns +inf."""
+    calls = [0]
+
+    def evaluate(x):
+        calls[0] += 1
+        if spike_at is not None and calls[0] >= spike_at:
+            return float("inf")
+        return target.evaluate(x)
+
+    return dataclasses.replace(target, evaluate=evaluate), calls
+
+
+class TestOneMultichainFailurePolicy:
+    """run_multichain and dramp run end a multichain run on the same error."""
+
+    def test_an_error_in_a_later_chain_ends_both_runs(self, tmp_path, monkeypatch):
+        spec = build_spec({
+            "target": "mvn", "dim": "2", "chain-len": "300", "seed": "6",
+            "mode": "multichain", "chains": "3", "dr-stages": "1",
+            "out": str(tmp_path / "run"), "deterministic-test-mode": "true",
+        })
+        target, calls = counted(make_target(spec))
+        first = run_kernel(target, spec.kernel, initial_proposal(spec),
+                           SerialStreams(spec.kernel.rng_seed, 0))
+        # chain 2's fifth evaluation: its first is the start point, so this
+        # one is a candidate's
+        spike_at = calls[0] + 5
+
+        failing, _ = counted(make_target(spec), spike_at)
+        with pytest.raises(NonFiniteTarget):
+            run_multichain(failing, spec.kernel, initial_proposal(spec),
+                           spec.n_chains)
+
+        monkeypatch.setattr(dramp.driver, "make_target",
+                            lambda s: counted(make_target(s), spike_at)[0])
+        with pytest.raises(NonFiniteTarget):
+            dramp.driver.run_simulation(spec)
+        stored = read_chain(spec.output.chain_path, spec.output.delimiter)
+        n = first.chain.n_rows
+        assert stored.n_rows > n
+        assert chains_equal(stored.slice(0, n), first.chain)
+        assert np.all(stored.process_ids[n:] == 2)
