@@ -52,8 +52,10 @@ MODES = ("serial", "multichain", "forkjoin")
 # 2 made the fork-join round streams counter-based; 3 charges every fork-join
 # attempt as a verbose step on its own attempt stream, and folds each row
 # into the moments once, with its final weight, in every mode; 4 folds the
-# moments in blocks at adaptation boundaries only.
-TRAJECTORY_VERSION = 4
+# moments in blocks at adaptation boundaries only; 5 reads the DR ratio's
+# kernel terms off a table of squared whitened distances, which moves the
+# ratios' last bits.
+TRAJECTORY_VERSION = 5
 
 # Layout of the restart snapshot. 2 dropped the proposal, which resume
 # rebuilds from the rows, and hashes the mvn arrays' bytes in the digest;

@@ -22,17 +22,17 @@ in an acceptance ratio is a squared norm of offsets the cascade already
 holds, and the Gaussian normalizing constants cancel: the step path has no
 linear solve and no log-determinant. The ratio also needs the acceptance
 probabilities of subpaths, each a contiguous index range walked forwards or
-backwards, so a cascade has O(k^2) of them. dr_log_alpha serves every stage
->= 1 from one memo per cascade that holds the subpath probabilities by
-(first, last), each whitened offset s_{m-1} z_m, computed once, and each
-squared norm of an offset difference, keyed by the unordered pair because
-the subtraction is exactly antisymmetric.
+backwards, so a cascade has O(k^2) of them. Each cascade keeps a table of
+the squared distances ||w_a - w_b||^2 (w_0 = 0, w_m = s_{m-1} z_m), in
+Python floats from the draws' dot products, and one memo of log(1 - alpha)
+by subpath (first, last), each computed once; a stage that rejects stores
+its own path's, which the next stage's ratio reuses.
 
 The step path is bound by per-call overhead, not arithmetic, so its
-per-attempt products (the candidate's L z, the offset norms, the built-in
-targets' quadratic forms) use ndarray.dot, about half the cost of @ at small
-d. On C-contiguous float64 operands both reach the same BLAS routine and
-give the same bits; adaptation, moments and refinement keep @.
+per-attempt products (the candidate's L z, the draws' dot products, the
+built-in targets' quadratic forms) use ndarray.dot, about half the cost of
+@ at small d. On C-contiguous float64 operands both reach the same BLAS
+routine and give the same bits; adaptation, moments and refinement keep @.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
@@ -76,6 +76,7 @@ __all__ = [
     "SerialStreams",
     "RoundStreams",
     "mh_accept_stage0",
+    "extend_distances",
     "dr_log_alpha",
     "propose_cascade",
     "burnin_location",
@@ -159,31 +160,27 @@ def _log1mexp(a: float) -> float:
     return math.log1p(-math.exp(a))
 
 
-_NORM = "norm"
-
-
-def _sq_dist(draws, scales, memo: dict, a: int, b: int) -> float:
-    """||w_a - w_b||^2 for the whitened offsets w_m = s_{m-1} z_m (w_0 = 0),
-    so L^-1 (y_a - y_b) = w_a - w_b. Offsets and norms are memoized; the
-    norm of a pair is the same bits in either order, since w_b - w_a is
-    exactly -(w_a - w_b)."""
-    key = (a, b, _NORM) if a < b else (b, a, _NORM)
-    norm = memo.get(key)
-    if norm is None:
-        w_a = memo.get(a)
-        if w_a is None:
-            w_a = memo[a] = scales[a - 1] * draws[a - 1] if a else 0.0
-        w_b = memo.get(b)
-        if w_b is None:
-            w_b = memo[b] = scales[b - 1] * draws[b - 1] if b else 0.0
-        diff = w_a - w_b
-        norm = memo[key] = float(diff.dot(diff))
-    return norm
+def extend_distances(dists: list, draws: list, scales, z: np.ndarray) -> None:
+    """Add candidate m = len(dists), drawn as ``z`` at stage m - 1, to a
+    cascade's table of squared whitened distances (started as [[0.0]], w_0
+    alone), and ``z`` to ``draws``. With w_a = s_a z_a (s_a = scales[a-1]),
+    dists[a][b] = ||w_a - w_b||^2 = s_a^2 g_aa + s_b^2 g_bb - 2 s_a s_b g_ab
+    for g_ab = z_a . z_b, in Python floats from one dot per new pair."""
+    m = len(dists)
+    s_m = scales[m - 1]
+    row = [s_m * s_m * float(z.dot(z))]  # row 0 holds s_a^2 g_aa
+    for a in range(1, m):
+        cross = 2.0 * scales[a - 1] * s_m * float(draws[a - 1].dot(z))
+        row.append(dists[0][a] + row[0] - cross)
+    for a in range(m):
+        dists[a].append(row[a])
+    dists.append(row + [0.0])
+    draws.append(z)
 
 
 def dr_log_alpha(
     log_funcs: Sequence[float],
-    draws: Sequence[np.ndarray],
+    dists: Sequence[Sequence[float]],
     scales: Sequence[float],
     memo: Optional[dict] = None,
     first: int = 0,
@@ -192,45 +189,51 @@ def dr_log_alpha(
     """Log acceptance probability of the path y_first -> ... -> y_last.
 
     ``log_funcs[m]`` is the target log-density at y_m, where y_0 is the
-    incumbent x and y_m = x + scales[m-1] * L @ draws[m-1] the candidate of
-    stage m-1 (``scales[j]`` is the full stage-j scale). The path's stage-j
-    kernel is centered at its origin y_first; the final stage's kernel is
-    symmetric and cancels, the earlier ones and the rejection probabilities
-    of the forward prefixes and reversed suffixes remain. The path defaults
-    to x followed by every candidate. ``memo`` holds what one cascade has
-    computed: subpath probabilities by (first, last), whitened offsets w_m
-    by m, and squared offset distances by (a, b, "norm") with a < b; pass
-    one dict for all stages of a cascade.
+    incumbent x and y_m = x + scales[m-1] * L @ z_m the candidate of stage
+    m-1 (``scales[j]`` is the full stage-j scale); ``dists`` is the table
+    extend_distances builds. The path's stage-j kernel is centered at its
+    origin y_first; the final stage's kernel is symmetric and cancels, the
+    earlier ones and the rejection probabilities of the forward prefixes and
+    reversed suffixes remain. The path defaults to x followed by every
+    candidate. ``memo`` holds log(1 - alpha) of subpaths longer than one
+    step by (first, last); pass one dict for all stages of a cascade.
     """
     if last is None:
         last = len(log_funcs) - 1
     if memo is None:
         memo = {}
-    cached = memo.get((first, last))
-    if cached is not None:
-        return cached
     log_num = log_funcs[last]
     log_den = log_funcs[first]
-    if abs(last - first) > 1 and log_num != NEG_INF:
+    span = abs(last - first)
+    if span > 1 and log_num != NEG_INF:
         step = 1 if last > first else -1
-        for j in range(abs(last - first) - 1):
+        to_first, to_last = dists[first], dists[last]
+        for j in range(span - 1):
             fwd = first + step * (j + 1)
             rev = last - step * (j + 1)
             variance = scales[j] * scales[j]
-            log_den -= 0.5 * _sq_dist(draws, scales, memo, fwd, first) / variance
-            log_num -= 0.5 * _sq_dist(draws, scales, memo, rev, last) / variance
-            log_num += _log1mexp(
-                dr_log_alpha(log_funcs, draws, scales, memo, last, rev)
-            )
-            log_den += _log1mexp(
-                dr_log_alpha(log_funcs, draws, scales, memo, first, fwd)
-            )
+            log_den -= 0.5 * to_first[fwd] / variance
+            log_num -= 0.5 * to_last[rev] / variance
+            if j:
+                back = memo.get((last, rev))
+                if back is None:
+                    back = memo[last, rev] = _log1mexp(
+                        dr_log_alpha(log_funcs, dists, scales, memo, last, rev))
+                ahead = memo.get((first, fwd))
+                if ahead is None:
+                    ahead = memo[first, fwd] = _log1mexp(
+                        dr_log_alpha(log_funcs, dists, scales, memo, first, fwd))
+                log_num += back
+                log_den += ahead
+            else:  # one-step subpaths; a -inf candidate adds log(1 - 0)
+                if log_funcs[rev] != NEG_INF:
+                    log_num += _log1mexp(log_funcs[rev] - log_funcs[last])
+                if log_funcs[fwd] != NEG_INF:
+                    log_den += _log1mexp(log_funcs[fwd] - log_funcs[first])
             if log_num == NEG_INF:
                 break
     # a zero-probability forward path (log_den = -inf) gives min(0, +inf) = 0
-    result = NEG_INF if log_num == NEG_INF else min(0.0, log_num - log_den)
-    memo[(first, last)] = result
-    return result
+    return NEG_INF if log_num == NEG_INF else min(0.0, log_num - log_den)
 
 
 def propose_cascade(
@@ -247,10 +250,10 @@ def propose_cascade(
     serial kernel and the fork-join workers.
     """
     chol = proposal.chol_factor
-    scale = proposal.scale_factor
+    scales = proposal.stage_scales
     for stage in range(dr_stage_count + 1):
         z = stream.standard_normal(proposal.dimension)
-        candidate = incumbent + scale * chol.dot(z)
+        candidate = incumbent + scales[stage] * chol.dot(z)
         log_candidate = float(target.evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = NEG_INF  # NaN: outside the support
@@ -265,22 +268,23 @@ def propose_cascade(
                 return StepOutcome(candidate, log_candidate, 0, 1)
             if dr_stage_count:
                 # the retries' state exists only once stage 0 has rejected
-                scales = [scale] + [scale * s for s in proposal.dr_scales]
                 if dr_stage_count >= len(scales):
                     raise StageOutOfRange(
                         "stage %d outside [0, %d]" % (dr_stage_count, len(scales) - 1)
                     )
                 log_funcs = [log_incumbent, log_candidate]
-                draws = [z]
-                memo: dict = {}
+                dists, draws, memo = [[0.0]], [], {}
+                extend_distances(dists, draws, scales, z)
         else:
             log_funcs.append(log_candidate)
-            draws.append(z)
+            extend_distances(dists, draws, scales, z)
             lnu = math.log(u) if u > 0.0 else NEG_INF
-            if lnu < dr_log_alpha(log_funcs, draws, scales, memo):
+            log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
+            if lnu < log_alpha:
                 return StepOutcome(candidate, log_candidate, stage, stage + 1)
-        if stage < dr_stage_count:
-            scale = scales[stage + 1]
+            if stage < dr_stage_count:
+                # the next stage's ratio reuses this path's rejection
+                memo[0, stage + 1] = _log1mexp(log_alpha)
     return StepOutcome(incumbent, log_incumbent, REJECTED, dr_stage_count + 1)
 
 

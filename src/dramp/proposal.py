@@ -13,7 +13,7 @@ for identical proposals, and tends to 1 as the shapes diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,9 +67,10 @@ class ProposalState:
     """Immutable proposal configuration.
 
     ``covariance`` is the adapted shape matrix; the density actually proposed
-    at stage k has covariance (scale_factor * s_k)^2 * covariance with s_0 = 1
-    and s_k = dr_scales[k-1] for k >= 1. ``chol_factor`` is the cached lower
-    Cholesky factor of the shape matrix.
+    at stage k has covariance stage_scales[k]^2 * covariance, where
+    stage_scales[0] = scale_factor and stage_scales[k] = scale_factor *
+    dr_scales[k-1] for k >= 1. ``chol_factor`` is the cached lower Cholesky
+    factor of the shape matrix.
     """
 
     dimension: int
@@ -78,6 +79,11 @@ class ProposalState:
     scale_factor: float
     dr_scales: Tuple[float, ...]
     adaptation_count: int = 0
+    stage_scales: Tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        scales = tuple(self.scale_factor * s for s in (1.0,) + self.dr_scales)
+        object.__setattr__(self, "stage_scales", scales)
 
     @classmethod
     def create(
@@ -124,13 +130,11 @@ class ProposalState:
         )
 
     def stage_scale(self, stage: int) -> float:
-        if stage == 0:
-            return self.scale_factor
-        if not 1 <= stage <= len(self.dr_scales):
+        if not 0 <= stage <= len(self.dr_scales):
             raise StageOutOfRange(
                 "stage %d outside [0, %d]" % (stage, len(self.dr_scales))
             )
-        return self.scale_factor * self.dr_scales[stage - 1]
+        return self.stage_scales[stage]
 
 
 @dataclass(frozen=True)

@@ -34,13 +34,19 @@ from dramp.kernel import (
     StepOutcome,
     burnin_location,
     dr_log_alpha,
+    extend_distances,
     mh_accept_stage0,
     propose_cascade,
     run_kernel,
 )
-from dramp.model import TargetDensity, gaussian_target
+from dramp.model import (
+    TargetDensity,
+    banana_target,
+    gaussian_target,
+    himmelblau_target,
+)
 from dramp.parallel import run_forkjoin
-from dramp.proposal import ProposalState, log_kernel_density
+from dramp.proposal import ProposalState, default_dr_scales, log_kernel_density
 
 
 def flat_target(dimension):
@@ -73,11 +79,21 @@ class TestMhAcceptStage0:
         assert not mh_accept_stage0(0.0, float("-inf"), 0.0)
 
 
+def distances(draws, scales):
+    """The squared whitened distances of x and the candidates drawn as
+    ``draws``, added one candidate at a time as the cascade adds them."""
+    dists, seen = [[0.0]], []
+    for z in draws:
+        extend_distances(dists, seen, scales, z)
+    return dists
+
+
 def symmetric_draws():
     """Stage draws for a 1-D path whose two displacements to y1 coincide:
     with scales (1, 1/2), y1 = x + 1 and y2 = x + 2, so |y1 - x| = |y2 - y1|
     and the first-stage kernel terms cancel."""
-    return [np.array([1.0]), np.array([4.0])], [1.0, 0.5]
+    draws, scales = [np.array([1.0]), np.array([4.0])], [1.0, 0.5]
+    return distances(draws, scales), scales
 
 
 class TestDrAcceptStage1:
@@ -86,8 +102,8 @@ class TestDrAcceptStage1:
 
     def test_uphill_second_stage_example(self):
         # path 0 -> -5 (rejected) -> +1: the ratio exceeds one
-        draws, scales = symmetric_draws()
-        la = dr_log_alpha([0.0, -5.0, 1.0], draws, scales)
+        dists, scales = symmetric_draws()
+        la = dr_log_alpha([0.0, -5.0, 1.0], dists, scales)
         assert la == 0.0
         for u in (1e-12, 0.3, 0.7, 0.999999):
             assert math.log(u) < la
@@ -98,8 +114,8 @@ class TestDrAcceptStage1:
 
     def test_matches_hand_ratio_on_a_downhill_path(self):
         # alpha(x -> y1) = e^-3, alpha(y2 -> y1) = e^-1.5
-        draws, scales = symmetric_draws()
-        la = dr_log_alpha([0.0, -3.0, -1.5], draws, scales)
+        dists, scales = symmetric_draws()
+        la = dr_log_alpha([0.0, -3.0, -1.5], dists, scales)
         log_ratio = (-1.5 + math.log1p(-math.exp(-1.5))) - math.log1p(-math.exp(-3.0))
         assert la == pytest.approx(log_ratio, abs=1e-12)
         for u in np.linspace(0.01, 0.99, 23):
@@ -107,8 +123,8 @@ class TestDrAcceptStage1:
 
     def test_sure_reverse_acceptance_rejects(self):
         # y1 lies above y2, so alpha(y2 -> y1) = 1 empties the numerator
-        draws, scales = symmetric_draws()
-        la = dr_log_alpha([0.0, -0.25, -0.5], draws, scales)
+        dists, scales = symmetric_draws()
+        la = dr_log_alpha([0.0, -0.25, -0.5], dists, scales)
         assert la == float("-inf")
         assert not math.log(1e-300) < la
 
@@ -120,7 +136,7 @@ class TestDrAcceptStage1:
         log_funcs = [0.0, -1.0, 0.0]
         scales = [1.0, 0.5]
         draws = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-        la = dr_log_alpha(log_funcs, draws, scales)
+        la = dr_log_alpha(log_funcs, distances(draws, scales), scales)
         assert la == pytest.approx(-0.5, abs=1e-15)
         assert math.log(0.5) < la
         assert not math.log(0.7) < la
@@ -131,8 +147,8 @@ class TestDrAcceptStage1:
         lqr = log_kernel_density(prop, y2, y1, 0) - log_kernel_density(prop, x, y1, 0)
         assert la == pytest.approx(lqr, abs=1e-12)
         # symmetric displacements leave the base ratio of one
-        draws, scales = symmetric_draws()
-        assert dr_log_alpha(log_funcs, draws, scales) == 0.0
+        dists, scales = symmetric_draws()
+        assert dr_log_alpha(log_funcs, dists, scales) == 0.0
 
 
 def _log1m(la):
@@ -162,7 +178,7 @@ def path_product(prop, states, log_funcs, alpha, order):
 @st.composite
 def dr_paths(draw):
     """A proposal, an incumbent, and the log-densities and draws of k = 1..4
-    candidates; the memo's reuse of offsets and norms begins at k = 3."""
+    candidates; the memo's reuse of subpath rejections begins at k = 3."""
     d = draw(st.sampled_from([1, 3, 8]))
     k = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -200,10 +216,11 @@ class TestPathwiseDetailedBalance:
         states = [x] + [
             x + scales[m] * (prop.chol_factor @ draws[m]) for m in range(k)
         ]
+        dists = distances(draws, scales)
         memo = {}
 
         def alpha(first, last):
-            return dr_log_alpha(log_funcs, draws, scales, memo, first, last)
+            return dr_log_alpha(log_funcs, dists, scales, memo, first, last)
 
         forward = path_product(prop, states, log_funcs, alpha, list(range(k + 1)))
         reverse = path_product(prop, states, log_funcs, alpha, list(range(k, -1, -1)))
@@ -215,8 +232,9 @@ class TestPathwiseDetailedBalance:
 
 def reference_dr_log_alpha(log_funcs, draws, scales, memo=None, first=0,
                            last=None):
-    """dr_log_alpha as it was before it memoized offsets and pair norms: the
-    same recursion, recomputing every whitened offset and squared norm."""
+    """dr_log_alpha as it was before it read a distance table: the same
+    recursion on the draws, recomputing every whitened offset and squared
+    norm as a numpy difference, with the subpath probabilities memoized."""
     if last is None:
         last = len(log_funcs) - 1
     if memo is None:
@@ -250,8 +268,13 @@ def reference_dr_log_alpha(log_funcs, draws, scales, memo=None, first=0,
     return result
 
 
+def close(got, want, tol=1e-11):
+    return got == want or abs(got - want) <= tol
+
+
 class TestDrMemoOracle:
-    """The memoized offsets and pair norms change no bit of any ratio."""
+    """The distance table and the memo of subpath rejections move a ratio
+    by rounding only: within 1e-11 of the draws-based recursion."""
 
     @settings(max_examples=300, deadline=None)
     @given(dr_paths())
@@ -259,19 +282,93 @@ class TestDrMemoOracle:
         prop, _, log_funcs, draws = case
         k = len(draws)
         scales = [prop.stage_scale(j) for j in range(k)]
+        dists, seen = [[0.0]], []
+        extend_distances(dists, seen, scales, draws[0])
         memo, reference_memo = {}, {}
-        # the stages of one cascade share its memo, each adding a candidate
+        # the stages of one cascade share its table and memo, each adding a
+        # candidate, and each rejection stores its path's log(1 - alpha)
         for stage in range(1, k):
-            args = (log_funcs[:stage + 2], draws[:stage + 1], scales)
-            assert dr_log_alpha(*args, memo) == reference_dr_log_alpha(
-                *args, reference_memo)
+            extend_distances(dists, seen, scales, draws[stage])
+            got = dr_log_alpha(log_funcs[:stage + 2], dists, scales, memo)
+            want = reference_dr_log_alpha(
+                log_funcs[:stage + 2], draws[:stage + 1], scales, reference_memo)
+            assert close(got, want), (stage, got, want)
+            memo[0, stage + 1] = kernel_mod._log1mexp(got)
         for first in range(k + 1):
             for last in range(k + 1):
                 if first != last:
-                    got = dr_log_alpha(log_funcs, draws, scales, memo, first, last)
+                    got = dr_log_alpha(log_funcs, dists, scales, memo, first, last)
                     want = reference_dr_log_alpha(
                         log_funcs, draws, scales, None, first, last)
-                    assert got == want, (first, last)
+                    assert close(got, want), (first, last, got, want)
+
+
+def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
+                              dr_stage_count, stream):
+    """propose_cascade on the draws-based recursion: the same stream use and
+    candidates, each retry's ratio from reference_dr_log_alpha."""
+    scales = [proposal.scale_factor] + [
+        proposal.scale_factor * s for s in proposal.dr_scales]
+    log_funcs, draws, memo = [log_incumbent], [], {}
+    for stage in range(dr_stage_count + 1):
+        z = stream.standard_normal(proposal.dimension)
+        candidate = incumbent + scales[stage] * proposal.chol_factor.dot(z)
+        log_candidate = float(target.evaluate(candidate))
+        if log_candidate != log_candidate:
+            log_candidate = float("-inf")
+        u = float(stream.random())
+        log_funcs.append(log_candidate)
+        draws.append(z)
+        if stage == 0:
+            accepted = mh_accept_stage0(log_incumbent, log_candidate, u)
+        else:
+            lnu = math.log(u) if u > 0.0 else float("-inf")
+            accepted = lnu < reference_dr_log_alpha(log_funcs, draws, scales, memo)
+        if accepted:
+            return StepOutcome(candidate, log_candidate, stage, stage + 1)
+    return StepOutcome(incumbent, log_incumbent, REJECTED, dr_stage_count + 1)
+
+
+def correlated_gaussian(d, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    return gaussian_target(rng.standard_normal(d), a @ a.T + 0.5 * np.eye(d))
+
+
+class TestDecisionIdentity:
+    """Every accept/reject decision of an adapting serial chain is the one
+    the draws-based recursion makes: the chains agree bit for bit."""
+
+    @pytest.mark.parametrize("target,stages,rows", [
+        (correlated_gaussian(8, 4), 2, 2000),
+        (banana_target(3), 3, 1500),
+        (himmelblau_target(), 3, 1500),
+    ], ids=["mvn8-dr2", "banana3-dr3", "himmelblau-dr3"])
+    def test_chain_matches_the_reference_cascade(
+        self, monkeypatch, target, stages, rows
+    ):
+        d = target.dimension
+
+        def chain():
+            cfg = KernelConfig(rows, (0.5,) * d, rng_seed=31,
+                               dr_stage_count=stages)
+            prop = ProposalState.create(d, dr_scales=default_dr_scales(stages))
+            return run_kernel(target, cfg, prop).chain
+
+        real = chain()
+        monkeypatch.setattr(kernel_mod, "propose_cascade",
+                            reference_propose_cascade)
+        reference = chain()
+        # the last stage accepts, so every ratio the cascade forms was used
+        assert np.bincount(real.dr_stages, minlength=stages + 1)[stages] > 0
+        assert real.n_rows == reference.n_rows == rows
+        assert real.verbose_length == reference.verbose_length
+        assert real.states.tobytes() == reference.states.tobytes()
+        assert real.log_funcs.tobytes() == reference.log_funcs.tobytes()
+        assert np.array_equal(real.weights, reference.weights)
+        assert np.array_equal(real.dr_stages, reference.dr_stages)
+        assert (real.adaptation_measures.tobytes()
+                == reference.adaptation_measures.tobytes())
 
 
 class TestProposeCascade:
