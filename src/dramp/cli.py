@@ -23,7 +23,7 @@ from .config import FIELD_DESCRIPTIONS, build_spec, make_target, parse_config_fi
 from .driver import _make_kernel, run_simulation
 from .errors import RefusedOverwrite, SamplerError, SpecMismatch
 from .parallel import predict_speedup, run_speedup
-from .persist import OutputSuite, _fmt, chain_prefix, read_chain, read_report_echo
+from .persist import OutputSuite, _fmt, chain_prefix, read_chain
 from .persist import write_sample
 from .refine import refine_two_phase
 
@@ -206,12 +206,7 @@ def cmd_predict(args) -> int:
 
 def _run_spec(prefix: str):
     """The spec a completed run echoed into its report."""
-    echo = dict(read_report_echo(OutputSuite(prefix).report_path))
-    if not echo:
-        raise ValueError(
-            "report for prefix %r is missing its specification echo" % prefix
-        )
-    return build_spec(echo)
+    return build_spec(parse_config_file(OutputSuite(prefix).report_path))
 
 
 def _load_run(prefix: str):

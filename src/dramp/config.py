@@ -2,8 +2,8 @@
 
 One flat key=value vocabulary serves three surfaces: config files, CLI flags
 (same names with a leading ``--``), and the settings echo inside report
-files. A report can therefore be fed back in as a config file and reproduce
-the run that wrote it.
+files. One parser reads the files and the echo, so a report can be fed back
+in as a config file and reproduce the run that wrote it.
 
 The digest covers exactly the fields that alter the stochastic trajectory;
 extending chain-len or changing output cosmetics keeps the digest stable so
@@ -14,6 +14,7 @@ simulation.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -28,7 +29,7 @@ from .model import (
     TargetDensity,
     make_builtin_target,
 )
-from .persist import OutputSuite, _fmt
+from .persist import ECHO_BEGIN, ECHO_END, OutputSuite, _fmt
 from .proposal import ProposalState, default_dr_scales, default_scale_factor
 
 __all__ = [
@@ -54,8 +55,10 @@ MODES = ("serial", "multichain", "forkjoin")
 # into the moments once, with its final weight, in every mode; 4 folds the
 # moments in blocks at adaptation boundaries only; 5 reads the DR ratio's
 # kernel terms off a table of squared whitened distances, which moves the
-# ratios' last bits.
-TRAJECTORY_VERSION = 5
+# ratios' last bits; 6 draws the fork-join attempts in order from the
+# chain's PCG64 stream, so a fork-join run writes the serial chain (serial
+# and multichain trajectories are unchanged).
+TRAJECTORY_VERSION = 6
 
 # Layout of the restart snapshot. 2 dropped the proposal, which resume
 # rebuilds from the rows, and hashes the mvn arrays' bytes in the digest;
@@ -143,24 +146,30 @@ class SimulationSpec:
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
-    """Read a flat ``key = value`` file; '#' starts a comment line."""
+    """Read a flat ``key = value`` file; '#' starts a comment line. Of a file
+    that holds the specification echo's sentinel lines, such as a report,
+    only the lines between them are read."""
     values: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    "%s:%d: expected 'key = value', got %r" % (path, lineno, line)
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in FIELD_DESCRIPTIONS:
-                raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
-            if key in values:
-                raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
-            values[key] = value.strip()
+        lines = [raw.strip() for raw in fh]
+    numbered = list(enumerate(lines, start=1))
+    if ECHO_BEGIN in lines and ECHO_END in lines:
+        first = lines.index(ECHO_BEGIN) + 1
+        numbered = numbered[first:lines.index(ECHO_END, first)]
+    for lineno, line in numbered:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(
+                "%s:%d: expected 'key = value', got %r" % (path, lineno, line)
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in FIELD_DESCRIPTIONS:
+            raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
+        if key in values:
+            raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
+        values[key] = value.strip()
     return values
 
 
@@ -284,8 +293,8 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
         if merged["scale-factor"] is None
         else _float(merged["scale-factor"], "scale-factor")
     )
-    if not scale_factor > 0.0:
-        raise ValueError("scale-factor: must be positive")
+    if not 0.0 < scale_factor < math.inf:
+        raise ValueError("scale-factor: must be positive and finite")
     period = merged["adaptation-period"]
     if period is not None:
         period = _int(period, "adaptation-period")
@@ -318,7 +327,7 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
         chain_format=str(merged["format"]).strip().lower(),
         delimiter=str(merged["delimiter"]),
     )
-    return SimulationSpec(
+    spec = SimulationSpec(
         target_spec=target_spec,
         kernel=kernel,
         scale_factor=float(scale_factor),
@@ -331,6 +340,8 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
             merged["deterministic-test-mode"], "deterministic-test-mode"
         ),
     )
+    initial_proposal(spec)  # validates the proposal's parameters
+    return spec
 
 
 def _render_floats(values) -> str:

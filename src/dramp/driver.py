@@ -1,27 +1,27 @@
 """Run orchestration: wires the sampling kernel to the output file suite.
 
 One runner serves all three modes. It builds each chain's Kernel from one
-factory keyed by mode and chain index (fork-join's stream policy gives every
-attempt its own stream, serial and multichain chains draw from their own)
-and steps it through Kernel.run, with one persistence handler that writes
-rows, progress ticks and snapshots between steps; rows reach the chain file
-in blocks (_SuiteFiles). Multichain runs its chains one after another into
-the same files; a SamplerError from any chain's kernel ends the run with
-every finalized row on disk, and refine_chains refines what finished.
+factory keyed by mode and chain index (every chain draws from its own PCG64
+stream; the mode picks only the rule that stamps process ids) and steps it
+through Kernel.run, with one persistence handler that writes rows, progress
+ticks and snapshots between steps; rows reach the chain file in blocks
+(_SuiteFiles). Multichain runs its chains one after another into the same
+files; a SamplerError from any chain's kernel ends the run with every
+finalized row on disk, and refine_chains refines what finished.
 
 The driver snapshots each kernel when it builds it and at every flush
 boundary (each adaptation and every 1000 finalized rows). A snapshot
 (format version 4) holds the file offsets and what the rows cannot give
-back: the kernel's stream cursor, pending adaptation measure and live row.
-A run killed at any instant, between two multichain chains too, resumes
-from the last snapshot, as detect_incomplete read it, through one
-preamble: the rows it counts are read, checked and split into multichain
-chains by process id (chain i stamps i + 1; the live row names the chain
-in progress), the files are cut back to its offsets, and the kernel
-restores its fields and derives the rest (moments, burn-in, stage tallies,
-the proposal and its adaptation count) by the rules a run applies. The
-completed outputs of a resumed run are byte-identical to an uninterrupted
-one.
+back: the kernel's stream cursor (numpy's PCG64 state, in every mode),
+pending adaptation measure and live row. A run killed at any instant,
+between two multichain chains too, resumes from the last snapshot, as
+detect_incomplete read it, through one preamble: the rows it counts are
+read, checked and split into multichain chains by process id (chain i
+stamps i + 1; the live row names the chain in progress), the files are cut
+back to its offsets, and the kernel restores its fields and derives the
+rest (moments, burn-in, stage tallies, the proposal and its adaptation
+count) by the rules a run applies. The completed outputs of a resumed run
+are byte-identical to an uninterrupted one.
 """
 
 from __future__ import annotations
@@ -395,12 +395,11 @@ def _make_kernel(
     chain_index: int,
     chain: Optional[CompactChain] = None,
 ) -> Kernel:
-    """Kernel of chain ``chain_index``: a fork-join chain draws each attempt
-    from its own stream; serial and multichain chains from the chain's."""
-    if spec.mode == "forkjoin":
-        streams = RoundStreams(spec.kernel.rng_seed, spec.worker_count)
-    else:
-        streams = SerialStreams(spec.kernel.rng_seed, chain_index)
+    """Kernel of chain ``chain_index``, on the chain's stream; a fork-join
+    chain stamps its rows by the workers' rank rule."""
+    seed = spec.kernel.rng_seed
+    streams = (RoundStreams(seed, spec.worker_count) if spec.mode == "forkjoin"
+               else SerialStreams(seed, chain_index))
     return Kernel(target, spec.kernel, initial_proposal(spec), streams, chain=chain)
 
 

@@ -1,16 +1,16 @@
 """The sampling kernel and the one run loop every execution mode shares.
 
 A Kernel owns one chain. Each step is one proposal attempt: a full cascade
-against the incumbent x on the generator the stream policy assigns to
-attempt n, the chain's verbose length, charged as one verbose step. A
-rejection adds 1 to x's weight and nothing else; an acceptance finalizes x's
-row and appends the new state. The serial and multichain policies draw every
-attempt from the chain's own stream; the fork-join policy gives attempt n its
-own counter-based stream, so workers that pre-fetch attempts write the same
-chain at any worker count (Brockwell 2006). Kernel.run is the only loop that
-steps a chain; run_kernel, the parallel runners and the driver all go
-through it. What a finished chain adapted to is read back off its rows
-(Kernel.adaptations), with no target evaluation.
+against the incumbent x, drawn next from the chain's one PCG64 stream
+(rng.chain_stream) and charged as one verbose step. A rejection adds 1 to
+x's weight and nothing else; an acceptance finalizes x's row and appends the
+new state. Every mode draws its attempts in order from that stream; the
+stream policies differ only in the process id they stamp, so workers that
+pre-fetch attempts write the serial chain at any worker count (Brockwell
+2006). Kernel.run is the only loop that steps a chain; run_kernel, the
+parallel runners and the driver all go through it. What a finished chain
+adapted to is read back off its rows (Kernel.adaptations), with no target
+evaluation.
 
 Within a cascade, a rejection at stage k falls through to stage k+1 with a
 narrower proposal, up to the configured stage count. Delayed-rejection
@@ -334,58 +334,45 @@ def stage_tallies(
 
 
 class SerialStreams:
-    """One continuous generator for the whole chain (serial and multichain).
+    """The chain's one PCG64 stream, and the serial and multichain rank rule.
 
-    Every attempt draws from the chain's own stream, and every row is
-    stamped ``chain_index + 1``. Its state is numpy's own PCG64 state dict.
+    Every attempt, in every mode, draws next from ``generator``; this policy
+    stamps every row ``chain_index + 1``. Its state is numpy's own PCG64
+    state dict.
     """
 
     def __init__(self, seed: int, chain_index: int = 0):
         self.chain_index = int(chain_index)
-        self._gen = rng_mod.chain_stream(seed, self.chain_index)
-
-    def generator(self, attempt: int) -> np.random.Generator:
-        return self._gen
+        self.generator = rng_mod.chain_stream(seed, self.chain_index)
 
     def process_id(self, weight: int) -> int:
         return self.chain_index + 1
 
     def state_dict(self) -> dict:
-        return self._gen.bit_generator.state
+        return self.generator.bit_generator.state
 
     def load_state(self, state: dict) -> None:
-        self._gen.bit_generator.state = state
+        self.generator.bit_generator.state = state
 
 
-class RoundStreams:
+class RoundStreams(SerialStreams):
     """Fork-join: P = worker_count workers pre-fetch the chain's attempts.
 
-    Attempt n draws from its own (seed, n) counter-based stream, so the chain
-    is the same at every P; only the process ids differ. Workers take the
-    attempts from one incumbent in rounds of P, in rank order, so the row
-    accepted after w attempts from its predecessor was drawn by rank
-    ((w - 1) mod P) + 1. The generator returned for one attempt is the
-    object's one generator, reseated, and is valid only until the next.
-    Nothing here has state: a stream is derived per attempt.
+    The attempts draw from the serial chain's stream in order, so the chain
+    is the serial one at every P; only the process ids differ. Workers take
+    the attempts from one incumbent in rounds of P, in rank order, so the
+    row accepted after w attempts from its predecessor was drawn by rank
+    ((w - 1) mod P) + 1.
     """
 
     def __init__(self, seed: int, worker_count: int = 1):
         if worker_count < 1:
             raise ValueError("worker_count must be >= 1, got %d" % worker_count)
+        super().__init__(seed)
         self.worker_count = int(worker_count)
-        self._owner = rng_mod.RoundGenerator(seed)
-
-    def generator(self, attempt: int) -> np.random.Generator:
-        return rng_mod.round_stream(self._owner, attempt)
 
     def process_id(self, weight: int) -> int:
         return (weight - 1) % self.worker_count + 1
-
-    def state_dict(self) -> None:
-        return None
-
-    def load_state(self, state: None) -> None:
-        pass
 
 
 @dataclass
@@ -417,12 +404,12 @@ class Kernel:
     """The stepping engine of every mode: one chain, one stream policy.
 
     Owns the chain, the full moment accumulator, the adaptation schedule
-    and the burn-in tracker. ``step()`` runs one cascade on the generator
-    ``streams.generator(verbose_length)`` and commits it as one verbose
-    step; it returns the bookkeeping events the step produced. ``run()``
-    steps until the chain is full and hands each step's events to a
-    callback, so callers persist rows and snapshots between steps. The seed
-    row is stamped ``streams.process_id(1)``.
+    and the burn-in tracker. ``step()`` runs one cascade on the chain's
+    stream ``streams.generator`` and commits it as one verbose step; it
+    returns the bookkeeping events the step produced. ``run()`` steps until
+    the chain is full and hands each step's events to a callback, so
+    callers persist rows and snapshots between steps. The seed row is
+    stamped ``streams.process_id(1)``.
 
     Apart from the stream cursor, the pending adaptation measure and the
     live row, the kernel's state is a function of the chain's rows, which
@@ -524,7 +511,7 @@ class Kernel:
             self.incumbent,
             self.log_incumbent,
             self.config.dr_stage_count,
-            self.streams.generator(self.chain.verbose_length),
+            self.streams.generator,
         )
         return self.commit(outcome)
 
@@ -605,7 +592,7 @@ class Kernel:
 
     def state_dict(self) -> dict:
         """What the chain's rows cannot give back, as plain JSON values: the
-        stream cursor (None for fork-join), the pending adaptation measure
+        stream cursor (numpy's PCG64 state), the pending adaptation measure
         and the live row. The proposal and its adaptation count are not
         stored; load_state derives them."""
         # a fresh ChainRow: its fields, without a deep copy

@@ -13,13 +13,14 @@ Fork-join: pre-fetching (Brockwell 2006). P workers draw the chain's next
 P proposal attempts against the incumbent, one cascade each, in rank order;
 the round commits the first acceptor, and each attempt before it is a
 rejection that costs the incumbent one verbose step, as in the serial chain.
-Attempt n draws from its own stream (see dramp.rng), so a run at any P writes
-the P = 1 chain bit for bit in every column but the process id, and the
-weights record the rounds and ranks: a row of weight w was left after w
-attempts in ceil(w / P) rounds, and rank ((w - 1) mod P) + 1 drew the next
-row, whose process id that rank is. For a constant per-attempt acceptance
-probability that rank follows a truncated geometric law, which the tally fit
-inverts and which gives the closed-form speedup curve below.
+The attempts draw in order from the chain's one stream (see dramp.rng), so a
+run at any P writes the serial chain of its seed bit for bit in every column
+but the process id, and in that column too at P = 1. The weights record the
+rounds and ranks: a row of weight w was left after w attempts in
+ceil(w / P) rounds, and rank ((w - 1) mod P) + 1 drew the next row, whose
+process id that rank is. For a constant per-attempt acceptance probability
+that rank follows a truncated geometric law, which the tally fit inverts and
+which gives the closed-form speedup curve below.
 """
 
 from __future__ import annotations
@@ -280,10 +281,10 @@ def run_forkjoin(
 ) -> ForkJoinResult:
     """Build one chain with P pre-fetching workers.
 
-    This is run_kernel under RoundStreams(seed, P): adaptation, burn-in
-    tracking and chain accounting are the serial kernel's, and the chain is
-    the same at every P but for its process ids. ``on_event`` sees the
-    kernel's events, then ("done", rows).
+    This is run_kernel under RoundStreams(seed, P): the stream, adaptation,
+    burn-in tracking and chain accounting are the serial kernel's, and the
+    chain is the serial chain at every P but for its process ids.
+    ``on_event`` sees the kernel's events, then ("done", rows).
     """
     summary = run_kernel(
         target, config, proposal, RoundStreams(config.rng_seed, worker_count),

@@ -39,7 +39,6 @@ __all__ = [
     "write_sample",
     "ProgressWriter",
     "write_report",
-    "read_report_echo",
     "write_snapshot",
     "read_snapshot",
     "detect_incomplete",
@@ -514,9 +513,10 @@ def write_report(
     """Write the human-readable report.
 
     ``echo`` carries (key, value, description) triples rendered between fixed
-    sentinel lines in the flat key=value config format, so a report can be
-    re-parsed to reproduce the exact simulation that produced it. ``complete``
-    controls the terminator line that marks a finished run.
+    sentinel lines in the flat key=value config format, so
+    config.parse_config_file reads a report as the config file of the exact
+    simulation that produced it. ``complete`` controls the terminator line
+    that marks a finished run.
     """
     bar = "=" * 72
     lines: List[str] = [FORMAT_COMMENT, bar, "ADAPTIVE MCMC SIMULATION REPORT", bar, ""]
@@ -637,28 +637,6 @@ def write_report(
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))
     except OSError as exc:
         raise IoFailure("cannot write report: %s" % exc) from exc
-
-
-def read_report_echo(path: str) -> List[Tuple[str, str]]:
-    """Recover the key=value specification echo from a report file."""
-    try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
-    except OSError as exc:
-        raise IoFailure("cannot read report: %s" % exc) from exc
-    items: List[Tuple[str, str]] = []
-    inside = False
-    for line in text.split("\n"):
-        if line == ECHO_BEGIN:
-            inside = True
-            continue
-        if line == ECHO_END:
-            inside = False
-            continue
-        if inside and line and not line.startswith("#"):
-            key, _, value = line.partition("=")
-            items.append((key.strip(), value.strip()))
-    return items
 
 
 def write_snapshot(path: str, payload: dict) -> None:

@@ -106,8 +106,10 @@ class ProposalState:
                 )
         if scale_factor is None:
             scale_factor = default_scale_factor(dimension)
-        if scale_factor <= 0.0:
-            raise ValueError("scale_factor must be positive, got %g" % scale_factor)
+        if not 0.0 < scale_factor < np.inf:
+            raise ValueError(
+                "scale_factor must be positive and finite, got %g" % scale_factor
+            )
         if dr_scales is None:
             dr_scales = default_dr_scales(1)
         dr_scales = tuple(float(s) for s in dr_scales)

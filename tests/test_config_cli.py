@@ -50,10 +50,11 @@ from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import PREDICTION_GRID
 from dramp.persist import (
     CHAIN_MAGIC,
+    ECHO_BEGIN,
+    ECHO_END,
     ChainWriter,
     OutputSuite,
     read_chain,
-    read_report_echo,
     read_snapshot,
     write_snapshot,
 )
@@ -128,6 +129,16 @@ class TestParseConfigFile:
         cfg = tmp_path / "c.txt"
         cfg.write_text("seed = 1\nseed = 2\n")
         with pytest.raises(ValueError, match="duplicate"):
+            parse_config_file(str(cfg))
+
+    def test_a_report_yields_its_echo_only(self, tmp_path):
+        cfg = tmp_path / "r.txt"
+        cfg.write_text("REPORT\n%s\n# the seed\nseed = 5\n%s\nrate : 0.5\n"
+                       % (ECHO_BEGIN, ECHO_END))
+        assert parse_config_file(str(cfg)) == {"seed": "5"}
+        cfg.write_text("REPORT\n%s\nseed = 5\nnot a pair\n%s\n"
+                       % (ECHO_BEGIN, ECHO_END))
+        with pytest.raises(ValueError, match=":4:"):
             parse_config_file(str(cfg))
 
 
@@ -429,7 +440,7 @@ class TestCliRun:
         argv = ["run", "--config", str(cfg), "--seed", "22",
                 "--out", str(prefix)]
         assert main(argv) == EXIT_OK
-        echo = dict(read_report_echo("%s_report.txt" % prefix))
+        echo = parse_config_file("%s_report.txt" % prefix)
         assert echo["seed"] == "22"
         assert echo["dim"] == "1"
         assert echo["chain-len"] == "120"
@@ -437,10 +448,7 @@ class TestCliRun:
     def test_report_echo_reproduces_spec(self, tmp_path, capsys):
         prefix = tmp_path / "demo"
         assert main(run_flags(prefix)) == EXIT_OK
-        echo = read_report_echo("%s_report.txt" % prefix)
-        keys = [key for key, _ in echo]
-        assert len(keys) == len(set(keys))
-        spec = build_spec(dict(echo))
+        spec = build_spec(parse_config_file("%s_report.txt" % prefix))
         original = build_spec(dict(
             (k, v) for k, v in
             [("target", "mvn"), ("dim", "2"), ("chain-len", "400"),
@@ -448,6 +456,27 @@ class TestCliRun:
              ("deterministic-test-mode", "true")]
         ))
         assert spec_digest(spec) == spec_digest(original)
+
+    def test_report_as_config_file_reruns_the_run(self, tmp_path, capsys):
+        first = tmp_path / "A"
+        assert main(run_flags(first, dr_stages="2")) == EXIT_OK
+        second = tmp_path / "B"
+        argv = ["run", "--config", "%s_report.txt" % first, "--out", str(second)]
+        assert main(argv) == EXIT_OK
+        for suffix in ("_chain.txt", "_sample.txt"):
+            assert pathlib.Path("%s%s" % (second, suffix)).read_bytes() == \
+                pathlib.Path("%s%s" % (first, suffix)).read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--dr-stages", "2", "--dr-scales", "0.7,0.9"],
+        ["--scale-factor", "inf"],
+    ], ids=["increasing-dr-scales", "infinite-scale-factor"])
+    def test_bad_proposal_refused_before_any_file(self, tmp_path, capsys, flags):
+        argv = ["run", "--chain-len", "50", "--out", str(tmp_path / "run")]
+        assert main(argv + flags) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def half_space_target(value):
@@ -970,7 +999,7 @@ class TestResume:
                 "--mode", "forkjoin", "--workers", "4",
                 "--deterministic-test-mode"]
         # 1 is a snapshot written before the field existed
-        for stale in (1, 2, 3):
+        for stale in (1, 2, 3, 5):
             older = dict(snap, trajectory_version=stale)
             if stale == 1:
                 del older["trajectory_version"]

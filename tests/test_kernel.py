@@ -524,18 +524,12 @@ class TestStreams:
     def test_serial_state_round_trip_is_bitwise(self):
         s = SerialStreams(seed=7)
         assert s.process_id(1) == s.process_id(5) == 1
-        assert s.generator(0) is s.generator(9)  # one continuous stream
-        s.generator(0).random(13)
+        s.generator.random(13)
         snap = json.loads(json.dumps(s.state_dict()))
-        tail = s.generator(1).random(50)
+        tail = s.generator.random(50)
         s2 = SerialStreams(seed=7)
         s2.load_state(snap)
-        assert s2.generator(1).random(50).tolist() == tail.tolist()
-
-    @staticmethod
-    def draws(streams, attempt):
-        gen = streams.generator(attempt)
-        return gen.standard_normal(3).tolist() + [gen.random()]
+        assert s2.generator.random(50).tolist() == tail.tolist()
 
     def test_round_streams_rank_rule(self):
         # the row accepted after w attempts was drawn by rank (w-1) mod P + 1
@@ -545,34 +539,6 @@ class TestStreams:
         assert RoundStreams(seed=9).process_id(7) == 1
         with pytest.raises(ValueError):
             RoundStreams(seed=9, worker_count=0)
-
-    def test_round_streams_keyed_only_by_attempt(self):
-        a = RoundStreams(seed=9, worker_count=4)
-        b = RoundStreams(seed=9, worker_count=3)
-        for attempt in range(4):
-            a.generator(attempt).random(100)  # consumption leaves no trace
-        a.generator(7)  # nor does a reseat without draws
-        a.generator(5).random(3)  # nor a partly drawn stream
-        assert self.draws(a, 5) == self.draws(b, 5)
-        assert self.draws(a, 5) != self.draws(a, 6)
-        other_seed = RoundStreams(seed=10, worker_count=3)
-        assert self.draws(a, 5) != self.draws(other_seed, 5)
-
-    def test_round_streams_in_alternation_match_one_after_the_other(self):
-        a, b, a2, b2 = (RoundStreams(seed=9, worker_count=2) for _ in range(4))
-        alternating = [(self.draws(a, i), self.draws(b, i + 20)) for i in range(20)]
-        first = [self.draws(a2, i) for i in range(20)]
-        second = [self.draws(b2, i + 20) for i in range(20)]
-        assert alternating == list(zip(first, second))
-
-    def test_round_stream_draws_stay_in_their_counter_block(self):
-        streams = RoundStreams(seed=9, worker_count=3)
-        for attempt in (0, 41, 2 ** 40):
-            gen = streams.generator(attempt)
-            gen.standard_normal(500)
-            gen.random(500)
-            counter = gen.bit_generator.state["state"]["counter"]
-            assert counter[2:].tolist() == [attempt, 0]
 
     def test_no_generator_built_per_round(self, monkeypatch):
         built = {}
@@ -604,11 +570,11 @@ class TestStreams:
         # the state is numpy's own PCG64 dict, so it survives JSON, and
         # numpy's setter refuses a dict of another bit generator
         streams = SerialStreams(1)
-        streams.generator(0).random(3)
+        streams.generator.random(3)
         state = json.loads(json.dumps(streams.state_dict()))
-        ahead = streams.generator(0).random(5)
+        ahead = streams.generator.random(5)
         streams.load_state(state)
-        assert np.array_equal(streams.generator(0).random(5), ahead)
+        assert np.array_equal(streams.generator.random(5), ahead)
         state["bit_generator"] = "MT19937"
         with pytest.raises(ValueError):
             streams.load_state(state)
@@ -845,10 +811,11 @@ class TestStateTransport:
         # the adaptation count and the stream's identity are derived too:
         # the stream block is numpy's own PCG64 state dict
         assert set(state) == {"stream", "pending_measure", "live_row"}
-        assert state["stream"] == kern.streams.generator(0).bit_generator.state
+        assert state["stream"] == kern.streams.generator.bit_generator.state
         assert set(state["stream"]) == {"bit_generator", "state",
                                         "has_uint32", "uinteger"}
         assert set(state["stream"]["state"]) == {"state", "inc"}
         # plain JSON values: the live row's state is a list
         assert json.loads(json.dumps(state)) == state
-        assert RoundStreams(99, 4).state_dict() is None
+        # fork-join snapshots hold the same stream block
+        assert RoundStreams(99, 4).state_dict() == SerialStreams(99).state_dict()

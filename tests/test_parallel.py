@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 import dramp.driver
 from dramp.config import build_spec, initial_proposal, make_target
 from dramp.errors import DegenerateTally, NonFiniteTarget, SamplerError
-from dramp.kernel import KernelConfig, RoundStreams, SerialStreams, run_kernel
+from dramp.kernel import KernelConfig, SerialStreams, run_kernel
 from dramp.chain import ChainRow, CompactChain
 from dramp.model import TargetDensity, banana_target, gaussian_target
 from dramp.parallel import (
@@ -256,9 +256,7 @@ class TestRunForkjoin:
         target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
         cfg = KernelConfig(400, (0.0, 0.0), rng_seed=5, dr_stage_count=1)
         fj = run_forkjoin(target, cfg, ProposalState.create(2), worker_count=1)
-        serial = run_kernel(
-            target, cfg, ProposalState.create(2), streams=RoundStreams(5)
-        )
+        serial = run_kernel(target, cfg, ProposalState.create(2))
         assert chains_equal(fj.summary.chain, serial.chain)
         assert fj.tally.counts == (serial.chain.n_rows - 1,)
 

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dramp.chain import ChainRow, CompactChain
+from dramp.config import parse_config_file
 from dramp.errors import CorruptRestart, IoFailure, UnencodableValue
 from dramp.kernel import KernelConfig, run_kernel
 from dramp.model import TargetDensity
@@ -36,7 +37,6 @@ from dramp.persist import (
     RunState,
     detect_incomplete,
     read_chain,
-    read_report_echo,
     read_snapshot,
     write_report,
     write_sample,
@@ -523,9 +523,9 @@ class TestReport:
         lines = [ln for ln in text.split("\n") if ln.strip()]
         assert lines[-1] == REPORT_TERMINATOR
         assert text.count(ECHO_BEGIN) == 1 and text.count(ECHO_END) == 1
-        assert read_report_echo(suite.report_path) == [
-            ("target", "mvn"), ("dim", "1"), ("seed", "1")
-        ]
+        assert parse_config_file(suite.report_path) == {
+            "target": "mvn", "dim": "1", "seed": "1"
+        }
 
     def test_incomplete_report_has_no_terminator(self, tmp_path, tiny_summary):
         suite = OutputSuite(str(tmp_path / "run"))

@@ -71,6 +71,11 @@ class TestProposalState:
         # empty tuple disables delayed rejection and is legal
         assert ProposalState.create(1, dr_scales=()).dr_scales == ()
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_factor_must_be_positive_and_finite(self, value):
+        with pytest.raises(ValueError, match="scale_factor"):
+            ProposalState.create(1, scale_factor=value)
+
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(NotPositiveDefinite):
             ProposalState.create(2, covariance=[[1.0, 0.5], [0.2, 1.0]])
