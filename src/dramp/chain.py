@@ -3,9 +3,10 @@
 A Markov chain that rejects often repeats states; storing each visited state
 once with a repeat count ("weight") shrinks memory and disk by the mean
 rejection run length. The expansion back to the full realization is the
-verbose chain. Rows also carry per-row bookkeeping columns that the output
-files report: contributing process, delayed-rejection stage, running
-acceptance rate, adaptation measure, running burn-in location.
+verbose chain. Rows also carry bookkeeping columns: contributing process,
+delayed-rejection stage, running acceptance rate, adaptation measure,
+running burn-in location. COLUMNS is the one list of a row's seven fixed
+columns; the chain store and both chain codecs in ``persist`` read it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyRange
 
 __all__ = [
+    "COLUMNS",
+    "ROW_DTYPE",
     "ChainRow",
     "CompactChain",
     "WeightedMoments",
@@ -25,21 +28,32 @@ __all__ = [
 
 _INITIAL_CAPACITY = 1024
 
-# CompactChain's per-row columns, in ChainRow's field order
-_ROW_COLUMNS = (
-    "_process_id",
-    "_dr_stage",
-    "_mean_acceptance_rate",
-    "_adaptation_measure",
-    "_burnin_location",
-    "_weight",
-    "_log_func",
+# The seven fixed columns of a chain row, in file order: the field name (of
+# ChainRow, of CompactChain's columns and of the binary record), the chain
+# file's header, and the binary record's field type
+COLUMNS = (
+    ("process_id", "ProcessID", "<u4"),
+    ("dr_stage", "DelayedRejectionStage", "<u4"),
+    ("mean_acceptance_rate", "MeanAcceptanceRate", "<f8"),
+    ("adaptation_measure", "AdaptationMeasure", "<f8"),
+    ("burnin_location", "BurninLocation", "<u8"),
+    ("weight", "SampleWeight", "<u8"),
+    ("log_func", "SampleLogFunc", "<f8"),
+)
+
+# A row's types in memory: an integer column as int64, a real one as
+# float64, then the row's first index in the verbose chain
+ROW_DTYPE = np.dtype(
+    [(name, np.int64 if binary[1] == "u" else np.float64)
+     for name, _, binary in COLUMNS]
+    + [("verbose_start", np.int64)]
 )
 
 
 @dataclass(eq=False)
 class ChainRow:
-    """One unique visited state plus its bookkeeping columns."""
+    """One unique visited state plus its bookkeeping columns, in COLUMNS's
+    order."""
 
     process_id: int
     dr_stage: int
@@ -52,7 +66,10 @@ class ChainRow:
 
 
 class CompactChain:
-    """Growable column store for chain rows.
+    """Growable column store for chain rows: an array per field of
+    ROW_DTYPE (``_weight`` and so on, by name in ``_columns``) and an
+    (n, d) array of states, not one record array, whose fresh pages and
+    strided writes slowed a resume's decode.
 
     Columns live in numpy arrays preallocated to ``capacity`` rows that
     double on demand; the kernel appends one row per accepted state and
@@ -83,18 +100,16 @@ class CompactChain:
         self.dimension = dimension
         self.variable_names = variable_names
         # rows past n are never read, so the arrays are left unzeroed
-        cap = capacity
-        self._process_id = np.empty(cap, dtype=np.int64)
-        self._dr_stage = np.empty(cap, dtype=np.int64)
-        self._mean_acceptance_rate = np.empty(cap, dtype=np.float64)
-        self._adaptation_measure = np.empty(cap, dtype=np.float64)
-        self._burnin_location = np.empty(cap, dtype=np.int64)
-        self._weight = np.empty(cap, dtype=np.int64)
-        self._log_func = np.empty(cap, dtype=np.float64)
-        self._verbose_start = np.empty(cap, dtype=np.int64)
-        self._states = np.empty((cap, dimension), dtype=np.float64)
+        self._bind({name: np.empty(capacity, ROW_DTYPE[name])
+                    for name in ROW_DTYPE.names},
+                   np.empty((capacity, dimension), dtype=np.float64))
         self.n_rows = 0
         self.verbose_length = 0
+
+    def _bind(self, columns: dict, states: np.ndarray) -> None:
+        self._columns, self._states = columns, states
+        for name, column in columns.items():
+            setattr(self, "_" + name, column)
 
     def _settle(self) -> None:
         # the live row's weight from the verbose length
@@ -120,52 +135,41 @@ class CompactChain:
     verbose_starts = property(lambda self: self._verbose_start[: self.n_rows])
 
     @classmethod
-    def from_columns(
-        cls,
-        variable_names: Sequence[str],
-        process_ids,
-        dr_stages,
-        mean_acceptance_rates,
-        adaptation_measures,
-        burnin_locations,
-        weights,
-        log_funcs,
-        states,
-    ) -> "CompactChain":
-        """A chain holding copies of the given columns, in ChainRow's field
-        order; ``states`` is (n, d). The verbose starts are the running sum
-        of the weights. The capacity is what appending n + 1 rows leaves
-        (1024, doubled as needed), so a resumed chain, once its live row is
-        appended, grows at the rows where an uninterrupted one grows."""
-        columns = (process_ids, dr_stages, mean_acceptance_rates,
-                   adaptation_measures, burnin_locations, weights, log_funcs)
-        return cls._filled(variable_names, columns, states, room=True)
+    def from_columns(cls, variable_names: Sequence[str], records,
+                     states) -> "CompactChain":
+        """A chain holding copies of the given rows: ``records`` maps each
+        field of COLUMNS to its n values (a record array or a dict of
+        arrays, such as ``columns`` returns), ``states`` is (n, d). The
+        verbose starts are the running sum of the weights. The capacity is
+        what appending n + 1 rows leaves (1024, doubled as needed), so a
+        resumed chain, once its live row is appended, grows at the rows
+        where an uninterrupted one grows."""
+        return cls._filled(variable_names, records, states, room=True)
 
     def slice(self, start: int, count: int) -> "CompactChain":
         """Rows [start, start + count) as a new chain that owns its arrays,
         with room for one more row only."""
-        return self._rows(start, start + count, room=False)
+        return self._filled(self.variable_names,
+                            *self.columns(start, start + count), room=False)
 
     def tail(self, start: int) -> "CompactChain":
         """Rows [start, n) as a new chain, with from_columns's room."""
-        return self._rows(start, self.n_rows, room=True)
+        return self.from_columns(self.variable_names,
+                                 *self.columns(start, self.n_rows))
 
-    def _rows(self, start: int, end: int, room: bool) -> "CompactChain":
-        return self._filled(self.variable_names, *self.columns(start, end), room)
-
-    def columns(self, start: int, end: int) -> Tuple[list, np.ndarray]:
-        """Rows [start, end) as views: the seven fixed columns in ChainRow's
-        field order, and the (end - start, d) states."""
+    def columns(self, start: int, end: int) -> Tuple[dict, np.ndarray]:
+        """Rows [start, end) as views: each field of ROW_DTYPE by name, and
+        the (end - start, d) states."""
         if start < 0 or end < start or end > self.n_rows:
             raise IndexError(
                 "rows [%d, %d) out of range [0, %d)" % (start, end, self.n_rows)
             )
         self._settle()
-        return ([getattr(self, name)[start:end] for name in _ROW_COLUMNS],
+        return ({name: column[start:end] for name, column in self._columns.items()},
                 self._states[start:end])
 
     @classmethod
-    def _filled(cls, variable_names, columns, states, room: bool):
+    def _filled(cls, variable_names, records, states, room: bool):
         states = np.asarray(states, dtype=np.float64)
         if states.ndim != 2:
             raise DimensionMismatch(
@@ -176,14 +180,12 @@ class CompactChain:
         while capacity < n + 1:
             capacity *= 2
         chain = cls(dimension, variable_names, capacity=capacity)
-        for name, values in zip(_ROW_COLUMNS, columns):
-            values = np.asarray(values)
-            if values.shape != (n,):
-                raise DimensionMismatch(
-                    "column %s has shape %r for %d states"
-                    % (name[1:], values.shape, n)
-                )
-            getattr(chain, name)[:n] = values
+        for name, _, _ in COLUMNS:
+            values = records[name]
+            if np.shape(values) != (n,):
+                raise DimensionMismatch("column %s has shape %r for %d states"
+                                        % (name, np.shape(values), n))
+            chain._columns[name][:n] = values
         w = chain._weight[:n]
         if n and w.min() < 1:
             raise ValueError("weight must be >= 1, got %d" % w.min())
@@ -195,15 +197,14 @@ class CompactChain:
         return chain
 
     def _grow(self):
-        cap = self._process_id.size * 2
-        for name in _ROW_COLUMNS + ("_verbose_start",):
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=old.dtype)
-            new[: self.n_rows] = old[: self.n_rows]
-            setattr(self, name, new)
+        n, cap = self.n_rows, self._weight.size * 2
+        columns = {}
+        for name, old in self._columns.items():
+            columns[name] = np.empty(cap, old.dtype)
+            columns[name][:n] = old[:n]
         states = np.empty((cap, self.dimension), dtype=np.float64)
-        states[: self.n_rows] = self._states[: self.n_rows]
-        self._states = states
+        states[:n] = self._states[:n]
+        self._bind(columns, states)
 
     def append_row(self, row: ChainRow) -> None:
         state = np.asarray(row.state, dtype=float)
@@ -214,16 +215,14 @@ class CompactChain:
             )
         if row.weight < 1:
             raise ValueError("weight must be >= 1, got %d" % row.weight)
-        self.append(row.process_id, row.dr_stage, row.mean_acceptance_rate,
-                    row.adaptation_measure, row.burnin_location, row.weight,
-                    row.log_func, state)
+        self.append(*(getattr(row, name) for name, _, _ in COLUMNS), state)
 
     def append(self, process_id, dr_stage, mean_acceptance_rate,
                adaptation_measure, burnin_location, weight, log_func,
                state) -> None:
         """Append one row from its values, unchecked (append_row checks)."""
         i = self.n_rows
-        if i == self._process_id.size:
+        if i == self._weight.size:
             self._grow()
         self._settle()  # the live row's weight is final
         self._process_id[i] = process_id
@@ -253,21 +252,13 @@ class CompactChain:
         return self._states[self.n_rows - 1]
 
     def fields(self, i: int) -> tuple:
-        """Row i as a chain file lays it out: the seven columns in ChainRow's
-        field order, then the state's coordinates, all as Python numbers."""
+        """Row i as a chain file lays it out: the seven columns in COLUMNS's
+        order, then the state's coordinates, all as Python numbers."""
         if not 0 <= i < self.n_rows:
             raise IndexError("row %d out of range [0, %d)" % (i, self.n_rows))
         self._settle()
-        return (
-            self._process_id.item(i),
-            self._dr_stage.item(i),
-            self._mean_acceptance_rate.item(i),
-            self._adaptation_measure.item(i),
-            self._burnin_location.item(i),
-            self._weight.item(i),
-            self._log_func.item(i),
-            *self._states[i].tolist(),
-        )
+        return (*(self._columns[name].item(i) for name, _, _ in COLUMNS),
+                *self._states[i].tolist())
 
     def row(self, i: int) -> ChainRow:
         values = self.fields(i)

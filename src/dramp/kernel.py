@@ -142,7 +142,6 @@ class StepOutcome(NamedTuple):
     accepted_state: np.ndarray
     accepted_log_func: float
     accepted_at_stage: int  # REJECTED when every stage failed
-    proposals_consumed: int
 
 
 def mh_accept_stage0(log_current: float, log_candidate: float, u: float) -> bool:
@@ -265,7 +264,7 @@ def propose_cascade(
         u = float(stream.random())
         if stage == 0:
             if mh_accept_stage0(log_incumbent, log_candidate, u):
-                return StepOutcome(candidate, log_candidate, 0, 1)
+                return StepOutcome(candidate, log_candidate, 0)
             if dr_stage_count:
                 # the retries' state exists only once stage 0 has rejected
                 if dr_stage_count >= len(scales):
@@ -281,11 +280,11 @@ def propose_cascade(
             lnu = math.log(u) if u > 0.0 else NEG_INF
             log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
             if lnu < log_alpha:
-                return StepOutcome(candidate, log_candidate, stage, stage + 1)
+                return StepOutcome(candidate, log_candidate, stage)
             if stage < dr_stage_count:
                 # the next stage's ratio reuses this path's rejection
                 memo[0, stage + 1] = _log1mexp(log_alpha)
-    return StepOutcome(incumbent, log_incumbent, REJECTED, dr_stage_count + 1)
+    return StepOutcome(incumbent, log_incumbent, REJECTED)
 
 
 def burnin_location(
@@ -547,7 +546,7 @@ class Kernel:
         full moments and adapts. The stage tallies are read off the chain
         (``stage_tallies``), so a step counts nothing else.
         """
-        state, log_func, stage, _ = outcome
+        state, log_func, stage = outcome
         chain = self.chain
         if stage == REJECTED:
             chain.verbose_length += 1  # the live row's weight

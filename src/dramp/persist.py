@@ -1,10 +1,12 @@
 """Output file suite: chain, sample, report, progress, restart.
 
 Chain files come in an ASCII and a binary codec that decode to identical
-values; reals are rendered with 17 significant digits in ASCII, which
-round-trips IEEE doubles exactly. All text files are written in binary mode
-with LF line endings so that byte-identical reruns stay byte-identical across
-platforms.
+values; both take a row's header, field types and line format from
+``chain.COLUMNS``. Reals are rendered with 17 significant digits in ASCII,
+which round-trips IEEE doubles exactly. All text files are written in binary
+mode with LF line endings so that byte-identical reruns stay byte-identical
+across platforms. The delimiter is one character that no number holds and
+the report's echo keeps: not whitespace, a letter, a digit, '+', '-' or '.'.
 
 The restart file is a checksummed binary envelope around a plain JSON
 payload (a float as its shortest repr, which reads back to the same double),
@@ -27,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import CompactChain
+from .chain import COLUMNS, ROW_DTYPE, CompactChain
 from .errors import CorruptRestart, IoFailure, UnencodableValue
 from .refine import RefinedSample
 
@@ -58,15 +60,7 @@ REPORT_TERMINATOR = "# end of report: run complete"
 ECHO_BEGIN = "# --- begin specification echo ---"
 ECHO_END = "# --- end specification echo ---"
 
-FIXED_COLUMNS = (
-    "ProcessID",
-    "DelayedRejectionStage",
-    "MeanAcceptanceRate",
-    "AdaptationMeasure",
-    "BurninLocation",
-    "SampleWeight",
-    "SampleLogFunc",
-)
+FIXED_COLUMNS = tuple(header for _, header, _ in COLUMNS)
 
 
 # The chain file's extension for each codec
@@ -95,8 +89,14 @@ class OutputSuite:
                 "chain_format must be 'ascii' or 'binary', got %r"
                 % self.chain_format
             )
-        if len(self.delimiter) != 1:
-            raise ValueError("delimiter must be a single character")
+        # a number's own characters would split its field, and the report's
+        # echo strips whitespace, so neither could be read back
+        d = self.delimiter
+        if len(d) != 1 or d.isspace() or d.isalnum() or d in "+-.":
+            raise ValueError(
+                "delimiter must be one character other than whitespace, a "
+                "letter, a digit, '+', '-' or '.', got %r" % d
+            )
 
     @property
     def chain_path(self) -> str:
@@ -177,7 +177,7 @@ class ChainWriter(_OutputFile):
         self._record = _record_dtype(len(self.variable_names))
         # the format of one ASCII row: integers as %d, reals as _fmt renders
         self._line = (suite.delimiter.replace("%", "%%").join(
-            "%d %d %.17g %.17g %d %d %.17g".split()
+            ["%d" if parse is int else "%.17g" for parse, _ in _FIELD_TYPES]
             + ["%.17g"] * len(self.variable_names)
         ) + "\n").encode("utf-8")
         self._ascii = suite.chain_format == "ascii"
@@ -185,27 +185,20 @@ class ChainWriter(_OutputFile):
             self._write_header()
 
     def _write_header(self) -> None:
-        if self.suite.chain_format == "ascii":
-            header = self.suite.delimiter.join(
-                FIXED_COLUMNS + self.variable_names
-            )
-            self._fh.write(
-                (FORMAT_COMMENT + "\n" + header + "\n").encode("utf-8")
-            )
+        if self._ascii:
+            header = self.suite.delimiter.join(FIXED_COLUMNS + self.variable_names)
+            self._fh.write((FORMAT_COMMENT + "\n" + header + "\n").encode("utf-8"))
         else:
             names = "\x00".join(self.variable_names).encode("utf-8")
-            self._fh.write(CHAIN_MAGIC)
-            self._fh.write(
-                struct.pack("<III", 1, len(self.variable_names), len(names))
-            )
-            self._fh.write(names)
+            self._fh.write(CHAIN_MAGIC + struct.pack(
+                "<III", 1, len(self.variable_names), len(names)) + names)
 
     def write_row(self, fields: tuple) -> None:
         """Write one row: a tuple in ``CompactChain.fields``'s layout, the
         seven fixed columns and then the state's coordinates. It is encoded
         as a one-row block, whose row an encoding error names as row 0."""
-        fixed = [np.asarray([v]) for v in fields[:7]]
-        self._write_block(fixed, np.asarray([fields[7:]], dtype=float), 0)
+        records = {name: np.asarray([v]) for (name, _, _), v in zip(COLUMNS, fields)}
+        self._write_block(records, np.asarray([fields[7:]], dtype=float), 0)
 
     def write_rows(self, chain: CompactChain, start: int, end: int) -> None:
         """Write rows [start, end) of ``chain`` from its columns, the bytes
@@ -214,18 +207,20 @@ class ChainWriter(_OutputFile):
             last = min(first + _BLOCK_ROWS, end)
             self._write_block(*chain.columns(first, last), first)
 
-    def _write_block(self, fixed, states: np.ndarray, first: int) -> None:
-        """Write a block, its seven fixed columns and its states, from row
-        ``first``: ASCII as lines of the one-row format, binary as one array
-        of records. Casting would wrap an integer its binary field cannot
-        hold, so that raises UnencodableValue naming its column and row."""
+    def _write_block(self, records, states: np.ndarray, first: int) -> None:
+        """Write a block, its records (anything that maps each field of
+        COLUMNS to its values) and its states, from row ``first``: ASCII as
+        lines of the one-row format, binary as one array of records.
+        Casting would wrap an integer its binary field cannot hold, so that
+        raises UnencodableValue naming its column and row."""
         if self._ascii:
-            columns = [column.tolist() for column in fixed] + states.T.tolist()
-            data = b"".join([self._line % row for row in zip(*columns)])
+            columns = [records[name].tolist() for name, _, _ in COLUMNS]
+            data = b"".join([self._line % row
+                             for row in zip(*columns, *states.T.tolist())])
         else:
             data = np.empty(len(states), self._record)
-            for name, column, values in zip(self._record.names, FIXED_COLUMNS, fixed):
-                field = self._record[name]
+            for name, column, _ in COLUMNS:
+                values, field = records[name], self._record[name]
                 if field.kind == "u":
                     bad = np.flatnonzero((values < 0) | (values > np.iinfo(field).max))
                     if bad.size:
@@ -242,9 +237,10 @@ class ChainWriter(_OutputFile):
 
 # How the ASCII codec parses each fixed column, and the array type both
 # codecs decode it into
-_INT, _REAL = (int, np.int64), (float, np.float64)
-_FIELD_TYPES = (_INT, _INT, _REAL, _REAL, _INT, _INT, _REAL)
-_WEIGHT = FIXED_COLUMNS.index("SampleWeight")
+_FIELD_TYPES = tuple(
+    (int if ROW_DTYPE[name].kind == "i" else float, ROW_DTYPE[name].type)
+    for name, _, _ in COLUMNS
+)
 _INT64_MAX = np.iinfo(np.int64).max
 # Rows are encoded, and ASCII lines split into fields, a block at a time,
 # because the Python objects per row dominate the memory: on `serial-dr2`,
@@ -254,17 +250,10 @@ _BLOCK_ROWS = 256
 
 
 def _record_dtype(dimension: int) -> np.dtype:
-    """The binary record, packed: struct format "<IIddQQd" + "d" * d."""
-    return np.dtype([
-        ("process_id", "<u4"),
-        ("dr_stage", "<u4"),
-        ("mean_acceptance_rate", "<f8"),
-        ("adaptation_measure", "<f8"),
-        ("burnin_location", "<u8"),
-        ("weight", "<u8"),
-        ("log_func", "<f8"),
-        ("state", "<f8", (dimension,)),
-    ])
+    """The binary record, packed: COLUMNS's binary fields, then the state
+    as d little-endian doubles."""
+    return np.dtype([(name, binary) for name, _, binary in COLUMNS]
+                    + [("state", "<f8", (dimension,))])
 
 
 def _check_rows(start: int, weights: np.ndarray, total: int,
@@ -295,21 +284,20 @@ def _check_rows(start: int, weights: np.ndarray, total: int,
 
 
 def _ascii_block(fields: List[List[str]], n_fields: int):
-    """A block of split lines as its seven fixed columns and its states.
+    """A block of split lines as its fixed columns, by name, and its states.
     A wrong field count or a field its column's parser rejects raises
     ValueError, an integer past int64 OverflowError."""
     if any(len(f) != n_fields for f in fields):
         raise ValueError("wrong field count")
     n = len(fields)
     columns = list(zip(*fields)) or [()] * n_fields
-    fixed = [
-        np.fromiter(map(parse, column), dtype, n)
-        for (parse, dtype), column in zip(_FIELD_TYPES, columns)
-    ]
+    records = {name: np.fromiter(map(parse, column), dtype, n)
+               for (name, _, _), (parse, dtype), column
+               in zip(COLUMNS, _FIELD_TYPES, columns)}
     states = np.empty((n, n_fields - len(FIXED_COLUMNS)))
     for j, column in enumerate(columns[len(FIXED_COLUMNS):]):
         states[:, j] = np.fromiter(map(float, column), np.float64, n)
-    return fixed, states
+    return records, states
 
 
 def _first_undecodable(fields: List[List[str]],
@@ -326,7 +314,7 @@ def _first_undecodable(fields: List[List[str]],
         failures.append(
             (short, "%d fields, expected %d" % (len(fields[short]), n_fields))
         )
-    types = _FIELD_TYPES + (_REAL,) * (n_fields - len(_FIELD_TYPES))
+    types = _FIELD_TYPES + ((float, np.float64),) * (n_fields - len(_FIELD_TYPES))
     for (parse, dtype), name, column in zip(types, header, zip(*fields[:short])):
         for i, value in enumerate(column):
             try:
@@ -358,7 +346,7 @@ def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
     if not names:
         raise IoFailure("chain header declares no variables")
     rows = body[1:]
-    fixed = [np.empty(len(rows), dtype) for _, dtype in _FIELD_TYPES]
+    records = {name: np.empty(len(rows), ROW_DTYPE[name]) for name, _, _ in COLUMNS}
     states = np.empty((len(rows), len(names)))
     total = 0
     for start in range(0, len(rows), _BLOCK_ROWS):
@@ -369,12 +357,12 @@ def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
         except (ValueError, OverflowError):
             failure = _first_undecodable(fields, header)
             block, block_states = _ascii_block(fields[: failure[0]], len(header))
-        total = _check_rows(start, block[_WEIGHT], total, failure)
+        total = _check_rows(start, block["weight"], total, failure)
         end = start + len(fields)
-        for column, values in zip(fixed, block):
-            column[start:end] = values
+        for name, values in block.items():
+            records[name][start:end] = values
         states[start:end] = block_states
-    return CompactChain.from_columns(names, *fixed, states)
+    return CompactChain.from_columns(names, records, states)
 
 
 def _read_chain_binary(raw: bytes) -> CompactChain:
@@ -406,8 +394,9 @@ def _read_chain_binary(raw: bytes) -> CompactChain:
         )
     rec = np.frombuffer(raw, record, n_body // record.itemsize, offset)
     failure = None
-    for field, name in (("burnin_location", "BurninLocation"),
-                        ("weight", "SampleWeight")):
+    for field, name, binary in COLUMNS:
+        if binary != "<u8":
+            continue  # a narrower field fits int64
         wide = np.flatnonzero(rec[field] > np.uint64(_INT64_MAX))
         if wide.size and (failure is None or wide[0] < failure[0]):
             failure = (
@@ -416,9 +405,7 @@ def _read_chain_binary(raw: bytes) -> CompactChain:
             )
     decoded = rec if failure is None else rec[: failure[0]]
     _check_rows(0, decoded["weight"].astype(np.int64), 0, failure)
-    return CompactChain.from_columns(
-        names, *(rec[field] for field in record.names)
-    )
+    return CompactChain.from_columns(names, rec, rec["state"])
 
 
 def read_chain(

@@ -227,6 +227,11 @@ def appended(rows, d, names=None):
     return ch
 
 
+def rows_of(chain):
+    """(columns by name, states) of all of a chain's rows."""
+    return chain.columns(0, chain.n_rows)
+
+
 def assert_same_chain(a, b):
     assert a.variable_names == b.variable_names
     assert (a.n_rows, a.verbose_length) == (b.n_rows, b.verbose_length)
@@ -241,18 +246,14 @@ class TestColumnsAndSlices:
     def test_from_columns_matches_append_row(self, n):
         rows = random_rows(n, n, 3)
         want = appended(rows, 3, names=("a", "b", "c"))
-        got = CompactChain.from_columns(
-            ("a", "b", "c"), *(getattr(want, c) for c in ROW_COLUMNS)
-        )
+        got = CompactChain.from_columns(("a", "b", "c"), *rows_of(want))
         assert_same_chain(got, want)
 
     def test_from_columns_then_append_matches_append_row(self):
         # the appends fill the spare rows, then grow the arrays at 1024
         rows = random_rows(2, 1100, 2)
         got = CompactChain.from_columns(
-            ("Var1", "Var2"),
-            *(getattr(appended(rows[:1000], 2), c) for c in ROW_COLUMNS),
-        )
+            ("Var1", "Var2"), *rows_of(appended(rows[:1000], 2)))
         for row in rows[1000:]:
             got.append_row(row)
         got.verbose_length += 4
@@ -262,25 +263,26 @@ class TestColumnsAndSlices:
 
     def test_from_columns_copies_its_input(self):
         source = appended(random_rows(3, 10, 2), 2)
-        columns = [getattr(source, c).copy() for c in ROW_COLUMNS]
-        got = CompactChain.from_columns(source.variable_names, *columns)
-        for column in columns:
-            column[...] = 1
+        columns, states = rows_of(source)
+        columns = {name: values.copy() for name, values in columns.items()}
+        states = states.copy()
+        got = CompactChain.from_columns(source.variable_names, columns, states)
+        for values in columns.values():
+            values[...] = 1
+        states[...] = 1
         assert_same_chain(got, source)
 
     def test_from_columns_rejects_bad_shapes_and_weights(self):
         source = appended(random_rows(4, 5, 2), 2)
-        columns = [getattr(source, c) for c in ROW_COLUMNS]
+        columns, states = rows_of(source)
         with pytest.raises(DimensionMismatch):
-            CompactChain.from_columns(("x",), *columns)
-        short = list(columns)
-        short[0] = short[0][:4]
+            CompactChain.from_columns(("x",), columns, states)
+        short = dict(columns, process_id=columns["process_id"][:4])
         with pytest.raises(DimensionMismatch):
-            CompactChain.from_columns(source.variable_names, *short)
-        zero = list(columns)
-        zero[5] = np.array([1, 2, 0, 1, 1])
+            CompactChain.from_columns(source.variable_names, short, states)
+        zero = dict(columns, weight=np.array([1, 2, 0, 1, 1]))
         with pytest.raises(ValueError):
-            CompactChain.from_columns(source.variable_names, *zero)
+            CompactChain.from_columns(source.variable_names, zero, states)
 
     @pytest.mark.parametrize("start,count", [
         (0, 0), (0, 40), (13, 20), (39, 1), (40, 0),
@@ -333,8 +335,8 @@ class TestColumnsAndSlices:
         # completed chain, keeps room for one row only.
         rows = random_rows(11, n + 1, 2)
         oracle = appended(rows, 2)
-        columns = [getattr(appended(rows[:n], 2), c) for c in ROW_COLUMNS]
-        rebuilt = CompactChain.from_columns(("Var1", "Var2"), *columns)
+        rebuilt = CompactChain.from_columns(("Var1", "Var2"),
+                                            *rows_of(appended(rows[:n], 2)))
         assert rebuilt._weight.size == oracle._weight.size
         assert oracle.slice(1, n)._weight.size == n + 1
 

@@ -478,6 +478,19 @@ class TestCliRun:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("delimiter", ["-", ".", "+", "a", "E", "7", " ", "\t"])
+    def test_unreadable_delimiter_refused_before_any_file(
+        self, tmp_path, capsys, delimiter
+    ):
+        # a number's own characters split its fields on reading, and the
+        # report's echo loses whitespace
+        argv = ["run", "--chain-len", "50", "--delimiter", delimiter,
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 def half_space_target(value):
     """Standard normal on R^2 whose log-density is ``value`` where x0 > 1.

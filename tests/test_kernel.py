@@ -7,6 +7,7 @@ the combined kernel preserves its target lives in the acceptance suite.
 """
 
 import copy
+import dataclasses
 import json
 import math
 
@@ -325,8 +326,8 @@ def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
             lnu = math.log(u) if u > 0.0 else float("-inf")
             accepted = lnu < reference_dr_log_alpha(log_funcs, draws, scales, memo)
         if accepted:
-            return StepOutcome(candidate, log_candidate, stage, stage + 1)
-    return StepOutcome(incumbent, log_incumbent, REJECTED, dr_stage_count + 1)
+            return StepOutcome(candidate, log_candidate, stage)
+    return StepOutcome(incumbent, log_incumbent, REJECTED)
 
 
 def correlated_gaussian(d, seed):
@@ -378,7 +379,6 @@ class TestProposeCascade:
         incumbent = np.zeros(2)
         out = propose_cascade(flat_target(2), prop, incumbent, 0.0, 1, stream)
         assert out.accepted_at_stage == 0
-        assert out.proposals_consumed == 1
         assert out.accepted_log_func == 0.0
         assert not np.array_equal(out.accepted_state, incumbent)
 
@@ -388,7 +388,6 @@ class TestProposeCascade:
         incumbent = np.array([1.5])
         out = propose_cascade(wall_target(1), prop, incumbent, 0.0, 2, stream)
         assert out.accepted_at_stage == REJECTED
-        assert out.proposals_consumed == 3
         assert out.accepted_state is incumbent
         assert out.accepted_log_func == 0.0
 
@@ -463,7 +462,6 @@ class TestNonFiniteTarget:
             nan_target(3), prop, incumbent, 0.0, stages, rng_mod.chain_stream(5, 0)
         )
         assert out.accepted_at_stage == REJECTED
-        assert out.proposals_consumed == stages + 1
         assert out.accepted_state is incumbent
 
     @pytest.mark.parametrize("stages", [0, 1, 2])
@@ -700,7 +698,7 @@ class TestCommitPath:
         monkeypatch.setattr(WeightedMoments, "update", lambda *args: calls.append(args))
         monkeypatch.setattr(CompactChain, "restamp_last", lambda *args: calls.append(args))
         # a rejected cascade runs every stage: two under DR 1
-        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 2))
+        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED))
         assert k.chain.n_rows == 1
         assert k.chain.weights[0] == 2
         assert k.chain.process_ids[0] == 1  # seed row keeps its own pid
@@ -715,8 +713,8 @@ class TestCommitPath:
                    RoundStreams(1, worker_count=4))
         state = k.chain.last_state()
         for _ in range(5):
-            k.commit(StepOutcome(state, k.log_incumbent, REJECTED, 2))
-        out = StepOutcome(np.array([0.5]), -0.125, 1, 2)
+            k.commit(StepOutcome(state, k.log_incumbent, REJECTED))
+        out = StepOutcome(np.array([0.5]), -0.125, 1)
         events = k.commit(out)
         assert k.chain.n_rows == 2
         assert k.chain.weights.tolist() == [6, 1]
@@ -743,9 +741,16 @@ class TestStageTallies:
         accepts = [0] * (dr_stages + 1)
         cascade = kernel_mod.propose_cascade
 
-        def counting(*args):
-            out = cascade(*args)
-            for stage in range(out.proposals_consumed):
+        def counting(target, *args):
+            # each stage the cascade runs evaluates the target once
+            stages_run = [0]
+
+            def evaluate(x):
+                stages_run[0] += 1
+                return target.evaluate(x)
+
+            out = cascade(dataclasses.replace(target, evaluate=evaluate), *args)
+            for stage in range(stages_run[0]):
                 attempts[stage] += 1
             if out.accepted_at_stage != REJECTED:
                 accepts[out.accepted_at_stage] += 1

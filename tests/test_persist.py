@@ -133,7 +133,10 @@ class TestAsciiChainFile:
             w.write_row(row_fields(row))
         lines = open(suite.chain_path, "rb").read().decode().split("\n")
         assert lines[0] == FORMAT_COMMENT
-        assert lines[1] == ",".join(FIXED_COLUMNS + ("Var1",))
+        assert lines[1] == (
+            "ProcessID,DelayedRejectionStage,MeanAcceptanceRate,"
+            "AdaptationMeasure,BurninLocation,SampleWeight,SampleLogFunc,Var1"
+        )
         assert lines[2] == "1,0,1,0,0,1,-0.91893853320467267,0"
 
     def test_percent_delimiter_is_written_literally(self, tmp_path):
@@ -204,6 +207,19 @@ class TestAsciiChainFile:
 
 
 class TestBinaryChainFile:
+    def test_frozen_seed_row_bytes(self, tmp_path):
+        # the seed row of a unit-normal run started at the mode
+        suite = OutputSuite(str(tmp_path / "run"), chain_format="binary")
+        log_func = -0.5 * math.log(2 * math.pi)
+        row = mk_row([0.0], log_func, weight=1, rate=1.0, measure=0.0)
+        with ChainWriter(suite, ("Var1",)) as w:
+            w.write_row(row_fields(row))
+        want = (CHAIN_MAGIC + struct.pack("<III", 1, 1, 4) + b"Var1"
+                + struct.pack("<IIddQQdd", 1, 0, 1.0, 0.0, 0, 1, log_func, 0.0))
+        assert open(suite.chain_path, "rb").read() == want
+        back = read_chain(suite.chain_path)
+        assert back.fields(0) == (1, 0, 1.0, 0.0, 0, 1, log_func, 0.0)
+
     def test_record_is_eighty_bytes_at_dim_four(self, tmp_path):
         suite = OutputSuite(str(tmp_path / "run"), chain_format="binary")
         names = ("a", "b", "c", "d")
