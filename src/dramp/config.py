@@ -2,8 +2,12 @@
 
 One flat key=value vocabulary serves three surfaces: config files, CLI flags
 (same names with a leading ``--``), and the settings echo inside report
-files. One parser reads the files and the echo, so a report can be fed back
-in as a config file and reproduce the run that wrote it.
+files. :data:`FIELDS` lists every key once, in echo order, with its default
+and description; the shape parameter ``p`` of a target family in
+``model.FAMILIES`` has the key ``target-p``. One parser reads the files and
+the echo, so a report can be fed back in as a config file and reproduce the
+run that wrote it. Every integer key has a lower bound, and a value below
+it is refused with an error that names the key.
 
 The digest covers exactly the fields that alter the stochastic trajectory;
 extending chain-len or changing output cosmetics keeps the digest stable so
@@ -23,17 +27,13 @@ import numpy as np
 
 from .errors import BadDimension, SpecMismatch
 from .kernel import KernelConfig
-from .model import (
-    BUILTIN_KINDS,
-    BuiltinTargetSpec,
-    TargetDensity,
-    make_builtin_target,
-)
+from .model import FAMILIES, BuiltinTargetSpec, TargetDensity, make_builtin_target
 from .persist import ECHO_BEGIN, ECHO_END, OutputSuite, _fmt
 from .proposal import ProposalState, default_dr_scales, default_scale_factor
 
 __all__ = [
     "SimulationSpec",
+    "FIELDS",
     "FIELD_DESCRIPTIONS",
     "DIGEST_EXCLUDED",
     "TRAJECTORY_VERSION",
@@ -69,61 +69,45 @@ TRAJECTORY_VERSION = 6
 # digest pins, and the kernel-less snapshot between multichain chains.
 SNAPSHOT_FORMAT_VERSION = 4
 
-# every user-facing field, in echo order; descriptions double as CLI help
+# every user-facing key, in echo order, as (default, description); the
+# descriptions double as CLI help. A None default is derived by build_spec:
+# mvn zeros and identity, the family parameters of model.FAMILIES, the
+# target's preferred start, successive halving, 2.38 / sqrt(dim) and
+# max(10*dim, 100); out has none and is required.
+FIELDS: Dict[str, Tuple[Optional[str], str]] = {
+    "target": ("mvn", "built-in target family: mvn, himmelblau or banana"),
+    "dim": ("2", "dimension of the sampling space"),
+    "target-mean": (None, "mvn mean vector, comma separated"),
+    "target-cov": (None, "mvn covariance matrix, row-major comma separated"),
+    "target-scale": (None, "himmelblau flattening scale"),
+    "target-curvature": (None, "banana bend strength"),
+    "target-sigma1": (None, "banana first-axis standard deviation"),
+    "chain-len": ("10000", "unique (compact) states to collect"),
+    "start": (None, "starting point, comma separated"),
+    "seed": ("0", "random number generator seed"),
+    "dr-stages": ("1", "delayed-rejection retries after a rejected proposal"),
+    "dr-scales": (None, "per-retry proposal shrink factors, comma separated"),
+    "scale-factor": (None, "overall proposal scale multiplier"),
+    "adaptation-period": (None, "unique states between proposal re-estimations"),
+    "greedy-count": ("4", "early adaptations fed by accepted states only"),
+    "mode": ("serial", "execution mode: serial, multichain or forkjoin"),
+    "chains": ("1", "independent chain count (multichain mode)"),
+    "workers": ("1", "per-round proposal workers (forkjoin mode)"),
+    "out": (None, "output file prefix"),
+    "format": ("ascii", "chain file codec: ascii or binary"),
+    "delimiter": (",", "column delimiter for ASCII files"),
+    "deterministic-test-mode": (
+        "false", "blank wall-clock fields for byte-stable reruns"
+    ),
+}
 FIELD_DESCRIPTIONS: Dict[str, str] = {
-    "target": "built-in target family: mvn, himmelblau or banana",
-    "dim": "dimension of the sampling space",
-    "target-mean": "mvn mean vector, comma separated",
-    "target-cov": "mvn covariance matrix, row-major comma separated",
-    "target-scale": "himmelblau flattening scale",
-    "target-curvature": "banana bend strength",
-    "target-sigma1": "banana first-axis standard deviation",
-    "chain-len": "unique (compact) states to collect",
-    "start": "starting point, comma separated",
-    "seed": "random number generator seed",
-    "dr-stages": "delayed-rejection retries after a rejected proposal",
-    "dr-scales": "per-retry proposal shrink factors, comma separated",
-    "scale-factor": "overall proposal scale multiplier",
-    "adaptation-period": "unique states between proposal re-estimations",
-    "greedy-count": "early adaptations fed by accepted states only",
-    "mode": "execution mode: serial, multichain or forkjoin",
-    "chains": "independent chain count (multichain mode)",
-    "workers": "per-round proposal workers (forkjoin mode)",
-    "out": "output file prefix",
-    "format": "chain file codec: ascii or binary",
-    "delimiter": "column delimiter for ASCII files",
-    "deterministic-test-mode": "blank wall-clock fields for byte-stable reruns",
+    key: description for key, (_, description) in FIELDS.items()
 }
 
 # fields that do not alter the stochastic trajectory
 DIGEST_EXCLUDED = frozenset(
     ("chain-len", "out", "format", "delimiter", "deterministic-test-mode")
 )
-
-_DEFAULTS: Dict[str, Optional[str]] = {
-    "target": "mvn",
-    "dim": "2",
-    "target-mean": None,  # zeros
-    "target-cov": None,  # identity
-    "target-scale": "10",
-    "target-curvature": "0.1",
-    "target-sigma1": "10",
-    "chain-len": "10000",
-    "start": None,  # target's preferred start
-    "seed": "0",
-    "dr-stages": "1",
-    "dr-scales": None,  # successive halving
-    "scale-factor": None,  # 2.38 / sqrt(dim)
-    "adaptation-period": None,  # max(10*dim, 100)
-    "greedy-count": "4",
-    "mode": "serial",
-    "chains": "1",
-    "workers": "1",
-    "out": None,  # required
-    "format": "ascii",
-    "delimiter": ",",
-    "deterministic-test-mode": "false",
-}
 
 
 @dataclass(frozen=True)
@@ -165,7 +149,7 @@ def parse_config_file(path: str) -> Dict[str, str]:
             )
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in FIELD_DESCRIPTIONS:
+        if key not in FIELDS:
             raise ValueError("%s:%d: unknown key %r" % (path, lineno, key))
         if key in values:
             raise ValueError("%s:%d: duplicate key %r" % (path, lineno, key))
@@ -180,11 +164,23 @@ def _floats(text: str, key: str) -> Tuple[float, ...]:
         raise ValueError("%s: cannot parse %r as numbers" % (key, text)) from exc
 
 
-def _int(text: str, key: str) -> int:
+def _vector(text: Optional[str], key: str, size: int, default: tuple) -> tuple:
+    """``text`` as exactly ``size`` numbers; ``default`` when it is None."""
+    values = default if text is None else _floats(text, key)
+    if len(values) != size:
+        raise BadDimension("%s: %d entries, expected %d" % (key, len(values), size))
+    return values
+
+
+def _int(text: str, key: str, low: int, error=ValueError) -> int:
+    """``text`` as an integer; one below ``low`` raises ``error``."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError as exc:
         raise ValueError("%s: cannot parse %r as an integer" % (key, text)) from exc
+    if value < low:
+        raise error("%s: must be >= %d, got %d" % (key, low, value))
+    return value
 
 
 def _float(text: str, key: str) -> float:
@@ -209,75 +205,34 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
     Raises ValueError (or a subclass) naming the offending field; the CLI maps
     that to its configuration-error exit code.
     """
-    merged: Dict[str, Optional[str]] = dict(_DEFAULTS)
-    for key, value in values.items():
-        if key not in FIELD_DESCRIPTIONS:
+    for key in values:
+        if key not in FIELDS:
             raise ValueError("unknown configuration key %r" % key)
-        merged[key] = value
+    merged = {key: default for key, (default, _) in FIELDS.items()}
+    merged.update(values)
 
     kind = str(merged["target"]).strip().lower()
-    if kind not in BUILTIN_KINDS:
-        raise ValueError(
-            "target: %r is not one of %s" % (kind, ", ".join(BUILTIN_KINDS))
-        )
-    dim = _int(merged["dim"], "dim")
-    if dim < 1:
-        raise BadDimension("dim: must be >= 1, got %d" % dim)
-    if kind == "himmelblau" and dim != 2:
-        raise BadDimension("dim: himmelblau target is defined for dim 2 only")
-    if kind == "banana" and dim < 2:
-        raise BadDimension("dim: banana target needs dim >= 2")
-
+    if kind not in FAMILIES:
+        raise ValueError("target: %r is not one of %s" % (kind, ", ".join(FAMILIES)))
+    dim = _int(merged["dim"], "dim", 1, BadDimension)
+    params = {}
+    for name, default in FAMILIES[kind].items():
+        text = merged["target-" + name]
+        params[name] = default if text is None else _float(text, "target-" + name)
+    mean = cov = None
     if kind == "mvn":
-        mean = (
-            tuple(0.0 for _ in range(dim))
-            if merged["target-mean"] is None
-            else _floats(merged["target-mean"], "target-mean")
-        )
-        if len(mean) != dim:
-            raise BadDimension(
-                "target-mean: %d entries for dim %d" % (len(mean), dim)
-            )
-        cov = (
-            tuple(np.eye(dim).ravel())
-            if merged["target-cov"] is None
-            else _floats(merged["target-cov"], "target-cov")
-        )
-        if len(cov) != dim * dim:
-            raise BadDimension(
-                "target-cov: %d entries, expected %d" % (len(cov), dim * dim)
-            )
-        target_spec = BuiltinTargetSpec(
-            kind="mvn", dimension=dim, mean=mean, covariance=cov
-        )
-    elif kind == "himmelblau":
-        target_spec = BuiltinTargetSpec(
-            kind="himmelblau",
-            dimension=2,
-            shape_params={"scale": _float(merged["target-scale"], "target-scale")},
-        )
-    else:
-        target_spec = BuiltinTargetSpec(
-            kind="banana",
-            dimension=dim,
-            shape_params={
-                "curvature": _float(merged["target-curvature"], "target-curvature"),
-                "sigma1": _float(merged["target-sigma1"], "target-sigma1"),
-            },
-        )
-    target = make_builtin_target(target_spec)  # validates geometry
+        mean = _vector(merged["target-mean"], "target-mean", dim, (0.0,) * dim)
+        cov = _vector(merged["target-cov"], "target-cov", dim * dim,
+                      tuple(np.eye(dim).ravel()))
+    target_spec = BuiltinTargetSpec(kind, dim, mean, cov, params)
+    try:
+        target = make_builtin_target(target_spec)  # validates geometry
+    except BadDimension as exc:
+        raise BadDimension("dim: %s" % exc) from exc
+    start = _vector(merged["start"], "start", dim,
+                    tuple(float(v) for v in target.start_point()))
 
-    start = (
-        tuple(float(v) for v in target.start_point())
-        if merged["start"] is None
-        else _floats(merged["start"], "start")
-    )
-    if len(start) != dim:
-        raise BadDimension("start: %d entries for dim %d" % (len(start), dim))
-
-    dr_stages = _int(merged["dr-stages"], "dr-stages")
-    if dr_stages < 0:
-        raise ValueError("dr-stages: must be >= 0, got %d" % dr_stages)
+    dr_stages = _int(merged["dr-stages"], "dr-stages", 0)
     dr_scales = (
         default_dr_scales(dr_stages)
         if merged["dr-scales"] is None
@@ -297,28 +252,24 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
         raise ValueError("scale-factor: must be positive and finite")
     period = merged["adaptation-period"]
     if period is not None:
-        period = _int(period, "adaptation-period")
+        period = _int(period, "adaptation-period", 1)
 
     mode = str(merged["mode"]).strip().lower()
     if mode not in MODES:
         raise ValueError("mode: %r is not one of %s" % (mode, ", ".join(MODES)))
-    n_chains = _int(merged["chains"], "chains")
-    worker_count = _int(merged["workers"], "workers")
-    if n_chains < 1:
-        raise ValueError("chains: must be >= 1, got %d" % n_chains)
-    if worker_count < 1:
-        raise ValueError("workers: must be >= 1, got %d" % worker_count)
+    n_chains = _int(merged["chains"], "chains", 1)
+    worker_count = _int(merged["workers"], "workers", 1)
 
     if merged["out"] is None:
         raise ValueError("out: an output prefix is required")
 
     kernel = KernelConfig(
-        chain_length_target=_int(merged["chain-len"], "chain-len"),
+        chain_length_target=_int(merged["chain-len"], "chain-len", 1),
         start_point=start,
-        rng_seed=_int(merged["seed"], "seed"),
+        rng_seed=_int(merged["seed"], "seed", 0),
         dr_stage_count=dr_stages,
         adaptation_period=period,
-        greedy_adaptation_count=_int(merged["greedy-count"], "greedy-count"),
+        greedy_adaptation_count=_int(merged["greedy-count"], "greedy-count", 0),
     )
     # the echo and the digest hold the concrete period
     kernel = replace(kernel, adaptation_period=kernel.resolved_adaptation_period(dim))
@@ -357,11 +308,8 @@ def _spec_pairs(spec: SimulationSpec, render_array=_render_floats
     if t.kind == "mvn":
         items.append(("target-mean", render_array(t.mean)))
         items.append(("target-cov", render_array(t.covariance)))
-    elif t.kind == "himmelblau":
-        items.append(("target-scale", _fmt(t.shape_params["scale"])))
-    else:
-        items.append(("target-curvature", _fmt(t.shape_params["curvature"])))
-        items.append(("target-sigma1", _fmt(t.shape_params["sigma1"])))
+    for name in FAMILIES[t.kind]:
+        items.append(("target-" + name, _fmt(t.shape_params[name])))
     k = spec.kernel
     items.extend(
         [

@@ -375,7 +375,6 @@ def _finish(
         mode=spec.mode,
         check=check,
         tally=tally,
-        complete=True,
     )
     return RunResult(
         spec=spec,

@@ -2,7 +2,8 @@
 
 A target is anything that can report a log-density for a point in R^d.
 User models are registered as plain callbacks through :class:`TargetDensity`;
-three analytic families are built in for testing and demonstration:
+three analytic families are built in for testing and demonstration, and
+:data:`FAMILIES` lists each one's shape parameters with their defaults:
 
 ``mvn``
     Multivariate normal with arbitrary mean and SPD covariance.
@@ -28,6 +29,7 @@ __all__ = [
     "himmelblau_target",
     "banana_target",
     "make_builtin_target",
+    "FAMILIES",
     "BUILTIN_KINDS",
 ]
 
@@ -169,8 +171,8 @@ class BuiltinTargetSpec:
     """Declarative request for one of the built-in targets.
 
     ``mean`` and ``covariance`` apply to ``mvn`` only; ``shape_params``
-    carries the named reals of the other families (``scale`` for
-    himmelblau, ``curvature`` and ``sigma1`` for banana).
+    carries the family's named reals of :data:`FAMILIES`, and a missing one
+    takes its default there.
     """
 
     kind: str
@@ -180,7 +182,14 @@ class BuiltinTargetSpec:
     shape_params: dict = field(default_factory=dict)
 
 
-BUILTIN_KINDS = ("mvn", "himmelblau", "banana")
+# each built-in family's shape parameters with their defaults; the
+# specification key of parameter p is target-p
+FAMILIES = {
+    "mvn": {},
+    "himmelblau": {"scale": 10.0},
+    "banana": {"curvature": 0.1, "sigma1": 10.0},
+}
+BUILTIN_KINDS = tuple(FAMILIES)
 
 
 def make_builtin_target(spec: BuiltinTargetSpec) -> TargetDensity:
@@ -203,14 +212,12 @@ def make_builtin_target(spec: BuiltinTargetSpec) -> TargetDensity:
                 )
             cov = cov.reshape(d, d)
         return gaussian_target(mean, cov)
+    params = {name: float(spec.shape_params.get(name, default))
+              for name, default in FAMILIES.get(kind, {}).items()}
     if kind == "himmelblau":
         if d != 2:
             raise BadDimension("himmelblau target is two-dimensional, got %d" % d)
-        return himmelblau_target(scale=float(spec.shape_params.get("scale", 10.0)))
+        return himmelblau_target(**params)
     if kind == "banana":
-        return banana_target(
-            dimension=d,
-            curvature=float(spec.shape_params.get("curvature", 0.1)),
-            sigma1=float(spec.shape_params.get("sigma1", 10.0)),
-        )
+        return banana_target(d, **params)
     raise ValueError("unknown built-in target kind %r" % spec.kind)

@@ -495,15 +495,14 @@ def write_report(
     mode: str,
     check=None,
     tally=None,
-    complete: bool = True,
 ) -> None:
     """Write the human-readable report.
 
     ``echo`` carries (key, value, description) triples rendered between fixed
     sentinel lines in the flat key=value config format, so
     config.parse_config_file reads a report as the config file of the exact
-    simulation that produced it. ``complete`` controls the terminator line
-    that marks a finished run.
+    simulation that produced it. The last line is the terminator that marks
+    a finished run.
     """
     bar = "=" * 72
     lines: List[str] = [FORMAT_COMMENT, bar, "ADAPTIVE MCMC SIMULATION REPORT", bar, ""]
@@ -617,8 +616,7 @@ def write_report(
         )
     lines.append("")
     lines.append(bar)
-    if complete:
-        lines.append(REPORT_TERMINATOR)
+    lines.append(REPORT_TERMINATOR)
     try:
         with open(suite.report_path, "wb") as fh:
             fh.write(("\n".join(lines) + "\n").encode("utf-8"))

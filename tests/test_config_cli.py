@@ -215,6 +215,10 @@ class TestBuildSpec:
             ("dr-stages", "-1", "dr-stages"),
             ("dim", "two", "dim"),
             ("target-mean", "a,b", "target-mean"),
+            ("chain-len", "0", "chain-len"),
+            ("adaptation-period", "0", "adaptation-period"),
+            ("greedy-count", "-1", "greedy-count"),
+            ("seed", "-1", "seed"),
         ],
     )
     def test_bad_values_name_their_field(self, key, value, match):
@@ -294,6 +298,40 @@ class TestSpecRendering:
     )
     def test_digest_tracks_trajectory_fields(self, key, value):
         assert spec_digest(self.spec(**{key: value})) != spec_digest(self.spec())
+
+    @pytest.mark.parametrize("overrides,digest", [
+        ({}, 3929224564147271028),
+        ({"target": "himmelblau"}, 15658892970759694020),
+        ({"target": "banana", "dim": "3"}, 6590354420261799539),
+    ], ids=["mvn", "himmelblau", "banana"])
+    def test_digest_is_pinned(self, overrides, digest):
+        # a moved digest makes every existing snapshot unresumable
+        assert spec_digest(build_spec({"out": "x", **overrides})) == digest
+
+    def test_banana_echo_is_pinned(self):
+        spec = self.spec(**{"target": "banana", "dim": "3",
+                            "target-curvature": "0.25", "target-sigma1": "3"})
+        assert ["%s = %s" % (k, v) for k, v, _ in spec_to_items(spec)] == [
+            "target = banana",
+            "dim = 3",
+            "target-curvature = 0.25",
+            "target-sigma1 = 3",
+            "chain-len = 500",
+            "start = 0,0,0",
+            "seed = 7",
+            "dr-stages = 1",
+            "dr-scales = 0.5",
+            "scale-factor = 1.3740936406713093",
+            "adaptation-period = 100",
+            "greedy-count = 4",
+            "mode = serial",
+            "chains = 1",
+            "workers = 1",
+            "out = run",
+            "format = ascii",
+            "delimiter = ,",
+            "deterministic-test-mode = false",
+        ]
 
     def test_digest_tracks_one_ulp_of_the_mvn_arrays(self):
         # the mvn mean and covariance enter the digest as their bytes
@@ -470,7 +508,8 @@ class TestCliRun:
     @pytest.mark.parametrize("flags", [
         ["--dr-stages", "2", "--dr-scales", "0.7,0.9"],
         ["--scale-factor", "inf"],
-    ], ids=["increasing-dr-scales", "infinite-scale-factor"])
+        ["--seed", "-1"],
+    ], ids=["increasing-dr-scales", "infinite-scale-factor", "negative-seed"])
     def test_bad_proposal_refused_before_any_file(self, tmp_path, capsys, flags):
         argv = ["run", "--chain-len", "50", "--out", str(tmp_path / "run")]
         assert main(argv + flags) == EXIT_CONFIG

@@ -85,6 +85,14 @@ def random_chain(seed, n=60, d=3):
     return ch
 
 
+def cut_last_line(path):
+    """Drop the file's last line, as a run killed before its end would."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[: data.rstrip(b"\n").rfind(b"\n") + 1])
+
+
 def write_chain(suite, chain, names):
     with ChainWriter(suite, names) as w:
         for i in range(chain.n_rows):
@@ -552,9 +560,11 @@ class TestReport:
             None,
             build_speedup_report(1.0),
             mode="serial",
-            complete=False,
         )
-        assert REPORT_TERMINATOR not in open(suite.report_path, "rb").read().decode()
+        cut_last_line(suite.report_path)
+        text = open(suite.report_path, "rb").read().decode()
+        assert REPORT_TERMINATOR not in text
+        assert text.endswith("=" * 72 + "\n")
 
     def test_optional_sections_appear_when_given(self, tmp_path, tiny_summary):
         from dramp.parallel import ContributionTally
@@ -678,8 +688,8 @@ class TestDetectIncomplete:
         self.chain_and_restart(prefix)
         suite = OutputSuite(prefix)
         write_report(suite, TestReport.ECHO, tiny_summary,
-                     None, build_speedup_report(1.0), mode="serial",
-                     complete=False)
+                     None, build_speedup_report(1.0), mode="serial")
+        cut_last_line(suite.report_path)
         assert detect_incomplete(prefix) == (RunState.RESTARTABLE, {"rows": 4})
         write_report(suite, TestReport.ECHO, tiny_summary,
                      None, build_speedup_report(1.0), mode="serial")
