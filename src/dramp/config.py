@@ -3,11 +3,12 @@
 One flat key=value vocabulary serves three surfaces: config files, CLI flags
 (same names with a leading ``--``), and the settings echo inside report
 files. :data:`FIELDS` lists every key once, in echo order, with its default
-and description; the shape parameter ``p`` of a target family in
-``model.FAMILIES`` has the key ``target-p``. One parser reads the files and
-the echo, so a report can be fed back in as a config file and reproduce the
-run that wrote it. Every integer key has a lower bound, and a value below
-it is refused with an error that names the key.
+and description; the parameter ``p`` of a target family in
+``model.FAMILIES`` has the key ``target-p``, and a target key of another
+family is refused. One parser reads the files and the echo, so a report can
+be fed back in as a config file and reproduce the run that wrote it. Every
+integer key has a lower bound, every target parameter must be finite, and a
+value outside its domain is refused with an error that names the key.
 
 The digest covers exactly the fields that alter the stochastic trajectory;
 extending chain-len or changing output cosmetics keeps the digest stable so
@@ -25,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadDimension, SpecMismatch
+from .errors import BadDimension, BadParameter, NotPositiveDefinite, SpecMismatch
 from .kernel import KernelConfig
 from .model import FAMILIES, BuiltinTargetSpec, TargetDensity, make_builtin_target
 from .persist import ECHO_BEGIN, ECHO_END, OutputSuite, _fmt
@@ -164,11 +165,16 @@ def _floats(text: str, key: str) -> Tuple[float, ...]:
         raise ValueError("%s: cannot parse %r as numbers" % (key, text)) from exc
 
 
-def _vector(text: Optional[str], key: str, size: int, default: tuple) -> tuple:
-    """``text`` as exactly ``size`` numbers; ``default`` when it is None."""
+def _vector(text: Optional[str], key: str, size: int, default: tuple,
+            finite: bool = False) -> tuple:
+    """``text`` as exactly ``size`` numbers, each finite if ``finite``;
+    ``default`` when it is None."""
     values = default if text is None else _floats(text, key)
     if len(values) != size:
         raise BadDimension("%s: %d entries, expected %d" % (key, len(values), size))
+    if finite:
+        for value in values:
+            _finite(value, key)
     return values
 
 
@@ -183,11 +189,19 @@ def _int(text: str, key: str, low: int, error=ValueError) -> int:
     return value
 
 
+def _finite(value: float, key: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError("%s: must be finite, got %g" % (key, value))
+    return value
+
+
 def _float(text: str, key: str) -> float:
+    """``text`` as a finite number."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ValueError("%s: cannot parse %r as a number" % (key, text)) from exc
+    return _finite(value, key)
 
 
 def _bool(text: str, key: str) -> bool:
@@ -214,21 +228,32 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
     kind = str(merged["target"]).strip().lower()
     if kind not in FAMILIES:
         raise ValueError("target: %r is not one of %s" % (kind, ", ".join(FAMILIES)))
+    for key in values:
+        if key.startswith("target-") and key[len("target-"):] not in FAMILIES[kind]:
+            raise ValueError("%s: not a parameter of target %s" % (key, kind))
     dim = _int(merged["dim"], "dim", 1, BadDimension)
     params = {}
     for name, default in FAMILIES[kind].items():
         text = merged["target-" + name]
-        params[name] = default if text is None else _float(text, "target-" + name)
+        if default is not None:  # a vector, read below
+            params[name] = default if text is None else _float(text, "target-" + name)
     mean = cov = None
     if kind == "mvn":
-        mean = _vector(merged["target-mean"], "target-mean", dim, (0.0,) * dim)
+        mean = _vector(merged["target-mean"], "target-mean", dim, (0.0,) * dim,
+                       finite=True)
         cov = _vector(merged["target-cov"], "target-cov", dim * dim,
-                      tuple(np.eye(dim).ravel()))
+                      tuple(np.eye(dim).ravel()), finite=True)
     target_spec = BuiltinTargetSpec(kind, dim, mean, cov, params)
+    # the constructors validate the geometry and the parameters' domains
     try:
-        target = make_builtin_target(target_spec)  # validates geometry
+        target = make_builtin_target(target_spec)
     except BadDimension as exc:
         raise BadDimension("dim: %s" % exc) from exc
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite("target-cov: %s" % exc) from exc
+    except BadParameter as exc:
+        raise BadParameter(exc.parameter,
+                           "target-%s: %s" % (exc.parameter, exc)) from exc
     start = _vector(merged["start"], "start", dim,
                     tuple(float(v) for v in target.start_point()))
 
@@ -248,8 +273,8 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
         if merged["scale-factor"] is None
         else _float(merged["scale-factor"], "scale-factor")
     )
-    if not 0.0 < scale_factor < math.inf:
-        raise ValueError("scale-factor: must be positive and finite")
+    if scale_factor <= 0.0:
+        raise ValueError("scale-factor: must be positive, got %g" % scale_factor)
     period = merged["adaptation-period"]
     if period is not None:
         period = _int(period, "adaptation-period", 1)
@@ -308,8 +333,9 @@ def _spec_pairs(spec: SimulationSpec, render_array=_render_floats
     if t.kind == "mvn":
         items.append(("target-mean", render_array(t.mean)))
         items.append(("target-cov", render_array(t.covariance)))
-    for name in FAMILIES[t.kind]:
-        items.append(("target-" + name, _fmt(t.shape_params[name])))
+    for name, default in FAMILIES[t.kind].items():
+        if default is not None:  # mvn's vectors are above
+            items.append(("target-" + name, _fmt(t.shape_params[name])))
     k = spec.kernel
     items.extend(
         [

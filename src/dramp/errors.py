@@ -13,6 +13,15 @@ class BadDimension(SamplerError, ValueError):
     """A target was requested with an unsupported dimension."""
 
 
+class BadParameter(SamplerError, ValueError):
+    """A target family's shape parameter is outside its domain; ``parameter``
+    is its name in ``model.FAMILIES``."""
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 class NotPositiveDefinite(SamplerError, ValueError):
     """A matrix required to be SPD failed its Cholesky factorization."""
 

@@ -3,7 +3,7 @@
 A target is anything that can report a log-density for a point in R^d.
 User models are registered as plain callbacks through :class:`TargetDensity`;
 three analytic families are built in for testing and demonstration, and
-:data:`FAMILIES` lists each one's shape parameters with their defaults:
+:data:`FAMILIES` lists each one's parameters with their defaults:
 
 ``mvn``
     Multivariate normal with arbitrary mean and SPD covariance.
@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BadDimension, DimensionMismatch, NotPositiveDefinite
+from .errors import BadDimension, BadParameter, DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "TargetDensity",
@@ -119,7 +119,7 @@ def himmelblau_target(scale: float = 10.0) -> TargetDensity:
     ``scale`` is a temperature: larger values flatten the landscape.
     """
     if scale <= 0.0:
-        raise ValueError("scale must be positive, got %g" % scale)
+        raise BadParameter("scale", "scale must be positive, got %g" % scale)
     s = float(scale)
 
     def evaluate(x: np.ndarray) -> float:
@@ -147,7 +147,7 @@ def banana_target(
     if dimension < 2:
         raise BadDimension("banana target needs dimension >= 2, got %d" % dimension)
     if sigma1 <= 0.0:
-        raise ValueError("sigma1 must be positive, got %g" % sigma1)
+        raise BadParameter("sigma1", "sigma1 must be positive, got %g" % sigma1)
     b = float(curvature)
     s1 = float(sigma1)
     d = int(dimension)
@@ -182,10 +182,12 @@ class BuiltinTargetSpec:
     shape_params: dict = field(default_factory=dict)
 
 
-# each built-in family's shape parameters with their defaults; the
-# specification key of parameter p is target-p
+# each built-in family's parameters with their defaults; the specification
+# key of parameter p is target-p, and a family takes no other target key. A
+# None default is a vector sized by the dimension, mvn's zero mean and
+# identity covariance; the others are the shape parameters, reals
 FAMILIES = {
-    "mvn": {},
+    "mvn": {"mean": None, "cov": None},
     "himmelblau": {"scale": 10.0},
     "banana": {"curvature": 0.1, "sigma1": 10.0},
 }

@@ -20,9 +20,11 @@ its caller the payload it checked.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import struct
+import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
@@ -235,36 +237,34 @@ class ChainWriter(_OutputFile):
             raise IoFailure("chain write failed: %s" % exc) from exc
 
 
-# How the ASCII codec parses each fixed column, and the array type both
-# codecs decode it into
+# How Python parses each fixed column, and the array type both codecs
+# decode it into
 _FIELD_TYPES = tuple(
     (int if ROW_DTYPE[name].kind == "i" else float, ROW_DTYPE[name].type)
     for name, _, _ in COLUMNS
 )
 _INT64_MAX = np.iinfo(np.int64).max
-# Rows are encoded, and ASCII lines split into fields, a block at a time,
-# because the Python objects per row dominate the memory: on `serial-dr2`,
-# 512-line read blocks raised peak RSS by 1.1 MB, 256-line blocks (with the
-# text freed) by 0.4 MB
+# Rows are encoded a block at a time, because the Python objects per row
+# dominate the memory of a write
 _BLOCK_ROWS = 256
 
 
-def _record_dtype(dimension: int) -> np.dtype:
-    """The binary record, packed: COLUMNS's binary fields, then the state
-    as d little-endian doubles."""
-    return np.dtype([(name, binary) for name, _, binary in COLUMNS]
+def _record_dtype(dimension: int, ascii: bool = False) -> np.dtype:
+    """A row as one record: COLUMNS's fields, then the state as d doubles.
+    The binary record is packed, of COLUMNS's binary fields; the ASCII
+    decode's holds each field in its ROW_DTYPE type."""
+    return np.dtype([(name, ROW_DTYPE[name] if ascii else binary)
+                     for name, _, binary in COLUMNS]
                     + [("state", "<f8", (dimension,))])
 
 
-def _check_rows(start: int, weights: np.ndarray, total: int,
-                failure: Optional[Tuple[int, str]] = None) -> int:
-    """The row rule both codecs end in, for a block of rows from row
-    ``start``. ``weights`` holds the block's weights up to ``failure``, the
-    (row in block, reason) of the first row the codec could not decode into
-    int64 and float64 columns, if any. A weight below 1, or a running
-    verbose length past int64, also damages a row. Raises IoFailure naming
-    the first damaged row; otherwise returns the verbose length ``total``
-    of the rows before the block plus the block's."""
+def _check_rows(weights: np.ndarray,
+                failure: Optional[Tuple[int, str]] = None) -> None:
+    """The row rule both codecs end in. ``weights`` holds the file's
+    weights up to ``failure``, the (row, reason) of the first row the codec
+    could not decode into int64 and float64 columns, if any. A weight below
+    1, or a running verbose length past int64, also damages a row. Raises
+    IoFailure naming the first damaged row."""
     damage = [] if failure is None else [failure]
     low = np.flatnonzero(weights < 1)
     if low.size:
@@ -273,96 +273,85 @@ def _check_rows(start: int, weights: np.ndarray, total: int,
         )
     # every weight is below 2**63, so the first running sum past int64 wraps
     # to a negative one
-    running = np.cumsum(np.concatenate(([total], weights)))
-    wrapped = np.flatnonzero(running[1:] < 0)
+    wrapped = np.flatnonzero(np.cumsum(weights) < 0)
     if wrapped.size:
         damage.append((int(wrapped[0]), "verbose length passes int64"))
     if damage:
         row, reason = min(damage, key=lambda d: d[0])
-        raise IoFailure("damaged chain row %d: %s" % (start + row, reason))
-    return int(running[-1])
+        raise IoFailure("damaged chain row %d: %s" % (row, reason))
 
 
-def _ascii_block(fields: List[List[str]], n_fields: int):
-    """A block of split lines as its fixed columns, by name, and its states.
-    A wrong field count or a field its column's parser rejects raises
-    ValueError, an integer past int64 OverflowError."""
-    if any(len(f) != n_fields for f in fields):
-        raise ValueError("wrong field count")
-    n = len(fields)
-    columns = list(zip(*fields)) or [()] * n_fields
-    records = {name: np.fromiter(map(parse, column), dtype, n)
-               for (name, _, _), (parse, dtype), column
-               in zip(COLUMNS, _FIELD_TYPES, columns)}
-    states = np.empty((n, n_fields - len(FIXED_COLUMNS)))
-    for j, column in enumerate(columns[len(FIXED_COLUMNS):]):
-        states[:, j] = np.fromiter(map(float, column), np.float64, n)
-    return records, states
+def _decode_lines(fh, record: np.dtype, delimiter: str) -> np.ndarray:
+    """The lines left in the binary file ``fh`` as records, by numpy's C
+    text reader, skipping empty lines; a line it cannot decode raises
+    ValueError. Latin-1 reads a byte as a character in half UTF-8's time,
+    and no number holds a non-ASCII byte."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(fh, record, delimiter=delimiter, comments=None,
+                          quotechar=None, ndmin=1, encoding="latin-1")
 
 
-def _first_undecodable(fields: List[List[str]],
-                       header: Sequence[str]) -> Tuple[int, str]:
-    """(row in block, reason) of the first line of a block that
-    _ascii_block rejects: the first wrong field count, or the first field
-    of each column that does not parse, whichever row comes first."""
-    n_fields = len(header)
-    short = next(
-        (i for i, f in enumerate(fields) if len(f) != n_fields), len(fields)
-    )
-    failures = []
-    if short < len(fields):
-        failures.append(
-            (short, "%d fields, expected %d" % (len(fields[short]), n_fields))
-        )
-    types = _FIELD_TYPES + ((float, np.float64),) * (n_fields - len(_FIELD_TYPES))
-    for (parse, dtype), name, column in zip(types, header, zip(*fields[:short])):
-        for i, value in enumerate(column):
+def _first_damaged(rows: List[bytes], header: Sequence[str], record: np.dtype,
+                   delimiter: str) -> Optional[Tuple[int, str]]:
+    """(row, reason) of the first of ``rows`` that _decode_lines does not
+    decode to one record, or None. The reason is Python's where ``int()``
+    and ``float()`` refuse the line too: a wrong field count, or the first
+    field that does not parse into its column's type. Else it is numpy's."""
+    types = _FIELD_TYPES + ((float, np.float64),) * (len(header) - len(_FIELD_TYPES))
+    for i, line in enumerate(rows):
+        try:
+            if len(_decode_lines(io.BytesIO(line), record, delimiter)) == 1:
+                continue
+            reason = "not one row"
+        except ValueError as exc:
+            reason = str(exc)
+        fields = line.decode("utf-8", "replace").split(delimiter)
+        if len(fields) != len(header):
+            return i, "%d fields, expected %d" % (len(fields), len(header))
+        for (parse, dtype), name, value in zip(types, header, fields):
             try:
                 dtype(parse(value))
             except ValueError as exc:
-                failures.append((i, "%s: %s" % (name, exc)))
-                break
+                return i, "%s: %s" % (name, exc)
             except OverflowError:
-                failures.append((i, "%s %s does not fit int64" % (name, value)))
-                break
-    return min(failures, key=lambda f: f[0])
+                return i, "%s %s does not fit int64" % (name, value)
+        return i, reason
+    return None
 
 
 def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
+    fh = io.BytesIO(raw)
+    # the header is the first line that is neither empty nor a comment
+    line = next((ln for ln in fh if ln != b"\n" and not ln.startswith(b"#")), None)
+    if line is None:
+        raise IoFailure("chain file has no header line")
     try:
-        text = raw.decode("utf-8")
+        line = line.rstrip(b"\n").decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IoFailure("chain file is not text: %s" % exc) from exc
-    body = [ln for ln in text.split("\n") if ln and not ln.startswith("#")]
-    del text  # body holds copies of the lines; this lowers the peak memory
-    if not body:
-        raise IoFailure("chain file has no header line")
-    header = body[0].split(delimiter)
+    header = line.split(delimiter)
     if tuple(header[: len(FIXED_COLUMNS)]) != FIXED_COLUMNS:
-        raise IoFailure(
-            "unexpected chain header %r" % body[0][:120]
-        )
+        raise IoFailure("unexpected chain header %r" % line[:120])
     names = header[len(FIXED_COLUMNS):]
     if not names:
         raise IoFailure("chain header declares no variables")
-    rows = body[1:]
-    records = {name: np.empty(len(rows), ROW_DTYPE[name]) for name, _, _ in COLUMNS}
-    states = np.empty((len(rows), len(names)))
-    total = 0
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        fields = [ln.split(delimiter) for ln in rows[start: start + _BLOCK_ROWS]]
-        failure = None
-        try:
-            block, block_states = _ascii_block(fields, len(header))
-        except (ValueError, OverflowError):
-            failure = _first_undecodable(fields, header)
-            block, block_states = _ascii_block(fields[: failure[0]], len(header))
-        total = _check_rows(start, block["weight"], total, failure)
-        end = start + len(fields)
-        for name, values in block.items():
-            records[name][start:end] = values
-        states[start:end] = block_states
-    return CompactChain.from_columns(names, records, states)
+    record = _record_dtype(len(names), ascii=True)
+    start, failure = fh.tell(), None
+    try:
+        rec = _decode_lines(fh, record, delimiter)
+    except ValueError:
+        rec = None
+    if rec is None or len(rec) != raw.count(b"\n", start) + (raw[-1:] != b"\n"):
+        # a damaged row, or a line the reader skips (an empty line, a lone
+        # CR): the rows are the lines neither empty nor a comment, up to the
+        # first damaged one
+        rows = [ln for ln in raw[start:].split(b"\n") if ln and not ln.startswith(b"#")]
+        failure = _first_damaged(rows, header, record, delimiter)
+        kept = rows if failure is None else rows[: failure[0]]
+        rec = _decode_lines(io.BytesIO(b"\n".join(kept)), record, delimiter)
+    _check_rows(rec["weight"], failure)
+    return CompactChain.from_columns(names, rec, rec["state"])
 
 
 def _read_chain_binary(raw: bytes) -> CompactChain:
@@ -404,7 +393,7 @@ def _read_chain_binary(raw: bytes) -> CompactChain:
                 "%s %d does not fit int64" % (name, rec[field][wide[0]]),
             )
     decoded = rec if failure is None else rec[: failure[0]]
-    _check_rows(0, decoded["weight"].astype(np.int64), 0, failure)
+    _check_rows(decoded["weight"].astype(np.int64), failure)
     return CompactChain.from_columns(names, rec, rec["state"])
 
 
@@ -414,13 +403,15 @@ def read_chain(
     """Load a chain file in either codec (sniffed by magic bytes), or only
     its first ``size`` bytes.
 
-    Both codecs read columns, not rows: the binary body is one array of
-    packed records, and ASCII lines are split in blocks of a few hundred and
-    parsed one column at a time by ``int()`` and ``float()``. A row that does
-    not decode is damaged: a wrong field count, a field that does not parse,
-    a weight below 1, a weight or burn-in past int64, or a running verbose
-    length past int64. The first damaged row raises IoFailure naming its
-    index.
+    Both codecs read records, not rows one at a time: the binary body is
+    one array of packed records, and the ASCII body after the header line is
+    decoded by one ``np.loadtxt`` call over the read bytes, into a record of
+    the ROW_DTYPE fields and the state. Empty lines and, as before, comment
+    lines are no rows. A row that does not decode is damaged: a wrong field
+    count, a field that numpy's reader does not parse, a weight below 1, a
+    weight or burn-in past int64, or a running verbose length past int64.
+    The first damaged row raises IoFailure naming its index; for ASCII it is
+    found line by line only when the one call fails.
     """
     try:
         with open(path, "rb") as fh:

@@ -517,6 +517,40 @@ class TestCliRun:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--target", "banana", "--target-sigma1", "nan"],
+         "target-sigma1: must be finite, got nan"),
+        (["--target", "banana", "--target-curvature", "inf"],
+         "target-curvature: must be finite, got inf"),
+        (["--target-mean", "0,-inf"], "target-mean: must be finite, got -inf"),
+        (["--target", "himmelblau", "--target-scale", "-1"],
+         "target-scale: scale must be positive, got -1"),
+        (["--target", "banana", "--target-sigma1", "0"],
+         "target-sigma1: sigma1 must be positive, got 0"),
+        (["--target-cov", "1,2,2,1"], "target-cov: covariance is not positive definite"),
+        (["--target", "mvn", "--target-scale", "3"],
+         "target-scale: not a parameter of target mvn"),
+        (["--target", "himmelblau", "--target-mean", "1,2"],
+         "target-mean: not a parameter of target himmelblau"),
+        (["--target", "himmelblau", "--target-cov", "1,0,0,1"],
+         "target-cov: not a parameter of target himmelblau"),
+        (["--target", "banana", "--target-mean", "1,2"],
+         "target-mean: not a parameter of target banana"),
+        (["--target", "banana", "--target-cov", "1,0,0,1"],
+         "target-cov: not a parameter of target banana"),
+        (["--target", "himmelblau", "--target-sigma1", "3"],
+         "target-sigma1: not a parameter of target himmelblau"),
+    ], ids=["nan-sigma1", "inf-curvature", "inf-mean", "negative-scale", "zero-sigma1",
+            "indefinite-cov", "mvn-scale", "himmelblau-mean", "himmelblau-cov",
+            "banana-mean", "banana-cov", "himmelblau-sigma1"])
+    def test_bad_target_parameter_refused_by_key_before_any_file(
+        self, tmp_path, capsys, flags, message
+    ):
+        argv = ["run", "--chain-len", "50", "--out", str(tmp_path / "run")]
+        assert main(argv + flags) == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: %s\n" % message
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("delimiter", ["-", ".", "+", "a", "E", "7", " ", "\t"])
     def test_unreadable_delimiter_refused_before_any_file(
         self, tmp_path, capsys, delimiter

@@ -11,13 +11,14 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dramp.chain import ChainRow, CompactChain
+from dramp.chain import ROW_DTYPE, ChainRow, CompactChain
 from dramp.config import parse_config_file
 from dramp.errors import CorruptRestart, IoFailure, UnencodableValue
 from dramp.kernel import KernelConfig, run_kernel
@@ -464,6 +465,134 @@ class TestDamagedRows:
         assert_chains_bitwise(chain, back)
         assert back.verbose_starts.tobytes() == chain.verbose_starts.tobytes()
         assert back.verbose_length == chain.verbose_length
+
+
+INT64_MAX = 2 ** 63 - 1
+# doubles where a text codec slips first: signed zeros, subnormals, the
+# extremes and values that need all 17 digits
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308,
+                0.1, 1 / 3, -2 / 3 * 1e-300, 9007199254740993.0]
+
+
+@st.composite
+def drawn_chains(draw):
+    """A chain of 1-12 rows at d = 1-3: integers anywhere in int64, weights
+    whose running sum may reach the int64 limit, any finite or infinite
+    double."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    reals = st.one_of(st.floats(allow_nan=False, width=64),
+                      st.sampled_from(EDGE_DOUBLES))
+    ints = st.integers(-2 ** 63, INT64_MAX)
+    weights = draw(st.lists(st.integers(1, INT64_MAX // n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights[-1] += INT64_MAX - sum(weights)  # the running sum ends at the limit
+    records = {
+        "process_id": [draw(ints) for _ in range(n)],
+        "dr_stage": [draw(ints) for _ in range(n)],
+        "mean_acceptance_rate": [draw(reals) for _ in range(n)],
+        "adaptation_measure": [draw(reals) for _ in range(n)],
+        "burnin_location": [draw(ints) for _ in range(n)],
+        "weight": weights,
+        "log_func": [draw(reals) for _ in range(n)],
+    }
+    states = [[draw(reals) for _ in range(d)] for _ in range(n)]
+    return CompactChain.from_columns(
+        ["x%d" % j for j in range(d)],
+        {name: np.array(v, dtype=ROW_DTYPE[name]) for name, v in records.items()},
+        np.array(states, dtype=float))
+
+
+class TestAsciiRoundTrip:
+    """ChainWriter's text and read_chain's decode invert each other bit for
+    bit, for whole files and for prefixes cut at row boundaries, and a
+    damaged field refuses the read naming its row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(chain=drawn_chains(), delimiter=st.sampled_from([",", ";", "|", "%", ":"]),
+           data=st.data())
+    def test_written_rows_read_back_bitwise(self, tmp_path_factory, chain,
+                                            delimiter, data):
+        suite = OutputSuite(str(tmp_path_factory.mktemp("rt") / "run"),
+                            delimiter=delimiter)
+        with ChainWriter(suite, chain.variable_names) as w:
+            w.write_rows(chain, 0, chain.n_rows)
+        back = read_chain(suite.chain_path, delimiter)
+        assert_chains_bitwise(chain, back)
+        assert back.variable_names == chain.variable_names
+        assert back.verbose_length == chain.verbose_length
+
+        raw = open(suite.chain_path, "rb").read()
+        ends = [i + 1 for i, c in enumerate(raw) if c == ord("\n")][1:]
+        rows = data.draw(st.integers(0, chain.n_rows), label="prefix rows")
+        cut = read_chain(suite.chain_path, delimiter, size=ends[rows])
+        assert_chains_bitwise(chain.slice(0, rows), cut)
+
+        lines = raw.split(b"\n")
+        row = data.draw(st.integers(0, chain.n_rows - 1), label="damaged row")
+        fields = lines[row + 2].split(delimiter.encode())
+        field = data.draw(st.integers(0, len(fields) - 1), label="damaged field")
+        fields[field] = data.draw(st.sampled_from([b"x", b"", b"1.5.2", b"0x1"]),
+                                  label="damage")
+        lines[row + 2] = delimiter.encode().join(fields)
+        with open(suite.chain_path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        with pytest.raises(IoFailure, match=r"^damaged chain row %d: " % row):
+            read_chain(suite.chain_path, delimiter)
+
+
+class TestAsciiEdgeLines:
+    """Lines where numpy's C reader and Python's int() and float() part
+    ways. Each is decoded as Python decoded it, or refused naming its row;
+    CHANGES.md lists the refused lines that Python's parse accepted."""
+
+    HEADER = (FORMAT_COMMENT + "\n" + ",".join(FIXED_COLUMNS + ("a", "b"))
+              + "\n").encode()
+    ROWS = [b"1,0,0.5,0,0,2,-1.25,0.5,-3", b"1,1,0.25,0.125,0,1,-2.5,1.5,2"]
+    VALUES = [(1, 0, 0.5, 0.0, 0, 2, -1.25, 0.5, -3.0),
+              (1, 1, 0.25, 0.125, 0, 1, -2.5, 1.5, 2.0)]
+
+    def read(self, tmp_path, body):
+        path = tmp_path / "edge_chain.txt"
+        path.write_bytes(self.HEADER + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return read_chain(str(path))
+
+    @pytest.mark.parametrize("body", [
+        b"%s\n\n%s\n",  # an empty line
+        b"%s\n# a comment\n%s\n",  # a comment line after the header
+        b"%s\r\n%s\r\n",  # CRLF line ends
+        b"%s\n%s",  # no final newline
+    ], ids=["empty-line", "comment-line", "crlf", "unterminated"])
+    def test_lines_python_decoded_decode_the_same(self, tmp_path, body):
+        chain = self.read(tmp_path, body % tuple(self.ROWS))
+        assert [chain.fields(i) for i in range(chain.n_rows)] == self.VALUES
+
+    @pytest.mark.parametrize("body", [b"", b"\n", b"\n\n"], ids=["none", "one", "two"])
+    def test_a_body_without_rows_is_an_empty_chain(self, tmp_path, body):
+        assert self.read(tmp_path, body).n_rows == 0
+
+    @pytest.mark.parametrize("second,reason", [
+        (b"   ", "1 fields, expected 9"),  # whitespace only, refused before
+        (b"\r", "1 fields, expected 9"),  # a CR line, refused before
+        # Python's int() and float() took these; the C reader refuses them
+        (b"1,1\r,0.25,0.125,0,1,-2.5,1.5,2", "Found an unquoted embedded newline"),
+        (b"1,1,0.25,0.125,0,1_0,-2.5,1.5,2", "could not convert string '1_0' to int64"),
+        (b"1,1,0.25,0.125,0,1,-2.5,1_5,2", "could not convert string '1_5' to float64"),
+        ("1,1,0.25,0.125,0,١,-2.5,1.5,2".encode(), "could not convert string"),
+        ("1,1,0.25,0.125,0,1,-2.5,1.5,２".encode(), "could not convert string"),
+        ("1,1,0.25,0.125,0,1,-2.5,1.5,2\u00a0".encode(), "could not convert string"),
+        # not UTF-8, refused before without a row
+        (b"1,1,0.25,0.125,0,1,-2.5,\xff,2", "a: could not convert string to float"),
+    ], ids=["whitespace", "cr-line", "cr-inside", "underscore-int",
+            "underscore-float", "arabic-indic-digit", "fullwidth-digit",
+            "no-break-space", "not-utf8"])
+    def test_refused_lines_are_named(self, tmp_path, second, reason):
+        with pytest.raises(IoFailure) as info:
+            self.read(tmp_path, self.ROWS[0] + b"\n" + second + b"\n")
+        assert str(info.value).startswith("damaged chain row 1: " + reason)
 
 
 class TestSampleFile:
