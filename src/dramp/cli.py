@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import FIELD_DESCRIPTIONS, build_spec, make_target, parse_config_file
 from .driver import _make_kernel, run_simulation
-from .errors import RefusedOverwrite, SamplerError, SpecMismatch
+from .errors import NonFiniteStart, RefusedOverwrite, SamplerError, SpecMismatch
 from .parallel import predict_speedup, run_speedup
 from .persist import OutputSuite, _fmt, chain_prefix, read_chain
 from .persist import write_sample
@@ -128,7 +128,7 @@ def cmd_run(args) -> int:
     except RefusedOverwrite as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_REFUSED
-    except SpecMismatch as exc:
+    except (SpecMismatch, NonFiniteStart) as exc:  # a start is a spec value
         print("configuration error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except (SamplerError, OSError) as exc:

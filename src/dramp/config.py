@@ -255,7 +255,7 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
         raise BadParameter(exc.parameter,
                            "target-%s: %s" % (exc.parameter, exc)) from exc
     start = _vector(merged["start"], "start", dim,
-                    tuple(float(v) for v in target.start_point()))
+                    tuple(float(v) for v in target.start_point()), finite=True)
 
     dr_stages = _int(merged["dr-stages"], "dr-stages", 0)
     dr_scales = (
@@ -316,7 +316,10 @@ def build_spec(values: Mapping[str, str]) -> SimulationSpec:
             merged["deterministic-test-mode"], "deterministic-test-mode"
         ),
     )
-    initial_proposal(spec)  # validates the proposal's parameters
+    try:  # the dimension and the scale factor are checked above
+        initial_proposal(spec)
+    except ValueError as exc:
+        raise ValueError("dr-scales: %s" % exc) from exc
     return spec
 
 

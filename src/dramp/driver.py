@@ -2,11 +2,11 @@
 
 One runner serves all three modes. It builds each chain's Kernel from one
 factory keyed by mode and chain index (every chain draws from its own PCG64
-stream; the mode picks only the rule that stamps process ids) and steps it
-through Kernel.run, with one persistence handler that writes rows, progress
-ticks and snapshots between steps; rows reach the chain file in blocks
-(_SuiteFiles). Multichain runs its chains one after another into the same
-files; a SamplerError from any chain's kernel ends the run with every
+stream; the mode sets only the worker count, which stamps process ids) and
+steps it through Kernel.run, with one persistence handler that writes rows,
+progress ticks and snapshots between steps; rows reach the chain file in
+blocks (_SuiteFiles). Multichain runs its chains one after another into the
+same files; a SamplerError from any chain's kernel ends the run with every
 finalized row on disk, and refine_chains refines what finished.
 
 The driver snapshots each kernel when it builds it and at every flush
@@ -45,12 +45,7 @@ from .config import (
     spec_to_items,
 )
 from .errors import CorruptRestart, IoFailure, RefusedOverwrite, SamplerError
-from .kernel import (
-    Kernel,
-    KernelSummary,
-    RoundStreams,
-    SerialStreams,
-)
+from .kernel import Kernel, KernelSummary
 from .model import TargetDensity
 from .parallel import ContributionTally, SpeedupReport, run_speedup
 
@@ -394,12 +389,11 @@ def _make_kernel(
     chain_index: int,
     chain: Optional[CompactChain] = None,
 ) -> Kernel:
-    """Kernel of chain ``chain_index``, on the chain's stream; a fork-join
-    chain stamps its rows by the workers' rank rule."""
-    seed = spec.kernel.rng_seed
-    streams = (RoundStreams(seed, spec.worker_count) if spec.mode == "forkjoin"
-               else SerialStreams(seed, chain_index))
-    return Kernel(target, spec.kernel, initial_proposal(spec), streams, chain=chain)
+    """Kernel of chain ``chain_index``; only a fork-join chain has more than
+    one worker, so only its rows are stamped by the workers' rank rule."""
+    workers = spec.worker_count if spec.mode == "forkjoin" else 1
+    return Kernel(target, spec.kernel, initial_proposal(spec), chain_index,
+                  workers, chain=chain)
 
 
 def _run(
@@ -410,13 +404,13 @@ def _run(
     stored: Optional[CompactChain],
     edges: List[int],
     on_event,
+    kern: Optional[Kernel],
 ) -> RunResult:
     multichain = spec.mode == "multichain"
     summaries: List[KernelSummary] = []
     chains: List[CompactChain] = []
-    kern: Optional[Kernel] = None
 
-    if resume is None:
+    if resume is None:  # ``kern`` is chain 0's fresh kernel
         sw = _SuiteFiles(spec, target.dimension, append=False)
     else:
         for start, end in zip(edges, edges[1:]):
@@ -430,6 +424,8 @@ def _run(
         kern.load_state(resume["kernel"])
 
     with sw:
+        if resume is None:
+            sw.snapshot(header, kern.state_dict())
         for index in range(len(chains), spec.n_chains if multichain else 1):
             if kern is None:
                 kern = _make_kernel(spec, target, index)
@@ -461,12 +457,6 @@ def run_simulation(
     Raises RefusedOverwrite when a completed run exists under the prefix and
     ``force_overwrite`` is not set.
     """
-    parent = os.path.dirname(spec.output.prefix)
-    if parent:
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise IoFailure("cannot create output directory: %s" % exc) from exc
     if force_overwrite:
         state, snap = RunState.FRESH, None
     else:
@@ -476,6 +466,16 @@ def run_simulation(
             "a completed run already exists under prefix %r; pass "
             "force_overwrite to replace it" % spec.output.prefix
         )
+    target = make_target(spec)
+    # a fresh run's first kernel checks the start point before any file
+    # or directory changes
+    kern = None if state is RunState.RESTARTABLE else _make_kernel(spec, target, 0)
+    parent = os.path.dirname(spec.output.prefix)
+    if parent:
+        try:
+            os.makedirs(parent, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure("cannot create output directory: %s" % exc) from exc
     if state is RunState.FRESH:
         # forced, or the row-free leftovers of a run stopped before its
         # first snapshot
@@ -485,6 +485,6 @@ def run_simulation(
     if state is RunState.RESTARTABLE:
         check_restart_compatibility(spec, snap, digest)
         stored, edges = _truncate_for_resume(spec, snap)
-    return _run(spec, make_target(spec), _snapshot_header(spec, digest),
-                snap, stored, edges, on_event)
+    return _run(spec, target, _snapshot_header(spec, digest),
+                snap, stored, edges, on_event, kern)
 

@@ -5,12 +5,12 @@ against the incumbent x, drawn next from the chain's one PCG64 stream
 (rng.chain_stream) and charged as one verbose step. A rejection adds 1 to
 x's weight and nothing else; an acceptance finalizes x's row and appends the
 new state. Every mode draws its attempts in order from that stream; the
-stream policies differ only in the process id they stamp, so workers that
-pre-fetch attempts write the serial chain at any worker count (Brockwell
-2006). Kernel.run is the only loop that steps a chain; run_kernel, the
-parallel runners and the driver all go through it. What a finished chain
-adapted to is read back off its rows (Kernel.adaptations), with no target
-evaluation.
+worker count changes only the process id a row is stamped with, so workers
+that pre-fetch attempts write the serial chain at any worker count
+(Brockwell 2006). Kernel.run is the only loop that steps a chain;
+run_kernel, the parallel runners and the driver all go through it. What a
+finished chain adapted to is read back off its rows (Kernel.adaptations),
+with no target evaluation.
 
 Within a cascade, a rejection at stage k falls through to stage k+1 with a
 narrower proposal, up to the configured stage count. Delayed-rejection
@@ -73,8 +73,6 @@ __all__ = [
     "KernelConfig",
     "StepOutcome",
     "KernelSummary",
-    "SerialStreams",
-    "RoundStreams",
     "mh_accept_stage0",
     "extend_distances",
     "dr_log_alpha",
@@ -332,48 +330,6 @@ def stage_tallies(
     return tuple(int(v) for v in attempts), tuple(int(v) for v in accepts)
 
 
-class SerialStreams:
-    """The chain's one PCG64 stream, and the serial and multichain rank rule.
-
-    Every attempt, in every mode, draws next from ``generator``; this policy
-    stamps every row ``chain_index + 1``. Its state is numpy's own PCG64
-    state dict.
-    """
-
-    def __init__(self, seed: int, chain_index: int = 0):
-        self.chain_index = int(chain_index)
-        self.generator = rng_mod.chain_stream(seed, self.chain_index)
-
-    def process_id(self, weight: int) -> int:
-        return self.chain_index + 1
-
-    def state_dict(self) -> dict:
-        return self.generator.bit_generator.state
-
-    def load_state(self, state: dict) -> None:
-        self.generator.bit_generator.state = state
-
-
-class RoundStreams(SerialStreams):
-    """Fork-join: P = worker_count workers pre-fetch the chain's attempts.
-
-    The attempts draw from the serial chain's stream in order, so the chain
-    is the serial one at every P; only the process ids differ. Workers take
-    the attempts from one incumbent in rounds of P, in rank order, so the
-    row accepted after w attempts from its predecessor was drawn by rank
-    ((w - 1) mod P) + 1.
-    """
-
-    def __init__(self, seed: int, worker_count: int = 1):
-        if worker_count < 1:
-            raise ValueError("worker_count must be >= 1, got %d" % worker_count)
-        super().__init__(seed)
-        self.worker_count = int(worker_count)
-
-    def process_id(self, weight: int) -> int:
-        return (weight - 1) % self.worker_count + 1
-
-
 @dataclass
 class KernelSummary:
     """What a finished run hands to reporting and refinement."""
@@ -400,15 +356,21 @@ class KernelSummary:
 
 
 class Kernel:
-    """The stepping engine of every mode: one chain, one stream policy.
+    """The stepping engine of every mode: one chain, one stream.
 
-    Owns the chain, the full moment accumulator, the adaptation schedule
-    and the burn-in tracker. ``step()`` runs one cascade on the chain's
-    stream ``streams.generator`` and commits it as one verbose step; it
-    returns the bookkeeping events the step produced. ``run()`` steps until
-    the chain is full and hands each step's events to a callback, so
-    callers persist rows and snapshots between steps. The seed row is
-    stamped ``streams.process_id(1)``.
+    Owns the chain, its PCG64 stream ``generator`` (rng.chain_stream of the
+    config's seed and ``chain_index``), the full moment accumulator, the
+    adaptation schedule and the burn-in tracker. ``step()`` runs one cascade
+    on that stream and commits it as one verbose step; it returns the
+    bookkeeping events the step produced. ``run()`` steps until the chain is
+    full and hands each step's events to a callback, so callers persist rows
+    and snapshots between steps.
+
+    ``workers`` P pre-fetch the attempts in rounds of P, in rank order, so
+    the row accepted after w attempts from its predecessor was drawn by rank
+    ((w - 1) mod P) + 1. Each row is stamped process id chain_index +
+    ((w - 1) mod P) + 1 (the seed row has w = 1): chain i of a serial or
+    multichain run (P = 1) stamps i + 1, a fork-join chain its drawing rank.
 
     Apart from the stream cursor, the pending adaptation measure and the
     live row, the kernel's state is a function of the chain's rows, which
@@ -422,9 +384,12 @@ class Kernel:
         target: TargetDensity,
         config: KernelConfig,
         proposal: ProposalState,
-        streams,
+        chain_index: int = 0,
+        workers: int = 1,
         chain: Optional[CompactChain] = None,
     ):
+        if workers < 1:
+            raise ValueError("workers must be >= 1, got %d" % workers)
         if target.dimension != proposal.dimension:
             raise DimensionMismatch(
                 "target dimension %d, proposal dimension %d"
@@ -438,7 +403,9 @@ class Kernel:
         self.target = target
         self.config = config
         self.proposal = proposal
-        self.streams = streams
+        self.chain_index = int(chain_index)
+        self.workers = int(workers)
+        self.generator = rng_mod.chain_stream(config.rng_seed, self.chain_index)
         d = target.dimension
         self._period = config.resolved_adaptation_period(d)
         self._moments = WeightedMoments(d)
@@ -456,15 +423,15 @@ class Kernel:
                 "start point has %d entries, target dimension is %d"
                 % (start.size, d)
             )
-        log_start = float(target.evaluate(start))
+        with np.errstate(all="ignore"):  # a start far out may overflow
+            log_start = float(target.evaluate(start))
         if not math.isfinite(log_start):
-            raise NonFiniteStart(
-                "start point has non-finite log-density %g" % log_start
-            )
+            raise NonFiniteStart("start: the %s target's log-density there is %g"
+                                 % (target.name, log_start))
         self._run_max = log_start
         self.incumbent, self.log_incumbent = start, log_start
         self.chain.append_row(ChainRow(
-            process_id=streams.process_id(1), dr_stage=0,
+            process_id=self.chain_index + 1, dr_stage=0,
             mean_acceptance_rate=1.0, adaptation_measure=0.0,
             burnin_location=0, weight=1, log_func=log_start, state=start,
         ))
@@ -510,7 +477,7 @@ class Kernel:
             self.incumbent,
             self.log_incumbent,
             self.config.dr_stage_count,
-            self.streams.generator,
+            self.generator,
         )
         return self.commit(outcome)
 
@@ -539,11 +506,11 @@ class Kernel:
         the live row's weight; away from a tick it produces no event and
         returns an empty tuple. An acceptance finalizes the live row (stamps
         its running columns; its final weight is the attempts made from
-        it), then appends the accepted state, without a ChainRow,
-        stamped with the process id the stream policy derives from that
-        weight, makes it the incumbent and runs burn-in. At an adaptation
-        boundary it folds the rows finalized since the previous one into the
-        full moments and adapts. The stage tallies are read off the chain
+        it), then appends the accepted state, without a ChainRow, stamped
+        with the process id that weight gives (see Kernel), makes it the
+        incumbent and runs burn-in. At an adaptation boundary it folds the
+        rows finalized since the previous one into the full moments and
+        adapts. The stage tallies are read off the chain
         (``stage_tallies``), so a step counts nothing else.
         """
         state, log_func, stage = outcome
@@ -558,8 +525,9 @@ class Kernel:
             weight = chain.weights.item(finalized)
             self._stamp_live()
             # the rate is stamped when the row is finalized
-            chain.append(self.streams.process_id(weight), stage, 0.0,
-                         self._pending_measure, self._burnin, 1, log_func, state)
+            chain.append(self.chain_index + (weight - 1) % self.workers + 1,
+                         stage, 0.0, self._pending_measure, self._burnin, 1,
+                         log_func, state)
             self.incumbent, self.log_incumbent = state, log_func
             self._pending_measure = 0.0
             events = [("row_final", finalized)]
@@ -598,7 +566,7 @@ class Kernel:
         live = vars(self.chain.row(self.chain.n_rows - 1))
         live["state"] = live["state"].tolist()
         return {
-            "stream": self.streams.state_dict(),
+            "stream": self.generator.bit_generator.state,
             "pending_measure": self._pending_measure,
             "live_row": live,
         }
@@ -622,7 +590,7 @@ class Kernel:
         append the live row, and derive the rest from the rows as a run does.
         Of the adaptations, only the last is made (unmeasured: the snapshot
         holds the pending measure); the earlier boundaries only fold."""
-        self.streams.load_state(state["stream"])
+        self.generator.bit_generator.state = state["stream"]
         self._pending_measure = float(state["pending_measure"])
         chain = self.chain
         chain.append_row(ChainRow(**state["live_row"]))
@@ -645,19 +613,18 @@ def run_kernel(
     target: TargetDensity,
     config: KernelConfig,
     proposal: ProposalState,
-    streams=None,
+    chain_index: int = 0,
+    workers: int = 1,
     on_event: Optional[Callable[[tuple], None]] = None,
 ) -> KernelSummary:
-    """Run a full simulation and return its summary.
+    """Run a full simulation of chain ``chain_index`` with ``workers``
+    pre-fetching workers (see Kernel) and return its summary.
 
-    ``streams`` defaults to the continuous serial convention seeded from the
-    config. ``on_event`` receives each bookkeeping event (finalized row,
+    ``on_event`` receives each bookkeeping event (finalized row,
     adaptation, progress tick, completion) as it happens; persistence layers
     consume the stream, tests inject crashes through it.
     """
-    if streams is None:
-        streams = SerialStreams(config.rng_seed)
-    kern = Kernel(target, config, proposal, streams)
+    kern = Kernel(target, config, proposal, chain_index, workers)
     if on_event is None:
         return kern.run()
 

@@ -2,21 +2,22 @@
 
 Two modes, both deterministic and in-process, both stepped by Kernel.run:
 
-Multi-chain: independent samplers with per-chain RNG streams; finished chains
-are refined and cross-compared pairwise for convergence evidence. One failure
-policy, the driver's, holds for run_multichain and dramp run alike: a
-SamplerError from any chain's kernel ends the run; a chain whose rows
-refinement refuses is left out of the pooled sample and the comparison; and
-the comparison runs only when at least two refined chains remain.
+Multi-chain: independent kernels; chain i runs on chain index i, so on its
+own stream, and stamps process id i + 1. Finished chains are refined and
+cross-compared pairwise for convergence evidence. One failure policy, the
+driver's, holds for run_multichain and dramp run alike: a SamplerError from
+any chain's kernel ends the run; a chain whose rows refinement refuses is
+left out of the pooled sample and the comparison; and the comparison runs
+only when at least two refined chains remain.
 
-Fork-join: pre-fetching (Brockwell 2006). P workers draw the chain's next
-P proposal attempts against the incumbent, one cascade each, in rank order;
+Fork-join: pre-fetching (Brockwell 2006). P workers draw the chain's next P
+proposal attempts against the incumbent, one cascade each, in rank order;
 the round commits the first acceptor, and each attempt before it is a
 rejection that costs the incumbent one verbose step, as in the serial chain.
-The attempts draw in order from the chain's one stream (see dramp.rng), so a
-run at any P writes the serial chain of its seed bit for bit in every column
-but the process id, and in that column too at P = 1. The weights record the
-rounds and ranks: a row of weight w was left after w attempts in
+The attempts draw in order from the chain's one stream (see dramp.kernel),
+so a run at any P writes the serial chain of its seed bit for bit in every
+column but the process id, and in that column too at P = 1. The weights
+record the rounds and ranks: a row of weight w was left after w attempts in
 ceil(w / P) rounds, and rank ((w - 1) mod P) + 1 drew the next row, whose
 process id that rank is. For a constant per-attempt acceptance probability
 that rank follows a truncated geometric law, which the tally fit inverts and
@@ -33,13 +34,7 @@ import numpy as np
 
 from .chain import CompactChain
 from .errors import DegenerateTally
-from .kernel import (
-    KernelConfig,
-    KernelSummary,
-    RoundStreams,
-    SerialStreams,
-    run_kernel,
-)
+from .kernel import KernelConfig, KernelSummary, run_kernel
 
 # Kernel.step runs every cascade, so nothing here calls this; it stays
 # importable here for tools that patch it by name.
@@ -253,11 +248,11 @@ def run_multichain(
 ) -> MultiChainResult:
     """Run independent chains and cross-compare their refined samples.
 
-    Chain i is run_kernel under SerialStreams(seed, i) and stamps process id
-    i + 1, so the result is reproducible for a fixed (seed, n_chains) no
-    matter how the work would be scheduled. The failure policy is the
-    driver's: a SamplerError from any chain's kernel propagates, and
-    refinement follows dramp.driver.refine_chains.
+    Chain i is run_kernel on chain index i and stamps process id i + 1, so
+    the result is reproducible for a fixed (seed, n_chains) no matter how
+    the work would be scheduled. The failure policy is the driver's: a
+    SamplerError from any chain's kernel propagates, and refinement follows
+    dramp.driver.refine_chains.
     """
     # the driver imports this module, so its rule is imported at call time
     from .driver import refine_chains
@@ -265,8 +260,7 @@ def run_multichain(
     if n_chains < 1:
         raise ValueError("n_chains must be >= 1, got %d" % n_chains)
     summaries = tuple(
-        run_kernel(target, config, proposal, SerialStreams(config.rng_seed, index))
-        for index in range(n_chains)
+        run_kernel(target, config, proposal, index) for index in range(n_chains)
     )
     refined, check = refine_chains([s.chain for s in summaries])
     return MultiChainResult(summaries=summaries, refined=refined, check=check)
@@ -281,14 +275,11 @@ def run_forkjoin(
 ) -> ForkJoinResult:
     """Build one chain with P pre-fetching workers.
 
-    This is run_kernel under RoundStreams(seed, P): the stream, adaptation,
-    burn-in tracking and chain accounting are the serial kernel's, and the
-    chain is the serial chain at every P but for its process ids.
-    ``on_event`` sees the kernel's events, then ("done", rows).
+    This is run_kernel with P workers on chain index 0: the stream,
+    adaptation, burn-in tracking and chain accounting are the serial
+    kernel's, and the chain is the serial chain at every P but for its
+    process ids. ``on_event`` sees the kernel's events, then ("done", rows).
     """
-    summary = run_kernel(
-        target, config, proposal, RoundStreams(config.rng_seed, worker_count),
-        on_event,
-    )
+    summary = run_kernel(target, config, proposal, 0, worker_count, on_event)
     tally, speedup = forkjoin_speedup(summary.chain, worker_count)
     return ForkJoinResult(summary=summary, tally=tally, speedup=speedup)

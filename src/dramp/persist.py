@@ -77,7 +77,8 @@ class RunState(Enum):
 
 @dataclass(frozen=True)
 class OutputSuite:
-    """Filesystem layout of one simulation's outputs."""
+    """Filesystem layout of one simulation's outputs. A refused field is
+    named by its specification key: out, format or delimiter."""
 
     prefix: str
     chain_format: str = "ascii"
@@ -85,19 +86,17 @@ class OutputSuite:
 
     def __post_init__(self):
         if not self.prefix:
-            raise ValueError("output prefix must be non-empty")
+            raise ValueError("out: the output prefix must be non-empty")
         if self.chain_format not in CHAIN_EXTENSIONS:
-            raise ValueError(
-                "chain_format must be 'ascii' or 'binary', got %r"
-                % self.chain_format
-            )
-        # a number's own characters would split its field, and the report's
-        # echo strips whitespace, so neither could be read back
+            raise ValueError("format: %r is not one of %s" % (
+                self.chain_format, ", ".join(CHAIN_EXTENSIONS)))
+        # the chain reader splits latin-1 text, a number's own characters
+        # would split its field, and the report's echo strips whitespace
         d = self.delimiter
-        if len(d) != 1 or d.isspace() or d.isalnum() or d in "+-.":
+        if len(d) != 1 or not d.isascii() or d.isspace() or d.isalnum() or d in "+-.":
             raise ValueError(
-                "delimiter must be one character other than whitespace, a "
-                "letter, a digit, '+', '-' or '.', got %r" % d
+                "delimiter: must be one ASCII character other than whitespace, "
+                "a letter, a digit, '+', '-' or '.', got %r" % d
             )
 
     @property
@@ -292,12 +291,23 @@ def _decode_lines(fh, record: np.dtype, delimiter: str) -> np.ndarray:
                           quotechar=None, ndmin=1, encoding="latin-1")
 
 
+def _decoded(fh, count: int, record: np.dtype, delimiter: str) -> Optional[np.ndarray]:
+    """_decode_lines of ``fh`` if it gives ``count`` records, else None."""
+    try:
+        rec = _decode_lines(fh, record, delimiter)
+    except ValueError:
+        return None
+    return rec if len(rec) == count else None
+
+
 def _first_damaged(rows: List[bytes], header: Sequence[str], record: np.dtype,
                    delimiter: str) -> Optional[Tuple[int, str]]:
     """(row, reason) of the first of ``rows`` that _decode_lines does not
-    decode to one record, or None. The reason is Python's where ``int()``
-    and ``float()`` refuse the line too: a wrong field count, or the first
-    field that does not parse into its column's type. Else it is numpy's."""
+    decode to one record, or None. The reason is a wrong field count, or
+    names the first field that does not parse into its column's type: by
+    Python's ``int()`` or ``float()`` message where they refuse it, else as
+    ``cannot parse`` and the field's UTF-8 text where numpy's reader does.
+    Else it is numpy's reason for the line."""
     types = _FIELD_TYPES + ((float, np.float64),) * (len(header) - len(_FIELD_TYPES))
     for i, line in enumerate(rows):
         try:
@@ -306,16 +316,19 @@ def _first_damaged(rows: List[bytes], header: Sequence[str], record: np.dtype,
             reason = "not one row"
         except ValueError as exc:
             reason = str(exc)
-        fields = line.decode("utf-8", "replace").split(delimiter)
-        if len(fields) != len(header):
-            return i, "%d fields, expected %d" % (len(fields), len(header))
-        for (parse, dtype), name, value in zip(types, header, fields):
+        cells = line.split(delimiter.encode("utf-8"))
+        if len(cells) != len(header):
+            return i, "%d fields, expected %d" % (len(cells), len(header))
+        for (parse, dtype), name, cell in zip(types, header, cells):
+            value = cell.decode("utf-8", "replace")
             try:
                 dtype(parse(value))
             except ValueError as exc:
                 return i, "%s: %s" % (name, exc)
             except OverflowError:
                 return i, "%s %s does not fit int64" % (name, value)
+            if _decoded(io.BytesIO(cell), 1, np.dtype(dtype), delimiter) is None:
+                return i, "%s: cannot parse %r" % (name, value)
         return i, reason
     return None
 
@@ -338,15 +351,16 @@ def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
         raise IoFailure("chain header declares no variables")
     record = _record_dtype(len(names), ascii=True)
     start, failure = fh.tell(), None
-    try:
-        rec = _decode_lines(fh, record, delimiter)
-    except ValueError:
-        rec = None
-    if rec is None or len(rec) != raw.count(b"\n", start) + (raw[-1:] != b"\n"):
+    lines = raw.count(b"\n", start) + (raw[-1:] != b"\n")
+    rec = _decoded(fh, lines, record, delimiter)
+    if rec is None:
         # a damaged row, or a line the reader skips (an empty line, a lone
-        # CR): the rows are the lines neither empty nor a comment, up to the
-        # first damaged one
+        # CR) or refuses (a comment): the rows are the lines neither empty
+        # nor a comment, decoded in one call, and line by line up to the
+        # first damaged one only when that call fails too
         rows = [ln for ln in raw[start:].split(b"\n") if ln and not ln.startswith(b"#")]
+        rec = _decoded(io.BytesIO(b"\n".join(rows)), len(rows), record, delimiter)
+    if rec is None:
         failure = _first_damaged(rows, header, record, delimiter)
         kept = rows if failure is None else rows[: failure[0]]
         rec = _decode_lines(io.BytesIO(b"\n".join(kept)), record, delimiter)

@@ -1,11 +1,12 @@
 """Deterministic random-stream construction.
 
 Every chain of every mode draws from one PCG64 generator seeded by
-``SeedSequence(entropy=seed, spawn_key=(chain_index,))``. A chain builds its
-stream once and consumes it continuously, one proposal attempt after the
-other; a fork-join run's workers take the chain's attempts in order from
-that stream too, so the chain does not depend on the worker count. A
-snapshot holds the stream's position as numpy's own PCG64 state dict.
+``SeedSequence(entropy=seed, spawn_key=(chain_index,))``, with the seed of
+its KernelConfig. Its Kernel builds that stream once and consumes it
+continuously, one proposal attempt after the other; a fork-join run's
+workers take the chain's attempts in order from that stream too, so the
+chain does not depend on the worker count. A snapshot holds the stream's
+position as numpy's own PCG64 state dict.
 """
 
 from __future__ import annotations

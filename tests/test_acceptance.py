@@ -17,7 +17,7 @@ from scipy import integrate, signal, stats
 from dramp.cli import EXIT_OK, EXIT_REFUSED, main
 from dramp.config import build_spec
 from dramp.driver import run_simulation
-from dramp.kernel import Kernel, KernelConfig, SerialStreams, run_kernel
+from dramp.kernel import Kernel, KernelConfig, run_kernel
 from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import fit_geometric, predict_speedup, run_forkjoin, run_multichain
 from dramp.persist import ChainWriter, OutputSuite
@@ -454,7 +454,7 @@ def test_criterion_10_determinism_and_reductions(tmp_path, monkeypatch):
         except AssertionError:
             return False
 
-    plain = run_kernel(target, cfg, proposal, SerialStreams(5, chain_index=0))
+    plain = run_kernel(target, cfg, proposal)
     forked = run_forkjoin(target, cfg, proposal, 1)
     fork_reduces = chains_match(forked.summary.chain, plain.chain)
 
@@ -560,7 +560,7 @@ def test_forkjoin_writes_the_serial_chain_at_every_worker_count(
     else:
         target = five_cell_target()
         cfg, proposal = five_cell_setup(dr_stages, rows=2000)
-    serial = run_kernel(target, cfg, proposal, SerialStreams(cfg.rng_seed)).chain
+    serial = run_kernel(target, cfg, proposal).chain
     assert serial.verbose_length > serial.n_rows  # some attempts rejected
     for workers in (1, 3, 8):
         chain = run_forkjoin(target, cfg, proposal, workers).summary.chain
@@ -583,7 +583,7 @@ def test_criterion_11_detailed_balance_five_cells():
 
     def worst_z(dr_stages):
         cfg, proposal = five_cell_setup(dr_stages)
-        kern = Kernel(target, cfg, proposal, SerialStreams(77, chain_index=0))
+        kern = Kernel(target, cfg, proposal)
         while kern.chain.verbose_length < 1_000_000:
             for _ in kern.step():
                 pass

@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -464,9 +465,14 @@ class TestCliRun:
         assert "configuration error" in capsys.readouterr().err
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        argv = run_flags(tmp_path / "x", start="nan,nan", chain_len="50")
+        # the output directory cannot be made under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = run_flags(blocker / "run", chain_len="50")
         assert main(argv) == EXIT_RUNTIME
-        assert "runtime error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("runtime error:")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == ""
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "base.cfg"
@@ -505,17 +511,37 @@ class TestCliRun:
             assert pathlib.Path("%s%s" % (second, suffix)).read_bytes() == \
                 pathlib.Path("%s%s" % (first, suffix)).read_bytes()
 
-    @pytest.mark.parametrize("flags", [
-        ["--dr-stages", "2", "--dr-scales", "0.7,0.9"],
-        ["--scale-factor", "inf"],
-        ["--seed", "-1"],
-    ], ids=["increasing-dr-scales", "infinite-scale-factor", "negative-seed"])
-    def test_bad_proposal_refused_before_any_file(self, tmp_path, capsys, flags):
-        argv = ["run", "--chain-len", "50", "--out", str(tmp_path / "run")]
-        assert main(argv + flags) == EXIT_CONFIG
+    @pytest.mark.parametrize("flags,key", [
+        (["--dr-stages", "2", "--dr-scales", "0.7,0.9"], "dr-scales"),
+        (["--scale-factor", "inf"], "scale-factor"),
+        (["--seed", "-1"], "seed"),
+        (["--start", "nan,nan"], "start"),
+        (["--target", "himmelblau", "--start", "1e200,1e200"], "start"),
+        (["--dr-scales", "0.5,0.7", "--dr-stages", "2"], "dr-scales"),
+        (["--format", "xml"], "format"),
+        (["--delimiter", "ab"], "delimiter"),
+    ], ids=["increasing-dr-scales", "infinite-scale-factor", "negative-seed",
+            "nan-start", "overflowing-start", "rising-dr-scales", "xml-format",
+            "two-character-delimiter"])
+    def test_bad_proposal_refused_before_any_file(self, tmp_path, capsys, flags, key):
+        # no file, and no directory made for the prefix either
+        argv = ["run", "--chain-len", "50", "--out", str(tmp_path / "new" / "run")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings too
+            assert main(argv + flags) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert err.startswith("configuration error: %s: " % key)
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_bad_start_leaves_a_forced_suite_as_it_was(self, tmp_path, capsys):
+        prefix = tmp_path / "demo"
+        assert main(run_flags(prefix, target="himmelblau")) == EXIT_OK
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        argv = run_flags(prefix, target="himmelblau", start="1e200,1e200")
+        assert main(argv + ["--force-overwrite"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: start: ")
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("flags,message", [
         (["--target", "banana", "--target-sigma1", "nan"],
@@ -551,17 +577,18 @@ class TestCliRun:
         assert capsys.readouterr().err == "configuration error: %s\n" % message
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("delimiter", ["-", ".", "+", "a", "E", "7", " ", "\t"])
+    @pytest.mark.parametrize("delimiter", ["-", ".", "+", "a", "E", "7", " ", "\t", "§"])
     def test_unreadable_delimiter_refused_before_any_file(
         self, tmp_path, capsys, delimiter
     ):
-        # a number's own characters split its fields on reading, and the
-        # report's echo loses whitespace
+        # a number's own characters split its fields on reading, the
+        # report's echo loses whitespace, and the reader reads latin-1
         argv = ["run", "--chain-len", "50", "--delimiter", delimiter,
                 "--out", str(tmp_path / "run")]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert err.startswith("configuration error: delimiter: ")
+        assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1367,7 +1394,7 @@ class TestResume:
                 edges = dramp.driver._split_chains(spec, stored, payload)
             index = len(edges) - 1
             kern = running[-1]
-            assert index == getattr(kern.streams, "chain_index", 0)
+            assert index == kern.chain_index
             prefix = stored.tail(edges[-1])
             rebuilt = dramp.driver._make_kernel(spec, kern.target, index, chain=prefix)
             adapts[0] = 0

@@ -1,5 +1,5 @@
 """Sampling loop: acceptance rules, the proposal cascade, burn-in tracking,
-stream conventions, and exact mid-run state transport.
+the kernel's stream and process ids, and exact mid-run state transport.
 
 The delayed-rejection acceptance rule gets closed-form spot checks and a
 pathwise detailed-balance identity here; the statistical verification that
@@ -30,8 +30,6 @@ from dramp.kernel import (
     REJECTED,
     Kernel,
     KernelConfig,
-    RoundStreams,
-    SerialStreams,
     StepOutcome,
     burnin_location,
     dr_log_alpha,
@@ -518,25 +516,53 @@ class TestBurninLocation:
             burnin_location([], 1)
 
 
-class TestStreams:
-    def test_serial_state_round_trip_is_bitwise(self):
-        s = SerialStreams(seed=7)
-        assert s.process_id(1) == s.process_id(5) == 1
-        s.generator.random(13)
-        snap = json.loads(json.dumps(s.state_dict()))
-        tail = s.generator.random(50)
-        s2 = SerialStreams(seed=7)
-        s2.load_state(snap)
-        assert s2.generator.random(50).tolist() == tail.tolist()
+class TestKernelStream:
+    """The kernel's one stream: rng.chain_stream of the config's seed and the
+    chain index, saved and restored as numpy's PCG64 state dict, and the one
+    process-id rule chain_index + ((w - 1) mod workers) + 1."""
 
-    def test_round_streams_rank_rule(self):
-        # the row accepted after w attempts was drawn by rank (w-1) mod P + 1
-        streams = RoundStreams(seed=9, worker_count=4)
-        assert [streams.process_id(w) for w in range(1, 10)] == [
-            1, 2, 3, 4, 1, 2, 3, 4, 1]
-        assert RoundStreams(seed=9).process_id(7) == 1
-        with pytest.raises(ValueError):
-            RoundStreams(seed=9, worker_count=0)
+    @staticmethod
+    def kernel(chain_index=0, workers=1, chain=None):
+        # a wide proposal on a narrow target rejects often, so weights vary
+        cfg = KernelConfig(400, (0.0, 0.0), rng_seed=7, dr_stage_count=1,
+                           adaptation_period=10 ** 6)
+        return Kernel(gaussian_target([0.0, 0.0], np.eye(2)), cfg,
+                      ProposalState.create(2, scale_factor=9.0),
+                      chain_index, workers, chain=chain)
+
+    def test_stream_is_the_chain_stream_of_the_config_seed(self):
+        kern = self.kernel(chain_index=2)
+        assert kern.generator.random(5).tolist() == \
+            rng_mod.chain_stream(7, 2).random(5).tolist()
+
+    def test_state_round_trip_through_json_gives_the_same_draws(self):
+        ka = self.kernel()
+        for _ in range(30):
+            ka.step()
+        snap = json.loads(json.dumps(ka.state_dict()))
+        kb = self.kernel(chain=ka.chain.slice(0, ka.chain.n_rows - 1))
+        kb.load_state(snap)
+        assert kb.generator.random(50).tolist() == ka.generator.random(50).tolist()
+
+    @pytest.mark.parametrize("chain_index, workers", [(0, 1), (2, 1), (0, 4)])
+    def test_process_ids_follow_the_rank_rule(self, chain_index, workers):
+        chain = self.kernel(chain_index, workers).run().chain
+        weights, pids = chain.weights, chain.process_ids
+        assert weights.max() > 4  # every rank of four draws some row
+        assert pids[0] == chain_index + 1
+        assert np.array_equal(pids[1:], chain_index + (weights[:-1] - 1) % workers + 1)
+        assert set(pids.tolist()) == set(range(chain_index + 1, chain_index + workers + 1))
+
+    def test_zero_workers_refused(self):
+        with pytest.raises(ValueError, match="workers"):
+            self.kernel(workers=0)
+
+    def test_forkjoin_stream_block_equals_the_serial_one(self):
+        serial, forked = self.kernel(), self.kernel(workers=4)
+        assert forked.state_dict()["stream"] == serial.state_dict()["stream"]
+        serial.run()
+        forked.run()
+        assert forked.state_dict()["stream"] == serial.state_dict()["stream"]
 
     def test_no_generator_built_per_round(self, monkeypatch):
         built = {}
@@ -565,17 +591,15 @@ class TestStreams:
         assert counts[0] == counts[1]
 
     def test_restore_rejects_foreign_generator(self):
-        # the state is numpy's own PCG64 dict, so it survives JSON, and
-        # numpy's setter refuses a dict of another bit generator
-        streams = SerialStreams(1)
-        streams.generator.random(3)
-        state = json.loads(json.dumps(streams.state_dict()))
-        ahead = streams.generator.random(5)
-        streams.load_state(state)
-        assert np.array_equal(streams.generator.random(5), ahead)
-        state["bit_generator"] = "MT19937"
+        # numpy's setter refuses a dict of another bit generator, before
+        # load_state touches the chain
+        kern = self.kernel()
+        state = json.loads(json.dumps(kern.state_dict()))
+        state["stream"]["bit_generator"] = "MT19937"
+        rebuilt = self.kernel(chain=kern.chain.slice(0, 0))
         with pytest.raises(ValueError):
-            streams.load_state(state)
+            rebuilt.load_state(state)
+        assert rebuilt.chain.n_rows == 0
 
 
 class TestKernelConfig:
@@ -604,22 +628,22 @@ class TestKernelValidation:
     def test_dimension_mismatch(self):
         cfg = KernelConfig(10, (0.0, 0.0), 1)
         with pytest.raises(DimensionMismatch):
-            Kernel(gaussian_target([0.0, 0.0], np.eye(2)), cfg, ProposalState.create(1), SerialStreams(1))
+            Kernel(gaussian_target([0.0, 0.0], np.eye(2)), cfg, ProposalState.create(1))
 
     def test_start_length_mismatch(self):
         cfg = KernelConfig(10, (0.0,), 1)
         with pytest.raises(DimensionMismatch):
-            Kernel(gaussian_target([0.0, 0.0], np.eye(2)), cfg, ProposalState.create(2), SerialStreams(1))
+            Kernel(gaussian_target([0.0, 0.0], np.eye(2)), cfg, ProposalState.create(2))
 
     def test_stage_count_beyond_scales(self):
         cfg = KernelConfig(10, (0.0,), 1, dr_stage_count=2)
         with pytest.raises(StageOutOfRange):
-            Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1), SerialStreams(1))
+            Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1))
 
     def test_non_finite_start_density(self):
         cfg = KernelConfig(10, (0.0,), 1)
         with pytest.raises(NonFiniteStart):
-            Kernel(wall_target(1), cfg, ProposalState.create(1), SerialStreams(1))
+            Kernel(wall_target(1), cfg, ProposalState.create(1))
 
 
 class TestKernelRuns:
@@ -656,8 +680,7 @@ class TestKernelRuns:
     def test_adaptation_schedule_fires_per_period(self):
         events = []
         cfg = KernelConfig(300, (0.0,), rng_seed=8, adaptation_period=50)
-        kern = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1),
-                      SerialStreams(cfg.rng_seed))
+        kern = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1))
         s = kern.run(events.extend)
         adapts = [e[1] for e in events if e[0] == "adapt"]
         assert len(adapts) == 6
@@ -692,7 +715,7 @@ class TestKernelRuns:
 class TestCommitPath:
     def test_rejection_commits_as_weight_only(self, monkeypatch):
         cfg = KernelConfig(50, (0.0,), rng_seed=1)
-        k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1), SerialStreams(1))
+        k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1))
         state = k.chain.last_state()
         calls = []
         monkeypatch.setattr(WeightedMoments, "update", lambda *args: calls.append(args))
@@ -710,7 +733,7 @@ class TestCommitPath:
         # period 2: the acceptance that makes row 1 is an adaptation boundary
         cfg = KernelConfig(50, (0.0,), rng_seed=1, adaptation_period=2)
         k = Kernel(gaussian_target([0.0], [[1.0]]), cfg, ProposalState.create(1),
-                   RoundStreams(1, worker_count=4))
+                   workers=4)
         state = k.chain.last_state()
         for _ in range(5):
             k.commit(StepOutcome(state, k.log_incumbent, REJECTED))
@@ -732,9 +755,9 @@ class TestCommitPath:
 
 class TestStageTallies:
     @pytest.mark.parametrize("dr_stages", [0, 1, 2])
-    @pytest.mark.parametrize("round_streams", [False, True], ids=["serial", "rounds8"])
+    @pytest.mark.parametrize("workers", [1, 8], ids=["serial", "rounds8"])
     def test_derived_tallies_match_the_cascades(
-        self, monkeypatch, dr_stages, round_streams
+        self, monkeypatch, dr_stages, workers
     ):
         # an independent tally of what each cascade consumed and accepted
         attempts = [0] * (dr_stages + 1)
@@ -761,8 +784,7 @@ class TestStageTallies:
         cfg = KernelConfig(600, (3.0, -3.0), rng_seed=12, dr_stage_count=dr_stages,
                            adaptation_period=50)
         prop = ProposalState.create(2, scale_factor=4.0, dr_scales=(0.5, 0.1))
-        streams = RoundStreams(12, 8) if round_streams else SerialStreams(12)
-        s = Kernel(target, cfg, prop, streams).run()
+        s = Kernel(target, cfg, prop, workers=workers).run()
         assert min(accepts) > 0  # every stage accepted some cascade
         assert s.stage_attempts == tuple(attempts)
         assert s.stage_accepts == tuple(accepts)
@@ -774,7 +796,7 @@ class TestStateTransport:
         target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
         cfg = KernelConfig(400, (0.0, 0.0), rng_seed=99, dr_stage_count=1,
                            adaptation_period=60)
-        ka = Kernel(target, cfg, ProposalState.create(2), SerialStreams(99))
+        ka = Kernel(target, cfg, ProposalState.create(2))
         snap = None
         snap_rows = None
         while not ka.done:
@@ -785,7 +807,7 @@ class TestStateTransport:
                     snap_rows = ka.chain.n_rows - 1
         # rebuild: finalized prefix from storage, live tail from the snapshot
         pre = ka.chain.slice(0, snap_rows)
-        kb = Kernel(target, cfg, ProposalState.create(2), SerialStreams(99), chain=pre)
+        kb = Kernel(target, cfg, ProposalState.create(2), chain=pre)
         kb.load_state(snap)
         while not kb.done:
             kb.step()
@@ -809,18 +831,16 @@ class TestStateTransport:
         # size grows with d, not d^2
         target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
         cfg = KernelConfig(300, (0.0, 0.0), rng_seed=99, adaptation_period=60)
-        kern = Kernel(target, cfg, ProposalState.create(2), SerialStreams(99))
+        kern = Kernel(target, cfg, ProposalState.create(2))
         kern.run()
         assert kern.proposal.adaptation_count == 5
         state = kern.state_dict()
         # the adaptation count and the stream's identity are derived too:
         # the stream block is numpy's own PCG64 state dict
         assert set(state) == {"stream", "pending_measure", "live_row"}
-        assert state["stream"] == kern.streams.generator.bit_generator.state
+        assert state["stream"] == kern.generator.bit_generator.state
         assert set(state["stream"]) == {"bit_generator", "state",
                                         "has_uint32", "uinteger"}
         assert set(state["stream"]["state"]) == {"state", "inc"}
         # plain JSON values: the live row's state is a list
         assert json.loads(json.dumps(state)) == state
-        # fork-join snapshots hold the same stream block
-        assert RoundStreams(99, 4).state_dict() == SerialStreams(99).state_dict()

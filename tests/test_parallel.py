@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 import dramp.driver
 from dramp.config import build_spec, initial_proposal, make_target
 from dramp.errors import DegenerateTally, NonFiniteTarget, SamplerError
-from dramp.kernel import KernelConfig, SerialStreams, run_kernel
+from dramp.kernel import KernelConfig, run_kernel
 from dramp.chain import ChainRow, CompactChain
 from dramp.model import TargetDensity, banana_target, gaussian_target
 from dramp.parallel import (
@@ -371,8 +371,7 @@ class TestOneMultichainFailurePolicy:
             "out": str(tmp_path / "run"), "deterministic-test-mode": "true",
         })
         target, calls = counted(make_target(spec))
-        first = run_kernel(target, spec.kernel, initial_proposal(spec),
-                           SerialStreams(spec.kernel.rng_seed, 0))
+        first = run_kernel(target, spec.kernel, initial_proposal(spec))
         # chain 2's fifth evaluation: its first is the start point, so this
         # one is a candidate's
         spike_at = calls[0] + 5

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dramp import persist
 from dramp.chain import ROW_DTYPE, ChainRow, CompactChain
 from dramp.config import parse_config_file
 from dramp.errors import CorruptRestart, IoFailure, UnencodableValue
@@ -577,13 +578,14 @@ class TestAsciiEdgeLines:
     @pytest.mark.parametrize("second,reason", [
         (b"   ", "1 fields, expected 9"),  # whitespace only, refused before
         (b"\r", "1 fields, expected 9"),  # a CR line, refused before
-        # Python's int() and float() took these; the C reader refuses them
+        # Python's int() and float() took these; the C reader refuses them,
+        # named by their column and quoted as the file's UTF-8 text
         (b"1,1\r,0.25,0.125,0,1,-2.5,1.5,2", "Found an unquoted embedded newline"),
-        (b"1,1,0.25,0.125,0,1_0,-2.5,1.5,2", "could not convert string '1_0' to int64"),
-        (b"1,1,0.25,0.125,0,1,-2.5,1_5,2", "could not convert string '1_5' to float64"),
-        ("1,1,0.25,0.125,0,١,-2.5,1.5,2".encode(), "could not convert string"),
-        ("1,1,0.25,0.125,0,1,-2.5,1.5,２".encode(), "could not convert string"),
-        ("1,1,0.25,0.125,0,1,-2.5,1.5,2\u00a0".encode(), "could not convert string"),
+        (b"1,1,0.25,0.125,0,1_0,-2.5,1.5,2", "SampleWeight: cannot parse '1_0'"),
+        (b"1,1,0.25,0.125,0,1,-2.5,1_5,2", "a: cannot parse '1_5'"),
+        ("1,1,0.25,0.125,0,١,-2.5,1.5,2".encode(), "SampleWeight: cannot parse '١'"),
+        ("1,1,0.25,0.125,0,1,-2.5,1.5,２".encode(), "b: cannot parse '２'"),
+        ("1,1,0.25,0.125,0,1,-2.5,1.5,2\u00a0".encode(), "b: cannot parse '2\\xa0'"),
         # not UTF-8, refused before without a row
         (b"1,1,0.25,0.125,0,1,-2.5,\xff,2", "a: could not convert string to float"),
     ], ids=["whitespace", "cr-line", "cr-inside", "underscore-int",
@@ -592,7 +594,29 @@ class TestAsciiEdgeLines:
     def test_refused_lines_are_named(self, tmp_path, second, reason):
         with pytest.raises(IoFailure) as info:
             self.read(tmp_path, self.ROWS[0] + b"\n" + second + b"\n")
-        assert str(info.value).startswith("damaged chain row 1: " + reason)
+        message = str(info.value)
+        assert message.startswith("damaged chain row 1: " + reason)
+        # neither numpy's one-line position nor its latin-1 text
+        assert "at row" not in message and "\u00c3" not in message
+
+    @pytest.mark.parametrize("extra", [b"", b"# a comment"], ids=["empty", "comment"])
+    def test_skipped_lines_need_no_line_by_line_search(self, tmp_path, monkeypatch, extra):
+        # one line the C reader skips or refuses, in a chain without damage,
+        # is dropped by one decode of the kept rows
+        chain = random_chain(5, n=200)
+        suite = OutputSuite(str(tmp_path / "run"))
+        write_chain(suite, chain, ("a", "b", "c"))
+        clean = read_chain(suite.chain_path)
+        lines = open(suite.chain_path, "rb").read().split(b"\n")
+        lines.insert(100, extra)
+        with open(suite.chain_path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+
+        def unreachable(*args):
+            raise AssertionError("line-by-line search of a chain without damage")
+
+        monkeypatch.setattr(persist, "_first_damaged", unreachable)
+        assert_chains_bitwise(read_chain(suite.chain_path), clean)
 
 
 class TestSampleFile:
