@@ -6,13 +6,15 @@ rejection run length. The expansion back to the full realization is the
 verbose chain. Rows also carry bookkeeping columns: contributing process,
 delayed-rejection stage, running acceptance rate, adaptation measure,
 running burn-in location. COLUMNS is the one list of a row's seven fixed
-columns; the chain store and both chain codecs in ``persist`` read it.
+columns; the chain store and both chain codecs in ``persist`` read it. A
+chain holds numbers only: the variable names live in the chain file's
+header, which ``persist`` writes and checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -80,25 +82,10 @@ class CompactChain:
     when the next row is appended. Single writer by contract.
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        variable_names: Optional[Sequence[str]] = None,
-        capacity: int = _INITIAL_CAPACITY,
-    ):
+    def __init__(self, dimension: int, capacity: int = _INITIAL_CAPACITY):
         if dimension < 1:
             raise DimensionMismatch("dimension must be >= 1, got %d" % dimension)
-        if variable_names is None:
-            variable_names = tuple("Var%d" % (i + 1) for i in range(dimension))
-        else:
-            variable_names = tuple(str(v) for v in variable_names)
-            if len(variable_names) != dimension:
-                raise DimensionMismatch(
-                    "%d variable names for dimension %d"
-                    % (len(variable_names), dimension)
-                )
         self.dimension = dimension
-        self.variable_names = variable_names
         # rows past n are never read, so the arrays are left unzeroed
         self._bind({name: np.empty(capacity, ROW_DTYPE[name])
                     for name in ROW_DTYPE.names},
@@ -135,8 +122,7 @@ class CompactChain:
     verbose_starts = property(lambda self: self._verbose_start[: self.n_rows])
 
     @classmethod
-    def from_columns(cls, variable_names: Sequence[str], records,
-                     states) -> "CompactChain":
+    def from_columns(cls, records, states) -> "CompactChain":
         """A chain holding copies of the given rows: ``records`` maps each
         field of COLUMNS to its n values (a record array or a dict of
         arrays, such as ``columns`` returns), ``states`` is (n, d). The
@@ -144,18 +130,16 @@ class CompactChain:
         what appending n + 1 rows leaves (1024, doubled as needed), so a
         resumed chain, once its live row is appended, grows at the rows
         where an uninterrupted one grows."""
-        return cls._filled(variable_names, records, states, room=True)
+        return cls._filled(records, states, room=True)
 
     def slice(self, start: int, count: int) -> "CompactChain":
         """Rows [start, start + count) as a new chain that owns its arrays,
         with room for one more row only."""
-        return self._filled(self.variable_names,
-                            *self.columns(start, start + count), room=False)
+        return self._filled(*self.columns(start, start + count), room=False)
 
     def tail(self, start: int) -> "CompactChain":
         """Rows [start, n) as a new chain, with from_columns's room."""
-        return self.from_columns(self.variable_names,
-                                 *self.columns(start, self.n_rows))
+        return self.from_columns(*self.columns(start, self.n_rows))
 
     def columns(self, start: int, end: int) -> Tuple[dict, np.ndarray]:
         """Rows [start, end) as views: each field of ROW_DTYPE by name, and
@@ -169,7 +153,7 @@ class CompactChain:
                 self._states[start:end])
 
     @classmethod
-    def _filled(cls, variable_names, records, states, room: bool):
+    def _filled(cls, records, states, room: bool):
         states = np.asarray(states, dtype=np.float64)
         if states.ndim != 2:
             raise DimensionMismatch(
@@ -179,7 +163,7 @@ class CompactChain:
         capacity = _INITIAL_CAPACITY if room else n + 1
         while capacity < n + 1:
             capacity *= 2
-        chain = cls(dimension, variable_names, capacity=capacity)
+        chain = cls(dimension, capacity)
         for name, _, _ in COLUMNS:
             values = records[name]
             if np.shape(values) != (n,):

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -436,10 +436,6 @@ class Kernel:
             burnin_location=0, weight=1, log_func=log_start, state=start,
         ))
 
-    @property
-    def done(self) -> bool:
-        return self.chain.n_rows >= self.config.chain_length_target
-
     def _rescan_burnin(self) -> None:
         chain = self.chain
         self._burnin = burnin_location(
@@ -457,7 +453,8 @@ class Kernel:
         moments of the first ``boundary`` rows."""
         self._fold(boundary)
         states = self.chain.states[:boundary]
-        if self.proposal.adaptation_count < self.config.greedy_adaptation_count:
+        made = adaptation_count(boundary - 1, self.chain.dimension, self._period)
+        if made < self.config.greedy_adaptation_count:
             # the accepted states, unweighted
             moments = WeightedMoments(self.chain.dimension)
             moments.update(states, np.ones(boundary))
@@ -560,8 +557,8 @@ class Kernel:
     def state_dict(self) -> dict:
         """What the chain's rows cannot give back, as plain JSON values: the
         stream cursor (numpy's PCG64 state), the pending adaptation measure
-        and the live row. The proposal and its adaptation count are not
-        stored; load_state derives them."""
+        and the live row. The proposal is not stored; load_state derives
+        it."""
         # a fresh ChainRow: its fields, without a deep copy
         live = vars(self.chain.row(self.chain.n_rows - 1))
         live["state"] = live["state"].tolist()
@@ -602,11 +599,7 @@ class Kernel:
         for boundary in boundaries[:-1]:
             self._fold(boundary)
         if boundaries:
-            last = boundaries[-1]
-            # the count the adaptations before the last one reached
-            count = adaptation_count(last - 1, chain.dimension, self._period)
-            self.proposal = replace(self.proposal, adaptation_count=count)
-            self._adapt_at(last, measured=False)
+            self._adapt_at(boundaries[-1], measured=False)
 
 
 def run_kernel(

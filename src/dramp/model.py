@@ -30,7 +30,6 @@ __all__ = [
     "banana_target",
     "make_builtin_target",
     "FAMILIES",
-    "BUILTIN_KINDS",
 ]
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
@@ -191,7 +190,6 @@ FAMILIES = {
     "himmelblau": {"scale": 10.0},
     "banana": {"curvature": 0.1, "sigma1": 10.0},
 }
-BUILTIN_KINDS = tuple(FAMILIES)
 
 
 def make_builtin_target(spec: BuiltinTargetSpec) -> TargetDensity:

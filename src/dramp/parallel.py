@@ -55,7 +55,6 @@ __all__ = [
     "recommend_workers",
     "build_speedup_report",
     "measured_speedup",
-    "forkjoin_speedup",
     "run_speedup",
     "PREDICTION_GRID",
 ]
@@ -219,23 +218,18 @@ def build_speedup_report(
     )
 
 
-def forkjoin_speedup(
-    chain: CompactChain, worker_count: int
-) -> Tuple[ContributionTally, SpeedupReport]:
-    """A fork-join chain's contribution tally and its speedup report: p-hat
-    fitted to the tally (1.0 for an empty one) and the observed speedup."""
-    tally = ContributionTally.from_chain(chain, worker_count)
-    p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
-    return tally, build_speedup_report(p_hat, measured_speedup(chain, worker_count))
-
-
 def run_speedup(
     chains: List[CompactChain], mode: str, worker_count: int
 ) -> Tuple[Optional[ContributionTally], SpeedupReport]:
-    """The speedup a run reports: the fork-join chain's tally and its fit,
-    otherwise no tally and the acceptance rate measured over the chains."""
+    """The speedup a run reports: for fork-join, the chain's contribution
+    tally and a report of p-hat fitted to it (1.0 for an empty tally) and
+    the observed speedup; otherwise no tally and the acceptance rate
+    measured over the chains."""
     if mode == "forkjoin":
-        return forkjoin_speedup(chains[0], worker_count)
+        chain = chains[0]
+        tally = ContributionTally.from_chain(chain, worker_count)
+        p_hat = fit_geometric(tally) if tally.total >= 1 else 1.0
+        return tally, build_speedup_report(p_hat, measured_speedup(chain, worker_count))
     rows = sum(c.n_rows for c in chains)
     return None, build_speedup_report(rows / sum(c.verbose_length for c in chains))
 
@@ -281,5 +275,5 @@ def run_forkjoin(
     process ids. ``on_event`` sees the kernel's events, then ("done", rows).
     """
     summary = run_kernel(target, config, proposal, 0, worker_count, on_event)
-    tally, speedup = forkjoin_speedup(summary.chain, worker_count)
+    tally, speedup = run_speedup([summary.chain], "forkjoin", worker_count)
     return ForkJoinResult(summary=summary, tally=tally, speedup=speedup)

@@ -306,8 +306,9 @@ def _first_damaged(rows: List[bytes], header: Sequence[str], record: np.dtype,
     decode to one record, or None. The reason is a wrong field count, or
     names the first field that does not parse into its column's type: by
     Python's ``int()`` or ``float()`` message where they refuse it, else as
-    ``cannot parse`` and the field's UTF-8 text where numpy's reader does.
-    Else it is numpy's reason for the line."""
+    ``cannot parse`` and the field's UTF-8 text where numpy's reader does
+    or the field holds a CR, which ends the reader's line. Else it is
+    numpy's reason for the line."""
     types = _FIELD_TYPES + ((float, np.float64),) * (len(header) - len(_FIELD_TYPES))
     for i, line in enumerate(rows):
         try:
@@ -327,7 +328,8 @@ def _first_damaged(rows: List[bytes], header: Sequence[str], record: np.dtype,
                 return i, "%s: %s" % (name, exc)
             except OverflowError:
                 return i, "%s %s does not fit int64" % (name, value)
-            if _decoded(io.BytesIO(cell), 1, np.dtype(dtype), delimiter) is None:
+            if b"\r" in cell or _decoded(io.BytesIO(cell), 1, np.dtype(dtype),
+                                          delimiter) is None:
                 return i, "%s: cannot parse %r" % (name, value)
         return i, reason
     return None
@@ -352,20 +354,25 @@ def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
     record = _record_dtype(len(names), ascii=True)
     start, failure = fh.tell(), None
     lines = raw.count(b"\n", start) + (raw[-1:] != b"\n")
-    rec = _decoded(fh, lines, record, delimiter)
-    if rec is None:
+    try:
+        rec = _decode_lines(fh, record, delimiter)
+    except ValueError:
+        rec = None
+    if rec is None or len(rec) != lines:
         # a damaged row, or a line the reader skips (an empty line, a lone
         # CR) or refuses (a comment): the rows are the lines neither empty
-        # nor a comment, decoded in one call, and line by line up to the
-        # first damaged one only when that call fails too
+        # nor a comment. A call that skipped only empty lines decoded them
+        # all; else they are decoded in one more call, and line by line up
+        # to the first damaged one only when that call fails too
         rows = [ln for ln in raw[start:].split(b"\n") if ln and not ln.startswith(b"#")]
-        rec = _decoded(io.BytesIO(b"\n".join(rows)), len(rows), record, delimiter)
+        if rec is None or len(rec) != len(rows):
+            rec = _decoded(io.BytesIO(b"\n".join(rows)), len(rows), record, delimiter)
     if rec is None:
         failure = _first_damaged(rows, header, record, delimiter)
         kept = rows if failure is None else rows[: failure[0]]
         rec = _decode_lines(io.BytesIO(b"\n".join(kept)), record, delimiter)
     _check_rows(rec["weight"], failure)
-    return CompactChain.from_columns(names, rec, rec["state"])
+    return CompactChain.from_columns(rec, rec["state"])
 
 
 def _read_chain_binary(raw: bytes) -> CompactChain:
@@ -408,7 +415,7 @@ def _read_chain_binary(raw: bytes) -> CompactChain:
             )
     decoded = rec if failure is None else rec[: failure[0]]
     _check_rows(decoded["weight"].astype(np.int64), failure)
-    return CompactChain.from_columns(names, rec, rec["state"])
+    return CompactChain.from_columns(rec, rec["state"])
 
 
 def read_chain(
@@ -484,8 +491,6 @@ class ProgressWriter(_OutputFile):
 
 
 def _windowed_means(values: np.ndarray, n_windows: int = 10) -> List[float]:
-    if values.size == 0:
-        return []
     n_windows = min(n_windows, values.size)
     splits = np.array_split(values, n_windows)
     return [float(np.mean(s)) for s in splits]

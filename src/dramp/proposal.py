@@ -9,6 +9,9 @@ Successive shapes are compared through an upper bound on the total variation
 distance between the two equal-mean Gaussians, derived from the Bhattacharyya
 coefficient: d_TV <= sqrt(1 - BC^2). The bound lives in [0, 1], is 0 exactly
 for identical proposals, and tends to 1 as the shapes diverge.
+
+A proposal is its shape and scales only; how many adaptations a chain has
+made is a function of its length (kernel.adaptation_count).
 """
 
 from __future__ import annotations
@@ -78,7 +81,6 @@ class ProposalState:
     chol_factor: np.ndarray
     scale_factor: float
     dr_scales: Tuple[float, ...]
-    adaptation_count: int = 0
     stage_scales: Tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
@@ -128,7 +130,6 @@ class ProposalState:
             chol_factor=_factor(cov),
             scale_factor=float(scale_factor),
             dr_scales=dr_scales,
-            adaptation_count=0,
         )
 
     def stage_scale(self, stage: int) -> float:
@@ -227,12 +228,7 @@ def adapt(
         )
     ridge = 1e-10 * float(np.trace(cov)) / d
     shape = cov + ridge * np.eye(d)
-    new_state = replace(
-        state,
-        covariance=shape,
-        chol_factor=_factor(shape),
-        adaptation_count=state.adaptation_count + 1,
-    )
+    new_state = replace(state, covariance=shape, chol_factor=_factor(shape))
     measure = adaptation_measure(state, new_state) if measured else float("nan")
     return new_state, AdaptationRecord(measure=measure, at_chain_length=chain_length)
 

@@ -4,8 +4,10 @@ A chain mean's variance is inflated by the integrated autocorrelation (IAC);
 refinement thins the chain until no measurable autocorrelation remains, in
 two phases. Phase 1 walks the compact (unique-state) sequence, phase 2 the
 weight-expanded verbose sequence; each phase repeatedly drops all but every
-ceil(IAC)-th entry until the estimate falls under a noise threshold. The
-surviving points form the refined sample written to the sample file.
+ceil(IAC)-th entry until the estimate falls under a noise threshold. The IAC
+is the largest of estimate_iac over the dimensions, since the sample must be
+decorrelated along each. The surviving points form the refined sample
+written to the sample file.
 
 Also here: the two-sample Kolmogorov-Smirnov test used to cross-compare
 refined samples from independent chains.
@@ -24,11 +26,9 @@ from .errors import EmptySample, SeriesTooShort
 
 __all__ = [
     "STOP_TOLERANCE",
-    "IacEstimate",
     "RefinementRound",
     "RefinedSample",
     "estimate_iac",
-    "estimate_iac_multi",
     "refine_two_phase",
     "ks_two_sample",
     "ConvergenceCheck",
@@ -104,28 +104,6 @@ def estimate_iac(
         m = m_new
         est = _batch_iac(x, m, series_var)
     return max(1.0, est)
-
-
-@dataclass(frozen=True)
-class IacEstimate:
-    """Per-dimension IACs plus their maximum, which drives refinement."""
-
-    per_dimension: Tuple[float, ...]
-    aggregate: float
-    method: str = "BatchMeans"
-
-
-def estimate_iac_multi(
-    points: np.ndarray, weights: Optional[Sequence[int]] = None
-) -> IacEstimate:
-    """Column-wise estimate_iac over a (n, d) array; aggregate is the max.
-
-    The refined sample must be decorrelated along every dimension, so the
-    worst dimension sets the thinning stride.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    per = tuple(estimate_iac(pts[:, j], weights) for j in range(pts.shape[1]))
-    return IacEstimate(per_dimension=per, aggregate=max(per))
 
 
 def _max_lag1(points: np.ndarray) -> float:
@@ -221,8 +199,8 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
 
     # phase 1: unique states, unweighted; weights survive the thinning
     while kept_states.shape[0] >= _MIN_POINTS:
-        est = estimate_iac_multi(kept_states)
-        stride = _thinning_stride(kept_states, est.aggregate)
+        iac = max(estimate_iac(column) for column in kept_states.T)
+        stride = _thinning_stride(kept_states, iac)
         if stride is None:
             break
         kept_states = kept_states[::stride]
@@ -231,7 +209,7 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
         rounds.append(
             RefinementRound(
                 phase=1,
-                iac_aggregate=est.aggregate,
+                iac_aggregate=iac,
                 kept_count=int(kept_weights.sum()),
             )
         )
@@ -244,8 +222,8 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
         points = points[:1]
         log_funcs = log_funcs[:1]
     while points.shape[0] >= _MIN_POINTS:
-        est = estimate_iac_multi(points)
-        stride = _thinning_stride(points, est.aggregate)
+        iac = max(estimate_iac(column) for column in points.T)
+        stride = _thinning_stride(points, iac)
         if stride is None:
             break
         points = points[::stride]
@@ -253,7 +231,7 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
         rounds.append(
             RefinementRound(
                 phase=2,
-                iac_aggregate=est.aggregate,
+                iac_aggregate=iac,
                 kept_count=int(points.shape[0]),
             )
         )

@@ -280,7 +280,8 @@ def test_criterion_06_compression_accounting(tmp_path):
 
     # verbose twin: what a storage scheme without weights would have written
     verbose_suite = OutputSuite(prefix=str(tmp_path / "verbose"))
-    with ChainWriter(verbose_suite, chain.variable_names) as writer:
+    names = ["Var%d" % (j + 1) for j in range(chain.dimension)]
+    with ChainWriter(verbose_suite, names) as writer:
         for i in range(chain.n_rows):
             fields = chain.fields(i)
             unit = fields[:5] + (1,) + fields[6:]  # the weight column

@@ -219,9 +219,9 @@ def random_rows(seed, n, d):
     ]
 
 
-def appended(rows, d, names=None):
+def appended(rows, d):
     """The append_row oracle."""
-    ch = CompactChain(d, variable_names=names)
+    ch = CompactChain(d)
     for row in rows:
         ch.append_row(row)
     return ch
@@ -233,7 +233,7 @@ def rows_of(chain):
 
 
 def assert_same_chain(a, b):
-    assert a.variable_names == b.variable_names
+    assert a.dimension == b.dimension
     assert (a.n_rows, a.verbose_length) == (b.n_rows, b.verbose_length)
     for name in ROW_COLUMNS + ("verbose_starts",):
         x, y = getattr(a, name), getattr(b, name)
@@ -245,15 +245,14 @@ class TestColumnsAndSlices:
     @pytest.mark.parametrize("n", [0, 1, 7, 1500])
     def test_from_columns_matches_append_row(self, n):
         rows = random_rows(n, n, 3)
-        want = appended(rows, 3, names=("a", "b", "c"))
-        got = CompactChain.from_columns(("a", "b", "c"), *rows_of(want))
+        want = appended(rows, 3)
+        got = CompactChain.from_columns(*rows_of(want))
         assert_same_chain(got, want)
 
     def test_from_columns_then_append_matches_append_row(self):
         # the appends fill the spare rows, then grow the arrays at 1024
         rows = random_rows(2, 1100, 2)
-        got = CompactChain.from_columns(
-            ("Var1", "Var2"), *rows_of(appended(rows[:1000], 2)))
+        got = CompactChain.from_columns(*rows_of(appended(rows[:1000], 2)))
         for row in rows[1000:]:
             got.append_row(row)
         got.verbose_length += 4
@@ -266,7 +265,7 @@ class TestColumnsAndSlices:
         columns, states = rows_of(source)
         columns = {name: values.copy() for name, values in columns.items()}
         states = states.copy()
-        got = CompactChain.from_columns(source.variable_names, columns, states)
+        got = CompactChain.from_columns(columns, states)
         for values in columns.values():
             values[...] = 1
         states[...] = 1
@@ -276,13 +275,13 @@ class TestColumnsAndSlices:
         source = appended(random_rows(4, 5, 2), 2)
         columns, states = rows_of(source)
         with pytest.raises(DimensionMismatch):
-            CompactChain.from_columns(("x",), columns, states)
+            CompactChain.from_columns(columns, states[:, 0])
         short = dict(columns, process_id=columns["process_id"][:4])
         with pytest.raises(DimensionMismatch):
-            CompactChain.from_columns(source.variable_names, short, states)
+            CompactChain.from_columns(short, states)
         zero = dict(columns, weight=np.array([1, 2, 0, 1, 1]))
         with pytest.raises(ValueError):
-            CompactChain.from_columns(source.variable_names, zero, states)
+            CompactChain.from_columns(zero, states)
 
     @pytest.mark.parametrize("start,count", [
         (0, 0), (0, 40), (13, 20), (39, 1), (40, 0),
@@ -335,8 +334,7 @@ class TestColumnsAndSlices:
         # completed chain, keeps room for one row only.
         rows = random_rows(11, n + 1, 2)
         oracle = appended(rows, 2)
-        rebuilt = CompactChain.from_columns(("Var1", "Var2"),
-                                            *rows_of(appended(rows[:n], 2)))
+        rebuilt = CompactChain.from_columns(*rows_of(appended(rows[:n], 2)))
         assert rebuilt._weight.size == oracle._weight.size
         assert oracle.slice(1, n)._weight.size == n + 1
 

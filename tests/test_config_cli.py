@@ -53,6 +53,7 @@ from dramp.persist import (
     CHAIN_MAGIC,
     ECHO_BEGIN,
     ECHO_END,
+    FORMAT_COMMENT,
     ChainWriter,
     OutputSuite,
     read_chain,
@@ -459,6 +460,28 @@ class TestCliRun:
         argv = run_flags(prefix) + ["--force-overwrite"]
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out.startswith("completed run")
+
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "serial"},
+        {"mode": "multichain", "chains": "2"},
+        {"mode": "forkjoin", "workers": "4", "format": "binary"},
+    ], ids=["serial", "multichain", "forkjoin-binary"])
+    def test_no_chain_long_enough_to_refine(self, tmp_path, capsys, overrides):
+        # refinement refuses every 3-row chain; the run still ends cleanly,
+        # its sample holding the header only
+        prefix = tmp_path / "short"
+        assert main(run_flags(prefix, chain_len="3", seed="1", **overrides)) == EXIT_OK
+        assert "refined sample size: 0" in capsys.readouterr().out
+        suite = OutputSuite(prefix=str(prefix))
+        assert open(suite.sample_path, "rb").read() == (
+            FORMAT_COMMENT + "\nSampleLogFunc,Var1,Var2\n").encode()
+        report = open(suite.report_path, "rb").read().decode()
+        assert "\nREFINEMENT\n\n  not performed\n" in report
+        values = {"target": "mvn", "dim": "2", "chain-len": "3", "seed": "1",
+                  "out": str(tmp_path / "lib"), **overrides}
+        result = run_simulation(build_spec(values))
+        assert result.refined.points.shape == (0, 2)
+        assert all(r is None for r in result.per_chain_refined)
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         assert main(run_flags(tmp_path / "x", dim="0")) == EXIT_CONFIG
@@ -1408,8 +1431,8 @@ class TestResume:
             for field in ("covariance", "chol_factor"):
                 assert np.array_equal(getattr(rebuilt.proposal, field),
                                       getattr(kern.proposal, field))
-            count = kern.proposal.adaptation_count
-            assert rebuilt.proposal.adaptation_count == count
+            count = dramp.kernel.adaptation_count(
+                kern.chain.n_rows, kern.chain.dimension, kern._period)
             assert rebuilt._pending_measure == kern._pending_measure
             checked.append((index, kern.chain.n_rows, kern._period, count))
 

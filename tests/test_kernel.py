@@ -686,7 +686,6 @@ class TestKernelRuns:
         assert len(adapts) == 6
         assert [a.at_chain_length for a in adapts] == [50, 100, 150, 200, 250, 300]
         assert s.adaptation_count == 6
-        assert kern.proposal.adaptation_count == 6
         assert all(0.0 <= a.measure < 1.0 for a in adapts)
 
     def test_weight_accounting_matches_attempts(self):
@@ -799,7 +798,7 @@ class TestStateTransport:
         ka = Kernel(target, cfg, ProposalState.create(2))
         snap = None
         snap_rows = None
-        while not ka.done:
+        while ka.chain.n_rows < cfg.chain_length_target:
             events = ka.step()
             if snap is None and any(e[0] == "row_final" for e in events):
                 if ka.chain.n_rows - 1 >= snap_at:
@@ -809,7 +808,7 @@ class TestStateTransport:
         pre = ka.chain.slice(0, snap_rows)
         kb = Kernel(target, cfg, ProposalState.create(2), chain=pre)
         kb.load_state(snap)
-        while not kb.done:
+        while kb.chain.n_rows < cfg.chain_length_target:
             kb.step()
         sa, sb = ka.summary(), kb.summary()
         assert np.array_equal(sa.chain.states, sb.chain.states)
@@ -832,8 +831,7 @@ class TestStateTransport:
         target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
         cfg = KernelConfig(300, (0.0, 0.0), rng_seed=99, adaptation_period=60)
         kern = Kernel(target, cfg, ProposalState.create(2))
-        kern.run()
-        assert kern.proposal.adaptation_count == 5
+        assert kern.run().adaptation_count == 5
         state = kern.state_dict()
         # the adaptation count and the stream's identity are derived too:
         # the stream block is numpy's own PCG64 state dict

@@ -8,7 +8,7 @@ from scipy import stats
 
 from dramp.errors import BadDimension, DimensionMismatch, NotPositiveDefinite
 from dramp.model import (
-    BUILTIN_KINDS,
+    FAMILIES,
     BuiltinTargetSpec,
     TargetDensity,
     banana_target,
@@ -125,7 +125,7 @@ class TestBanana:
 
 class TestBuiltinSpec:
     def test_kinds_are_constructible(self):
-        for kind in BUILTIN_KINDS:
+        for kind in FAMILIES:
             d = 2
             t = make_builtin_target(BuiltinTargetSpec(kind=kind, dimension=d))
             assert t.dimension == d

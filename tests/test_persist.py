@@ -172,7 +172,6 @@ class TestAsciiChainFile:
         write_chain(suite, chain, ("a", "b", "c"))
         back = read_chain(suite.chain_path, delimiter=";")
         assert_chains_bitwise(chain, back)
-        assert back.variable_names == ("a", "b", "c")
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -245,7 +244,6 @@ class TestBinaryChainFile:
         write_chain(suite, chain, ("x1", "x2"))
         back = read_chain(suite.chain_path)
         assert_chains_bitwise(chain, back)
-        assert back.variable_names == ("x1", "x2")
 
     def test_codecs_decode_identically(self, tmp_path):
         chain = random_chain(5, n=40, d=3)
@@ -500,7 +498,6 @@ def drawn_chains(draw):
     }
     states = [[draw(reals) for _ in range(d)] for _ in range(n)]
     return CompactChain.from_columns(
-        ["x%d" % j for j in range(d)],
         {name: np.array(v, dtype=ROW_DTYPE[name]) for name, v in records.items()},
         np.array(states, dtype=float))
 
@@ -517,11 +514,11 @@ class TestAsciiRoundTrip:
                                             delimiter, data):
         suite = OutputSuite(str(tmp_path_factory.mktemp("rt") / "run"),
                             delimiter=delimiter)
-        with ChainWriter(suite, chain.variable_names) as w:
+        names = ["x%d" % j for j in range(chain.dimension)]
+        with ChainWriter(suite, names) as w:
             w.write_rows(chain, 0, chain.n_rows)
         back = read_chain(suite.chain_path, delimiter)
         assert_chains_bitwise(chain, back)
-        assert back.variable_names == chain.variable_names
         assert back.verbose_length == chain.verbose_length
 
         raw = open(suite.chain_path, "rb").read()
@@ -580,7 +577,7 @@ class TestAsciiEdgeLines:
         (b"\r", "1 fields, expected 9"),  # a CR line, refused before
         # Python's int() and float() took these; the C reader refuses them,
         # named by their column and quoted as the file's UTF-8 text
-        (b"1,1\r,0.25,0.125,0,1,-2.5,1.5,2", "Found an unquoted embedded newline"),
+        (b"1,1\r,0.25,0.125,0,1,-2.5,1.5,2", "DelayedRejectionStage: cannot parse '1\\r'"),
         (b"1,1,0.25,0.125,0,1_0,-2.5,1.5,2", "SampleWeight: cannot parse '1_0'"),
         (b"1,1,0.25,0.125,0,1,-2.5,1_5,2", "a: cannot parse '1_5'"),
         ("1,1,0.25,0.125,0,١,-2.5,1.5,2".encode(), "SampleWeight: cannot parse '١'"),
@@ -599,24 +596,64 @@ class TestAsciiEdgeLines:
         # neither numpy's one-line position nor its latin-1 text
         assert "at row" not in message and "\u00c3" not in message
 
-    @pytest.mark.parametrize("extra", [b"", b"# a comment"], ids=["empty", "comment"])
-    def test_skipped_lines_need_no_line_by_line_search(self, tmp_path, monkeypatch, extra):
-        # one line the C reader skips or refuses, in a chain without damage,
-        # is dropped by one decode of the kept rows
+    @pytest.mark.parametrize("extra,decodes", [(b"", 1), (b"# a comment", 2)],
+                             ids=["empty", "comment"])
+    def test_skipped_lines_need_no_line_by_line_search(self, tmp_path, monkeypatch,
+                                                       extra, decodes):
+        # in a chain without damage, an empty line, which the C reader
+        # skips, costs no second decode; a comment line, which it refuses,
+        # is dropped by one decode of the kept rows. A clean file takes one.
         chain = random_chain(5, n=200)
         suite = OutputSuite(str(tmp_path / "run"))
         write_chain(suite, chain, ("a", "b", "c"))
-        clean = read_chain(suite.chain_path)
-        lines = open(suite.chain_path, "rb").read().split(b"\n")
-        lines.insert(100, extra)
-        with open(suite.chain_path, "wb") as fh:
-            fh.write(b"\n".join(lines))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return decode_lines(*args)
 
         def unreachable(*args):
             raise AssertionError("line-by-line search of a chain without damage")
 
+        decode_lines = persist._decode_lines
+        monkeypatch.setattr(persist, "_decode_lines", counted)
         monkeypatch.setattr(persist, "_first_damaged", unreachable)
+        clean = read_chain(suite.chain_path)
+        assert len(calls) == 1
+        lines = open(suite.chain_path, "rb").read().split(b"\n")
+        lines.insert(100, extra)
+        with open(suite.chain_path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        del calls[:]
         assert_chains_bitwise(read_chain(suite.chain_path), clean)
+        assert len(calls) == decodes
+
+
+class TestRefusedHeaders:
+    @pytest.mark.parametrize("name,raw,error,message", [
+        ("run_chain.bin", CHAIN_MAGIC + b"\x01\x00", IoFailure,
+         "binary chain file truncated before header"),
+        ("run_chain.bin", CHAIN_MAGIC + struct.pack("<III", 1, 1, 10) + b"Var",
+         IoFailure, "binary chain file truncated in name block"),
+        ("run_chain.bin", CHAIN_MAGIC + struct.pack("<III", 1, 3, 3) + b"a\x00b",
+         IoFailure, "name block holds 2 names for dimension 3"),
+        ("run_chain.txt", (FORMAT_COMMENT + "\n").encode() + b"\xff\xfe,x\n",
+         IoFailure, "chain file is not text"),
+        ("run_chain.txt", (FORMAT_COMMENT + "\n" + ",".join(FIXED_COLUMNS)
+                           + "\n").encode(),
+         IoFailure, "chain header declares no variables"),
+        ("run_restart.bin", RESTART_MAGIC + struct.pack("<II", 2, 0), CorruptRestart,
+         "unsupported snapshot version 2"),
+    ], ids=["binary-before-header", "binary-in-name-block", "binary-name-count",
+            "ascii-not-text", "ascii-no-variables", "snapshot-version"])
+    def test_refused_header_is_named(self, tmp_path, name, raw, error, message):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        read = read_snapshot if name.endswith("restart.bin") else read_chain
+        with pytest.raises(error) as info:
+            read(str(path))
+        assert type(info.value) is error
+        assert str(info.value).startswith(message)
 
 
 class TestSampleFile:

@@ -53,7 +53,6 @@ class TestProposalState:
         assert np.array_equal(p.covariance, np.eye(3))
         assert p.scale_factor == pytest.approx(2.38 / math.sqrt(3))
         assert p.dr_scales == (0.5,)
-        assert p.adaptation_count == 0
 
     def test_stage_scale_sequence(self):
         p = ProposalState.create(2, scale_factor=1.0, dr_scales=(0.5, 0.25))
@@ -141,21 +140,19 @@ class TestAdapt:
         assert new is p
         assert rec == AdaptationRecord(measure=0.0, at_chain_length=3)
 
-    def test_updates_shape_and_counts(self):
+    def test_updates_shape(self):
         p = ProposalState.create(2, scale_factor=1.0)
         cov = np.array([[2.0, 0.3], [0.3, 1.0]])
         new, rec = adapt(p, cov, chain_length=100)
         ridge = 1e-10 * np.trace(cov) / 2.0
         assert np.allclose(new.covariance, cov + ridge * np.eye(2))
-        assert new.adaptation_count == 1
         assert new.scale_factor == p.scale_factor
         assert 0.0 < rec.measure < 1.0
         assert rec.at_chain_length == 100
-        # unmeasured, the same shape and count, and no measure
+        # unmeasured, the same shape, and no measure
         bare, bare_rec = adapt(p, cov, chain_length=100, measured=False)
         assert np.array_equal(bare.covariance, new.covariance)
         assert np.array_equal(bare.chol_factor, new.chol_factor)
-        assert bare.adaptation_count == 1
         assert math.isnan(bare_rec.measure)
 
     def test_identical_covariance_measures_zero(self):

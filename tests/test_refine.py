@@ -18,11 +18,9 @@ from dramp.errors import EmptySample, SeriesTooShort
 from dramp.refine import (
     STOP_TOLERANCE,
     ConvergenceCheck,
-    IacEstimate,
     RefinedSample,
     cross_chain_check,
     estimate_iac,
-    estimate_iac_multi,
     ks_two_sample,
     refine_two_phase,
 )
@@ -128,15 +126,14 @@ class TestEstimateIac:
         assert b == pytest.approx(a, rel=1e-9)
 
     def test_multi_takes_the_max_over_dimensions(self):
+        # the correlated column, not the first one, sets the first stride
         r = np.random.default_rng(8)
         iid = r.standard_normal(5000)
         ar = signal.lfilter([1.0], [1.0, -0.6], r.standard_normal(5000))
-        est = estimate_iac_multi(np.column_stack([iid, ar]))
-        assert isinstance(est, IacEstimate)
-        assert est.method == "BatchMeans"
-        assert est.per_dimension == (estimate_iac(iid), estimate_iac(ar))
-        assert est.aggregate == max(est.per_dimension)
-        assert all(v >= 1.0 for v in est.per_dimension)
+        per_dimension = (estimate_iac(iid), estimate_iac(ar))
+        assert 1.0 <= per_dimension[0] < per_dimension[1]
+        refined = refine_two_phase(as_chain(np.column_stack([iid, ar]), np.zeros(5000)))
+        assert refined.rounds[0].iac_aggregate == max(per_dimension)
 
 
 class TestRefineTwoPhase:
