@@ -10,17 +10,18 @@ same files; a SamplerError from any chain's kernel ends the run with every
 finalized row on disk, and refine_chains refines what finished.
 
 The driver snapshots each kernel when it builds it and at every flush
-boundary (each adaptation and every 1000 finalized rows). A snapshot
-(format version 4) holds the file offsets and what the rows cannot give
-back: the kernel's stream cursor (numpy's PCG64 state, in every mode),
-pending adaptation measure and live row. A run killed at any instant,
-between two multichain chains too, resumes from the last snapshot, as
-detect_incomplete read it, through one preamble: the rows it counts are
-read, checked and split into multichain chains by process id (chain i
-stamps i + 1; the live row names the chain in progress), the files are cut
-back to its offsets, and the kernel restores its fields and derives the
-rest (moments, burn-in, stage tallies, the proposal and its adaptation
-count) by the rules a run applies. The completed outputs of a resumed run
+boundary (each adaptation and every 1000 finalized rows); each snapshot is
+one record appended to the restart log. A snapshot (format version 4) holds
+the file offsets and what the rows cannot give back: the kernel's stream
+cursor (numpy's PCG64 state, in every mode), pending adaptation measure and
+live row. A run killed at any instant, between two multichain chains too,
+resumes from the last snapshot, as detect_incomplete read it, through one
+preamble: the rows it counts are read, checked and split into multichain
+chains by process id (chain i stamps i + 1; the live row names the chain in
+progress), the files are cut back to its offsets and the log to its record,
+and the kernel restores its fields and derives the rest (moments, burn-in,
+stage tallies, the proposal and its adaptation count) by the rules a run
+applies. The completed outputs of a resumed run, the restart log included,
 are byte-identical to an uninterrupted one.
 """
 
@@ -135,7 +136,8 @@ class _SuiteFiles:
 
     def snapshot(self, header: dict, kernel_state: dict) -> None:
         # the payload's offsets count the pending rows and the buffered
-        # bytes; a kill after the snapshot lands must find them on disk
+        # bytes; a kill after the snapshot's record is appended to the
+        # restart log must find them on disk
         self.flush()
         write_snapshot(self.suite.restart_path, _payload(header, self, kernel_state))
 
@@ -264,13 +266,15 @@ def _truncate_for_resume(
 ) -> Tuple[CompactChain, List[int]]:
     """Read the chain rows the snapshot counts, split multichain rows into
     chains (_split_chains; one chain otherwise), then cut the chain and
-    progress files back to the snapshot's offsets. A file shorter than its
-    offset (truncating would pad it with NULs), a damaged row, a wrong row
-    count or process ids that do not split refuse the resume before any
-    file is modified."""
+    progress files back to the snapshot's offsets and the restart log back
+    to the end of the snapshot's record, dropping a torn tail. A file
+    shorter than its offset (truncating would pad it with NULs), a damaged
+    row, a wrong row count or process ids that do not split refuse the
+    resume before any file is modified."""
     cuts = (
         (spec.output.chain_path, int(snap["chain_offset"])),
         (spec.output.progress_path, int(snap["progress_offset"])),
+        (spec.output.restart_path, snap.end),
     )
     try:
         for path, offset in cuts:

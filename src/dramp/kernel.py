@@ -250,7 +250,10 @@ def propose_cascade(
     scales = proposal.stage_scales
     for stage in range(dr_stage_count + 1):
         z = stream.standard_normal(proposal.dimension)
-        candidate = incumbent + scales[stage] * chol.dot(z)
+        # in place, the bits of incumbent + scales[stage] * chol.dot(z)
+        candidate = chol.dot(z)
+        candidate *= scales[stage]
+        candidate += incumbent
         log_candidate = float(target.evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = NEG_INF  # NaN: outside the support

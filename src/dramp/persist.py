@@ -8,13 +8,15 @@ mode with LF line endings so that byte-identical reruns stay byte-identical
 across platforms. The delimiter is one character that no number holds and
 the report's echo keeps: not whitespace, a letter, a digit, '+', '-' or '.'.
 
-The restart file is a checksummed binary envelope around a plain JSON
-payload (a float as its shortest repr, which reads back to the same double),
-written atomically; a crash can only ever leave the previous snapshot in
-place, never a corrupt one. The payload (format version 4) holds file
-offsets and O(d) kernel values, never what the rows determine (the
-proposal, the adaptation count, each row's chain); detect_incomplete hands
-its caller the payload it checked.
+The restart file is a log of snapshots, each a checksummed binary record
+around a plain JSON payload (a float as its shortest repr, which reads back
+to the same double). A snapshot is appended, and replaces the log whole
+once it holds SNAPSHOT_LOG_LIMIT bytes; a crash can leave the earlier
+records and a torn last one, which a resume cuts, never a changed complete
+record. The last complete record is the snapshot. Its payload (format
+version 4) holds file offsets and O(d) kernel values, never what the rows
+determine (the proposal, the adaptation count, each row's chain);
+detect_incomplete hands its caller the payload it checked.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ __all__ = [
     "write_report",
     "write_snapshot",
     "read_snapshot",
+    "Snapshot",
     "detect_incomplete",
     "chain_prefix",
     "CHAIN_MAGIC",
     "RESTART_MAGIC",
+    "SNAPSHOT_LOG_LIMIT",
     "REPORT_TERMINATOR",
     "ECHO_BEGIN",
     "ECHO_END",
@@ -61,6 +65,11 @@ FORMAT_COMMENT = "# format: v1"
 REPORT_TERMINATOR = "# end of report: run complete"
 ECHO_BEGIN = "# --- begin specification echo ---"
 ECHO_END = "# --- end specification echo ---"
+# A restart log record's header: the magic, its version and its body length
+_RECORD_HEAD = struct.Struct("<8sII")
+_HEAD = _RECORD_HEAD.size
+# The restart log's size from which the next snapshot replaces it whole
+SNAPSHOT_LOG_LIMIT = 16 * 1024
 
 FIXED_COLUMNS = tuple(header for _, header, _ in COLUMNS)
 
@@ -635,18 +644,21 @@ def write_report(
 
 
 def write_snapshot(path: str, payload: dict) -> None:
-    """Atomically persist a restart snapshot (write-new then rename) as
+    """Append a restart snapshot to the log at ``path`` as one record of
     plain JSON; a value JSON cannot hold, such as an ndarray, raises
-    TypeError."""
+    TypeError. A log that already holds SNAPSHOT_LOG_LIMIT bytes is replaced
+    by the record instead (write-new then rename), so the log's bytes follow
+    from the sequence of snapshots alone. An append needs no rename: a crash
+    leaves the earlier records in place and at worst a torn last record."""
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    blob = (
-        RESTART_MAGIC
-        + struct.pack("<II", 1, len(body))
-        + body
-        + hashlib.sha256(body).digest()
-    )
-    tmp = path + ".tmp"
+    blob = (_RECORD_HEAD.pack(RESTART_MAGIC, 1, len(body)) + body
+            + hashlib.sha256(body).digest())
     try:
+        with open(path, "ab") as fh:
+            if fh.tell() < SNAPSHOT_LOG_LIMIT:
+                fh.write(blob)
+                return
+        tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(blob)
         os.replace(tmp, path)
@@ -654,25 +666,71 @@ def write_snapshot(path: str, payload: dict) -> None:
         raise IoFailure("cannot write restart snapshot: %s" % exc) from exc
 
 
-def read_snapshot(path: str) -> dict:
+class Snapshot(dict):
+    """A restart payload, and ``end``: the offset in its log where its record
+    ends, at which a resume cuts a torn tail."""
+
+    end = 0
+
+
+def _last_record(raw: bytes, size: int) -> Tuple[int, int]:
+    """(start, end) of the last complete record of a restart log of ``size``
+    bytes, of which ``raw`` holds the first, at least up to that record's
+    header; (0, 0) when no record is complete. The walk reads only headers
+    and stops at a torn tail, a record that the log ends inside. A header
+    that is not the snapshot magic and version raises CorruptRestart."""
+    start = end = 0
+    while end + _HEAD <= len(raw):
+        magic, version, body_len = _RECORD_HEAD.unpack_from(raw, end)
+        if magic != RESTART_MAGIC:
+            break
+        if version != 1:
+            raise CorruptRestart("unsupported snapshot version %d" % version)
+        if end + _HEAD + body_len + 32 > size:
+            return start, end
+        start, end = end, end + _HEAD + body_len + 32
+    if not RESTART_MAGIC.startswith(raw[end: end + len(RESTART_MAGIC)]):
+        raise CorruptRestart("restart record at byte %d lacks the snapshot magic"
+                             % end)
+    return start, end
+
+
+def read_snapshot(path: str) -> Snapshot:
+    """The last complete record of the restart log at ``path``. Only that
+    record is hashed and decoded; the others' headers are walked. A torn
+    tail after it is ignored, and a log that holds no complete record
+    raises CorruptRestart."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise CorruptRestart("cannot read restart snapshot: %s" % exc) from exc
-    head = len(RESTART_MAGIC) + struct.calcsize("<II")
-    if len(raw) < head or not raw.startswith(RESTART_MAGIC):
-        raise CorruptRestart("restart file lacks the snapshot magic")
-    version, body_len = struct.unpack_from("<II", raw, len(RESTART_MAGIC))
-    if version != 1:
-        raise CorruptRestart("unsupported snapshot version %d" % version)
-    if len(raw) != head + body_len + 32:
-        raise CorruptRestart("snapshot length mismatch")
-    body = raw[head: head + body_len]
-    digest = raw[head + body_len:]
-    if hashlib.sha256(body).digest() != digest:
+    start, end = _last_record(raw, len(raw))
+    if not end:
+        raise CorruptRestart("restart file holds no complete snapshot")
+    body = raw[start + _HEAD: end - 32]
+    if hashlib.sha256(body).digest() != raw[end - 32: end]:
         raise CorruptRestart("snapshot checksum mismatch")
-    return json.loads(body.decode("utf-8"))
+    snap = Snapshot(json.loads(body.decode("utf-8")))
+    snap.end = end
+    return snap
+
+
+def _holds_snapshot(path: str) -> bool:
+    """Whether a restart log exists and is more than a torn first record,
+    which is all a run stopped in its first snapshot leaves."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_HEAD)
+            size = os.fstat(fh.fileno()).st_size
+    except FileNotFoundError:
+        return False
+    except OSError as exc:
+        raise CorruptRestart("cannot read restart snapshot: %s" % exc) from exc
+    try:
+        return _last_record(head, size)[1] > 0
+    except CorruptRestart:
+        return True  # damage, which read_snapshot names
 
 
 def _chain_holds_rows(path: str) -> bool:
@@ -697,9 +755,10 @@ def detect_incomplete(prefix: str) -> Tuple[RunState, Optional[dict]]:
     """Classify what a previous run left behind under this prefix.
 
     Complete: report present and properly terminated. Restartable: chain plus
-    a checksum-valid restart snapshot without a terminated report. Fresh: no
-    suite files, or only what a run stopped before its first snapshot leaves
-    (chain files holding no row and a progress file). Anything else is
+    a restart log whose last complete record is checksum-valid, without a
+    terminated report. Fresh: no suite files, or only what a run stopped
+    before its first snapshot landed leaves (chain files holding no row, a
+    progress file and a log holding one torn record). Anything else is
     reported as corrupt rather than silently treated as fresh. Returns the
     state and, if restartable, the decoded snapshot, else None.
     """
@@ -716,11 +775,14 @@ def detect_incomplete(prefix: str) -> Tuple[RunState, Optional[dict]]:
             return RunState.COMPLETE, None
     chains = [p for p in suite.chain_paths if os.path.exists(p)]
     if chains and os.path.exists(restart):
-        # raises CorruptRestart on damage
-        return RunState.RESTARTABLE, read_snapshot(restart)
+        try:
+            return RunState.RESTARTABLE, read_snapshot(restart)
+        except CorruptRestart:
+            if _holds_snapshot(restart):
+                raise  # damage, not one torn record
     started = any(
-        os.path.exists(p) for p in (report, restart, suite.sample_path)
-    ) or any(_chain_holds_rows(p) for p in chains)
+        os.path.exists(p) for p in (report, suite.sample_path)
+    ) or _holds_snapshot(restart) or any(_chain_holds_rows(p) for p in chains)
     if started:
         raise CorruptRestart(
             "output files under prefix %r are neither complete nor resumable"

@@ -54,8 +54,12 @@ from dramp.persist import (
     ECHO_BEGIN,
     ECHO_END,
     FORMAT_COMMENT,
+    RESTART_MAGIC,
+    SNAPSHOT_LOG_LIMIT,
     ChainWriter,
     OutputSuite,
+    RunState,
+    detect_incomplete,
     read_chain,
     read_snapshot,
     write_snapshot,
@@ -1727,6 +1731,196 @@ class TestResume:
         assert err.startswith("runtime error:") and err.count("\n") == 1
         assert "DR stage outside [0, 1]" in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+LOG_MODES = [
+    {"mode": "serial"},
+    {"mode": "multichain", "chains": "2"},
+    {"mode": "forkjoin", "workers": "4"},
+]
+LOG_MODE_IDS = ["serial", "multichain", "forkjoin"]
+
+
+def log_records(path):
+    """(start, end) of each complete record of the restart log at ``path``,
+    walked by the headers: the magic, the version and the body length."""
+    raw = pathlib.Path(path).read_bytes()
+    head = len(RESTART_MAGIC) + 8
+    bounds, start = [], 0
+    while start + head <= len(raw):
+        assert raw.startswith(RESTART_MAGIC, start)
+        end = start + head + struct.unpack_from("<II", raw, start + 8)[1] + 32
+        if end > len(raw):
+            break
+        bounds.append((start, end))
+        start = end
+    return bounds
+
+
+def snapshot_files(tmp_path):
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+class TestRestartLog:
+    """The restart file as a log of snapshot records: a kill mid-append
+    leaves a torn last record, which a resume cuts; damage to the last
+    complete record refuses the resume; a log past SNAPSHOT_LOG_LIMIT is
+    replaced whole by the next snapshot; a fresh start writes a new log."""
+
+    spec_here = TestResume.spec_here
+
+    def clean_run(self, tmp_path, monkeypatch, **overrides):
+        """Run uninterrupted in tmp_path/clean, then change to an empty
+        tmp_path/broken; return the clean directory."""
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        monkeypatch.chdir(clean)
+        assert run_simulation(self.spec_here(**overrides)).restarted is False
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        monkeypatch.chdir(broken)
+        return clean
+
+    @pytest.mark.parametrize("overrides", LOG_MODES, ids=LOG_MODE_IDS)
+    def test_torn_last_record_is_cut_and_resumes_to_identical_bytes(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        clean = self.clean_run(tmp_path, monkeypatch, **overrides)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, 350)
+        path = spec.output.restart_path
+        records = log_records(path)
+        assert len(records) >= 2 and records[-1][1] == os.path.getsize(path)
+        earlier = read_snapshot(path)
+        start, end = records[-1]
+        os.truncate(path, (start + end) // 2)
+        # the resume starts from the record before the torn one
+        snap = read_snapshot(path)
+        assert snap.end == start and snap["rows_written"] < earlier["rows_written"]
+        assert run_simulation(spec).restarted is True
+        assert_suites_identical(clean, tmp_path / "broken")
+
+    @pytest.mark.parametrize("overrides", LOG_MODES, ids=LOG_MODE_IDS)
+    def test_torn_first_record_beside_row_free_chain_starts_afresh(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        # a run stopped while appending its first snapshot leaves a chain
+        # header, a progress header and a torn record; the rerun starts a
+        # new log rather than appending to that one
+        clean = self.clean_run(tmp_path, monkeypatch, **overrides)
+        spec = self.spec_here(**overrides)
+        write = dramp.driver.write_snapshot
+
+        def torn(path, payload):
+            write(path, payload)
+            os.truncate(path, os.path.getsize(path) // 2)
+            raise Interrupt()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dramp.driver, "write_snapshot", torn)
+            with pytest.raises(Interrupt):
+                run_simulation(spec)
+        assert log_records(spec.output.restart_path) == []
+        assert detect_incomplete("run") == (RunState.FRESH, None)
+        assert run_simulation(spec).restarted is False
+        assert_suites_identical(clean, tmp_path / "broken")
+
+    @pytest.mark.parametrize("overrides", LOG_MODES, ids=LOG_MODE_IDS)
+    def test_torn_first_record_beside_chain_rows_refused_untouched(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, 350)
+        path = spec.output.restart_path
+        os.truncate(path, log_records(path)[0][1] // 2)
+        before = snapshot_files(tmp_path)
+        with pytest.raises(CorruptRestart, match="neither complete nor resumable"):
+            run_simulation(spec)
+        assert snapshot_files(tmp_path) == before
+
+    @pytest.mark.parametrize("overrides", LOG_MODES, ids=LOG_MODE_IDS)
+    def test_flipped_byte_in_last_record_refused_untouched(
+        self, tmp_path, monkeypatch, overrides
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here(**overrides)
+        run_to_interrupt(spec, 350)
+        path = pathlib.Path(spec.output.restart_path)
+        start, end = log_records(path)[-1]
+        raw = bytearray(path.read_bytes())
+        raw[(start + end) // 2] ^= 0x40  # a byte of the JSON body
+        path.write_bytes(bytes(raw))
+        before = snapshot_files(tmp_path)
+        with pytest.raises(CorruptRestart, match="snapshot checksum mismatch"):
+            run_simulation(spec)
+        assert snapshot_files(tmp_path) == before
+
+    @pytest.mark.parametrize("stop", ["before", "after"])
+    def test_compaction_resumes_to_identical_bytes(
+        self, tmp_path, monkeypatch, stop
+    ):
+        # a d = 2 snapshot is about 700 bytes, so 6,000 rows, with a
+        # snapshot about every 100 rows while the proposal adapts, cross the
+        # limit twice
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        monkeypatch.chdir(clean)
+        spec = self.spec_here(**{"target": "mvn", "dim": "2", "chain-len": "6000"})
+        write = dramp.driver.write_snapshot
+        sizes = []
+
+        def recording(path, payload):
+            before = os.path.getsize(path) if os.path.exists(path) else 0
+            write(path, payload)
+            sizes.append((before, os.path.getsize(path)))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dramp.driver, "write_snapshot", recording)
+            run_simulation(spec)
+        # a snapshot appends below the limit and replaces the log from it,
+        # so the log never holds more than the limit plus one record
+        for before, after in sizes:
+            assert (after > before) == (before < SNAPSHOT_LOG_LIMIT)
+        records = [after - before if after > before else after
+                   for before, after in sizes]
+        assert max(after for _, after in sizes) < SNAPSHOT_LOG_LIMIT + max(records)
+        assert sum(before >= SNAPSHOT_LOG_LIMIT for before, _ in sizes) >= 2
+
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        monkeypatch.chdir(broken)
+
+        def stop_at_compaction(path, payload):
+            full = os.path.exists(path) and os.path.getsize(path) >= SNAPSHOT_LOG_LIMIT
+            if full and stop == "before":
+                raise Interrupt()
+            write(path, payload)
+            if full:
+                assert log_records(path) == [(0, os.path.getsize(path))]
+                raise Interrupt()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dramp.driver, "write_snapshot", stop_at_compaction)
+            with pytest.raises(Interrupt):
+                run_simulation(spec)
+        assert run_simulation(spec).restarted is True
+        assert_suites_identical(clean, broken)
+
+    @pytest.mark.parametrize("overrides", LOG_MODES, ids=LOG_MODE_IDS)
+    def test_forced_overwrite_starts_a_new_log(
+        self, tmp_path, monkeypatch, capsys, overrides
+    ):
+        clean = self.clean_run(tmp_path, monkeypatch, **overrides)
+        # a completed run of another seed is overwritten
+        run_simulation(self.spec_here(**dict(overrides, seed=5)))
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--deterministic-test-mode", "--force-overwrite"]
+        for key, value in overrides.items():
+            argv += ["--" + key, str(value)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        assert_suites_identical(clean, tmp_path / "broken")
 
 
 def child_env():

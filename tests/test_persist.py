@@ -823,9 +823,60 @@ class TestSnapshot:
     def test_no_temp_file_left_behind(self, tmp_path):
         path = str(tmp_path / "run_restart.bin")
         write_snapshot(path, {"a": 1})
-        write_snapshot(path, {"a": 2})  # overwrite in place
+        write_snapshot(path, {"a": 2})  # appended: the last record is read
         assert read_snapshot(path)["a"] == 2
         assert os.listdir(tmp_path) == ["run_restart.bin"]
+
+    def test_each_snapshot_appends_one_record(self, tmp_path):
+        path = str(tmp_path / "run_restart.bin")
+        sizes = []
+        for a in range(3):
+            write_snapshot(path, {"a": a})
+            sizes.append(os.path.getsize(path))
+        one = sizes[0]
+        assert sizes == [one, 2 * one, 3 * one]
+        snap = read_snapshot(path)
+        assert snap == {"a": 2} and snap.end == 3 * one
+        # a torn tail is ignored, and the snapshot ends where it begins
+        for cut in (one - 1, len(RESTART_MAGIC) + 3, 1):
+            os.truncate(path, 2 * one + cut)
+            snap = read_snapshot(path)
+            assert snap == {"a": 1} and snap.end == 2 * one
+
+    def test_log_past_the_limit_is_replaced(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(persist, "SNAPSHOT_LOG_LIMIT", 100)
+        path = str(tmp_path / "run_restart.bin")
+        write_snapshot(path, {"a": 0})
+        one = os.path.getsize(path)
+        sizes = []
+        for a in range(1, 8):
+            write_snapshot(path, {"a": a})
+            sizes.append(os.path.getsize(path))
+        # two records pass 100 bytes, so the next record replaces them
+        assert one < 100 <= 2 * one
+        assert sizes == [2 * one, one] * 3 + [2 * one]
+        assert read_snapshot(path) == {"a": 7}
+        assert os.listdir(tmp_path) == ["run_restart.bin"]
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"", "restart file holds no complete snapshot"),
+        (RESTART_MAGIC[:5], "restart file holds no complete snapshot"),
+        (b"garbage", "restart record at byte 0 lacks the snapshot magic"),
+    ], ids=["empty", "torn-magic", "garbage"])
+    def test_no_complete_record_raises(self, tmp_path, raw, message):
+        path = tmp_path / "run_restart.bin"
+        path.write_bytes(raw)
+        with pytest.raises(CorruptRestart, match=message):
+            read_snapshot(str(path))
+
+    def test_damage_after_a_complete_record_raises(self, tmp_path):
+        path = str(tmp_path / "run_restart.bin")
+        write_snapshot(path, {"a": 1})
+        one = os.path.getsize(path)
+        with open(path, "ab") as fh:
+            fh.write(b"NOTMAGIC")
+        with pytest.raises(CorruptRestart, match="at byte %d lacks" % one):
+            read_snapshot(path)
 
     def test_checksum_catches_a_flipped_byte(self, tmp_path):
         path = str(tmp_path / "run_restart.bin")
@@ -909,6 +960,19 @@ class TestDetectIncomplete:
             detect_incomplete(prefix)
         open(suite.chain_path, "wb").write(header + b"1")  # a row's first byte
         with pytest.raises(CorruptRestart):
+            detect_incomplete(prefix)
+
+    @pytest.mark.parametrize("cut", [0, 5, 20], ids=["empty", "in-magic", "in-body"])
+    def test_torn_first_record_is_no_snapshot(self, tmp_path, cut):
+        # what a run stopped while appending its first snapshot leaves
+        prefix = str(tmp_path / "run")
+        suite = OutputSuite(prefix)
+        write_chain(suite, random_chain(8, n=0, d=2), ("Var1", "Var2"))
+        write_snapshot(suite.restart_path, {"rows": 0})
+        os.truncate(suite.restart_path, cut)
+        assert detect_incomplete(prefix) == (RunState.FRESH, None)
+        write_chain(suite, random_chain(8, n=1, d=2), ("Var1", "Var2"))
+        with pytest.raises(CorruptRestart, match="neither complete nor resumable"):
             detect_incomplete(prefix)
 
     def test_damaged_snapshot_is_corrupt_not_fresh(self, tmp_path):
