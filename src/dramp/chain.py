@@ -223,12 +223,16 @@ class CompactChain:
 
     def restamp_last(
         self, mean_acceptance_rate: float, burnin_location: int
-    ) -> None:
-        """Refresh the running columns of the live (last) row."""
-        if self.n_rows == 0:
+    ) -> int:
+        """Refresh the running columns of the live (last) row; return its
+        settled weight."""
+        i = self.n_rows - 1
+        if i < 0:
             raise EmptyRange("cannot restamp an empty chain")
-        self._mean_acceptance_rate[self.n_rows - 1] = mean_acceptance_rate
-        self._burnin_location[self.n_rows - 1] = burnin_location
+        self._mean_acceptance_rate[i] = mean_acceptance_rate
+        self._burnin_location[i] = burnin_location
+        self._settle()
+        return self._weight.item(i)
 
     def last_state(self) -> np.ndarray:
         if self.n_rows == 0:

@@ -12,7 +12,8 @@ run_kernel, the parallel runners and the driver all go through it. What a
 finished chain adapted to is read back off its rows (Kernel.adaptations),
 with no target evaluation.
 
-Within a cascade, a rejection at stage k falls through to stage k+1 with a
+Within a cascade, stage 0 accepts iff ln u < log pi(y) - log pi(x), with
+ln 0 = -inf. A rejection at stage k falls through to stage k+1 with a
 narrower proposal, up to the configured stage count. Delayed-rejection
 acceptance (Tierney & Mira 1999; Haario et al. 2006) works in whitened
 coordinates. Candidate m is y_m = x + s_{m-1} L z_m (L the Cholesky factor of
@@ -33,6 +34,9 @@ per-attempt products (the candidate's L z, the draws' dot products, the
 built-in targets' quadratic forms) use ndarray.dot, about half the cost of
 @ at small d. On C-contiguous float64 operands both reach the same BLAS
 routine and give the same bits; adaptation, moments and refinement keep @.
+So Kernel.run reads a run's invariants once and calls propose_cascade
+(which returns a plain tuple) itself. A rejection that ends no tick only
+adds 1 to the verbose length there; every other outcome is committed.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
@@ -48,7 +52,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,9 +75,7 @@ from .proposal import log_kernel_density, sample_candidate  # noqa: F401
 __all__ = [
     "REJECTED",
     "KernelConfig",
-    "StepOutcome",
     "KernelSummary",
-    "mh_accept_stage0",
     "extend_distances",
     "dr_log_alpha",
     "propose_cascade",
@@ -85,6 +87,8 @@ __all__ = [
 ]
 
 REJECTED = -1
+
+TICK_STEPS = 1000  # a progress tick ends every this many verbose steps
 
 INF = float("inf")
 NEG_INF = -INF
@@ -132,20 +136,6 @@ class KernelConfig:
         if self.adaptation_period is not None:
             return self.adaptation_period
         return max(10 * dimension, 100)
-
-
-class StepOutcome(NamedTuple):
-    """Result of one full proposal cascade against an incumbent."""
-
-    accepted_state: np.ndarray
-    accepted_log_func: float
-    accepted_at_stage: int  # REJECTED when every stage failed
-
-
-def mh_accept_stage0(log_current: float, log_candidate: float, u: float) -> bool:
-    """Symmetric-proposal Metropolis rule: accept iff ln u < logCand - logCur."""
-    lnu = math.log(u) if u > 0.0 else NEG_INF
-    return lnu < log_candidate - log_current
 
 
 def _log1mexp(a: float) -> float:
@@ -240,21 +230,25 @@ def propose_cascade(
     log_incumbent: float,
     dr_stage_count: int,
     stream: np.random.Generator,
-) -> StepOutcome:
-    """Run one full proposal attempt: stage 0 plus up to dr_stage_count retries.
+) -> Tuple[np.ndarray, float, int]:
+    """Run one full proposal attempt: stage 0 plus up to dr_stage_count
+    retries. Returns (state, log_func, stage) of the accepted candidate, or
+    the incumbent's with stage REJECTED.
 
     Pure with respect to everything but the stream; shared verbatim by the
     serial kernel and the fork-join workers.
     """
+    normal, uniform = stream.standard_normal, stream.random
+    evaluate, d = target.evaluate, proposal.dimension
     chol = proposal.chol_factor
     scales = proposal.stage_scales
     for stage in range(dr_stage_count + 1):
-        z = stream.standard_normal(proposal.dimension)
+        z = normal(d)
         # in place, the bits of incumbent + scales[stage] * chol.dot(z)
         candidate = chol.dot(z)
         candidate *= scales[stage]
         candidate += incumbent
-        log_candidate = float(target.evaluate(candidate))
+        log_candidate = float(evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = NEG_INF  # NaN: outside the support
         elif log_candidate == INF:
@@ -262,10 +256,11 @@ def propose_cascade(
                 "target log-density is +inf at (%s)"
                 % ", ".join("%.17g" % v for v in candidate)
             )
-        u = float(stream.random())
+        u = uniform()
+        lnu = math.log(u) if u > 0.0 else NEG_INF
         if stage == 0:
-            if mh_accept_stage0(log_incumbent, log_candidate, u):
-                return StepOutcome(candidate, log_candidate, 0)
+            if lnu < log_candidate - log_incumbent:
+                return candidate, log_candidate, 0
             if dr_stage_count:
                 # the retries' state exists only once stage 0 has rejected
                 if dr_stage_count >= len(scales):
@@ -278,14 +273,13 @@ def propose_cascade(
         else:
             log_funcs.append(log_candidate)
             extend_distances(dists, draws, scales, z)
-            lnu = math.log(u) if u > 0.0 else NEG_INF
             log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
             if lnu < log_alpha:
-                return StepOutcome(candidate, log_candidate, stage)
+                return candidate, log_candidate, stage
             if stage < dr_stage_count:
                 # the next stage's ratio reuses this path's rejection
                 memo[0, stage + 1] = _log1mexp(log_alpha)
-    return StepOutcome(incumbent, log_incumbent, REJECTED)
+    return incumbent, log_incumbent, REJECTED
 
 
 def burnin_location(
@@ -471,35 +465,33 @@ class Kernel:
         return record
 
     def step(self) -> Sequence[tuple]:
-        outcome = propose_cascade(
-            self.target,
-            self.proposal,
-            self.incumbent,
-            self.log_incumbent,
-            self.config.dr_stage_count,
-            self.generator,
-        )
-        return self.commit(outcome)
+        return self.commit(propose_cascade(
+            self.target, self.proposal, self.incumbent, self.log_incumbent,
+            self.config.dr_stage_count, self.generator,
+        ))
 
     def run(
         self, on_step: Optional[Callable[[Sequence[tuple]], None]] = None
     ) -> KernelSummary:
         """Step until the chain holds ``chain_length_target`` rows, handing
         the events of each step that has any to ``on_step``, and return the
-        summary."""
-        while self.chain.n_rows < self.config.chain_length_target:
-            events = self.step()
+        summary. A rejection that ends no tick is charged here, as commit
+        would."""
+        chain, length = self.chain, self.config.chain_length_target
+        stages, target, stream = self.config.dr_stage_count, self.target, self.generator
+        cascade = propose_cascade  # looked up per run, so a patched one is used
+        while chain.n_rows < length:
+            outcome = cascade(target, self.proposal, self.incumbent,
+                              self.log_incumbent, stages, stream)
+            if outcome[2] == REJECTED and (chain.verbose_length + 1) % TICK_STEPS:
+                chain.verbose_length += 1  # the live row's weight
+                continue
+            events = self.commit(outcome)
             if events and on_step is not None:
                 on_step(events)
         return self.summary()
 
-    def _stamp_live(self) -> None:
-        # the running columns of a row are its values when it is finalized
-        self.chain.restamp_last(
-            self.chain.n_rows / self.chain.verbose_length, self._burnin
-        )
-
-    def commit(self, outcome: StepOutcome) -> Sequence[tuple]:
+    def commit(self, outcome: Tuple[np.ndarray, float, int]) -> Sequence[tuple]:
         """Charge one cascade to the chain as one verbose step.
 
         A rejection only adds 1 to the chain's verbose length, and so to
@@ -517,14 +509,15 @@ class Kernel:
         chain = self.chain
         if stage == REJECTED:
             chain.verbose_length += 1  # the live row's weight
-            if chain.verbose_length % 1000:
+            if chain.verbose_length % TICK_STEPS:
                 return ()
             events: List[tuple] = []
         else:
             finalized = chain.n_rows - 1
-            weight = chain.weights.item(finalized)
-            self._stamp_live()
-            # the rate is stamped when the row is finalized
+            # the running columns of a row are its values when it is finalized
+            weight = chain.restamp_last(chain.n_rows / chain.verbose_length,
+                                        self._burnin)
+            # the new row's rate is stamped when it is finalized
             chain.append(self.chain_index + (weight - 1) % self.workers + 1,
                          stage, 0.0, self._pending_measure, self._burnin, 1,
                          log_func, state)
@@ -538,7 +531,7 @@ class Kernel:
                 record = self._adapt_at(chain.n_rows)
                 self._pending_measure = record.measure
                 events.append(("adapt", record))
-        if chain.verbose_length % 1000 == 0:
+        if chain.verbose_length % TICK_STEPS == 0:
             events.append(
                 (
                     "tick",
@@ -554,7 +547,8 @@ class Kernel:
         return events
 
     def summary(self) -> KernelSummary:
-        self._stamp_live()  # the end of the run finalizes the last row
+        chain = self.chain  # the end of the run finalizes the last row
+        chain.restamp_last(chain.n_rows / chain.verbose_length, self._burnin)
         return KernelSummary.of(self.chain, self.config)
 
     def state_dict(self) -> dict:

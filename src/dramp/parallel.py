@@ -36,7 +36,7 @@ from .chain import CompactChain
 from .errors import DegenerateTally
 from .kernel import KernelConfig, KernelSummary, run_kernel
 
-# Kernel.step runs every cascade, so nothing here calls this; it stays
+# Kernel.run runs every cascade, so nothing here calls this; it stays
 # importable here for tools that patch it by name.
 from .kernel import propose_cascade  # noqa: F401
 from .model import TargetDensity

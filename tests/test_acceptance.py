@@ -17,11 +17,12 @@ from scipy import integrate, signal, stats
 from dramp.cli import EXIT_OK, EXIT_REFUSED, main
 from dramp.config import build_spec
 from dramp.driver import run_simulation
-from dramp.kernel import Kernel, KernelConfig, run_kernel
+from dramp.kernel import REJECTED, Kernel, KernelConfig, propose_cascade, run_kernel
 from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import fit_geometric, predict_speedup, run_forkjoin, run_multichain
 from dramp.persist import ChainWriter, OutputSuite
 from dramp.proposal import ProposalState, adaptation_measure
+from dramp.rng import chain_stream
 from dramp.refine import estimate_iac, refine_two_phase
 
 from conftest import ACCEPTANCE_VERDICTS
@@ -482,14 +483,16 @@ def test_criterion_10_determinism_and_reductions(tmp_path, monkeypatch):
     ])
 
 
-# Bound on the worst per-stage flow asymmetry of the five-cell balance gates,
-# calibrated on the correct code (see worst_flow_z)
+# Bound on the worst per-stage flow asymmetry of the cell balance gates,
+# calibrated on the correct code (see flow_z)
 FLOW_Z_BOUND = 4.5
 
 
-def worst_flow_z(chain, dr_stages, min_moves=50):
-    """Worst per-stage flow asymmetry of a five-cell chain, over the cell
-    pairs with at least ``min_moves`` moves, and the number of such pairs.
+def flow_z(stages, before, after, cells, min_moves=50):
+    """Worst per-stage flow asymmetry of moves between ``cells`` cells, over
+    the (stage, cell pair) flows with at least ``min_moves`` moves, and the
+    number of such flows. Move m went from cell before[m] to cell after[m],
+    accepted at DR stage stages[m].
 
     N_k(i -> j) counts the moves from cell i to cell j accepted at DR stage
     k. Delayed rejection keeps detailed balance at each stage on its own
@@ -498,16 +501,22 @@ def worst_flow_z(chain, dr_stages, min_moves=50):
     the order of a standard normal. An error in one stage's ratio shows here
     even when that stage accepts too few moves to move the occupancies.
     """
-    cells = np.floor(chain.states[:, 0]).astype(np.int64)
-    index = (chain.dr_stages[1:] * 5 + cells[:-1]) * 5 + cells[1:]
-    counts = np.bincount(index, minlength=(dr_stages + 1) * 25)
-    counts = counts.reshape(dr_stages + 1, 5, 5)
-    i, j = np.triu_indices(5, 1)
+    depth = int(stages.max(initial=0)) + 1
+    index = (stages * cells + before) * cells + after
+    counts = np.bincount(index, minlength=depth * cells * cells)
+    counts = counts.reshape(depth, cells, cells)
+    i, j = np.triu_indices(cells, 1)
     forward, backward = counts[:, i, j], counts[:, j, i]
     total = forward + backward
     counted = total >= min_moves
     z = np.abs(forward - backward)[counted] / np.sqrt(total[counted])
     return float(z.max(initial=0.0)), int(counted.sum())
+
+
+def worst_flow_z(chain):
+    """flow_z of the moves of a five-cell chain."""
+    cells = np.floor(chain.states[:, 0]).astype(np.int64)
+    return flow_z(chain.dr_stages[1:], cells[:-1], cells[1:], 5)
 
 
 FIVE_CELL_HEIGHTS = np.array([1.0, 2.0, 4.0, 2.0, 1.0])
@@ -600,7 +609,7 @@ def test_criterion_11_detailed_balance_five_cells():
             iac = estimate_iac(indicator, weights)
             se = np.sqrt(pi[i] * (1.0 - pi[i]) * iac / n)
             worst = max(worst, abs(freq - pi[i]) / se)
-        return worst, int(n), worst_flow_z(chain, dr_stages)
+        return worst, int(n), worst_flow_z(chain)
 
     z_plain, n_plain, (flow_plain, pairs_plain) = worst_z(0)
     z_dr, n_dr, (flow_dr, pairs_dr) = worst_z(2)
@@ -618,3 +627,57 @@ def test_criterion_11_detailed_balance_five_cells():
          "flows with retries off, %.2f over %d with retries on (<= %g)"
          % (flow_plain, pairs_plain, flow_dr, pairs_dr, FLOW_Z_BOUND)),
     ])
+
+
+# The d = 2 balance gate's target: unit cells on [0, 4)^2 with heights 1 to
+# 8, -inf outside; cell (a, b) is index 4a + b
+GRID_HEIGHTS = np.arange(1.0, 17.0) % 8 + 1
+GRID_LOG_HEIGHTS = np.log(GRID_HEIGHTS)
+GRID_DRAWS = 400_000
+# smallest chi-square p-value of the endpoint cell counts that passes
+ENDPOINT_P_BOUND = 1e-3
+
+
+def test_dr3_balance_one_step_from_exact_draws_in_two_dimensions():
+    # One DR 3 cascade from each of GRID_DRAWS independent exact draws of
+    # the cell target, with a correlated proposal, so that an error in the
+    # whitening or in one stage's ratio shows (criterion 11 is 1-D with an
+    # identity proposal). The starts are independent, so per-stage detailed
+    # balance makes each forward flow exactly Binomial(n, 1/2) given its
+    # pair's n moves, and the endpoints, rejections included, are exact
+    # draws of the target (Geweke 2004).
+    log_heights = GRID_LOG_HEIGHTS.tolist()
+
+    def log_density(x):
+        a, b = x.tolist()
+        if 0.0 <= a < 4.0 and 0.0 <= b < 4.0:
+            return log_heights[int(a) * 4 + int(b)]
+        return float("-inf")
+
+    target = TargetDensity("cells", 2, log_density)
+    proposal = ProposalState.create(
+        2, covariance=[[1.0, 0.7], [0.7, 0.8]], scale_factor=1.6,
+        dr_scales=(0.6, 0.35, 0.2),
+    )
+    pi = GRID_HEIGHTS / GRID_HEIGHTS.sum()
+    draws = np.random.default_rng(2)
+    before = draws.choice(16, size=GRID_DRAWS, p=pi)
+    starts = np.column_stack((before // 4, before % 4)) + draws.random((GRID_DRAWS, 2))
+    stream = chain_stream(2, 0)
+    after, stages = [], []
+    for start, log_start in zip(list(starts), GRID_LOG_HEIGHTS[before].tolist()):
+        state, _, stage = propose_cascade(target, proposal, start, log_start, 3, stream)
+        a, b = state.tolist()
+        after.append(int(a) * 4 + int(b))
+        stages.append(stage)
+    after, stages = np.array(after), np.array(stages)
+    moved = stages != REJECTED
+    worst, flows = flow_z(stages[moved], before[moved], after[moved], 16)
+    assert np.all(np.bincount(stages[moved], minlength=4) > 0)
+    assert flows >= 150, "only %d flows of at least 50 moves" % flows
+    assert worst <= FLOW_Z_BOUND, \
+        "worst per-stage flow asymmetry %.2f over %d flows" % (worst, flows)
+    counts = np.bincount(after, minlength=16)
+    endpoint_p = stats.chisquare(counts, GRID_DRAWS * pi).pvalue
+    assert endpoint_p >= ENDPOINT_P_BOUND, \
+        "endpoint cell counts: chi-square p = %.3g" % endpoint_p

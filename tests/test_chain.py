@@ -319,7 +319,8 @@ class TestColumnsAndSlices:
         for row in rows[1000:]:
             part.append_row(row)
         part.verbose_length += 3
-        part.restamp_last(0.125, 77)
+        # the live row's settled weight: its own plus the 3 rejections
+        assert part.restamp_last(0.125, 77) == rows[-1].weight + 3
         want = appended(rows[900:], 2)
         want.verbose_length += 3
         want.restamp_last(0.125, 77)

@@ -30,11 +30,9 @@ from dramp.kernel import (
     REJECTED,
     Kernel,
     KernelConfig,
-    StepOutcome,
     burnin_location,
     dr_log_alpha,
     extend_distances,
-    mh_accept_stage0,
     propose_cascade,
     run_kernel,
 )
@@ -58,24 +56,50 @@ def wall_target(dimension):
     return TargetDensity("wall", dimension, lambda x: float("-inf"))
 
 
-class TestMhAcceptStage0:
-    def test_equal_density_accepts_below_one(self):
-        assert mh_accept_stage0(-1.0, -1.0, 0.9999)
-        assert not mh_accept_stage0(-1.0, -1.0, 1.0)
+class ScriptedStream:
+    """A stream whose normals are all ones and whose uniforms are given."""
 
-    def test_half_ratio_threshold(self):
-        # candidate density half the incumbent's: accept iff u < 1/2
-        lc = -math.log(2.0)
-        assert mh_accept_stage0(0.0, lc, 0.49)
-        assert not mh_accept_stage0(0.0, lc, 0.51)
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
 
-    def test_uphill_always_accepted(self):
-        assert mh_accept_stage0(-5.0, -1.0, 0.999999)
-        assert mh_accept_stage0(-5.0, -1.0, 0.0)
+    def standard_normal(self, size):
+        return np.ones(size)
 
-    def test_impossible_candidate_rejected(self):
-        assert not mh_accept_stage0(0.0, float("-inf"), 1e-300)
-        assert not mh_accept_stage0(0.0, float("-inf"), 0.0)
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+class TestStageZeroRule:
+    """propose_cascade's stage 0 is the symmetric-proposal Metropolis rule:
+    accept iff ln u < log pi(candidate) - log pi(incumbent), ln 0 = -inf."""
+
+    @pytest.mark.parametrize("log_incumbent,log_candidate,u,accepted", [
+        (-1.0, -1.0, 0.9999, True),  # equal density accepts below one
+        (-1.0, -1.0, 1.0, False),
+        # a candidate half as likely: the ratio is 1/2
+        (0.0, -math.log(2.0), 0.49, True),
+        (0.0, -math.log(2.0), float(np.nextafter(0.5, 0.0)), True),
+        (0.0, -math.log(2.0), 0.5, False),  # ln u equal to the log ratio
+        (0.0, -math.log(2.0), 0.51, False),
+        (0.0, -30.0, 0.0, True),  # u = 0 accepts any candidate in the support
+        (-5.0, -1.0, 0.999999, True),  # uphill always accepted
+        (-5.0, -1.0, 0.0, True),
+        (0.0, float("-inf"), 1e-300, False),  # an impossible candidate
+        (0.0, float("-inf"), 0.0, False),
+    ])
+    def test_accepts_iff_log_u_below_the_log_ratio(
+        self, log_incumbent, log_candidate, u, accepted
+    ):
+        target = TargetDensity("scripted", 1, lambda x: log_candidate)
+        prop = ProposalState.create(1, scale_factor=1.0)
+        incumbent = np.array([2.0])
+        state, log_func, stage = propose_cascade(
+            target, prop, incumbent, log_incumbent, 0, ScriptedStream([u]))
+        if accepted:
+            assert (state.tolist(), log_func, stage) == ([3.0], log_candidate, 0)
+        else:
+            assert state is incumbent
+            assert (log_func, stage) == (log_incumbent, REJECTED)
 
 
 def distances(draws, scales):
@@ -315,17 +339,17 @@ def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
         log_candidate = float(target.evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = float("-inf")
-        u = float(stream.random())
+        u = stream.random()
         log_funcs.append(log_candidate)
         draws.append(z)
+        lnu = math.log(u) if u > 0.0 else float("-inf")
         if stage == 0:
-            accepted = mh_accept_stage0(log_incumbent, log_candidate, u)
+            accepted = lnu < log_candidate - log_incumbent
         else:
-            lnu = math.log(u) if u > 0.0 else float("-inf")
             accepted = lnu < reference_dr_log_alpha(log_funcs, draws, scales, memo)
         if accepted:
-            return StepOutcome(candidate, log_candidate, stage)
-    return StepOutcome(incumbent, log_incumbent, REJECTED)
+            return candidate, log_candidate, stage
+    return incumbent, log_incumbent, REJECTED
 
 
 def correlated_gaussian(d, seed):
@@ -375,19 +399,21 @@ class TestProposeCascade:
         prop = ProposalState.create(2)
         stream = rng_mod.chain_stream(5, 0)
         incumbent = np.zeros(2)
-        out = propose_cascade(flat_target(2), prop, incumbent, 0.0, 1, stream)
-        assert out.accepted_at_stage == 0
-        assert out.accepted_log_func == 0.0
-        assert not np.array_equal(out.accepted_state, incumbent)
+        state, log_func, stage = propose_cascade(
+            flat_target(2), prop, incumbent, 0.0, 1, stream)
+        assert stage == 0
+        assert log_func == 0.0
+        assert not np.array_equal(state, incumbent)
 
     def test_full_rejection_returns_incumbent(self):
         prop = ProposalState.create(1, dr_scales=(0.5, 0.25))
         stream = rng_mod.chain_stream(5, 0)
         incumbent = np.array([1.5])
-        out = propose_cascade(wall_target(1), prop, incumbent, 0.0, 2, stream)
-        assert out.accepted_at_stage == REJECTED
-        assert out.accepted_state is incumbent
-        assert out.accepted_log_func == 0.0
+        state, log_func, stage = propose_cascade(
+            wall_target(1), prop, incumbent, 0.0, 2, stream)
+        assert stage == REJECTED
+        assert state is incumbent
+        assert log_func == 0.0
 
     @pytest.mark.parametrize("stages,accepts", [(2, False), (0, True)])
     def test_stream_budget_is_exact(self, stages, accepts):
@@ -456,11 +482,11 @@ class TestNonFiniteTarget:
     def test_nan_is_outside_the_support(self, stages):
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         incumbent = np.zeros(3)
-        out = propose_cascade(
+        state, _, stage = propose_cascade(
             nan_target(3), prop, incumbent, 0.0, stages, rng_mod.chain_stream(5, 0)
         )
-        assert out.accepted_at_stage == REJECTED
-        assert out.accepted_state is incumbent
+        assert stage == REJECTED
+        assert state is incumbent
 
     @pytest.mark.parametrize("stages", [0, 1, 2])
     def test_nan_keeps_the_stream_budget(self, stages):
@@ -720,7 +746,7 @@ class TestCommitPath:
         monkeypatch.setattr(WeightedMoments, "update", lambda *args: calls.append(args))
         monkeypatch.setattr(CompactChain, "restamp_last", lambda *args: calls.append(args))
         # a rejected cascade runs every stage: two under DR 1
-        events = k.commit(StepOutcome(state, k.log_incumbent, REJECTED))
+        events = k.commit((state, k.log_incumbent, REJECTED))
         assert k.chain.n_rows == 1
         assert k.chain.weights[0] == 2
         assert k.chain.process_ids[0] == 1  # seed row keeps its own pid
@@ -735,9 +761,8 @@ class TestCommitPath:
                    workers=4)
         state = k.chain.last_state()
         for _ in range(5):
-            k.commit(StepOutcome(state, k.log_incumbent, REJECTED))
-        out = StepOutcome(np.array([0.5]), -0.125, 1)
-        events = k.commit(out)
+            k.commit((state, k.log_incumbent, REJECTED))
+        events = k.commit((np.array([0.5]), -0.125, 1))
         assert k.chain.n_rows == 2
         assert k.chain.weights.tolist() == [6, 1]
         assert k.chain.process_ids.tolist() == [1, 2]  # (6 - 1) mod 4 + 1
@@ -750,6 +775,50 @@ class TestCommitPath:
         assert k._moments.total_weight == 6.0
         assert k._moments.mean.tolist() == [0.0]
         assert k.summary().stage_attempts == (6, 6)
+
+
+class TestRunLoop:
+    """Kernel.run charges a rejection that ends no tick itself and commits
+    every other outcome: the chain, the events and the stream are those of
+    calling step() until the chain is full."""
+
+    @pytest.mark.parametrize("dr_stages", [0, 2])
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_run_equals_a_loop_of_step(self, dr_stages, workers):
+        def kernel():
+            # a wide proposal rejects most attempts, so rejections span ticks
+            cfg = KernelConfig(600, (0.0, 0.0), rng_seed=21,
+                               dr_stage_count=dr_stages, adaptation_period=100)
+            return Kernel(gaussian_target([0.0, 0.0], [[1.0, 0.5], [0.5, 2.0]]),
+                          cfg, ProposalState.create(2, scale_factor=10.0,
+                                                    dr_scales=(0.5, 0.25)),
+                          workers=workers)
+
+        ran, ran_events = kernel(), []
+        ran.run(ran_events.extend)
+        stepped, stepped_events = kernel(), []
+        while stepped.chain.n_rows < stepped.config.chain_length_target:
+            stepped_events.extend(stepped.step())
+        stepped.summary()
+        a, b = ran.chain, stepped.chain
+        assert a.verbose_length == b.verbose_length
+        for column in ("states", "log_funcs", "weights", "process_ids",
+                       "dr_stages", "mean_acceptance_rates",
+                       "adaptation_measures", "burnin_locations"):
+            assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
+        assert ran_events == stepped_events
+        assert ran.generator.bit_generator.state == \
+            stepped.generator.bit_generator.state
+        kinds = [event[0] for event in ran_events]
+        assert kinds.count("adapt") == 6
+        ticks = [e[1]["verbose_length"] for e in ran_events if e[0] == "tick"]
+        assert len(ticks) >= 3
+        # the row live at some tick was left by rejections before and after
+        # it: the tick's own step was a rejection that run() committed
+        rows = np.searchsorted(a.verbose_starts, np.subtract(ticks, 1), "right") - 1
+        starts = a.verbose_starts[rows]
+        assert np.any((starts < np.subtract(ticks, 1))
+                      & (starts + a.weights[rows] > ticks))
 
 
 class TestStageTallies:
@@ -774,8 +843,8 @@ class TestStageTallies:
             out = cascade(dataclasses.replace(target, evaluate=evaluate), *args)
             for stage in range(stages_run[0]):
                 attempts[stage] += 1
-            if out.accepted_at_stage != REJECTED:
-                accepts[out.accepted_at_stage] += 1
+            if out[2] != REJECTED:
+                accepts[out[2]] += 1
             return out
 
         monkeypatch.setattr(kernel_mod, "propose_cascade", counting)
