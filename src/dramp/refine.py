@@ -1,13 +1,14 @@
-"""Sample refinement: autocorrelation estimation and recursive decorrelation.
+"""Sample refinement: autocorrelation estimation and two-phase decorrelation.
 
-A chain mean's variance is inflated by the integrated autocorrelation (IAC);
-refinement thins the chain until no measurable autocorrelation remains, in
-two phases. Phase 1 walks the compact (unique-state) sequence, phase 2 the
-weight-expanded verbose sequence; each phase repeatedly drops all but every
-ceil(IAC)-th entry until the estimate falls under a noise threshold. The IAC
-is the largest of estimate_iac over the dimensions, since the sample must be
-decorrelated along each. The surviving points form the refined sample
-written to the sample file.
+A chain mean's variance is inflated by the integrated autocorrelation time
+(IAC); refinement thins the chain so that no measurable autocorrelation
+remains, in two phases. Phase 1 walks the compact (unique-state) sequence,
+phase 2 the weight-expanded verbose sequence. Each phase estimates the IAC
+of every dimension with Sokal's windowed estimator and takes the largest,
+since the sample must be decorrelated along each; it then keeps every
+ceil(f * IAC)-th entry, once, unless the IAC is within two of Sokal's
+standard errors of 1, the value of an independent series. The surviving
+points form the refined sample written to the sample file.
 
 Also here: the two-sample Kolmogorov-Smirnov test used to cross-compare
 refined samples from independent chains.
@@ -20,12 +21,14 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+# imported with the module: numpy loads its fft module on first use, which
+# would land in the first refinement's time and allocations
+from numpy.fft import irfft, rfft
 
 from .chain import CompactChain
 from .errors import EmptySample, SeriesTooShort
 
 __all__ = [
-    "STOP_TOLERANCE",
     "RefinementRound",
     "RefinedSample",
     "estimate_iac",
@@ -35,35 +38,36 @@ __all__ = [
     "cross_chain_check",
 ]
 
-# fixed part of the stop threshold; the noise floors below widen it when the
-# series is short enough that the estimators cannot resolve a gap this small
-STOP_TOLERANCE = 0.05
-
 _MIN_POINTS = 8
 
-# the batch-means estimate has relative std ~ sqrt(2 m / n); taking the max
-# over dimensions inflates it further, so the trigger needs this much margin
-_BATCH_NOISE_COEFF = 4.0
-# sample lag-1 autocorrelation of a clean series has std ~ 1/sqrt(n); the
-# max over d dimensions shifts the null up by roughly a log term
-_LAG1_NOISE_COEFF = 1.5
-_LAG1_DIM_COEFF = 0.6
+# Sokal's automatic window: the autocorrelations are summed up to the
+# smallest lag M with M >= _WINDOW * IAC(M)
+_WINDOW = 5.0
+# stride per unit of IAC. Thinning a sticky chain's unique states by
+# ceil(IAC) leaves their lag-1 autocorrelation near 0.25, so phase 1 thins
+# further; phase 2 sees the already thinned states repeated by weight. Larger
+# factors discard points that the refined sample's mean needs (criterion 1)
+_PHASE_1_FACTOR = 1.75
+_PHASE_2_FACTOR = 1.25
 
 
-def _icbrt(n: int) -> int:
-    """Exact integer cube root (floor). Float powers alone misround near cubes."""
-    c = int(round(n ** (1.0 / 3.0)))
-    while c > 1 and c * c * c > n:
-        c -= 1
-    while (c + 1) ** 3 <= n:
-        c += 1
-    return c
+def _sokal_iac(series: np.ndarray) -> Tuple[float, int]:
+    """IAC of one series and the window M it was summed to.
 
-
-def _batch_iac(series: np.ndarray, batch_size: int, series_var: float) -> float:
-    nb = series.size // batch_size
-    means = series[: nb * batch_size].reshape(nb, batch_size).mean(axis=1)
-    return batch_size * float(np.var(means)) / series_var
+    The autocovariances come from one FFT of the centred series, zero-padded
+    to twice its length so that no lag wraps around; IAC(M) is
+    1 + 2 * sum of the autocorrelations at lags 1..M. The IAC is clamped
+    below at 1; a constant series returns (1, 0) by convention.
+    """
+    n = series.size
+    if series.min() == series.max():
+        return 1.0, 0
+    spectrum = rfft(series - series.mean(), 2 * n)
+    acov = irfft(np.abs(spectrum) ** 2, 2 * n)[:n]
+    iac = 2.0 * np.cumsum(acov / acov[0]) - 1.0
+    wide = np.arange(n) >= _WINDOW * iac
+    window = int(np.argmax(wide)) if wide.any() else n - 1
+    return max(1.0, float(iac[window])), window
 
 
 def estimate_iac(
@@ -71,12 +75,9 @@ def estimate_iac(
 ) -> float:
     """Integrated autocorrelation of a (possibly weighted) scalar series.
 
-    Batch-means estimator: IAC = m * Var(batch means) / Var(series) with
-    population normalization. The batch size starts at floor(n^(1/3)) and is
-    enlarged toward ten times the current estimate (capped so that at least
-    eight batches remain) until it stops moving; without the enlargement,
-    batches shorter than the correlation length truncate the estimate badly.
-    Clamped below at 1; a constant series returns 1 by convention.
+    Sokal's estimator: FFT autocorrelation summed to the smallest window M
+    with M >= 5 * IAC(M). Weights expand the series first. Clamped below at
+    1; a constant series returns 1 by convention.
     """
     x = np.asarray(series, dtype=float)
     if weights is not None:
@@ -87,68 +88,33 @@ def estimate_iac(
                 % (w.size, x.size)
             )
         x = np.repeat(x, w)
-    n = x.size
-    if n < _MIN_POINTS:
+    if x.size < _MIN_POINTS:
         raise SeriesTooShort(
-            "need at least %d points, got %d" % (_MIN_POINTS, n)
+            "need at least %d points, got %d" % (_MIN_POINTS, x.size)
         )
-    series_var = float(np.var(x))
-    if series_var <= 0.0:
-        return 1.0
-    m = max(1, _icbrt(n))
-    est = _batch_iac(x, m, series_var)
-    for _ in range(8):
-        m_new = min(max(math.ceil(10.0 * est), m), max(m, n // 8))
-        if m_new == m:
-            break
-        m = m_new
-        est = _batch_iac(x, m, series_var)
-    return max(1.0, est)
+    return _sokal_iac(x)[0]
 
 
-def _max_lag1(points: np.ndarray) -> float:
-    """Largest per-dimension lag-1 autocorrelation (signed; population norm)."""
-    n = points.shape[0]
-    if n < 2:
-        return 0.0
-    centered = points - points.mean(axis=0)
-    var = np.einsum("ij,ij->j", centered, centered)
-    cov = np.einsum("ij,ij->j", centered[:-1], centered[1:])
-    safe = var > 0.0
-    if not np.any(safe):
-        return 0.0
-    return float(np.max(cov[safe] / var[safe]))
+def _thinning_stride(
+    points: np.ndarray, factor: float
+) -> Tuple[float, Optional[int]]:
+    """The largest IAC over the dimensions, and the stride to thin by, or
+    None when that IAC is within noise of 1.
 
-
-def _thinning_stride(points: np.ndarray, aggregate: float) -> Optional[int]:
-    """Stride for the next thinning pass, or None once nothing is detectable.
-
-    A fixed stop tolerance shreds short series: the batch estimate is clamped
-    at 1 and its max over dimensions then sits persistently above any small
-    fixed threshold, so each pass would halve the sample until almost nothing
-    is left. Both triggers therefore widen with the noise of the statistic
-    they test. The batch trigger handles long-range correlation and sets the
-    stride from its estimate; the lag-1 screen is the sharp one once the
-    series is nearly clean, and what it detects is short-range by nature, so
-    it only ever asks for a halving.
+    Sokal's standard error of the estimate is IAC * sqrt((4M + 2) / n);
+    under independence (IAC 1) an estimate above 1 + 2 * sqrt((4M + 2) / n)
+    is unlikely, with M the window of the dimension that sets the IAC.
     """
     n = points.shape[0]
-    m_seed = max(1, _icbrt(n))
-    # batch size the estimator settles at (its growth rule, reconstructed)
-    m_eff = min(max(m_seed, math.ceil(10.0 * aggregate)), max(m_seed, n // 8))
-    batch_floor = _BATCH_NOISE_COEFF * math.sqrt(2.0 * m_eff / n)
-    if aggregate > 1.0 + max(STOP_TOLERANCE, batch_floor):
-        return max(2, math.ceil(aggregate))
-    z = _LAG1_NOISE_COEFF + _LAG1_DIM_COEFF * math.log(points.shape[1])
-    lag_floor = max(STOP_TOLERANCE, z / math.sqrt(n))
-    if _max_lag1(points) > lag_floor:
-        return 2
-    return None
+    iac, window = max(_sokal_iac(column) for column in points.T)
+    if iac <= 1.0 + 2.0 * math.sqrt((4 * window + 2) / n):
+        return iac, None
+    return iac, math.ceil(factor * iac)
 
 
 @dataclass(frozen=True)
 class RefinementRound:
-    """One executed thinning pass.
+    """One executed thinning pass; each phase makes at most one.
 
     kept_count is in verbose units in both phases: surviving total weight for
     phase 1, surviving point count for phase 2. That makes the sequence
@@ -175,19 +141,18 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
     Pre-burn-in states (verbose index below the chain's last running burn-in
     estimate) are dropped first. Phase 1 measures the IAC of the unique-state
     sequence and thins compact rows, weights riding along untouched; phase 2
-    expands the survivors to verbose form and thins points. Each phase stops
-    once no autocorrelation is detectable above estimator noise or fewer
-    than 8 points remain.
+    expands the survivors to verbose form and thins points. A phase with
+    fewer than 8 points, or with no autocorrelation above estimator noise,
+    keeps everything.
     """
     if chain.n_rows == 0:
         raise SeriesTooShort("cannot refine an empty chain")
     burnin = int(chain.burnin_locations[chain.n_rows - 1])
-    starts = chain.verbose_starts
-    weights = chain.weights.astype(np.int64).copy()
-    ends = starts + weights
+    weights = chain.weights
+    ends = chain.verbose_starts + weights
     first = int(np.searchsorted(ends, burnin, side="right"))
-    kept_states = chain.states[first:].copy()
-    kept_logf = chain.log_funcs[first:].copy()
+    kept_states = chain.states[first:]
+    kept_logf = chain.log_funcs[first:]
     kept_weights = weights[first:].copy()
     kept_weights[0] = int(ends[first]) - burnin
     if int(kept_weights.sum()) < _MIN_POINTS:
@@ -198,21 +163,13 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
     rounds: List[RefinementRound] = []
 
     # phase 1: unique states, unweighted; weights survive the thinning
-    while kept_states.shape[0] >= _MIN_POINTS:
-        iac = max(estimate_iac(column) for column in kept_states.T)
-        stride = _thinning_stride(kept_states, iac)
-        if stride is None:
-            break
-        kept_states = kept_states[::stride]
-        kept_logf = kept_logf[::stride]
-        kept_weights = kept_weights[::stride]
-        rounds.append(
-            RefinementRound(
-                phase=1,
-                iac_aggregate=iac,
-                kept_count=int(kept_weights.sum()),
-            )
-        )
+    if kept_states.shape[0] >= _MIN_POINTS:
+        iac, stride = _thinning_stride(kept_states, _PHASE_1_FACTOR)
+        if stride is not None:
+            kept_states = kept_states[::stride]
+            kept_logf = kept_logf[::stride]
+            kept_weights = kept_weights[::stride]
+            rounds.append(RefinementRound(1, iac, int(kept_weights.sum())))
 
     # phase 2: verbose expansion
     points = np.repeat(kept_states, kept_weights, axis=0)
@@ -221,20 +178,12 @@ def refine_two_phase(chain: CompactChain) -> RefinedSample:
         # repeats of a single state carry one point of information, not many
         points = points[:1]
         log_funcs = log_funcs[:1]
-    while points.shape[0] >= _MIN_POINTS:
-        iac = max(estimate_iac(column) for column in points.T)
-        stride = _thinning_stride(points, iac)
-        if stride is None:
-            break
-        points = points[::stride]
-        log_funcs = log_funcs[::stride]
-        rounds.append(
-            RefinementRound(
-                phase=2,
-                iac_aggregate=iac,
-                kept_count=int(points.shape[0]),
-            )
-        )
+    if points.shape[0] >= _MIN_POINTS:
+        iac, stride = _thinning_stride(points, _PHASE_2_FACTOR)
+        if stride is not None:
+            points = points[::stride]
+            log_funcs = log_funcs[::stride]
+            rounds.append(RefinementRound(2, iac, int(points.shape[0])))
 
     return RefinedSample(
         dimension=chain.dimension,

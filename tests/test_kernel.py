@@ -777,6 +777,62 @@ class TestCommitPath:
         assert k.summary().stage_attempts == (6, 6)
 
 
+class TestAdaptationMoments:
+    """The moments behind each adaptation, replayed on a finished chain's
+    rows, against batch computations over exactly the rows each must see."""
+
+    @staticmethod
+    def replay_kernel(greedy=4):
+        # a sticky proposal leaves rows with weights above 1, so weighted and
+        # unweighted moments differ
+        target = gaussian_target([1.0, -2.0], [[2.0, 0.3], [0.3, 0.5]])
+        cfg = KernelConfig(400, (0.0, 0.0), rng_seed=11, adaptation_period=40,
+                           greedy_adaptation_count=greedy)
+        chain = run_kernel(target, cfg, ProposalState.create(2)).chain
+        assert chain.weights.max() > 1
+        return Kernel(target, cfg, ProposalState.create(2), chain=chain)
+
+    def test_the_first_greedy_count_adaptations_are_unweighted(self, monkeypatch):
+        seen = []
+        real_adapt = kernel_mod.adapt
+
+        def spy(state, cov, chain_length, measured=True):
+            seen.append((chain_length, np.array(cov)))
+            return real_adapt(state, cov, chain_length, measured)
+
+        kern = self.replay_kernel(greedy=3)
+        monkeypatch.setattr(kernel_mod, "adapt", spy)
+        list(kern.adaptations())
+        chain = kern.chain
+        kinds = []
+        for boundary, cov in seen:
+            states = chain.states[:boundary]
+            # every verbose step so far: the boundary's live row has made one
+            weights = chain.weights[:boundary].copy()
+            weights[-1] = 1
+            if np.allclose(cov, np.cov(states.T, bias=True), rtol=1e-10, atol=0):
+                kinds.append("unweighted")
+            elif np.allclose(cov, np.cov(states.T, aweights=weights, bias=True),
+                             rtol=1e-10, atol=0):
+                kinds.append("weighted")
+            else:
+                kinds.append("neither")
+        assert len(kinds) == 10
+        assert kinds == ["unweighted"] * 3 + ["weighted"] * 7
+
+    def test_each_fold_holds_exactly_the_finalized_rows(self):
+        kern = self.replay_kernel()
+        chain = kern.chain
+        for record, _ in kern.adaptations():
+            # the rows before the boundary's live row, with final weights
+            rows = record.at_chain_length - 1
+            batch = WeightedMoments(2)
+            batch.update(chain.states[:rows], chain.weights[:rows])
+            assert kern._moments.total_weight == batch.total_weight
+            assert np.allclose(kern._moments.mean, batch.mean, rtol=1e-12, atol=0)
+            assert np.allclose(kern._moments.m2, batch.m2, rtol=1e-10, atol=0)
+
+
 class TestRunLoop:
     """Kernel.run charges a rejection that ends no tick itself and commits
     every other outcome: the chain, the events and the stream are those of
