@@ -58,8 +58,10 @@ MODES = ("serial", "multichain", "forkjoin")
 # kernel terms off a table of squared whitened distances, which moves the
 # ratios' last bits; 6 draws the fork-join attempts in order from the
 # chain's PCG64 stream, so a fork-join run writes the serial chain (serial
-# and multichain trajectories are unchanged).
-TRAJECTORY_VERSION = 6
+# and multichain trajectories are unchanged); 7 draws the stream in blocks
+# of kernel.BLOCK stages (normals, then uniforms) and forms L z per block in
+# one product, which moves every decision in every mode.
+TRAJECTORY_VERSION = 7
 
 # Layout of the restart snapshot. 2 dropped the proposal, which resume
 # rebuilds from the rows, and hashes the mvn arrays' bytes in the digest;
@@ -67,8 +69,10 @@ TRAJECTORY_VERSION = 6
 # bookkeeping, which resume derives from the rows; 4 dropped the hex-float
 # and array encoding for plain JSON, the flattened stream state for numpy's
 # own PCG64 state dict, the mode, chain count and worker count, which the
-# digest pins, and the kernel-less snapshot between multichain chains.
-SNAPSHOT_FORMAT_VERSION = 4
+# digest pins, and the kernel-less snapshot between multichain chains; 5
+# stores the stream's state before the pending block of draws and adds the
+# block offset, the rows taken of that block.
+SNAPSHOT_FORMAT_VERSION = 5
 
 # every user-facing key, in echo order, as (default, description); the
 # descriptions double as CLI help. A None default is derived by build_spec:

@@ -29,22 +29,31 @@ Python floats from the draws' dot products, and one memo of log(1 - alpha)
 by subpath (first, last), each computed once; a stage that rejects stores
 its own path's, which the next stage's ratio reuses.
 
-The step path is bound by per-call overhead, not arithmetic, so its
-per-attempt products (the candidate's L z, the draws' dot products, the
+The step path is bound by per-call overhead, not arithmetic. So the draws
+come in blocks (BlockDraws): one refill draws BLOCK rows of d standard
+normals, then BLOCK uniforms, and L z for the whole block is one product,
+normals.dot(L^T), made again only when the proposal's factor is not the
+one it was made with (after an adaptation). A stage takes one row and one
+uniform. The other per-attempt products (the draws' dot products, the
 built-in targets' quadratic forms) use ndarray.dot, about half the cost of
-@ at small d. On C-contiguous float64 operands both reach the same BLAS
-routine and give the same bits; adaptation, moments and refinement keep @.
-So Kernel.run reads a run's invariants once and calls propose_cascade
-(which returns a plain tuple) itself. A rejection that ends no tick only
-adds 1 to the verbose length there; every other outcome is committed.
+@ at small d; on C-contiguous float64 operands both reach the same BLAS
+routine and give the same bits. Adaptation, moments and refinement keep @.
+Kernel.run reads a run's invariants once and calls propose_cascade (which
+returns a plain tuple) itself. A rejection that ends no tick only adds 1 to
+the verbose length there; every other outcome is committed.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
 
-RNG budget contract: every stage consumes exactly d standard normals plus one
-uniform from the cascade's stream, whether or not the outcome is already
-decided. Restart replay of a continuous stream depends on stream consumption
-being a pure function of the event sequence.
+RNG budget contract: stage k of a chain's run, counted over every cascade
+and every stage, takes normal row k mod BLOCK and uniform k mod BLOCK of the
+chain's (k div BLOCK)-th block, whether or not the outcome is already
+decided. So the stream's use is a pure function of the event sequence, and
+a resume restores it from the stream's state before the pending block and
+the rows taken of it: it draws that block again and skips to the offset.
+The BLAS rounds a product's rows differently for different row ranges, so
+L z is always made over the whole block, which gives a resumed run the bits
+of the uninterrupted one.
 """
 
 from __future__ import annotations
@@ -62,6 +71,7 @@ from .errors import (
     DimensionMismatch,
     EmptyRange,
     NonFiniteStart,
+    CorruptRestart,
     NonFiniteTarget,
     StageOutOfRange,
 )
@@ -74,6 +84,8 @@ from .proposal import log_kernel_density, sample_candidate  # noqa: F401
 
 __all__ = [
     "REJECTED",
+    "BLOCK",
+    "BlockDraws",
     "KernelConfig",
     "KernelSummary",
     "extend_distances",
@@ -89,6 +101,8 @@ __all__ = [
 REJECTED = -1
 
 TICK_STEPS = 1000  # a progress tick ends every this many verbose steps
+
+BLOCK = 64  # cascade stages drawn per refill of a chain's BlockDraws
 
 INF = float("inf")
 NEG_INF = -INF
@@ -223,31 +237,96 @@ def dr_log_alpha(
     return NEG_INF if log_num == NEG_INF else min(0.0, log_num - log_den)
 
 
+class BlockDraws:
+    """A chain's PCG64 stream, drawn BLOCK cascade stages at a time.
+
+    A refill draws standard_normal((BLOCK, d)), then random(BLOCK); the
+    stage at ``offset`` takes that row of ``normals``, of ``steps`` (L z,
+    made with ``factor``) and of ``uniforms``. Nothing is drawn before a
+    stage asks, so a kernel built for a resume draws one block at most.
+    """
+
+    __slots__ = ("generator", "dimension", "start", "normals", "uniforms",
+                 "steps", "factor", "offset")
+
+    def __init__(self, generator: np.random.Generator, dimension: int):
+        self.generator = generator
+        self.dimension = dimension
+        self.start = None  # the stream's state before the pending block
+        self.normals = self.uniforms = self.steps = self.factor = None
+        self.offset = BLOCK  # rows taken of the block; BLOCK: none pending
+
+    def _refill(self) -> None:
+        gen = self.generator
+        self.start = gen.bit_generator.state
+        self.normals = gen.standard_normal((BLOCK, self.dimension))
+        self.uniforms = gen.random(BLOCK).tolist()
+        self.factor = None
+        self.offset = 0
+
+    def ready(self, chol: np.ndarray) -> int:
+        """The offset of the next stage's row, after a refill if the block
+        is used up and a new L z if ``chol`` is not its factor."""
+        if self.offset == BLOCK:
+            self._refill()
+        if self.factor is not chol:
+            # the one place L z is made; always over all BLOCK rows
+            self.steps = self.normals.dot(chol.T)
+            self.factor = chol
+        return self.offset
+
+    def position(self) -> Tuple[dict, int]:
+        """(numpy's PCG64 state dict, rows taken): the state before the
+        pending block and its offset, or the current state and 0 when no
+        block is pending."""
+        if self.offset < BLOCK:
+            return self.start, self.offset
+        return self.generator.bit_generator.state, 0
+
+    def seek(self, state: dict, offset: int) -> None:
+        """Inverse of position: restore the state and draw the pending
+        block again, if any."""
+        if not (type(offset) is int and 0 <= offset < BLOCK):
+            raise CorruptRestart("block offset %r outside [0, %d)" % (offset, BLOCK))
+        self.generator.bit_generator.state = state
+        self.offset = BLOCK
+        if offset:
+            self._refill()
+            self.offset = offset
+
+
 def propose_cascade(
     target: TargetDensity,
     proposal: ProposalState,
     incumbent: np.ndarray,
     log_incumbent: float,
     dr_stage_count: int,
-    stream: np.random.Generator,
+    draws: BlockDraws,
 ) -> Tuple[np.ndarray, float, int]:
     """Run one full proposal attempt: stage 0 plus up to dr_stage_count
     retries. Returns (state, log_func, stage) of the accepted candidate, or
     the incumbent's with stage REJECTED.
 
-    Pure with respect to everything but the stream; shared verbatim by the
-    serial kernel and the fork-join workers.
+    Pure with respect to everything but the chain's draws; shared verbatim
+    by the serial kernel and the fork-join workers.
     """
-    normal, uniform = stream.standard_normal, stream.random
-    evaluate, d = target.evaluate, proposal.dimension
+    evaluate = target.evaluate
     chol = proposal.chol_factor
     scales = proposal.stage_scales
+    k = draws.offset
+    if k == BLOCK or draws.factor is not chol:
+        k = draws.ready(chol)
+    steps, uniforms = draws.steps, draws.uniforms
     for stage in range(dr_stage_count + 1):
-        z = normal(d)
-        # in place, the bits of incumbent + scales[stage] * chol.dot(z)
-        candidate = chol.dot(z)
-        candidate *= scales[stage]
+        if k == BLOCK:
+            k = draws.ready(chol)
+            steps, uniforms = draws.steps, draws.uniforms
+        # the bits of incumbent + scales[stage] * L z
+        candidate = steps[k] * scales[stage]
         candidate += incumbent
+        u = uniforms[k]
+        k += 1
+        draws.offset = k
         log_candidate = float(evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = NEG_INF  # NaN: outside the support
@@ -256,7 +335,8 @@ def propose_cascade(
                 "target log-density is +inf at (%s)"
                 % ", ".join("%.17g" % v for v in candidate)
             )
-        u = uniform()
+        # math.log per stage, not numpy's log over the block: numpy's SIMD
+        # loops round differently on other CPUs
         lnu = math.log(u) if u > 0.0 else NEG_INF
         if stage == 0:
             if lnu < log_candidate - log_incumbent:
@@ -268,11 +348,11 @@ def propose_cascade(
                         "stage %d outside [0, %d]" % (dr_stage_count, len(scales) - 1)
                     )
                 log_funcs = [log_incumbent, log_candidate]
-                dists, draws, memo = [[0.0]], [], {}
-                extend_distances(dists, draws, scales, z)
+                dists, seen, memo = [[0.0]], [], {}
+                extend_distances(dists, seen, scales, draws.normals[k - 1])
         else:
             log_funcs.append(log_candidate)
-            extend_distances(dists, draws, scales, z)
+            extend_distances(dists, seen, scales, draws.normals[k - 1])
             log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
             if lnu < log_alpha:
                 return candidate, log_candidate, stage
@@ -356,7 +436,8 @@ class Kernel:
     """The stepping engine of every mode: one chain, one stream.
 
     Owns the chain, its PCG64 stream ``generator`` (rng.chain_stream of the
-    config's seed and ``chain_index``), the full moment accumulator, the
+    config's seed and ``chain_index``) and the BlockDraws ``draws`` that
+    reads it, the full moment accumulator, the
     adaptation schedule and the burn-in tracker. ``step()`` runs one cascade
     on that stream and commits it as one verbose step; it returns the
     bookkeeping events the step produced. ``run()`` steps until the chain is
@@ -404,6 +485,7 @@ class Kernel:
         self.workers = int(workers)
         self.generator = rng_mod.chain_stream(config.rng_seed, self.chain_index)
         d = target.dimension
+        self.draws = BlockDraws(self.generator, d)
         self._period = config.resolved_adaptation_period(d)
         self._moments = WeightedMoments(d)
         self._pending_measure = 0.0
@@ -467,7 +549,7 @@ class Kernel:
     def step(self) -> Sequence[tuple]:
         return self.commit(propose_cascade(
             self.target, self.proposal, self.incumbent, self.log_incumbent,
-            self.config.dr_stage_count, self.generator,
+            self.config.dr_stage_count, self.draws,
         ))
 
     def run(
@@ -478,11 +560,11 @@ class Kernel:
         summary. A rejection that ends no tick is charged here, as commit
         would."""
         chain, length = self.chain, self.config.chain_length_target
-        stages, target, stream = self.config.dr_stage_count, self.target, self.generator
+        stages, target, draws = self.config.dr_stage_count, self.target, self.draws
         cascade = propose_cascade  # looked up per run, so a patched one is used
         while chain.n_rows < length:
             outcome = cascade(target, self.proposal, self.incumbent,
-                              self.log_incumbent, stages, stream)
+                              self.log_incumbent, stages, draws)
             if outcome[2] == REJECTED and (chain.verbose_length + 1) % TICK_STEPS:
                 chain.verbose_length += 1  # the live row's weight
                 continue
@@ -553,14 +635,17 @@ class Kernel:
 
     def state_dict(self) -> dict:
         """What the chain's rows cannot give back, as plain JSON values: the
-        stream cursor (numpy's PCG64 state), the pending adaptation measure
-        and the live row. The proposal is not stored; load_state derives
-        it."""
+        stream cursor (numpy's PCG64 state before the pending block of
+        draws, and the rows taken of it; see BlockDraws.position), the
+        pending adaptation measure and the live row. The proposal is not
+        stored; load_state derives it."""
         # a fresh ChainRow: its fields, without a deep copy
         live = vars(self.chain.row(self.chain.n_rows - 1))
         live["state"] = live["state"].tolist()
+        stream, offset = self.draws.position()
         return {
-            "stream": self.generator.bit_generator.state,
+            "stream": stream,
+            "block_offset": offset,
             "pending_measure": self._pending_measure,
             "live_row": live,
         }
@@ -580,11 +665,12 @@ class Kernel:
 
     def load_state(self, state: dict) -> None:
         """Inverse of state_dict, on a kernel built with its initial proposal
-        and the finalized rows: restore the stream and the pending measure,
+        and the finalized rows: restore the stream (drawing its pending
+        block again) and the pending measure,
         append the live row, and derive the rest from the rows as a run does.
         Of the adaptations, only the last is made (unmeasured: the snapshot
         holds the pending measure); the earlier boundaries only fold."""
-        self.generator.bit_generator.state = state["stream"]
+        self.draws.seek(state["stream"], state["block_offset"])
         self._pending_measure = float(state["pending_measure"])
         chain = self.chain
         chain.append_row(ChainRow(**state["live_row"]))

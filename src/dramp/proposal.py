@@ -157,7 +157,8 @@ def sample_candidate(
     """Draw one candidate for the given DR stage.
 
     Consumes exactly ``state.dimension`` standard normals from the stream, no
-    matter the stage. Restart replay depends on that budget.
+    matter the stage. A run draws its candidates from blocks of its chain's
+    stream instead (kernel.BlockDraws).
     """
     if stage < 0 or stage > len(state.dr_scales):
         raise StageOutOfRange(

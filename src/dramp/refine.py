@@ -11,7 +11,7 @@ standard errors of 1, the value of an independent series. The surviving
 points form the refined sample written to the sample file.
 
 Also here: the two-sample Kolmogorov-Smirnov test used to cross-compare
-refined samples from independent chains.
+refined samples from independent chains, each at its effective size.
 """
 
 from __future__ import annotations
@@ -49,25 +49,38 @@ _WINDOW = 5.0
 # factors discard points that the refined sample's mean needs (criterion 1)
 _PHASE_1_FACTOR = 1.75
 _PHASE_2_FACTOR = 1.25
+# columns per FFT batch: at most this many points, so that a batch's
+# transforms hold about as much memory as one column of a long chain's
+_BATCH_POINTS = 2048
 
 
-def _sokal_iac(series: np.ndarray) -> Tuple[float, int]:
-    """IAC of one series and the window M it was summed to.
+def _sokal_iac(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """IAC of each column of ``points`` (n, d), and the window M each was
+    summed to.
 
-    The autocovariances come from one FFT of the centred series, zero-padded
-    to twice its length so that no lag wraps around; IAC(M) is
-    1 + 2 * sum of the autocorrelations at lags 1..M. The IAC is clamped
-    below at 1; a constant series returns (1, 0) by convention.
+    The autocovariances come from FFTs along axis 0 of the centred columns,
+    zero-padded to twice their length so that no lag wraps around, one batch
+    of columns at a time; IAC(M) is 1 + 2 * sum of the autocorrelations at
+    lags 1..M. The IAC is clamped below at 1; a constant column gives (1, 0)
+    by convention.
     """
-    n = series.size
-    if series.min() == series.max():
-        return 1.0, 0
-    spectrum = rfft(series - series.mean(), 2 * n)
-    acov = irfft(np.abs(spectrum) ** 2, 2 * n)[:n]
-    iac = 2.0 * np.cumsum(acov / acov[0]) - 1.0
-    wide = np.arange(n) >= _WINDOW * iac
-    window = int(np.argmax(wide)) if wide.any() else n - 1
-    return max(1.0, float(iac[window])), window
+    n, d = points.shape
+    iacs, windows = np.empty(d), np.empty(d, dtype=np.int64)
+    width = max(1, _BATCH_POINTS // n)
+    for first in range(0, d, width):
+        batch = points[:, first:first + width]
+        spectrum = np.abs(rfft(batch - batch.mean(axis=0), 2 * n, axis=0))
+        acov = irfft(spectrum * spectrum, 2 * n, axis=0)[:n]
+        with np.errstate(divide="ignore", invalid="ignore"):  # constant columns
+            iac = 2.0 * np.cumsum(acov / acov[0], axis=0) - 1.0
+        wide = np.arange(n)[:, None] >= _WINDOW * iac
+        window = np.where(wide.any(axis=0), wide.argmax(axis=0), n - 1)
+        windows[first:first + width] = window
+        iacs[first:first + width] = np.maximum(1.0, iac[window, np.arange(window.size)])
+        del spectrum, acov, iac, wide  # before the next batch's are made
+    constant = points.min(axis=0) == points.max(axis=0)
+    iacs[constant], windows[constant] = 1.0, 0
+    return iacs, windows
 
 
 def estimate_iac(
@@ -92,7 +105,7 @@ def estimate_iac(
         raise SeriesTooShort(
             "need at least %d points, got %d" % (_MIN_POINTS, x.size)
         )
-    return _sokal_iac(x)[0]
+    return float(_sokal_iac(x[:, None])[0][0])
 
 
 def _thinning_stride(
@@ -106,8 +119,10 @@ def _thinning_stride(
     is unlikely, with M the window of the dimension that sets the IAC.
     """
     n = points.shape[0]
-    iac, window = max(_sokal_iac(column) for column in points.T)
-    if iac <= 1.0 + 2.0 * math.sqrt((4 * window + 2) / n):
+    iacs, windows = _sokal_iac(points)
+    worst = int(np.argmax(iacs))
+    iac = float(iacs[worst])
+    if iac <= 1.0 + 2.0 * math.sqrt((4 * int(windows[worst]) + 2) / n):
         return iac, None
     return iac, math.ceil(factor * iac)
 
@@ -208,12 +223,14 @@ def _kolmogorov_sf(lam: float) -> float:
 
 
 def ks_two_sample(
-    a: Sequence[float], b: Sequence[float]
+    a: Sequence[float], b: Sequence[float], iac_a: float = 1.0, iac_b: float = 1.0
 ) -> Tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
 
     D is the largest gap between the two empirical CDFs; the p-value uses the
-    asymptotic Kolmogorov tail at lambda = sqrt(na*nb/(na+nb)) * D.
+    asymptotic Kolmogorov tail at lambda = sqrt(ma*mb/(ma+mb)) * D, with the
+    effective sizes m = n / IAC of samples whose points are autocorrelated
+    (IAC 1, the default, for independent points).
     """
     xa = np.sort(np.asarray(a, dtype=float))
     xb = np.sort(np.asarray(b, dtype=float))
@@ -224,8 +241,8 @@ def ks_two_sample(
     cdf_a = np.searchsorted(xa, grid, side="right") / na
     cdf_b = np.searchsorted(xb, grid, side="right") / nb
     statistic = float(np.max(np.abs(cdf_a - cdf_b)))
-    effective = math.sqrt(na * nb / (na + nb))
-    p_value = _kolmogorov_sf(effective * statistic)
+    ma, mb = na / iac_a, nb / iac_b
+    p_value = _kolmogorov_sf(math.sqrt(ma * mb / (ma + mb)) * statistic)
     return statistic, p_value
 
 
@@ -234,7 +251,9 @@ class ConvergenceCheck:
     """Pairwise per-dimension KS comparison across refined chains.
 
     Bonferroni-corrected at significance alpha across pairs x dimensions.
-    A failure is evidence worth reporting, never fatal to the run.
+    Refined points keep some autocorrelation, so each chain's sample counts
+    at its effective size n / IAC per dimension. A failure is evidence
+    worth reporting, never fatal to the run.
     """
 
     entries: Tuple[Tuple[int, int, int, float, float], ...]  # (i, j, dim, D, p)
@@ -260,12 +279,14 @@ def cross_chain_check(
     dimension = refined[0].dimension
     n_pairs = len(refined) * (len(refined) - 1) // 2
     corrected = alpha / (n_pairs * dimension)
+    iacs = [_sokal_iac(r.points)[0] for r in refined]
     entries = []
     for i in range(len(refined)):
         for j in range(i + 1, len(refined)):
             for dim in range(dimension):
                 stat, p = ks_two_sample(
-                    refined[i].points[:, dim], refined[j].points[:, dim]
+                    refined[i].points[:, dim], refined[j].points[:, dim],
+                    iacs[i][dim], iacs[j][dim],
                 )
                 entries.append((i, j, dim, stat, p))
     return ConvergenceCheck(

@@ -17,7 +17,14 @@ from scipy import integrate, signal, stats
 from dramp.cli import EXIT_OK, EXIT_REFUSED, main
 from dramp.config import build_spec
 from dramp.driver import run_simulation
-from dramp.kernel import REJECTED, Kernel, KernelConfig, propose_cascade, run_kernel
+from dramp.kernel import (
+    REJECTED,
+    BlockDraws,
+    Kernel,
+    KernelConfig,
+    propose_cascade,
+    run_kernel,
+)
 from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import fit_geometric, predict_speedup, run_forkjoin, run_multichain
 from dramp.persist import ChainWriter, OutputSuite
@@ -663,7 +670,7 @@ def test_dr3_balance_one_step_from_exact_draws_in_two_dimensions():
     draws = np.random.default_rng(2)
     before = draws.choice(16, size=GRID_DRAWS, p=pi)
     starts = np.column_stack((before // 4, before % 4)) + draws.random((GRID_DRAWS, 2))
-    stream = chain_stream(2, 0)
+    stream = BlockDraws(chain_stream(2, 0), 2)
     after, stages = [], []
     for start, log_start in zip(list(starts), GRID_LOG_HEIGHTS[before].tolist()):
         state, _, stage = propose_cascade(target, proposal, start, log_start, 3, stream)

@@ -46,7 +46,7 @@ import dramp.kernel
 import dramp.persist
 from dramp.driver import run_simulation
 from dramp.errors import BadDimension, CorruptRestart, SpecMismatch
-from dramp.kernel import Kernel
+from dramp.kernel import BLOCK, Kernel
 from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import PREDICTION_GRID
 from dramp.persist import (
@@ -1002,6 +1002,51 @@ class TestResume:
             tmp_path, monkeypatch, capsys, {**overrides, "format": fmt}, stop
         )
 
+    @pytest.mark.parametrize("overrides", [
+        {"mode": "serial", "dr-stages": "2"},
+        {"mode": "multichain", "chains": "2"},
+        {"mode": "forkjoin", "workers": "4", "format": "binary"},
+    ], ids=["serial-dr2", "multichain", "forkjoin"])
+    def test_a_kill_inside_a_block_resumes_to_identical_bytes(
+        self, tmp_path, monkeypatch, capsys, overrides
+    ):
+        # the kill falls at a stage's target evaluation, inside a block of
+        # draws, and the snapshot the resume starts from has taken part of
+        # its block: the resume draws that block again and skips the rows
+        # already taken
+        clean, broken = tmp_path / "clean", tmp_path / "broken"
+        clean.mkdir()
+        broken.mkdir()
+        monkeypatch.chdir(clean)
+        run_simulation(self.spec_here(**overrides))
+        monkeypatch.chdir(broken)
+
+        def killing(spec):
+            target, calls = dramp.config.make_target(spec), [0]
+
+            def evaluate(x):
+                calls[0] += 1
+                if calls[0] == 1000:
+                    raise Interrupt()
+                return target.evaluate(x)
+
+            return dataclasses.replace(target, evaluate=evaluate)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dramp.driver, "make_target", killing)
+            with pytest.raises(Interrupt):
+                run_simulation(self.spec_here(**overrides))
+        snap = read_snapshot("run_restart.bin")
+        assert snap["rows_written"] > 0
+        assert 0 < snap["kernel"]["block_offset"] < BLOCK
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--deterministic-test-mode"]
+        for key, value in overrides.items():
+            argv += ["--" + key, value]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("resumed run under prefix")
+        assert_suites_identical(clean, broken)
+
     def test_kill_before_the_next_chains_first_snapshot_resumes_to_identical_bytes(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -1200,11 +1245,12 @@ class TestResume:
         return dict(kernel, stream=stream, adaptation_count=count)
 
     def refused_untouched(self, tmp_path, capsys, spec, argv, older, version):
-        # the layouts before version 4 also held the mode, the chain count
-        # and the worker count, and wrote floats and arrays as hex
-        older = dict(older, mode=spec.mode, n_chains=spec.n_chains,
-                     worker_count=spec.worker_count)
-        write_snapshot("run_restart.bin", hex_encoded(older))
+        if version < 4:
+            # the layouts before version 4 also held the mode, the chain
+            # count and the worker count, and wrote floats and arrays as hex
+            older = hex_encoded(dict(older, mode=spec.mode, n_chains=spec.n_chains,
+                                     worker_count=spec.worker_count))
+        write_snapshot("run_restart.bin", older)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert main(["run", "--out", "run", "--chain-len", "600", "--seed", "4",
                      "--deterministic-test-mode"] + argv) == EXIT_CONFIG
@@ -1223,7 +1269,7 @@ class TestResume:
         spec = self.spec_here()
         run_to_interrupt(spec, 350)
         snap = read_snapshot(spec.output.restart_path)
-        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 4
+        assert snap["format_version"] == SNAPSHOT_FORMAT_VERSION == 5
         lines = ["%s=%s" % (key, value) for key, value, _ in spec_to_items(spec)
                  if key not in DIGEST_EXCLUDED]
         rendered = hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
@@ -1274,6 +1320,20 @@ class TestResume:
                      kernel=self.version_3_kernel(snap["kernel"]))
         self.refused_untouched(tmp_path, capsys, spec, [], older, 3)
 
+    def test_format_4_snapshot_refused_untouched(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # a snapshot in the version-4 layout: the stream's current state,
+        # with no block offset
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here()
+        run_to_interrupt(spec, 350)
+        snap = read_snapshot(spec.output.restart_path)
+        kernel = dict(snap["kernel"])
+        del kernel["block_offset"]
+        older = dict(snap, format_version=4, kernel=kernel)
+        self.refused_untouched(tmp_path, capsys, spec, [], older, 4)
+
     def multichain_payloads(self, tmp_path, monkeypatch):
         """Every snapshot payload of a clean run of 3 chains, in order."""
         monkeypatch.chdir(tmp_path)
@@ -1297,8 +1357,8 @@ class TestResume:
                 "format_version", "trajectory_version", "spec_digest",
                 "chain_format", "delimiter", "rows_written", "chain_offset",
                 "progress_offset", "kernel"}
-            assert set(payload["kernel"]) == {"stream", "pending_measure",
-                                              "live_row"}
+            assert set(payload["kernel"]) == {"stream", "block_offset",
+                                              "pending_measure", "live_row"}
 
     def test_every_multichain_snapshot_holds_a_kernel(self, tmp_path, monkeypatch):
         # no snapshot falls between two chains: each chain's first is taken

@@ -10,6 +10,7 @@ import copy
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,9 @@ from dramp.errors import (
     StageOutOfRange,
 )
 from dramp.kernel import (
+    BLOCK,
     REJECTED,
+    BlockDraws,
     Kernel,
     KernelConfig,
     burnin_location,
@@ -57,7 +60,10 @@ def wall_target(dimension):
 
 
 class ScriptedStream:
-    """A stream whose normals are all ones and whose uniforms are given."""
+    """A generator whose normals are all ones and whose uniforms are given,
+    the last repeated to fill a block."""
+
+    bit_generator = SimpleNamespace(state=None)
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
@@ -65,8 +71,13 @@ class ScriptedStream:
     def standard_normal(self, size):
         return np.ones(size)
 
-    def random(self):
-        return self.uniforms.pop(0)
+    def random(self, size):
+        return np.array(self.uniforms + self.uniforms[-1:] * size)[:size]
+
+
+def chain_draws(seed, dimension):
+    """The block draws of chain 0's stream of ``seed``."""
+    return BlockDraws(rng_mod.chain_stream(seed, 0), dimension)
 
 
 class TestStageZeroRule:
@@ -94,7 +105,8 @@ class TestStageZeroRule:
         prop = ProposalState.create(1, scale_factor=1.0)
         incumbent = np.array([2.0])
         state, log_func, stage = propose_cascade(
-            target, prop, incumbent, log_incumbent, 0, ScriptedStream([u]))
+            target, prop, incumbent, log_incumbent, 0,
+            BlockDraws(ScriptedStream([u]), 1))
         if accepted:
             assert (state.tolist(), log_func, stage) == ([3.0], log_candidate, 0)
         else:
@@ -327,19 +339,22 @@ class TestDrMemoOracle:
 
 
 def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
-                              dr_stage_count, stream):
-    """propose_cascade on the draws-based recursion: the same stream use and
-    candidates, each retry's ratio from reference_dr_log_alpha."""
+                              dr_stage_count, blocks):
+    """propose_cascade on the draws-based recursion: the same rows of the
+    chain's blocks, each taken through BlockDraws.ready, which refills and
+    remakes L z as needed, and the same candidates; each retry's ratio from
+    reference_dr_log_alpha."""
     scales = [proposal.scale_factor] + [
         proposal.scale_factor * s for s in proposal.dr_scales]
     log_funcs, draws, memo = [log_incumbent], [], {}
     for stage in range(dr_stage_count + 1):
-        z = stream.standard_normal(proposal.dimension)
-        candidate = incumbent + scales[stage] * proposal.chol_factor.dot(z)
+        k = blocks.ready(proposal.chol_factor)
+        z, u = blocks.normals[k], blocks.uniforms[k]
+        candidate = incumbent + scales[stage] * blocks.steps[k]
+        blocks.offset = k + 1
         log_candidate = float(target.evaluate(candidate))
         if log_candidate != log_candidate:
             log_candidate = float("-inf")
-        u = stream.random()
         log_funcs.append(log_candidate)
         draws.append(z)
         lnu = math.log(u) if u > 0.0 else float("-inf")
@@ -397,58 +412,73 @@ class TestDecisionIdentity:
 class TestProposeCascade:
     def test_flat_target_accepts_at_stage_zero(self):
         prop = ProposalState.create(2)
-        stream = rng_mod.chain_stream(5, 0)
         incumbent = np.zeros(2)
         state, log_func, stage = propose_cascade(
-            flat_target(2), prop, incumbent, 0.0, 1, stream)
+            flat_target(2), prop, incumbent, 0.0, 1, chain_draws(5, 2))
         assert stage == 0
         assert log_func == 0.0
         assert not np.array_equal(state, incumbent)
 
     def test_full_rejection_returns_incumbent(self):
         prop = ProposalState.create(1, dr_scales=(0.5, 0.25))
-        stream = rng_mod.chain_stream(5, 0)
         incumbent = np.array([1.5])
         state, log_func, stage = propose_cascade(
-            wall_target(1), prop, incumbent, 0.0, 2, stream)
+            wall_target(1), prop, incumbent, 0.0, 2, chain_draws(5, 1))
         assert stage == REJECTED
         assert state is incumbent
         assert log_func == 0.0
 
     @pytest.mark.parametrize("stages,accepts", [(2, False), (0, True)])
     def test_stream_budget_is_exact(self, stages, accepts):
-        # each attempted stage draws d normals plus one uniform, no more
+        # each attempted stage takes one row of d normals and one uniform of
+        # the block; a refill draws BLOCK rows of normals, then BLOCK uniforms
         d = 3
         prop = ProposalState.create(d, dr_scales=(0.5, 0.25))
         target = flat_target(d) if accepts else wall_target(d)
-        used = rng_mod.chain_stream(17, 0)
-        propose_cascade(target, prop, np.zeros(d), 0.0, stages, used)
-        replay = rng_mod.chain_stream(17, 0)
-        for _ in range(stages + 1):
-            replay.standard_normal(d)
-            replay.random()
-        assert used.random() == replay.random()
+        for cascades in (1, 30):  # within the first block, and into the next
+            used = chain_draws(17, d)
+            for _ in range(cascades):
+                propose_cascade(target, prop, np.zeros(d), 0.0, stages, used)
+            taken = cascades * (stages + 1)
+            replay = rng_mod.chain_stream(17, 0)
+            for _ in range(-(-taken // BLOCK)):
+                normals = replay.standard_normal((BLOCK, d))
+                uniforms = replay.random(BLOCK).tolist()
+            assert used.offset == (taken - 1) % BLOCK + 1
+            assert np.array_equal(used.normals, normals)
+            assert used.uniforms == uniforms
+            assert used.generator.random() == replay.random()
 
     def test_each_stage_draws_incumbent_plus_scaled_factor_times_normals(self):
         # candidate k is x + s_k L z_k with C = L L^T; the DR ratio is exact
-        # for any factor, so only a non-diagonal C tells L from L^T
+        # for any factor, so only a non-diagonal C tells L from L^T. The
+        # factor changes inside the first block, as an adaptation changes
+        # it, so a stale L z shows; the cascades run on into a second block
         d = 3
-        cov = np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 0.5]])
-        prop = ProposalState.create(d, covariance=cov, dr_scales=(0.5, 0.25))
+        covs = [np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 0.5]]),
+                np.array([[0.5, -0.2, 0.1], [-0.2, 1.5, 0.7], [0.1, 0.7, 1.0]])]
+        props = [ProposalState.create(d, covariance=c, dr_scales=(0.5, 0.25))
+                 for c in covs]
         seen = []
         target = TargetDensity(
             "wall", d, lambda x: seen.append(x.copy()) or float("-inf"))
         stream = RecordedStream(rng_mod.chain_stream(23, 0))
+        draws = BlockDraws(stream, d)
         incumbent = np.array([0.3, -1.2, 2.0])
-        propose_cascade(target, prop, incumbent, 0.0, 2, stream)
-        assert stream.calls == [("standard_normal", d), ("random", None)] * 3
-        normals = stream.draws[0::2]
-        chol = np.linalg.cholesky(cov)
-        scales = prop.scale_factor * np.array((1.0,) + prop.dr_scales)
-        assert len(seen) == 3
-        for candidate, s, z in zip(seen, scales, normals):
-            np.testing.assert_allclose(candidate, incumbent + s * (chol @ z),
-                                       rtol=1e-13, atol=1e-13)
+        adapted_at = 5  # cascades; its first stage is row 15 of the block
+        for cascade in range(22):
+            propose_cascade(target, props[cascade >= adapted_at], incumbent,
+                            0.0, 2, draws)
+        assert stream.calls == [("standard_normal", (BLOCK, d)),
+                                ("random", BLOCK)] * 2
+        normals = np.concatenate(stream.draws[0::2])
+        scales = props[0].scale_factor * np.array((1.0,) + props[0].dr_scales)
+        assert len(seen) == 66
+        for k, candidate in enumerate(seen):
+            chol = np.linalg.cholesky(covs[k >= 3 * adapted_at])
+            np.testing.assert_allclose(
+                candidate, incumbent + scales[k % 3] * (chol @ normals[k]),
+                rtol=1e-13, atol=1e-13)
 
 
 class RecordedStream:
@@ -456,6 +486,7 @@ class RecordedStream:
 
     def __init__(self, gen):
         self._gen = gen
+        self.bit_generator = gen.bit_generator
         self.calls = []
         self.draws = []
 
@@ -464,9 +495,9 @@ class RecordedStream:
         self.draws.append(self._gen.standard_normal(size))
         return self.draws[-1]
 
-    def random(self):
-        self.calls.append(("random", None))
-        self.draws.append(self._gen.random())
+    def random(self, size):
+        self.calls.append(("random", size))
+        self.draws.append(self._gen.random(size))
         return self.draws[-1]
 
 
@@ -483,7 +514,7 @@ class TestNonFiniteTarget:
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         incumbent = np.zeros(3)
         state, _, stage = propose_cascade(
-            nan_target(3), prop, incumbent, 0.0, stages, rng_mod.chain_stream(5, 0)
+            nan_target(3), prop, incumbent, 0.0, stages, chain_draws(5, 3)
         )
         assert stage == REJECTED
         assert state is incumbent
@@ -491,21 +522,22 @@ class TestNonFiniteTarget:
     @pytest.mark.parametrize("stages", [0, 1, 2])
     def test_nan_keeps_the_stream_budget(self, stages):
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
-        used = rng_mod.chain_stream(17, 0)
+        used = chain_draws(17, 3)
         propose_cascade(nan_target(3), prop, np.zeros(3), 0.0, stages, used)
-        walled = rng_mod.chain_stream(17, 0)
+        walled = chain_draws(17, 3)
         propose_cascade(wall_target(3), prop, np.zeros(3), 0.0, stages, walled)
-        assert used.random() == walled.random()
+        assert used.offset == walled.offset == stages + 1
+        assert used.generator.random() == walled.generator.random()
 
     @pytest.mark.parametrize("stages", [0, 2])
     def test_plus_inf_raises_naming_the_point(self, stages):
         prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
         target = TargetDensity("spike", 2, lambda x: float("inf"))
-        stream = rng_mod.chain_stream(3, 0)
         with pytest.raises(NonFiniteTarget) as info:
-            propose_cascade(target, prop, np.zeros(2), 0.0, stages, stream)
+            propose_cascade(target, prop, np.zeros(2), 0.0, stages, chain_draws(3, 2))
         replay = rng_mod.chain_stream(3, 0)
-        point = prop.scale_factor * (prop.chol_factor @ replay.standard_normal(2))
+        z = replay.standard_normal((BLOCK, 2))[0]
+        point = prop.scale_factor * (prop.chol_factor @ z)
         assert "+inf at (%.17g, %.17g)" % tuple(point) in str(info.value)
 
     @pytest.mark.parametrize("stages", [1, 2])
@@ -517,9 +549,8 @@ class TestNonFiniteTarget:
             "core", 1,
             lambda x: float("inf") if abs(x[0]) < 1.0 else float("-inf"),
         )
-        stream = rng_mod.chain_stream(8, 0)
         with pytest.raises(NonFiniteTarget):
-            propose_cascade(target, prop, np.zeros(1), 0.0, stages, stream)
+            propose_cascade(target, prop, np.zeros(1), 0.0, stages, chain_draws(8, 1))
 
 
 class TestBurninLocation:
@@ -534,12 +565,43 @@ class TestBurninLocation:
         got = burnin_location([-10.0, -3.0, -1.0, -1.5], 2, weights=[2, 3, 1, 1])
         assert got == 5
 
+    def test_threshold_is_half_the_dimension_below_the_maximum(self):
+        # d = 4: threshold -1 - 4/2 = -3, so -2.5 clears it; at d/4 it would not
+        assert burnin_location([-10.0, -2.5, -1.0], 4) == 1
+
     def test_steep_climb_lands_on_the_last_state(self):
         assert burnin_location([-100.0, -50.0, 0.0], 1) == 2
 
     def test_empty_series_raises(self):
         with pytest.raises(EmptyRange):
             burnin_location([], 1)
+
+
+class TestAdaptationCount:
+    """Adaptations happen at the multiples of the period in
+    [max(2, d + 1), rows]; a boundary at d rows or fewer is a no-op."""
+
+    def test_a_period_dividing_the_dimension(self):
+        # the multiples 6, 8, ..., 200: the boundaries at 2 and 4 rows fall
+        # at d rows or fewer
+        assert kernel_mod.adaptation_count(200, 4, 2) == 98
+
+    def test_summary_counts_the_adaptations_that_changed_the_proposal(self):
+        d = 4
+        cfg = KernelConfig(200, (0.0,) * d, rng_seed=3, adaptation_period=2)
+        kern = Kernel(gaussian_target(np.zeros(d), np.eye(d)), cfg,
+                      ProposalState.create(d))
+        changed, last = [], [kern.proposal]
+
+        def on_step(events):
+            for event in events:
+                if event[0] == "adapt":
+                    changed.append(kern.proposal is not last[0])
+                    last[0] = kern.proposal
+
+        summary = kern.run(on_step)
+        assert len(changed) == 100  # every multiple of 2 up to 200 rows
+        assert sum(changed) == summary.adaptation_count == 98
 
 
 class TestKernelStream:
@@ -568,6 +630,9 @@ class TestKernelStream:
         snap = json.loads(json.dumps(ka.state_dict()))
         kb = self.kernel(chain=ka.chain.slice(0, ka.chain.n_rows - 1))
         kb.load_state(snap)
+        assert 0 < snap["block_offset"] == kb.draws.offset < BLOCK
+        assert np.array_equal(kb.draws.normals, ka.draws.normals)
+        assert kb.draws.uniforms == ka.draws.uniforms
         assert kb.generator.random(50).tolist() == ka.generator.random(50).tolist()
 
     @pytest.mark.parametrize("chain_index, workers", [(0, 1), (2, 1), (0, 4)])
@@ -960,8 +1025,14 @@ class TestStateTransport:
         state = kern.state_dict()
         # the adaptation count and the stream's identity are derived too:
         # the stream block is numpy's own PCG64 state dict
-        assert set(state) == {"stream", "pending_measure", "live_row"}
-        assert state["stream"] == kern.generator.bit_generator.state
+        assert set(state) == {"stream", "block_offset", "pending_measure",
+                              "live_row"}
+        # the state before the pending block, which draws that block again
+        assert 0 < state["block_offset"] < BLOCK
+        replay = rng_mod.chain_stream(0, 0)
+        replay.bit_generator.state = state["stream"]
+        assert np.array_equal(replay.standard_normal((BLOCK, 2)),
+                              kern.draws.normals)
         assert set(state["stream"]) == {"bit_generator", "state",
                                         "has_uint32", "uinteger"}
         assert set(state["stream"]["state"]) == {"state", "inc"}

@@ -34,6 +34,7 @@ from dramp.parallel import (
 )
 from dramp.persist import read_chain
 from dramp.proposal import ProposalState
+from dramp.refine import cross_chain_check, refine_two_phase
 
 
 def flat_target(dimension):
@@ -372,9 +373,19 @@ class TestOneMultichainFailurePolicy:
         })
         target, calls = counted(make_target(spec))
         first = run_kernel(target, spec.kernel, initial_proposal(spec))
-        # chain 2's fifth evaluation: its first is the start point, so this
-        # one is a candidate's
-        spike_at = calls[0] + 5
+        # chain 2 alone, counting its evaluations up to the acceptance that
+        # finalizes its first row; the spike falls on the evaluation after
+        # it, so that row is stored
+        second, second_calls = counted(make_target(spec))
+        finalized_at = []
+
+        def on_event(event):
+            if event[0] == "row_final" and not finalized_at:
+                finalized_at.append(second_calls[0])
+
+        run_kernel(second, spec.kernel, initial_proposal(spec), 1,
+                   on_event=on_event)
+        spike_at = calls[0] + finalized_at[0] + 1
 
         failing, _ = counted(make_target(spec), spike_at)
         with pytest.raises(NonFiniteTarget):
@@ -390,3 +401,28 @@ class TestOneMultichainFailurePolicy:
         assert stored.n_rows > n
         assert chains_equal(stored.slice(0, n), first.chain)
         assert np.all(stored.process_ids[n:] == 2)
+
+
+class TestCrossChainPower:
+    """The cross-chain check flags a chain whose target is shifted by half a
+    standard deviation, on criterion 9's chains: it counts autocorrelated
+    refined points at their effective size, which must not cost it that
+    power."""
+
+    def test_half_sd_shift_is_flagged(self):
+        flagged = 0
+        for rep in range(20):
+            cfg = KernelConfig(
+                chain_length_target=1200, start_point=(0.0,), rng_seed=500 + rep,
+                dr_stage_count=1, adaptation_period=100,
+                greedy_adaptation_count=4,
+            )
+            refined = []
+            for index, mean in enumerate((0.0, 0.0, 0.0, 0.5)):
+                proposal = ProposalState.create(
+                    1, covariance=np.eye(1), scale_factor=2.38, dr_scales=(0.5,))
+                chain = run_kernel(gaussian_target([mean], [[1.0]]), cfg,
+                                   proposal, index).chain
+                refined.append(refine_two_phase(chain))
+            flagged += not cross_chain_check(refined).all_pass
+        assert flagged >= 17, "flagged %d of 20" % flagged

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import signal, stats
 
+from dramp import refine as refine_mod
 from dramp.chain import ChainRow, CompactChain
 from dramp.errors import EmptySample, SeriesTooShort
 from dramp.refine import (
@@ -105,7 +106,8 @@ class TestEstimateIac:
             series = signal.lfilter([1.0], [1.0, -0.5], eps)
         else:
             series = np.array([1.0, -1.0] * 256)
-        iac, window = _sokal_iac(series)
+        iacs, windows = _sokal_iac(series[:, None])
+        iac, window = float(iacs[0]), int(windows[0])
         want_iac, want_window = lag_sum_iac(series)
         assert window == want_window
         assert iac == pytest.approx(want_iac, abs=1e-12)
@@ -113,6 +115,22 @@ class TestEstimateIac:
             assert (iac, window) == (1.0, 1)
         else:
             assert 2.5 < iac < 3.5
+
+    def test_columns_in_one_batch_match_each_column_alone(self, monkeypatch):
+        # one batch of four columns, one of them constant, against each
+        # column transformed alone
+        eps = np.random.default_rng(14).standard_normal((3, 500))
+        cols = [signal.lfilter([1.0], [1.0, -rho], e)
+                for rho, e in zip((0.3, 0.7, 0.95), eps)]
+        points = np.column_stack(cols[:2] + [np.full(500, 1.5)] + cols[2:])
+        iacs, windows = _sokal_iac(points)
+        assert (iacs[2], windows[2]) == (1.0, 0)
+        monkeypatch.setattr(refine_mod, "_BATCH_POINTS", 1)
+        for j in range(4):
+            alone_iac, alone_window = _sokal_iac(points[:, j:j + 1])
+            assert windows[j] == alone_window[0]
+            assert iacs[j] == pytest.approx(alone_iac[0], abs=1e-12)
+            assert _sokal_iac(points)[0][j] == alone_iac[0]
 
     def test_independent_samples_have_unit_iac(self):
         x = np.random.default_rng(1).standard_normal(100_000)
@@ -336,6 +354,34 @@ class TestCrossChainCheck:
         assert chk.corrected_alpha == pytest.approx(0.01 / 6)
         assert chk.all_pass
         assert chk.failures == ()
+
+    def test_bonferroni_level_counts_pairs_and_dimensions(self):
+        # 4 chains at d = 2: 6 pairs x 2 dimensions
+        refined = []
+        for seed in (10, 11, 12, 13):
+            pts = np.random.default_rng(seed).standard_normal((400, 2))
+            refined.append(RefinedSample(2, pts, -0.5 * (pts ** 2).sum(1), 400, ()))
+        chk = cross_chain_check(refined)
+        assert len(chk.entries) == 12
+        assert chk.corrected_alpha == 0.01 / (6 * 2)
+
+    def test_autocorrelated_points_count_at_their_effective_size(self):
+        # the same pair of AR(0.9) samples: as independent points the KS
+        # test flags them, at n / IAC it does not
+        eps = np.random.default_rng(3).standard_normal((2, 2000))
+        a, b = (signal.lfilter([1.0], [1.0, -0.9], e) for e in eps)
+        iac_a, iac_b = estimate_iac(a), estimate_iac(b)
+        assert iac_a > 5 and iac_b > 5
+        d, p_independent = ks_two_sample(a, b)
+        d_eff, p = ks_two_sample(a, b, iac_a, iac_b)
+        assert d_eff == d
+        assert p_independent < 1e-3 < p
+        want = stats.kstwobign.sf(math.sqrt((2000 / iac_a) * (2000 / iac_b)
+                                            / (2000 / iac_a + 2000 / iac_b)) * d)
+        assert p == pytest.approx(want, abs=1e-9)
+        refined = [RefinedSample(1, x[:, None], -0.5 * x ** 2, 2000, ())
+                   for x in (a, b)]
+        assert cross_chain_check(refined).entries[0][4] == p
 
     def test_shifted_chain_is_flagged_not_fatal(self):
         refined = [iid_refined(10), iid_refined(11), iid_refined(12, shift=5.0), iid_refined(13)]
