@@ -32,12 +32,15 @@ its own path's, which the next stage's ratio reuses.
 The step path is bound by per-call overhead, not arithmetic. So the draws
 come in blocks (BlockDraws): one refill draws BLOCK rows of d standard
 normals, then BLOCK uniforms, and L z for the whole block is one product,
-normals.dot(L^T), made again only when the proposal's factor is not the
-one it was made with (after an adaptation). A stage takes one row and one
-uniform. The other per-attempt products (the draws' dot products, the
-built-in targets' quadratic forms) use ndarray.dot, about half the cost of
-@ at small d; on C-contiguous float64 operands both reach the same BLAS
-routine and give the same bits. Adaptation, moments and refinement keep @.
+normals.dot(L^T). That product times the stage-s scale is kept as one
+(BLOCK, d) array per stage the cascades run, all made again only when the
+block or the proposal is not the one they were made with (after a refill,
+an adaptation or a seek). A stage takes one row of its stage's array, added
+to the incumbent, and one uniform. The other per-attempt products (the
+draws' dot products, the banana's remaining coordinates, the mvn target's
+whitening) use ndarray.dot, about half the cost of @ at small d; on
+C-contiguous float64 operands both reach the same BLAS routine and give the
+same bits. Adaptation, moments and refinement keep @.
 Kernel.run reads a run's invariants once and calls propose_cascade (which
 returns a plain tuple) itself. A rejection that ends no tick only adds 1 to
 the verbose length there; every other outcome is committed.
@@ -241,19 +244,24 @@ class BlockDraws:
     """A chain's PCG64 stream, drawn BLOCK cascade stages at a time.
 
     A refill draws standard_normal((BLOCK, d)), then random(BLOCK); the
-    stage at ``offset`` takes that row of ``normals``, of ``steps`` (L z,
-    made with ``factor``) and of ``uniforms``. Nothing is drawn before a
-    stage asks, so a kernel built for a resume draws one block at most.
+    stage at ``offset`` takes that row of ``normals`` and of ``uniforms``,
+    and stage s of a cascade that row of ``scaled[s]``, the block's L z
+    times the stage-s scale of ``proposal``, the proposal it was made for.
+    ``scaled`` holds stages 0..``stages`` (every stage of the proposal when
+    ``stages`` is None). Nothing is drawn before a stage asks, so a kernel
+    built for a resume draws one block at most.
     """
 
-    __slots__ = ("generator", "dimension", "start", "normals", "uniforms",
-                 "steps", "factor", "offset")
+    __slots__ = ("generator", "dimension", "stop", "start", "normals",
+                 "uniforms", "scaled", "proposal", "offset")
 
-    def __init__(self, generator: np.random.Generator, dimension: int):
+    def __init__(self, generator: np.random.Generator, dimension: int,
+                 stages: Optional[int] = None):
         self.generator = generator
         self.dimension = dimension
+        self.stop = None if stages is None else stages + 1
         self.start = None  # the stream's state before the pending block
-        self.normals = self.uniforms = self.steps = self.factor = None
+        self.normals = self.uniforms = self.scaled = self.proposal = None
         self.offset = BLOCK  # rows taken of the block; BLOCK: none pending
 
     def _refill(self) -> None:
@@ -261,18 +269,20 @@ class BlockDraws:
         self.start = gen.bit_generator.state
         self.normals = gen.standard_normal((BLOCK, self.dimension))
         self.uniforms = gen.random(BLOCK).tolist()
-        self.factor = None
+        self.proposal = None
         self.offset = 0
 
-    def ready(self, chol: np.ndarray) -> int:
+    def ready(self, proposal: ProposalState) -> int:
         """The offset of the next stage's row, after a refill if the block
-        is used up and a new L z if ``chol`` is not its factor."""
+        is used up, and new scaled rows if the block's were made for
+        another proposal."""
         if self.offset == BLOCK:
             self._refill()
-        if self.factor is not chol:
+        if self.proposal is not proposal:
             # the one place L z is made; always over all BLOCK rows
-            self.steps = self.normals.dot(chol.T)
-            self.factor = chol
+            steps = self.normals.dot(proposal.chol_factor.T)
+            self.scaled = [steps * s for s in proposal.stage_scales[:self.stop]]
+            self.proposal = proposal
         return self.offset
 
     def position(self) -> Tuple[dict, int]:
@@ -311,19 +321,18 @@ def propose_cascade(
     by the serial kernel and the fork-join workers.
     """
     evaluate = target.evaluate
-    chol = proposal.chol_factor
     scales = proposal.stage_scales
     k = draws.offset
-    if k == BLOCK or draws.factor is not chol:
-        k = draws.ready(chol)
-    steps, uniforms = draws.steps, draws.uniforms
+    if k == BLOCK or draws.proposal is not proposal:
+        k = draws.ready(proposal)
+    scaled, uniforms = draws.scaled, draws.uniforms
     for stage in range(dr_stage_count + 1):
         if k == BLOCK:
-            k = draws.ready(chol)
-            steps, uniforms = draws.steps, draws.uniforms
-        # the bits of incumbent + scales[stage] * L z
-        candidate = steps[k] * scales[stage]
-        candidate += incumbent
+            k = draws.ready(proposal)
+            scaled, uniforms = draws.scaled, draws.uniforms
+        # the bits of incumbent + scales[stage] * L z: a product's elements
+        # round alike in a (BLOCK, d) array and in one row, and + commutes
+        candidate = scaled[stage][k] + incumbent
         u = uniforms[k]
         k += 1
         draws.offset = k
@@ -485,7 +494,7 @@ class Kernel:
         self.workers = int(workers)
         self.generator = rng_mod.chain_stream(config.rng_seed, self.chain_index)
         d = target.dimension
-        self.draws = BlockDraws(self.generator, d)
+        self.draws = BlockDraws(self.generator, d, config.dr_stage_count)
         self._period = config.resolved_adaptation_period(d)
         self._moments = WeightedMoments(d)
         self._pending_measure = 0.0

@@ -11,6 +11,15 @@ three analytic families are built in for testing and demonstration, and
     exp(-Himmelblau(x, y)/s), a smooth four-mode density on R^2.
 ``banana``
     A Gaussian warped along a parabola (Rosenbrock-like ridge), d >= 2.
+
+Himmelblau and the banana's first two coordinates compute on Python floats
+read with ndarray.item, which cost a fraction of numpy scalar operations and
+round the same: + - * / are IEEE operations either way, and the banana's
+power stays a power, as numpy's scalar power and Python's both call pow,
+which rounds t**2 apart from t * t on some inputs. Where the numpy scalar
+power overflowed to inf, Python's raises OverflowError; the banana takes
++inf for it, so a point that far out keeps the log-density numpy gave it:
+-inf, or NaN (read as -inf) where an unbent banana's ridge is 0 * inf.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ __all__ = [
 ]
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -122,8 +132,9 @@ def himmelblau_target(scale: float = 10.0) -> TargetDensity:
     s = float(scale)
 
     def evaluate(x: np.ndarray) -> float:
-        a = x[0] * x[0] + x[1] - 11.0
-        b = x[0] + x[1] * x[1] - 7.0
+        x0, x1 = x.item(0), x.item(1)
+        a = x0 * x0 + x1 - 11.0
+        b = x0 + x1 * x1 - 7.0
         return -(a * a + b * b) / s
 
     return TargetDensity(
@@ -149,12 +160,18 @@ def banana_target(
         raise BadParameter("sigma1", "sigma1 must be positive, got %g" % sigma1)
     b = float(curvature)
     s1 = float(sigma1)
+    s1_squared = s1 * s1
     d = int(dimension)
-    const = -0.5 * d * LOG_TWO_PI - np.log(s1)
+    const = float(-0.5 * d * LOG_TWO_PI - np.log(s1))
 
     def evaluate(x: np.ndarray) -> float:
-        ridge = x[1] - b * (x[0] * x[0] - s1 * s1)
-        quad = (x[0] / s1) ** 2 + ridge * ridge
+        x0, x1 = x.item(0), x.item(1)
+        ridge = x1 - b * (x0 * x0 - s1_squared)
+        try:
+            quad = (x0 / s1) ** 2  # a power: see the module docstring
+        except OverflowError:  # |x0 / s1| past about 1.34e154
+            quad = INF
+        quad += ridge * ridge
         if d > 2:
             rest = x[2:]
             quad += float(rest.dot(rest))

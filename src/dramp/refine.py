@@ -54,23 +54,40 @@ _PHASE_2_FACTOR = 1.25
 _BATCH_POINTS = 2048
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n. numpy's FFTs fall back to Bluestein's
+    algorithm, about ten times slower, at lengths with a large prime
+    factor."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:  # odd runs over the 3^b 5^c below best
+        factor = odd
+        while factor < best:
+            # the least power-of-two multiple of factor that reaches n
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
 def _sokal_iac(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """IAC of each column of ``points`` (n, d), and the window M each was
     summed to.
 
     The autocovariances come from FFTs along axis 0 of the centred columns,
-    zero-padded to twice their length so that no lag wraps around, one batch
-    of columns at a time; IAC(M) is 1 + 2 * sum of the autocorrelations at
-    lags 1..M. The IAC is clamped below at 1; a constant column gives (1, 0)
-    by convention.
+    zero-padded to at least twice their length so that no lag wraps around
+    (to the next length of _fft_length), one batch of columns at a time;
+    IAC(M) is 1 + 2 * sum of the autocorrelations at lags 1..M. The IAC is
+    clamped below at 1; a constant column gives (1, 0) by convention.
     """
     n, d = points.shape
     iacs, windows = np.empty(d), np.empty(d, dtype=np.int64)
     width = max(1, _BATCH_POINTS // n)
+    length = _fft_length(2 * n)
     for first in range(0, d, width):
         batch = points[:, first:first + width]
-        spectrum = np.abs(rfft(batch - batch.mean(axis=0), 2 * n, axis=0))
-        acov = irfft(spectrum * spectrum, 2 * n, axis=0)[:n]
+        spectrum = np.abs(rfft(batch - batch.mean(axis=0), length, axis=0))
+        acov = irfft(spectrum * spectrum, length, axis=0)[:n]
         with np.errstate(divide="ignore", invalid="ignore"):  # constant columns
             iac = 2.0 * np.cumsum(acov / acov[0], axis=0) - 1.0
         wide = np.arange(n)[:, None] >= _WINDOW * iac

@@ -341,16 +341,17 @@ class TestDrMemoOracle:
 def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
                               dr_stage_count, blocks):
     """propose_cascade on the draws-based recursion: the same rows of the
-    chain's blocks, each taken through BlockDraws.ready, which refills and
-    remakes L z as needed, and the same candidates; each retry's ratio from
-    reference_dr_log_alpha."""
+    chain's blocks, each taken through BlockDraws.ready, which refills as
+    needed, and the same candidates, from L z made here over the whole
+    block; each retry's ratio from reference_dr_log_alpha."""
     scales = [proposal.scale_factor] + [
         proposal.scale_factor * s for s in proposal.dr_scales]
     log_funcs, draws, memo = [log_incumbent], [], {}
     for stage in range(dr_stage_count + 1):
-        k = blocks.ready(proposal.chol_factor)
+        k = blocks.ready(proposal)
         z, u = blocks.normals[k], blocks.uniforms[k]
-        candidate = incumbent + scales[stage] * blocks.steps[k]
+        steps = blocks.normals.dot(proposal.chol_factor.T)
+        candidate = incumbent + scales[stage] * steps[k]
         blocks.offset = k + 1
         log_candidate = float(target.evaluate(candidate))
         if log_candidate != log_candidate:
@@ -450,10 +451,12 @@ class TestProposeCascade:
             assert used.generator.random() == replay.random()
 
     def test_each_stage_draws_incumbent_plus_scaled_factor_times_normals(self):
-        # candidate k is x + s_k L z_k with C = L L^T; the DR ratio is exact
-        # for any factor, so only a non-diagonal C tells L from L^T. The
-        # factor changes inside the first block, as an adaptation changes
-        # it, so a stale L z shows; the cascades run on into a second block
+        # candidate k is x + s_k L z_k with C = L L^T, bit for bit that of
+        # the block's product Z L^T, times s_k, plus x; the DR ratio is
+        # exact for any factor, so only a non-diagonal C tells L from L^T.
+        # The proposal changes inside the first block, as an adaptation
+        # changes it, so stale rows show; the cascades run on into a second
+        # block
         d = 3
         covs = [np.array([[2.0, 0.6, -0.3], [0.6, 1.0, 0.4], [-0.3, 0.4, 0.5]]),
                 np.array([[0.5, -0.2, 0.1], [-0.2, 1.5, 0.7], [0.1, 0.7, 1.0]])]
@@ -463,7 +466,7 @@ class TestProposeCascade:
         target = TargetDensity(
             "wall", d, lambda x: seen.append(x.copy()) or float("-inf"))
         stream = RecordedStream(rng_mod.chain_stream(23, 0))
-        draws = BlockDraws(stream, d)
+        draws = BlockDraws(stream, d, 2)
         incumbent = np.array([0.3, -1.2, 2.0])
         adapted_at = 5  # cascades; its first stage is row 15 of the block
         for cascade in range(22):
@@ -471,14 +474,14 @@ class TestProposeCascade:
                             0.0, 2, draws)
         assert stream.calls == [("standard_normal", (BLOCK, d)),
                                 ("random", BLOCK)] * 2
-        normals = np.concatenate(stream.draws[0::2])
-        scales = props[0].scale_factor * np.array((1.0,) + props[0].dr_scales)
+        blocks = stream.draws[0::2]
         assert len(seen) == 66
         for k, candidate in enumerate(seen):
             chol = np.linalg.cholesky(covs[k >= 3 * adapted_at])
-            np.testing.assert_allclose(
-                candidate, incumbent + scales[k % 3] * (chol @ normals[k]),
-                rtol=1e-13, atol=1e-13)
+            scale = props[0].scale_factor * (1.0, 0.5, 0.25)[k % 3]
+            block, row = divmod(k, BLOCK)
+            want = blocks[block].dot(chol.T)[row] * scale + incumbent
+            assert candidate.tobytes() == want.tobytes(), k
 
 
 class RecordedStream:

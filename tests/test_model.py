@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dramp.errors import BadDimension, DimensionMismatch, NotPositiveDefinite
+from dramp.errors import (
+    BadDimension,
+    DimensionMismatch,
+    NonFiniteStart,
+    NotPositiveDefinite,
+)
+from dramp.kernel import Kernel, KernelConfig
 from dramp.model import (
     FAMILIES,
     BuiltinTargetSpec,
@@ -16,6 +22,7 @@ from dramp.model import (
     himmelblau_target,
     make_builtin_target,
 )
+from dramp.proposal import ProposalState
 
 HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -121,6 +128,88 @@ class TestBanana:
     def test_rejects_nonpositive_sigma1(self):
         with pytest.raises(ValueError):
             banana_target(2, 0.1, 0.0)
+
+
+def numpy_scalar_banana(dimension, curvature, sigma1):
+    """The banana log-density on numpy scalars, as evaluated before the
+    built-in targets moved to Python floats: the bits those must keep."""
+    b, s1, d = float(curvature), float(sigma1), int(dimension)
+    const = -0.5 * d * float(np.log(2.0 * np.pi)) - np.log(s1)
+
+    def evaluate(x):
+        ridge = x[1] - b * (x[0] * x[0] - s1 * s1)
+        quad = (x[0] / s1) ** 2 + ridge * ridge
+        if d > 2:
+            rest = x[2:]
+            quad += float(rest.dot(rest))
+        return const - 0.5 * quad
+
+    return evaluate
+
+
+def numpy_scalar_himmelblau(scale):
+    """The Himmelblau log-density on numpy scalars, as evaluated before."""
+    s = float(scale)
+
+    def evaluate(x):
+        a = x[0] * x[0] + x[1] - 11.0
+        b = x[0] + x[1] * x[1] - 7.0
+        return -(a * a + b * b) / s
+
+    return evaluate
+
+
+TARGET_PAIRS = {
+    "banana2": (banana_target(2), numpy_scalar_banana(2, 0.1, 10.0)),
+    "banana4-bench": (banana_target(4, 0.05, 3.0),
+                      numpy_scalar_banana(4, 0.05, 3.0)),
+    "banana6": (banana_target(6, 0.3, 0.7), numpy_scalar_banana(6, 0.3, 0.7)),
+    # unbent and narrow, so (x0 / sigma1)^2 dominates the quadratic form and
+    # a change in its last bit shows
+    "banana2-narrow": (banana_target(2, 0.0, 0.01),
+                       numpy_scalar_banana(2, 0.0, 0.01)),
+    "himmelblau": (himmelblau_target(), numpy_scalar_himmelblau(10.0)),
+    "himmelblau-cold": (himmelblau_target(0.3), numpy_scalar_himmelblau(0.3)),
+}
+
+
+class TestTargetBits:
+    """The built-in banana and Himmelblau targets compute on Python floats
+    and give the bits of their numpy-scalar formulas, whose power calls
+    pow, as Python's does; t * t rounds apart from pow(t, 2) on about 0.08%
+    of inputs."""
+
+    @pytest.mark.parametrize("name", sorted(TARGET_PAIRS))
+    def test_python_floats_give_the_numpy_scalar_bits(self, name):
+        target, oracle = TARGET_PAIRS[name]
+        rng = np.random.default_rng(2024)
+        n, d = 20_000, target.dimension
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        points = rng.standard_normal((n, d)) * scales
+        got = np.array([target.evaluate(x) for x in points])
+        want = np.array([float(oracle(x)) for x in points])
+        assert np.isfinite(want).all()
+        differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+        assert differ.size == 0, "%d of %d points differ, first at %r" % (
+            differ.size, n, points[differ[0]].tolist())
+
+    @pytest.mark.parametrize("name", sorted(TARGET_PAIRS))
+    @pytest.mark.parametrize("far", [1e160, 1e200, -1e200])
+    def test_a_far_out_point_is_outside_the_support(self, name, far):
+        # the numpy scalars overflowed to inf where Python's power raises
+        # OverflowError; either way the log-density is -inf
+        target, oracle = TARGET_PAIRS[name]
+        x = np.full(target.dimension, far)
+        with np.errstate(all="ignore"):  # the rest's dot overflows
+            got = target.evaluate(x)
+            want = float(oracle(x))
+        # an unbent banana's ridge is 0 * inf there, NaN, which the
+        # cascade reads as -inf
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got == -math.inf or (name == "banana2-narrow" and math.isnan(got))
+        cfg = KernelConfig(10, tuple(x), rng_seed=1)
+        with pytest.raises(NonFiniteStart):
+            Kernel(target, cfg, ProposalState.create(target.dimension))
 
 
 class TestBuiltinSpec:

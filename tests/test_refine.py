@@ -20,6 +20,7 @@ from dramp.errors import EmptySample, SeriesTooShort
 from dramp.refine import (
     ConvergenceCheck,
     RefinedSample,
+    _fft_length,
     _sokal_iac,
     cross_chain_check,
     estimate_iac,
@@ -98,11 +99,35 @@ def lag_sum_iac(series):
     return max(1.0, iac), series.size - 1
 
 
+def smooth_lengths(limit):
+    """Every 2^a 3^b 5^c up to ``limit``, by trial division."""
+    lengths = []
+    for m in range(1, limit + 1):
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            lengths.append(m)
+    return lengths
+
+
 class TestEstimateIac:
-    @pytest.mark.parametrize("name", ["ar1", "alternating"])
+    def test_fft_length_is_the_least_smooth_length_reaching_n(self):
+        smooth = np.array(smooth_lengths(40_000))
+        for n in range(1, 20_001):
+            assert _fft_length(n) == smooth[np.searchsorted(smooth, n)], n
+        # 2n with a large prime factor, where numpy's FFT falls back to
+        # Bluestein's algorithm: phase 2 lengths of fork-join runs
+        assert [_fft_length(2 * n) for n in (1999, 2267, 2307, 2559)] == [
+            4000, 4608, 4800, 5120]
+
+    @pytest.mark.parametrize("name", ["ar1", "ar1-prime", "alternating"])
     def test_fft_matches_the_lag_sum_oracle(self, name):
-        if name == "ar1":
-            eps = np.random.default_rng(13).standard_normal(20_000)
+        if name.startswith("ar1"):
+            # 2267 is prime: the transforms run at 4608, not 2n = 4534
+            n = 20_000 if name == "ar1" else 2267
+            eps = np.random.default_rng(13).standard_normal(n)
             series = signal.lfilter([1.0], [1.0, -0.5], eps)
         else:
             series = np.array([1.0, -1.0] * 256)
@@ -113,7 +138,7 @@ class TestEstimateIac:
         assert iac == pytest.approx(want_iac, abs=1e-12)
         if name == "alternating":
             assert (iac, window) == (1.0, 1)
-        else:
+        elif name == "ar1":
             assert 2.5 < iac < 3.5
 
     def test_columns_in_one_batch_match_each_column_alone(self, monkeypatch):
