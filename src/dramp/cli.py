@@ -19,7 +19,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .config import FIELD_DESCRIPTIONS, build_spec, make_target, parse_config_file
+from .config import FIELDS, build_spec, make_target, parse_config_file
 from .driver import _make_kernel, run_simulation
 from .errors import NonFiniteStart, RefusedOverwrite, SamplerError, SpecMismatch
 from .parallel import predict_speedup, run_speedup
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         "prefix is resumed automatically.",
     )
     run.add_argument("--config", help="flat key=value config file")
-    for key, description in FIELD_DESCRIPTIONS.items():
+    for key, (_, description) in FIELDS.items():
         if key == "deterministic-test-mode":
             run.add_argument(
                 "--%s" % key,
@@ -110,7 +110,7 @@ def _collect_run_values(args) -> dict:
     values = {}
     if args.config:
         values.update(parse_config_file(args.config))
-    for key in FIELD_DESCRIPTIONS:
+    for key in FIELDS:
         flag_value = getattr(args, key.replace("-", "_"))
         if flag_value is not None:
             values[key] = flag_value

@@ -35,7 +35,6 @@ from .proposal import ProposalState, default_dr_scales, default_scale_factor
 __all__ = [
     "SimulationSpec",
     "FIELDS",
-    "FIELD_DESCRIPTIONS",
     "DIGEST_EXCLUDED",
     "TRAJECTORY_VERSION",
     "SNAPSHOT_FORMAT_VERSION",
@@ -50,28 +49,12 @@ __all__ = [
 MODES = ("serial", "multichain", "forkjoin")
 
 # Bumped by every change that gives some spec a different trajectory, so a
-# resume never joins two trajectories. A snapshot without the field is 1;
-# 2 made the fork-join round streams counter-based; 3 charges every fork-join
-# attempt as a verbose step on its own attempt stream, and folds each row
-# into the moments once, with its final weight, in every mode; 4 folds the
-# moments in blocks at adaptation boundaries only; 5 reads the DR ratio's
-# kernel terms off a table of squared whitened distances, which moves the
-# ratios' last bits; 6 draws the fork-join attempts in order from the
-# chain's PCG64 stream, so a fork-join run writes the serial chain (serial
-# and multichain trajectories are unchanged); 7 draws the stream in blocks
-# of kernel.BLOCK stages (normals, then uniforms) and forms L z per block in
-# one product, which moves every decision in every mode.
+# resume never joins two trajectories; a snapshot without the field is 1.
+# README's Determinism section holds what each version changed.
 TRAJECTORY_VERSION = 7
 
-# Layout of the restart snapshot. 2 dropped the proposal, which resume
-# rebuilds from the rows, and hashes the mvn arrays' bytes in the digest;
-# 3 dropped the adaptation count, the stream's identity and the multichain
-# bookkeeping, which resume derives from the rows; 4 dropped the hex-float
-# and array encoding for plain JSON, the flattened stream state for numpy's
-# own PCG64 state dict, the mode, chain count and worker count, which the
-# digest pins, and the kernel-less snapshot between multichain chains; 5
-# stores the stream's state before the pending block of draws and adds the
-# block offset, the rows taken of that block.
+# Bumped by every change to the layout of the restart snapshot's payload;
+# README's Determinism section holds what each version changed.
 SNAPSHOT_FORMAT_VERSION = 5
 
 # every user-facing key, in echo order, as (default, description); the
@@ -104,9 +87,6 @@ FIELDS: Dict[str, Tuple[Optional[str], str]] = {
     "deterministic-test-mode": (
         "false", "blank wall-clock fields for byte-stable reruns"
     ),
-}
-FIELD_DESCRIPTIONS: Dict[str, str] = {
-    key: description for key, (_, description) in FIELDS.items()
 }
 
 # fields that do not alter the stochastic trajectory
@@ -375,7 +355,7 @@ def spec_to_items(spec: SimulationSpec) -> List[Tuple[str, str, str]]:
     Feeding the keys and values back through build_spec reproduces the spec
     exactly; 17-digit float rendering keeps the round trip lossless.
     """
-    return [(key, value, FIELD_DESCRIPTIONS[key]) for key, value in _spec_pairs(spec)]
+    return [(key, value, FIELDS[key][1]) for key, value in _spec_pairs(spec)]
 
 
 def _bytes_digest(values) -> str:

@@ -11,7 +11,7 @@ finalized row on disk, and refine_chains refines what finished.
 
 The driver snapshots each kernel when it builds it and at every flush
 boundary (each adaptation and every 1000 finalized rows); each snapshot is
-one record appended to the restart log. A snapshot (format version 4) holds
+one record appended to the restart log. A snapshot (format version 5) holds
 the file offsets and what the rows cannot give back: the kernel's stream
 cursor (numpy's PCG64 state, in every mode), pending adaptation measure and
 live row. A run killed at any instant, between two multichain chains too,
@@ -354,8 +354,6 @@ def _finish(
             source_verbose_length=chains[0].verbose_length,
             rounds=(),
         )
-    elif len(usable) == 1:
-        pooled = usable[0]
     else:
         pooled = RefinedSample(
             dimension=dimension,

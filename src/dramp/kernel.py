@@ -247,19 +247,17 @@ class BlockDraws:
     stage at ``offset`` takes that row of ``normals`` and of ``uniforms``,
     and stage s of a cascade that row of ``scaled[s]``, the block's L z
     times the stage-s scale of ``proposal``, the proposal it was made for.
-    ``scaled`` holds stages 0..``stages`` (every stage of the proposal when
-    ``stages`` is None). Nothing is drawn before a stage asks, so a kernel
-    built for a resume draws one block at most.
+    ``scaled`` holds stages 0..``stages``. Nothing is drawn before a stage
+    asks, so a kernel built for a resume draws one block at most.
     """
 
     __slots__ = ("generator", "dimension", "stop", "start", "normals",
                  "uniforms", "scaled", "proposal", "offset")
 
-    def __init__(self, generator: np.random.Generator, dimension: int,
-                 stages: Optional[int] = None):
+    def __init__(self, generator: np.random.Generator, dimension: int, stages: int):
         self.generator = generator
         self.dimension = dimension
-        self.stop = None if stages is None else stages + 1
+        self.stop = stages + 1
         self.start = None  # the stream's state before the pending block
         self.normals = self.uniforms = self.scaled = self.proposal = None
         self.offset = BLOCK  # rows taken of the block; BLOCK: none pending
@@ -372,15 +370,14 @@ def propose_cascade(
 
 
 def burnin_location(
-    log_funcs: Sequence[float],
-    dimension: int,
-    weights: Optional[Sequence[int]] = None,
+    log_funcs: Sequence[float], dimension: int, weights: Sequence[int]
 ) -> int:
-    """First verbose index whose log-density clears max - dimension/2.
+    """First verbose index whose log-density clears max - dimension/2: the
+    summed ``weights`` of the rows before the first row that does.
 
     The threshold is the typical-set log-density deficit of a d-dimensional
     Gaussian. Falls back to the index of the maximum, though the maximum
-    itself always qualifies. Without ``weights`` every row has weight 1.
+    itself always qualifies.
     """
     logf = np.asarray(log_funcs, dtype=float)
     if logf.size == 0:
@@ -388,8 +385,6 @@ def burnin_location(
     threshold = float(np.max(logf)) - dimension / 2.0
     hits = np.nonzero(logf >= threshold)[0]
     row = int(hits[0]) if hits.size else int(np.argmax(logf))
-    if weights is None:
-        return row
     return int(np.sum(np.asarray(weights, dtype=np.int64)[:row]))
 
 
@@ -700,23 +695,8 @@ def run_kernel(
     proposal: ProposalState,
     chain_index: int = 0,
     workers: int = 1,
-    on_event: Optional[Callable[[tuple], None]] = None,
 ) -> KernelSummary:
     """Run a full simulation of chain ``chain_index`` with ``workers``
-    pre-fetching workers (see Kernel) and return its summary.
-
-    ``on_event`` receives each bookkeeping event (finalized row,
-    adaptation, progress tick, completion) as it happens; persistence layers
-    consume the stream, tests inject crashes through it.
-    """
-    kern = Kernel(target, config, proposal, chain_index, workers)
-    if on_event is None:
-        return kern.run()
-
-    def each_event(events: Sequence[tuple]) -> None:
-        for event in events:
-            on_event(event)
-
-    summary = kern.run(each_event)
-    on_event(("done", summary.chain.n_rows))
-    return summary
+    pre-fetching workers (see Kernel) and return its summary. To observe
+    the events, call Kernel(...).run(on_step) instead."""
+    return Kernel(target, config, proposal, chain_index, workers).run()

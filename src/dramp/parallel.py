@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,6 +63,9 @@ __all__ = [
 PREDICTION_GRID = tuple(2 ** k for k in range(13))  # 1 .. 4096
 
 WORKER_CAP = 2 ** 16
+
+# recommend_workers' target: the share of the 1/p saturation left unreached
+EFFICIENCY_FLOOR = 0.05
 
 
 @dataclass(frozen=True)
@@ -134,22 +137,19 @@ def predict_speedup(p: float, worker_count: int) -> float:
     return (1.0 - (1.0 - p) ** worker_count) / p
 
 
-def recommend_workers(p: float, efficiency_floor: float = 0.05) -> int:
-    """Smallest P whose speedup reaches (1 - floor) of the 1/p saturation.
+def recommend_workers(p: float) -> int:
+    """Smallest P whose speedup reaches (1 - EFFICIENCY_FLOOR) of the 1/p
+    saturation.
 
-    Equivalent to (1-p)^P <= floor. Scanned upward (the curve is monotone)
-    and capped at 2^16 for vanishing acceptance probabilities.
+    Equivalent to (1-p)^P <= EFFICIENCY_FLOOR. Scanned upward (the curve is
+    monotone) and capped at 2^16 for vanishing acceptance probabilities.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1], got %g" % p)
-    if not 0.0 < efficiency_floor < 1.0:
-        raise ValueError(
-            "efficiency_floor must be in (0, 1), got %g" % efficiency_floor
-        )
     miss = 1.0 - p
     q = miss
     workers = 1
-    while q > efficiency_floor and workers < WORKER_CAP:
+    while q > EFFICIENCY_FLOOR and workers < WORKER_CAP:
         workers += 1
         q *= miss
     return workers
@@ -265,15 +265,14 @@ def run_forkjoin(
     config: KernelConfig,
     proposal: ProposalState,
     worker_count: int,
-    on_event: Optional[Callable[[tuple], None]] = None,
 ) -> ForkJoinResult:
     """Build one chain with P pre-fetching workers.
 
     This is run_kernel with P workers on chain index 0: the stream,
     adaptation, burn-in tracking and chain accounting are the serial
     kernel's, and the chain is the serial chain at every P but for its
-    process ids. ``on_event`` sees the kernel's events, then ("done", rows).
+    process ids.
     """
-    summary = run_kernel(target, config, proposal, 0, worker_count, on_event)
+    summary = run_kernel(target, config, proposal, 0, worker_count)
     tally, speedup = run_speedup([summary.chain], "forkjoin", worker_count)
     return ForkJoinResult(summary=summary, tally=tally, speedup=speedup)

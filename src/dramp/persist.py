@@ -14,7 +14,7 @@ to the same double). A snapshot is appended, and replaces the log whole
 once it holds SNAPSHOT_LOG_LIMIT bytes; a crash can leave the earlier
 records and a torn last one, which a resume cuts, never a changed complete
 record. The last complete record is the snapshot. Its payload (format
-version 4) holds file offsets and O(d) kernel values, never what the rows
+version 5) holds file offsets and O(d) kernel values, never what the rows
 determine (the proposal, the adaptation count, each row's chain);
 detect_incomplete hands its caller the payload it checked.
 """
@@ -65,6 +65,9 @@ FORMAT_COMMENT = "# format: v1"
 REPORT_TERMINATOR = "# end of report: run complete"
 ECHO_BEGIN = "# --- begin specification echo ---"
 ECHO_END = "# --- end specification echo ---"
+# A binary chain file's header: the magic, its version, the dimension and the
+# length of the name block that follows
+_CHAIN_HEAD = struct.Struct("<8sIII")
 # A restart log record's header: the magic, its version and its body length
 _RECORD_HEAD = struct.Struct("<8sII")
 _HEAD = _RECORD_HEAD.size
@@ -200,8 +203,8 @@ class ChainWriter(_OutputFile):
             self._fh.write((FORMAT_COMMENT + "\n" + header + "\n").encode("utf-8"))
         else:
             names = "\x00".join(self.variable_names).encode("utf-8")
-            self._fh.write(CHAIN_MAGIC + struct.pack(
-                "<III", 1, len(self.variable_names), len(names)) + names)
+            self._fh.write(_CHAIN_HEAD.pack(
+                CHAIN_MAGIC, 1, len(self.variable_names), len(names)) + names)
 
     def write_row(self, fields: tuple) -> None:
         """Write one row: a tuple in ``CompactChain.fields``'s layout, the
@@ -385,14 +388,12 @@ def _read_chain_ascii(raw: bytes, delimiter: str) -> CompactChain:
 
 
 def _read_chain_binary(raw: bytes) -> CompactChain:
-    head = struct.calcsize("<III")
-    if len(raw) < len(CHAIN_MAGIC) + head:
+    if len(raw) < _CHAIN_HEAD.size:
         raise IoFailure("binary chain file truncated before header")
-    offset = len(CHAIN_MAGIC)
-    version, dimension, name_len = struct.unpack_from("<III", raw, offset)
+    _, version, dimension, name_len = _CHAIN_HEAD.unpack_from(raw)
     if version != 1:
         raise IoFailure("unsupported binary chain version %d" % version)
-    offset += head
+    offset = _CHAIN_HEAD.size
     if len(raw) < offset + name_len:
         raise IoFailure("binary chain file truncated in name block")
     try:
@@ -499,12 +500,6 @@ class ProgressWriter(_OutputFile):
             raise IoFailure("progress write failed: %s" % exc) from exc
 
 
-def _windowed_means(values: np.ndarray, n_windows: int = 10) -> List[float]:
-    n_windows = min(n_windows, values.size)
-    splits = np.array_split(values, n_windows)
-    return [float(np.mean(s)) for s in splits]
-
-
 def write_report(
     suite: OutputSuite,
     echo: Sequence[Tuple[str, str, str]],
@@ -564,10 +559,10 @@ def write_report(
     if nonzero.size:
         lines.append("  first measure            : %s" % _fmt(float(nonzero[0])))
         lines.append("  last measure             : %s" % _fmt(float(nonzero[-1])))
-        means = _windowed_means(nonzero)
+        windows = np.array_split(nonzero, min(10, nonzero.size))
         lines.append(
             "  windowed means           : %s"
-            % ", ".join(_fmt(v) for v in means)
+            % ", ".join(_fmt(float(np.mean(w))) for w in windows)
         )
     lines.append("")
 
@@ -738,9 +733,9 @@ def _chain_holds_rows(path: str) -> bool:
     short holds none."""
     try:
         with open(path, "rb") as fh:
-            head = fh.read(len(CHAIN_MAGIC) + 12)
-            if head.startswith(CHAIN_MAGIC) and len(head) == len(CHAIN_MAGIC) + 12:
-                name_len = struct.unpack_from("<III", head, len(CHAIN_MAGIC))[2]
+            head = fh.read(_CHAIN_HEAD.size)
+            if head.startswith(CHAIN_MAGIC) and len(head) == _CHAIN_HEAD.size:
+                name_len = _CHAIN_HEAD.unpack(head)[3]
                 return os.fstat(fh.fileno()).st_size > len(head) + name_len
             fh.seek(0)
             for line in fh:

@@ -49,6 +49,8 @@ _WINDOW = 5.0
 # factors discard points that the refined sample's mean needs (criterion 1)
 _PHASE_1_FACTOR = 1.75
 _PHASE_2_FACTOR = 1.25
+# the cross-chain check's significance, before the Bonferroni correction
+_CHECK_ALPHA = 0.01
 # columns per FFT batch: at most this many points, so that a batch's
 # transforms hold about as much memory as one column of a long chain's
 _BATCH_POINTS = 2048
@@ -281,16 +283,9 @@ class ConvergenceCheck:
     def all_pass(self) -> bool:
         return all(p > self.corrected_alpha for (_, _, _, _, p) in self.entries)
 
-    @property
-    def failures(self) -> Tuple[Tuple[int, int, int, float, float], ...]:
-        return tuple(
-            e for e in self.entries if e[4] <= self.corrected_alpha
-        )
 
-
-def cross_chain_check(
-    refined: Sequence[RefinedSample], alpha: float = 0.01
-) -> ConvergenceCheck:
+def cross_chain_check(refined: Sequence[RefinedSample]) -> ConvergenceCheck:
+    alpha = _CHECK_ALPHA
     if len(refined) < 2:
         return ConvergenceCheck(entries=(), alpha=alpha, corrected_alpha=alpha)
     dimension = refined[0].dimension

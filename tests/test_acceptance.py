@@ -670,7 +670,7 @@ def test_dr3_balance_one_step_from_exact_draws_in_two_dimensions():
     draws = np.random.default_rng(2)
     before = draws.choice(16, size=GRID_DRAWS, p=pi)
     starts = np.column_stack((before // 4, before % 4)) + draws.random((GRID_DRAWS, 2))
-    stream = BlockDraws(chain_stream(2, 0), 2)
+    stream = BlockDraws(chain_stream(2, 0), 2, 3)
     after, stages = [], []
     for start, log_start in zip(list(starts), GRID_LOG_HEIGHTS[before].tolist()):
         state, _, stage = propose_cascade(target, proposal, start, log_start, 3, stream)

@@ -30,7 +30,7 @@ from dramp.cli import (
 )
 from dramp.config import (
     DIGEST_EXCLUDED,
-    FIELD_DESCRIPTIONS,
+    FIELDS,
     MODES,
     SNAPSHOT_FORMAT_VERSION,
     TRAJECTORY_VERSION,
@@ -266,12 +266,12 @@ class TestSpecRendering:
         keys = [key for key, _, _ in items]
         assert len(keys) == len(set(keys))
         for key, _, description in items:
-            assert description == FIELD_DESCRIPTIONS[key]
+            assert description == FIELDS[key][1]
 
     def test_gaussian_echo_key_set(self):
         # shape knobs of the other target families are not echoed
         keys = {key for key, _, _ in spec_to_items(self.spec())}
-        assert keys == set(FIELD_DESCRIPTIONS) - {
+        assert keys == set(FIELDS) - {
             "target-scale",
             "target-curvature",
             "target-sigma1",
@@ -400,7 +400,7 @@ class TestParserCoverage:
     def test_every_field_has_a_run_flag(self):
         run = self.subparser("run")
         flags = {s for a in run._actions for s in a.option_strings}
-        for key in FIELD_DESCRIPTIONS:
+        for key in FIELDS:
             assert "--%s" % key in flags
 
     def test_subcommands_and_figures(self):

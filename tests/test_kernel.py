@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dramp import kernel as kernel_mod
@@ -75,9 +75,10 @@ class ScriptedStream:
         return np.array(self.uniforms + self.uniforms[-1:] * size)[:size]
 
 
-def chain_draws(seed, dimension):
-    """The block draws of chain 0's stream of ``seed``."""
-    return BlockDraws(rng_mod.chain_stream(seed, 0), dimension)
+def chain_draws(seed, dimension, stages):
+    """The block draws of chain 0's stream of ``seed``, for cascades of
+    ``stages`` retries."""
+    return BlockDraws(rng_mod.chain_stream(seed, 0), dimension, stages)
 
 
 class TestStageZeroRule:
@@ -106,7 +107,7 @@ class TestStageZeroRule:
         incumbent = np.array([2.0])
         state, log_func, stage = propose_cascade(
             target, prop, incumbent, log_incumbent, 0,
-            BlockDraws(ScriptedStream([u]), 1))
+            BlockDraws(ScriptedStream([u]), 1, 0))
         if accepted:
             assert (state.tolist(), log_func, stage) == ([3.0], log_candidate, 0)
         else:
@@ -265,11 +266,18 @@ class TestPathwiseDetailedBalance:
             assert abs(forward - reverse) <= 1e-10
 
 
-def reference_dr_log_alpha(log_funcs, draws, scales, memo=None, first=0,
+def numpy_distances(draws, scales):
+    """The squared whitened distances ||w_a - w_b||^2 of x (w_0 = 0) and the
+    candidates drawn as ``draws``, each from a numpy difference."""
+    w = [np.zeros_like(draws[0])] + [s * z for s, z in zip(scales, draws)]
+    return [[float((a - b) @ (a - b)) for b in w] for a in w]
+
+
+def reference_dr_log_alpha(log_funcs, dists, scales, memo=None, first=0,
                            last=None):
-    """dr_log_alpha as it was before it read a distance table: the same
-    recursion on the draws, recomputing every whitened offset and squared
-    norm as a numpy difference, with the subpath probabilities memoized."""
+    """dr_log_alpha without its memo of log(1 - alpha) or its one-step
+    shortcut: the recursion as it is written, on a table of squared
+    distances ``dists``, with the subpath probabilities memoized."""
     if last is None:
         last = len(log_funcs) - 1
     if memo is None:
@@ -280,21 +288,17 @@ def reference_dr_log_alpha(log_funcs, draws, scales, memo=None, first=0,
     log_num = log_funcs[last]
     log_den = log_funcs[first]
     if abs(last - first) > 1 and log_num != float("-inf"):
-        w_first = scales[first - 1] * draws[first - 1] if first else 0.0
-        w_last = scales[last - 1] * draws[last - 1] if last else 0.0
         step = 1 if last > first else -1
         for j in range(abs(last - first) - 1):
             fwd = first + step * (j + 1)
             rev = last - step * (j + 1)
-            a = scales[fwd - 1] * draws[fwd - 1] - w_first
-            b = scales[rev - 1] * draws[rev - 1] - w_last
             variance = scales[j] * scales[j]
-            log_den -= 0.5 * float(a @ a) / variance
-            log_num -= 0.5 * float(b @ b) / variance
+            log_den -= 0.5 * dists[first][fwd] / variance
+            log_num -= 0.5 * dists[last][rev] / variance
             log_num += kernel_mod._log1mexp(reference_dr_log_alpha(
-                log_funcs, draws, scales, memo, last, rev))
+                log_funcs, dists, scales, memo, last, rev))
             log_den += kernel_mod._log1mexp(reference_dr_log_alpha(
-                log_funcs, draws, scales, memo, first, fwd))
+                log_funcs, dists, scales, memo, first, fwd))
             if log_num == float("-inf"):
                 break
     result = (float("-inf") if log_num == float("-inf")
@@ -303,16 +307,25 @@ def reference_dr_log_alpha(log_funcs, draws, scales, memo=None, first=0,
     return result
 
 
-def close(got, want, tol=1e-11):
-    return got == want or abs(got - want) <= tol
+# Two exact ties: with s_1 = 2 s_2, ||w_3 - w_2|| = ||w_3 - w_4||, so a
+# ratio's alpha is 1 up to rounding, where log(1 - alpha) turns the last bit
+# of a distance into 4e-10, or into -inf
+TIE_PROPOSAL = ProposalState.create(
+    1, scale_factor=2.0537991304429593, dr_scales=(0.5, 0.25, 0.125))
+TIE_DRAWS = [np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([0.0])]
 
 
 class TestDrMemoOracle:
-    """The distance table and the memo of subpath rejections move a ratio
-    by rounding only: within 1e-11 of the draws-based recursion."""
+    """The memo of subpath rejections and the one-step shortcut move no
+    bit: on the cascade's own distance table, every ratio is the plain
+    recursion's. The table is checked against numpy in TestExtendDistances."""
 
     @settings(max_examples=300, deadline=None)
     @given(dr_paths())
+    @example((TIE_PROPOSAL, np.zeros(1),
+              [-math.inf, 0.0, -3.1896413638539366e-08, -math.inf, 0.0], TIE_DRAWS))
+    @example((TIE_PROPOSAL, np.zeros(1),
+              [-math.inf, -math.inf, 0.0, -math.inf, 0.0], TIE_DRAWS))
     def test_every_subpath_matches_the_unmemoized_recursion(self, case):
         prop, _, log_funcs, draws = case
         k = len(draws)
@@ -326,16 +339,36 @@ class TestDrMemoOracle:
             extend_distances(dists, seen, scales, draws[stage])
             got = dr_log_alpha(log_funcs[:stage + 2], dists, scales, memo)
             want = reference_dr_log_alpha(
-                log_funcs[:stage + 2], draws[:stage + 1], scales, reference_memo)
-            assert close(got, want), (stage, got, want)
+                log_funcs[:stage + 2], dists, scales, reference_memo)
+            assert got == want, (stage, got, want)
             memo[0, stage + 1] = kernel_mod._log1mexp(got)
         for first in range(k + 1):
             for last in range(k + 1):
                 if first != last:
                     got = dr_log_alpha(log_funcs, dists, scales, memo, first, last)
                     want = reference_dr_log_alpha(
-                        log_funcs, draws, scales, None, first, last)
-                    assert close(got, want), (first, last, got, want)
+                        log_funcs, dists, scales, None, first, last)
+                    assert got == want, (first, last, got, want)
+
+
+class TestExtendDistances:
+    """The table's s_a^2 g_aa + s_b^2 g_bb - 2 s_a s_b g_ab is numpy's
+    ||w_a - w_b||^2 up to rounding: within 1e-12 (s_a^2 g_aa + s_b^2 g_bb),
+    plus the smallest normal double, below which rounding is absolute.
+    That residue, not the memo, moves the ratios at TIE_DRAWS, so
+    TestDrMemoOracle compares on the table itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dr_paths())
+    @example((TIE_PROPOSAL, np.zeros(1), [0.0] * 5, TIE_DRAWS))
+    def test_matches_numpy_squared_differences(self, case):
+        prop, _, _, draws = case
+        scales = [prop.stage_scale(j) for j in range(len(draws))]
+        got, want = distances(draws, scales), numpy_distances(draws, scales)
+        for a in range(len(draws) + 1):
+            for b in range(len(draws) + 1):
+                bound = 1e-12 * (want[0][a] + want[0][b]) + np.finfo(float).tiny
+                assert abs(got[a][b] - want[a][b]) <= bound, (a, b)
 
 
 def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
@@ -362,7 +395,8 @@ def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
         if stage == 0:
             accepted = lnu < log_candidate - log_incumbent
         else:
-            accepted = lnu < reference_dr_log_alpha(log_funcs, draws, scales, memo)
+            accepted = lnu < reference_dr_log_alpha(
+                log_funcs, numpy_distances(draws, scales), scales, memo)
         if accepted:
             return candidate, log_candidate, stage
     return incumbent, log_incumbent, REJECTED
@@ -415,7 +449,7 @@ class TestProposeCascade:
         prop = ProposalState.create(2)
         incumbent = np.zeros(2)
         state, log_func, stage = propose_cascade(
-            flat_target(2), prop, incumbent, 0.0, 1, chain_draws(5, 2))
+            flat_target(2), prop, incumbent, 0.0, 1, chain_draws(5, 2, 1))
         assert stage == 0
         assert log_func == 0.0
         assert not np.array_equal(state, incumbent)
@@ -424,7 +458,7 @@ class TestProposeCascade:
         prop = ProposalState.create(1, dr_scales=(0.5, 0.25))
         incumbent = np.array([1.5])
         state, log_func, stage = propose_cascade(
-            wall_target(1), prop, incumbent, 0.0, 2, chain_draws(5, 1))
+            wall_target(1), prop, incumbent, 0.0, 2, chain_draws(5, 1, 2))
         assert stage == REJECTED
         assert state is incumbent
         assert log_func == 0.0
@@ -437,7 +471,7 @@ class TestProposeCascade:
         prop = ProposalState.create(d, dr_scales=(0.5, 0.25))
         target = flat_target(d) if accepts else wall_target(d)
         for cascades in (1, 30):  # within the first block, and into the next
-            used = chain_draws(17, d)
+            used = chain_draws(17, d, stages)
             for _ in range(cascades):
                 propose_cascade(target, prop, np.zeros(d), 0.0, stages, used)
             taken = cascades * (stages + 1)
@@ -517,7 +551,7 @@ class TestNonFiniteTarget:
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         incumbent = np.zeros(3)
         state, _, stage = propose_cascade(
-            nan_target(3), prop, incumbent, 0.0, stages, chain_draws(5, 3)
+            nan_target(3), prop, incumbent, 0.0, stages, chain_draws(5, 3, stages)
         )
         assert stage == REJECTED
         assert state is incumbent
@@ -525,9 +559,9 @@ class TestNonFiniteTarget:
     @pytest.mark.parametrize("stages", [0, 1, 2])
     def test_nan_keeps_the_stream_budget(self, stages):
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
-        used = chain_draws(17, 3)
+        used = chain_draws(17, 3, stages)
         propose_cascade(nan_target(3), prop, np.zeros(3), 0.0, stages, used)
-        walled = chain_draws(17, 3)
+        walled = chain_draws(17, 3, stages)
         propose_cascade(wall_target(3), prop, np.zeros(3), 0.0, stages, walled)
         assert used.offset == walled.offset == stages + 1
         assert used.generator.random() == walled.generator.random()
@@ -537,7 +571,8 @@ class TestNonFiniteTarget:
         prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
         target = TargetDensity("spike", 2, lambda x: float("inf"))
         with pytest.raises(NonFiniteTarget) as info:
-            propose_cascade(target, prop, np.zeros(2), 0.0, stages, chain_draws(3, 2))
+            propose_cascade(target, prop, np.zeros(2), 0.0, stages,
+                            chain_draws(3, 2, stages))
         replay = rng_mod.chain_stream(3, 0)
         z = replay.standard_normal((BLOCK, 2))[0]
         point = prop.scale_factor * (prop.chol_factor @ z)
@@ -553,16 +588,17 @@ class TestNonFiniteTarget:
             lambda x: float("inf") if abs(x[0]) < 1.0 else float("-inf"),
         )
         with pytest.raises(NonFiniteTarget):
-            propose_cascade(target, prop, np.zeros(1), 0.0, stages, chain_draws(8, 1))
+            propose_cascade(target, prop, np.zeros(1), 0.0, stages,
+                            chain_draws(8, 1, stages))
 
 
 class TestBurninLocation:
     def test_constant_series_starts_at_zero(self):
-        assert burnin_location([-3.0, -3.0, -3.0], 4) == 0
+        assert burnin_location([-3.0, -3.0, -3.0], 4, [1, 1, 1]) == 0
 
     def test_first_index_clearing_the_deficit(self):
         # max is -1, threshold -1 - 2/2 = -2, first clearing index is 2
-        assert burnin_location([-10.0, -3.0, -1.0, -1.5], 2) == 2
+        assert burnin_location([-10.0, -3.0, -1.0, -1.5], 2, [1, 1, 1, 1]) == 2
 
     def test_weights_map_to_verbose_index(self):
         got = burnin_location([-10.0, -3.0, -1.0, -1.5], 2, weights=[2, 3, 1, 1])
@@ -570,14 +606,14 @@ class TestBurninLocation:
 
     def test_threshold_is_half_the_dimension_below_the_maximum(self):
         # d = 4: threshold -1 - 4/2 = -3, so -2.5 clears it; at d/4 it would not
-        assert burnin_location([-10.0, -2.5, -1.0], 4) == 1
+        assert burnin_location([-10.0, -2.5, -1.0], 4, [1, 1, 1]) == 1
 
     def test_steep_climb_lands_on_the_last_state(self):
-        assert burnin_location([-100.0, -50.0, 0.0], 1) == 2
+        assert burnin_location([-100.0, -50.0, 0.0], 1, [1, 1, 1]) == 2
 
     def test_empty_series_raises(self):
         with pytest.raises(EmptyRange):
-            burnin_location([], 1)
+            burnin_location([], 1, [])
 
 
 class TestAdaptationCount:
@@ -762,14 +798,13 @@ class TestKernelRuns:
     def test_event_protocol(self):
         events = []
         cfg = KernelConfig(2500, (0.0,), rng_seed=2, dr_stage_count=0)
-        run_kernel(flat_target(1), cfg, ProposalState.create(1), on_event=events.append)
+        Kernel(flat_target(1), cfg, ProposalState.create(1)).run(events.extend)
         rows = [e[1] for e in events if e[0] == "row_final"]
         assert rows == list(range(len(rows)))
         ticks = [e[1] for e in events if e[0] == "tick"]
         assert [t["verbose_length"] for t in ticks] == [1000, 2000]
         assert ticks[0]["compact_length"] == 1000
         assert ticks[0]["mean_acceptance_rate"] == 1.0
-        assert events[-1] == ("done", 2500)
 
     def test_adaptation_schedule_fires_per_period(self):
         events = []

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 import dramp.driver
 from dramp.config import build_spec, initial_proposal, make_target
 from dramp.errors import DegenerateTally, NonFiniteTarget, SamplerError
-from dramp.kernel import KernelConfig, run_kernel
+from dramp.kernel import Kernel, KernelConfig, run_kernel
 from dramp.chain import ChainRow, CompactChain
 from dramp.model import TargetDensity, banana_target, gaussian_target
 from dramp.parallel import (
@@ -110,12 +110,6 @@ class TestRecommendWorkers:
 
     def test_capped_for_vanishing_acceptance(self):
         assert recommend_workers(1e-9) == WORKER_CAP
-
-    def test_floor_validation(self):
-        with pytest.raises(ValueError):
-            recommend_workers(0.5, efficiency_floor=0.0)
-        with pytest.raises(ValueError):
-            recommend_workers(0.5, efficiency_floor=1.0)
 
 
 class TestContributionTally:
@@ -292,10 +286,7 @@ class TestRunForkjoin:
     def test_events_and_validation(self):
         events = []
         cfg = KernelConfig(50, (0.0,), rng_seed=3, dr_stage_count=0)
-        run_forkjoin(
-            flat_target(1), cfg, ProposalState.create(1), 2, on_event=events.append
-        )
-        assert events[-1] == ("done", 50)
+        Kernel(flat_target(1), cfg, ProposalState.create(1), 0, 2).run(events.extend)
         assert sum(1 for e in events if e[0] == "row_final") == 49
         with pytest.raises(ValueError):
             run_forkjoin(flat_target(1), cfg, ProposalState.create(1), 0)
@@ -379,12 +370,11 @@ class TestOneMultichainFailurePolicy:
         second, second_calls = counted(make_target(spec))
         finalized_at = []
 
-        def on_event(event):
-            if event[0] == "row_final" and not finalized_at:
+        def on_step(events):
+            if any(e[0] == "row_final" for e in events) and not finalized_at:
                 finalized_at.append(second_calls[0])
 
-        run_kernel(second, spec.kernel, initial_proposal(spec), 1,
-                   on_event=on_event)
+        Kernel(second, spec.kernel, initial_proposal(spec), 1).run(on_step)
         spike_at = calls[0] + finalized_at[0] + 1
 
         failing, _ = counted(make_target(spec), spike_at)

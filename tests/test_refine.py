@@ -378,7 +378,7 @@ class TestCrossChainCheck:
         assert len(chk.entries) == 6  # 4 choose 2 pairs, one dimension
         assert chk.corrected_alpha == pytest.approx(0.01 / 6)
         assert chk.all_pass
-        assert chk.failures == ()
+        assert [e for e in chk.entries if e[4] <= chk.corrected_alpha] == []
 
     def test_bonferroni_level_counts_pairs_and_dimensions(self):
         # 4 chains at d = 2: 6 pairs x 2 dimensions
@@ -412,8 +412,9 @@ class TestCrossChainCheck:
         refined = [iid_refined(10), iid_refined(11), iid_refined(12, shift=5.0), iid_refined(13)]
         chk = cross_chain_check(refined)
         assert not chk.all_pass
-        assert len(chk.failures) == 3
-        assert all(2 in (e[0], e[1]) for e in chk.failures)
+        failures = [e for e in chk.entries if e[4] <= chk.corrected_alpha]
+        assert len(failures) == 3
+        assert all(2 in (e[0], e[1]) for e in failures)
 
     def test_fewer_than_two_chains_is_vacuous(self):
         chk = cross_chain_check([iid_refined(10)])
