@@ -67,19 +67,35 @@ class ChainRow:
     state: np.ndarray
 
 
+# A staged row's Python values, in this order, then its state: every field
+# of ROW_DTYPE but the weight, the difference of two verbose starts
+_STAGED = tuple(name for name in ROW_DTYPE.names if name != "weight")
+
+
+def _column(name: str) -> property:
+    """The read-only view of column ``name`` over the filled prefix."""
+    def read(self) -> np.ndarray:
+        self._settle()
+        return self._columns[name][: self.n_rows]
+    return property(read)
+
+
 class CompactChain:
     """Growable column store for chain rows: an array per field of
     ROW_DTYPE (``_weight`` and so on, by name in ``_columns``) and an
     (n, d) array of states, not one record array, whose fresh pages and
     strided writes slowed a resume's decode.
 
-    Columns live in numpy arrays preallocated to ``capacity`` rows that
-    double on demand; the kernel appends one row per accepted state and
-    adds 1 to the last row's weight on every rejection, so both must be
-    cheap. The live (last) row's weight is the verbose length past its
-    start, so a rejection only adds to the plain attribute
-    ``verbose_length``; the weight column is settled when it is read and
-    when the next row is appended. Single writer by contract.
+    The kernel appends one row per accepted state and adds 1 to the last
+    row's weight on every rejection, so both must be cheap. An appended row
+    is staged, as a list of its Python values (_STAGED's, then its state),
+    and restamp_last edits the live row's list in place. _settle lands the
+    staged rows with one slice assignment per column, into arrays
+    preallocated to ``capacity`` rows that double on demand; every read of
+    a column, a row or a range settles first. The live (last) row's weight
+    is the verbose length past its start, so a rejection only adds to the
+    plain attribute ``verbose_length``; each other row's weight is the next
+    row's start less its own. Single writer by contract.
     """
 
     def __init__(self, dimension: int, capacity: int = _INITIAL_CAPACITY):
@@ -90,6 +106,7 @@ class CompactChain:
         self._bind({name: np.empty(capacity, ROW_DTYPE[name])
                     for name in ROW_DTYPE.names},
                    np.empty((capacity, dimension), dtype=np.float64))
+        self._staged = []  # appended rows not yet landed, oldest first
         self.n_rows = 0
         self.verbose_length = 0
 
@@ -99,27 +116,39 @@ class CompactChain:
             setattr(self, "_" + name, column)
 
     def _settle(self) -> None:
-        # the live row's weight from the verbose length
-        n = self.n_rows
+        """Land the staged rows, then set the live row's weight from the
+        verbose length."""
+        n, staged = self.n_rows, self._staged
+        if staged:
+            first = n - len(staged)
+            while self._weight.size < n:
+                self._grow(first)
+            values = list(zip(*staged))
+            for name, column in zip(_STAGED, values):
+                self._columns[name][first:n] = column
+            self._states[first:n] = values[-1]
+            staged.clear()
+            # the weights the landed starts finalize: the row before the
+            # first staged one's, and every staged one's but the last
+            low = max(first - 1, 0)
+            self._weight[low:n - 1] = np.diff(self._verbose_start[low:n])
         if n:
             self._weight[n - 1] = self.verbose_length - self._verbose_start[n - 1]
 
     # read-only column views over the filled prefix
-    @property
-    def weights(self) -> np.ndarray:
-        self._settle()
-        return self._weight[: self.n_rows]
+    weights = _column("weight")
+    log_funcs = _column("log_func")
+    process_ids = _column("process_id")
+    dr_stages = _column("dr_stage")
+    mean_acceptance_rates = _column("mean_acceptance_rate")
+    adaptation_measures = _column("adaptation_measure")
+    burnin_locations = _column("burnin_location")
+    verbose_starts = _column("verbose_start")
 
-    log_funcs = property(lambda self: self._log_func[: self.n_rows])
-    states = property(lambda self: self._states[: self.n_rows])
-    process_ids = property(lambda self: self._process_id[: self.n_rows])
-    dr_stages = property(lambda self: self._dr_stage[: self.n_rows])
-    mean_acceptance_rates = property(
-        lambda self: self._mean_acceptance_rate[: self.n_rows])
-    adaptation_measures = property(
-        lambda self: self._adaptation_measure[: self.n_rows])
-    burnin_locations = property(lambda self: self._burnin_location[: self.n_rows])
-    verbose_starts = property(lambda self: self._verbose_start[: self.n_rows])
+    @property
+    def states(self) -> np.ndarray:
+        self._settle()
+        return self._states[: self.n_rows]
 
     @classmethod
     def from_columns(cls, records, states) -> "CompactChain":
@@ -180,18 +209,19 @@ class CompactChain:
         chain.verbose_length = int(w.sum())
         return chain
 
-    def _grow(self):
-        n, cap = self.n_rows, self._weight.size * 2
+    def _grow(self, kept: int) -> None:
+        """Double the capacity, keeping the first ``kept`` rows."""
+        cap = self._weight.size * 2
         columns = {}
         for name, old in self._columns.items():
             columns[name] = np.empty(cap, old.dtype)
-            columns[name][:n] = old[:n]
+            columns[name][:kept] = old[:kept]
         states = np.empty((cap, self.dimension), dtype=np.float64)
-        states[:n] = self._states[:n]
+        states[:kept] = self._states[:kept]
         self._bind(columns, states)
 
     def append_row(self, row: ChainRow) -> None:
-        state = np.asarray(row.state, dtype=float)
+        state = np.array(row.state, dtype=float)  # the chain keeps a copy
         if state.shape != (self.dimension,):
             raise DimensionMismatch(
                 "state has shape %r, chain dimension is %d"
@@ -204,21 +234,12 @@ class CompactChain:
     def append(self, process_id, dr_stage, mean_acceptance_rate,
                adaptation_measure, burnin_location, weight, log_func,
                state) -> None:
-        """Append one row from its values, unchecked (append_row checks)."""
-        i = self.n_rows
-        if i == self._weight.size:
-            self._grow()
-        self._settle()  # the live row's weight is final
-        self._process_id[i] = process_id
-        self._dr_stage[i] = dr_stage
-        self._mean_acceptance_rate[i] = mean_acceptance_rate
-        self._adaptation_measure[i] = adaptation_measure
-        self._burnin_location[i] = burnin_location
-        self._weight[i] = weight
-        self._log_func[i] = log_func
-        self._verbose_start[i] = self.verbose_length
-        self._states[i] = state
-        self.n_rows = i + 1
+        """Stage one row from its values, unchecked (append_row checks).
+        The chain keeps ``state`` itself, which the caller must not change."""
+        self._staged.append([process_id, dr_stage, mean_acceptance_rate,
+                             adaptation_measure, burnin_location, log_func,
+                             self.verbose_length, state])
+        self.n_rows += 1
         self.verbose_length += weight
 
     def restamp_last(
@@ -229,14 +250,18 @@ class CompactChain:
         i = self.n_rows - 1
         if i < 0:
             raise EmptyRange("cannot restamp an empty chain")
+        if self._staged:
+            live = self._staged[-1]  # indexed in _STAGED's order
+            live[2], live[4] = mean_acceptance_rate, burnin_location
+            return self.verbose_length - live[6]
         self._mean_acceptance_rate[i] = mean_acceptance_rate
         self._burnin_location[i] = burnin_location
-        self._settle()
-        return self._weight.item(i)
+        return self.verbose_length - self._verbose_start.item(i)
 
     def last_state(self) -> np.ndarray:
         if self.n_rows == 0:
             raise EmptyRange("empty chain has no last state")
+        self._settle()
         return self._states[self.n_rows - 1]
 
     def fields(self, i: int) -> tuple:

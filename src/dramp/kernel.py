@@ -25,7 +25,7 @@ linear solve and no log-determinant. The ratio also needs the acceptance
 probabilities of subpaths, each a contiguous index range walked forwards or
 backwards, so a cascade has O(k^2) of them. Each cascade keeps a table of
 the squared distances ||w_a - w_b||^2 (w_0 = 0, w_m = s_{m-1} z_m), in
-Python floats from the draws' dot products, and one memo of log(1 - alpha)
+Python floats from the block's dot products, and one memo of log(1 - alpha)
 by subpath (first, last), each computed once; a stage that rejects stores
 its own path's, which the next stage's ratio reuses.
 
@@ -36,11 +36,14 @@ normals.dot(L^T). That product times the stage-s scale is kept as one
 (BLOCK, d) array per stage the cascades run, all made again only when the
 block or the proposal is not the one they were made with (after a refill,
 an adaptation or a seek). A stage takes one row of its stage's array, added
-to the incumbent, and one uniform. The other per-attempt products (the
-draws' dot products, the banana's remaining coordinates, the mvn target's
-whitening) use ndarray.dot, about half the cost of @ at small d; on
-C-contiguous float64 operands both reach the same BLAS routine and give the
-same bits. Adaptation, moments and refinement keep @.
+to the incumbent, and one uniform. The DR table's dot products z_a . z_b
+are made per block too, only when the cascades have retries: one np.vecdot
+per lag b - a over the block's rows (BlockDraws.band), whose rows have the
+bits of ndarray.dot of each pair. The target's products (the banana's
+remaining coordinates, the mvn target's whitening) use ndarray.dot, about
+half the cost of @ at small d; on C-contiguous float64 operands both reach
+the same BLAS routine and give the same bits. Adaptation, moments and
+refinement keep @.
 Kernel.run reads a run's invariants once and calls propose_cascade (which
 returns a plain tuple) itself. A rejection that ends no tick only adds 1 to
 the verbose length there; every other outcome is committed.
@@ -164,22 +167,23 @@ def _log1mexp(a: float) -> float:
     return math.log1p(-math.exp(a))
 
 
-def extend_distances(dists: list, draws: list, scales, z: np.ndarray) -> None:
-    """Add candidate m = len(dists), drawn as ``z`` at stage m - 1, to a
-    cascade's table of squared whitened distances (started as [[0.0]], w_0
-    alone), and ``z`` to ``draws``. With w_a = s_a z_a (s_a = scales[a-1]),
-    dists[a][b] = ||w_a - w_b||^2 = s_a^2 g_aa + s_b^2 g_bb - 2 s_a s_b g_ab
-    for g_ab = z_a . z_b, in Python floats from one dot per new pair."""
+def extend_distances(dists: list, scales, band, r: int) -> None:
+    """Add candidate m = len(dists), drawn at row ``r`` of its block for
+    stage m - 1, to a cascade's table of squared whitened distances (started
+    as [[0.0]], w_0 alone). A cascade's stages take consecutive rows, so
+    candidate a was drawn at row r - (m - a), and with w_a = s_a z_a
+    (s_a = scales[a-1]), dists[a][b] = ||w_a - w_b||^2 = s_a^2 g_aa +
+    s_b^2 g_bb - 2 s_a s_b g_ab for g_ab = z_a . z_b = band[|a - b|][r]
+    (BlockDraws), all Python floats."""
     m = len(dists)
     s_m = scales[m - 1]
-    row = [s_m * s_m * float(z.dot(z))]  # row 0 holds s_a^2 g_aa
+    row = [s_m * s_m * band[0][r]]  # row 0 holds s_a^2 g_aa
     for a in range(1, m):
-        cross = 2.0 * scales[a - 1] * s_m * float(draws[a - 1].dot(z))
+        cross = 2.0 * scales[a - 1] * s_m * band[m - a][r]
         row.append(dists[0][a] + row[0] - cross)
     for a in range(m):
         dists[a].append(row[a])
     dists.append(row + [0.0])
-    draws.append(z)
 
 
 def dr_log_alpha(
@@ -249,24 +253,43 @@ class BlockDraws:
     times the stage-s scale of ``proposal``, the proposal it was made for.
     ``scaled`` holds stages 0..``stages``. Nothing is drawn before a stage
     asks, so a kernel built for a resume draws one block at most.
+
+    With ``stages`` >= 1 a refill also makes the band of the DR table's
+    products (extend_distances), the one place they are made: ``band[j][r]``
+    = z_r . z_(r-j) for j = 0..``stages``, in Python floats, one np.vecdot
+    per lag over the block's rows. Row r - j < 0 is row BLOCK + r - j of the
+    previous block, so a cascade that runs past a refill reads its earlier
+    stages' lags there. A block that seek draws again has no previous block,
+    and zeros stand in for it, the same on every resume; no cascade reads
+    them, since a snapshot falls between cascades.
     """
 
     __slots__ = ("generator", "dimension", "stop", "start", "normals",
-                 "uniforms", "scaled", "proposal", "offset")
+                 "uniforms", "band", "scaled", "proposal", "offset")
 
     def __init__(self, generator: np.random.Generator, dimension: int, stages: int):
         self.generator = generator
         self.dimension = dimension
         self.stop = stages + 1
         self.start = None  # the stream's state before the pending block
-        self.normals = self.uniforms = self.scaled = self.proposal = None
+        self.normals = self.uniforms = self.band = None
+        self.scaled = self.proposal = None
         self.offset = BLOCK  # rows taken of the block; BLOCK: none pending
 
     def _refill(self) -> None:
         gen = self.generator
         self.start = gen.bit_generator.state
-        self.normals = gen.standard_normal((BLOCK, self.dimension))
+        previous = self.normals
+        self.normals = normals = gen.standard_normal((BLOCK, self.dimension))
         self.uniforms = gen.random(BLOCK).tolist()
+        lags = self.stop - 1
+        if lags:
+            before = (np.zeros((lags, self.dimension)) if previous is None
+                      else previous[BLOCK - lags:])
+            rows = np.concatenate((before, normals))
+            # np.vecdot's rows have the bits of ndarray.dot of each pair
+            self.band = [np.vecdot(normals, rows[lags - j:BLOCK + lags - j]).tolist()
+                         for j in range(self.stop)]
         self.proposal = None
         self.offset = 0
 
@@ -298,6 +321,7 @@ class BlockDraws:
             raise CorruptRestart("block offset %r outside [0, %d)" % (offset, BLOCK))
         self.generator.bit_generator.state = state
         self.offset = BLOCK
+        self.normals = None  # the sought block's lags reach no other block
         if offset:
             self._refill()
             self.offset = offset
@@ -323,11 +347,11 @@ def propose_cascade(
     k = draws.offset
     if k == BLOCK or draws.proposal is not proposal:
         k = draws.ready(proposal)
-    scaled, uniforms = draws.scaled, draws.uniforms
+    scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
     for stage in range(dr_stage_count + 1):
         if k == BLOCK:
             k = draws.ready(proposal)
-            scaled, uniforms = draws.scaled, draws.uniforms
+            scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
         # the bits of incumbent + scales[stage] * L z: a product's elements
         # round alike in a (BLOCK, d) array and in one row, and + commutes
         candidate = scaled[stage][k] + incumbent
@@ -355,11 +379,11 @@ def propose_cascade(
                         "stage %d outside [0, %d]" % (dr_stage_count, len(scales) - 1)
                     )
                 log_funcs = [log_incumbent, log_candidate]
-                dists, seen, memo = [[0.0]], [], {}
-                extend_distances(dists, seen, scales, draws.normals[k - 1])
+                dists, memo = [[0.0]], {}
+                extend_distances(dists, scales, band, k - 1)
         else:
             log_funcs.append(log_candidate)
-            extend_distances(dists, seen, scales, draws.normals[k - 1])
+            extend_distances(dists, scales, band, k - 1)
             log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
             if lnu < log_alpha:
                 return candidate, log_candidate, stage

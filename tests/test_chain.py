@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dramp.chain import ChainRow, CompactChain, WeightedMoments
+from dramp.chain import COLUMNS, ROW_DTYPE, ChainRow, CompactChain, WeightedMoments
 from dramp.errors import DimensionMismatch, EmptyRange
 
 
@@ -336,6 +336,7 @@ class TestColumnsAndSlices:
         rows = random_rows(11, n + 1, 2)
         oracle = appended(rows, 2)
         rebuilt = CompactChain.from_columns(*rows_of(appended(rows[:n], 2)))
+        oracle.weights  # a read lands the staged rows, growing the arrays
         assert rebuilt._weight.size == oracle._weight.size
         assert oracle.slice(1, n)._weight.size == n + 1
 
@@ -348,3 +349,130 @@ class TestColumnsAndSlices:
         part.append_row(random_rows(8, 1, 2)[0])
         part.states[0] += 1.0
         assert_same_chain(source, appended(rows, 2))
+
+
+# the oracle row's index of each column property: ChainRow's field order
+PROPERTIES = {"process_ids": 0, "dr_stages": 1, "mean_acceptance_rates": 2,
+              "adaptation_measures": 3, "burnin_locations": 4, "weights": 5,
+              "log_funcs": 6, "states": 7}
+# the reads a staged chain answers; each lands the rows staged before it
+READS = tuple(PROPERTIES) + ("verbose_starts", "columns", "fields", "row",
+                             "last_state", "slice", "tail")
+
+
+@st.composite
+def staged_programs(draw):
+    """A dimension, an initial capacity, a seed for the rows' values, and a
+    list of operations that starts with appends: bursts of appends (up to
+    700 rows, so a program grows past the 1,024-row capacity within a few),
+    rejections, restamps and reads, each read with two fractions that place
+    its rows."""
+    appends = st.tuples(st.just("append"), st.integers(1, 700))
+    op = st.one_of(
+        appends,
+        st.tuples(st.just("reject"), st.integers(1, 4)),
+        st.tuples(st.just("restamp"), st.integers(0, 10 ** 6)),
+        st.tuples(st.just("read"), st.sampled_from(READS),
+                  st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    return (draw(st.integers(1, 3)), draw(st.sampled_from([1, 5, 1024])),
+            draw(st.integers(0, 2 ** 32 - 1)),
+            [draw(appends)] + draw(st.lists(op, min_size=2, max_size=25)))
+
+
+def starts_of(rows):
+    return np.cumsum([0] + [row[5] for row in rows])[:len(rows)].tolist()
+
+
+def assert_matches_rows(chain, rows):
+    """Every column, field and row of ``chain`` is the list-of-rows oracle's:
+    each row a list in ChainRow's field order, its state a list."""
+    n = len(rows)
+    assert chain.n_rows == n
+    assert chain.verbose_length == sum(row[5] for row in rows)
+    columns, states = chain.columns(0, n)
+    for k, (name, _, _) in enumerate(COLUMNS):
+        want = np.array([row[k] for row in rows], dtype=ROW_DTYPE[name])
+        assert columns[name].tobytes() == want.tobytes(), name
+    assert columns["verbose_start"].tolist() == starts_of(rows)
+    assert states.tolist() == [row[7] for row in rows]
+    for read, k in PROPERTIES.items():
+        assert getattr(chain, read).tolist() == [row[k] for row in rows], read
+    assert chain.verbose_starts.tolist() == starts_of(rows)
+    for i in sorted({0, n // 2, n - 1}) if n else ():
+        assert chain.fields(i) == (*rows[i][:7], *rows[i][7])
+
+
+def assert_read_matches(chain, rows, read, a, b):
+    """One read of ``chain``, of row min(a n, n - 1) and of b of the rows
+    after it, against the list-of-rows oracle."""
+    n = len(rows)
+    i = min(int(a * n), n - 1)
+    count = int(b * (n - i))
+    if read in PROPERTIES:
+        want = [row[PROPERTIES[read]] for row in rows]
+        assert getattr(chain, read).tolist() == want, read
+    elif read == "verbose_starts":
+        assert chain.verbose_starts.tolist() == starts_of(rows)
+    elif read == "columns":
+        columns, states = chain.columns(i, i + count)
+        for k, (name, _, _) in enumerate(COLUMNS):
+            assert columns[name].tolist() == [row[k] for row in rows[i:i + count]]
+        assert states.tolist() == [row[7] for row in rows[i:i + count]]
+    elif read == "fields":
+        assert chain.fields(i) == (*rows[i][:7], *rows[i][7])
+    elif read == "row":
+        got = chain.row(i)
+        assert [getattr(got, name) for name, _, _ in COLUMNS] == rows[i][:7]
+        assert got.state.tolist() == rows[i][7]
+    elif read == "last_state":
+        assert chain.last_state().tolist() == rows[-1][7]
+    elif read == "slice":
+        assert_matches_rows(chain.slice(i, count), rows[i:i + count])
+    else:
+        assert_matches_rows(chain.tail(i), rows[i:])
+
+
+class TestStagedRows:
+    """Appended rows are staged as Python values and land on a read: every
+    read of a chain built by appends, rejections and restamps, in any order,
+    is that of a plain list of rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(staged_programs())
+    @example((2, 1024, 7, [("append", 700), ("read", "weights", 0.0, 1.0),
+                           ("reject", 2), ("append", 400), ("restamp", 5),
+                           ("read", "slice", 0.5, 1.0), ("append", 300),
+                           ("read", "tail", 0.9, 0.0)]))
+    def test_every_read_matches_a_list_of_rows(self, program):
+        d, capacity, seed, ops = program
+        rng = np.random.default_rng(seed)
+        chain, rows = CompactChain(d, capacity), []
+
+        def append(count):
+            for _ in range(count):
+                row = [int(rng.integers(0, 9)), int(rng.integers(0, 4)),
+                       float(rng.random()), float(rng.standard_normal()),
+                       int(rng.integers(0, 10 ** 6)), int(rng.integers(1, 4)),
+                       float(rng.standard_normal()), rng.standard_normal(d).tolist()]
+                chain.append(*row[:7], np.array(row[7]))
+                rows.append(row)
+
+        for op in ops:
+            if op[0] == "append":
+                append(op[1])
+            elif op[0] == "reject":
+                chain.verbose_length += op[1]
+                rows[-1][5] += op[1]
+            elif op[0] == "restamp":
+                rate = op[1] / 10 ** 6
+                assert chain.restamp_last(rate, op[1]) == rows[-1][5]
+                rows[-1][2], rows[-1][4] = rate, op[1]
+            else:
+                assert_read_matches(chain, rows, *op[1:])
+        # every read once more, each the first after an append, so each
+        # lands the staged row it reads
+        for read in READS:
+            append(1)
+            assert_read_matches(chain, rows, read, 1.0, 1.0)
+        assert_matches_rows(chain, rows)

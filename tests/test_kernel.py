@@ -115,12 +115,20 @@ class TestStageZeroRule:
             assert (log_func, stage) == (log_incumbent, REJECTED)
 
 
+def lag_band(draws):
+    """The band of a cascade's stage draws, as BlockDraws makes it for
+    consecutive rows: band[j][r] = z_(r-j) . z_r, each from one dot; lags
+    past the first draw are never read."""
+    return [[float(draws[r - j].dot(draws[r])) if r >= j else None
+             for r in range(len(draws))] for j in range(len(draws))]
+
+
 def distances(draws, scales):
     """The squared whitened distances of x and the candidates drawn as
     ``draws``, added one candidate at a time as the cascade adds them."""
-    dists, seen = [[0.0]], []
-    for z in draws:
-        extend_distances(dists, seen, scales, z)
+    dists, band = [[0.0]], lag_band(draws)
+    for r in range(len(draws)):
+        extend_distances(dists, scales, band, r)
     return dists
 
 
@@ -330,13 +338,13 @@ class TestDrMemoOracle:
         prop, _, log_funcs, draws = case
         k = len(draws)
         scales = [prop.stage_scale(j) for j in range(k)]
-        dists, seen = [[0.0]], []
-        extend_distances(dists, seen, scales, draws[0])
+        dists, band = [[0.0]], lag_band(draws)
+        extend_distances(dists, scales, band, 0)
         memo, reference_memo = {}, {}
         # the stages of one cascade share its table and memo, each adding a
         # candidate, and each rejection stores its path's log(1 - alpha)
         for stage in range(1, k):
-            extend_distances(dists, seen, scales, draws[stage])
+            extend_distances(dists, scales, band, stage)
             got = dr_log_alpha(log_funcs[:stage + 2], dists, scales, memo)
             want = reference_dr_log_alpha(
                 log_funcs[:stage + 2], dists, scales, reference_memo)
@@ -369,6 +377,64 @@ class TestExtendDistances:
             for b in range(len(draws) + 1):
                 bound = 1e-12 * (want[0][a] + want[0][b]) + np.finfo(float).tiny
                 assert abs(got[a][b] - want[a][b]) <= bound, (a, b)
+
+
+def take_block(draws, proposal):
+    """Use up ``draws``' pending block, if any, and draw the next."""
+    draws.offset = BLOCK
+    draws.ready(proposal)
+    return draws.normals
+
+
+class TestBlockBand:
+    """Each band entry band[j][r] of BlockDraws is z_r . z_(r-j), with the
+    bits of one ndarray.dot of the two rows: within a block, from the
+    previous block's rows when r < j, and in a block that seek draws again,
+    whose lags the block itself holds."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+    def test_every_lag_is_the_dot_of_its_two_rows(self, d, stages):
+        draws = chain_draws(40 + d, d, stages)
+        prop = ProposalState.create(d, dr_scales=default_dr_scales(stages))
+        rows = take_block(draws, prop)
+        for refill in range(4):
+            band = draws.band
+            assert len(band) == stages + 1
+            # row BLOCK + r of ``rows`` is the block's row r
+            first = 0 if refill == 0 else BLOCK
+            for j in range(stages + 1):
+                assert len(band[j]) == BLOCK
+                for r in range(BLOCK):
+                    if first + r - j >= 0:
+                        want = float(rows[first + r - j].dot(rows[first + r]))
+                        assert band[j][r] == want, (refill, j, r)
+            rows = np.concatenate((draws.normals, take_block(draws, prop)))
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 32])
+    def test_a_sought_block_has_its_own_lags(self, d, stages):
+        draws = chain_draws(50 + d, d, stages)
+        prop = ProposalState.create(d, dr_scales=default_dr_scales(stages))
+        for _ in range(3):
+            take_block(draws, prop)
+        state, normals, band = draws.start, draws.normals, draws.band
+        take_block(draws, prop)
+        for sought in (draws, chain_draws(50 + d, d, stages)):
+            sought.seek(state, 17)
+            assert np.array_equal(sought.normals, normals)
+            for j in range(stages + 1):
+                for r in range(BLOCK):
+                    if r >= j:
+                        want = float(normals[r - j].dot(normals[r]))
+                        assert sought.band[j][r] == band[j][r] == want, (j, r)
+                    else:  # no previous block: the same zeros on every resume
+                        assert sought.band[j][r] == 0.0, (j, r)
+
+    def test_no_retries_make_no_band(self):
+        draws = chain_draws(3, 4, 0)
+        take_block(draws, ProposalState.create(4))
+        assert draws.band is None
 
 
 def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
