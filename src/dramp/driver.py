@@ -27,6 +27,7 @@ are byte-identical to an uninterrupted one.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -106,8 +107,11 @@ class _SuiteFiles:
         suite = spec.output
         names = tuple("Var%d" % (i + 1) for i in range(dimension))
         self.suite = suite
-        self.writer = ChainWriter(suite, names, append=append)
-        self.progress = ProgressWriter(suite.progress_path, append=append)
+        # a failing progress open closes the chain file again
+        with contextlib.ExitStack() as opened:
+            self.writer = opened.enter_context(ChainWriter(suite, names, append=append))
+            self.progress = ProgressWriter(suite.progress_path, append=append)
+            opened.pop_all()
         self.rows_written = rows_written  # finalized rows, pending ones too
         self._chain: Optional[CompactChain] = None
         self._start = self._end = 0  # the pending rows of _chain
@@ -145,18 +149,15 @@ class _SuiteFiles:
         return self
 
     def __exit__(self, exc_type, *exc):
-        """Write the pending rows, then close both files even if that fails;
-        a failed write does not replace an exception that ends the run."""
-        try:
+        """Write the pending rows, then close both files whatever that
+        raises; a failed write or close does not replace an exception that
+        ends the run, and without one the first failure is raised."""
+        with contextlib.ExitStack() as closing:
+            if exc_type is not None:
+                closing.enter_context(contextlib.suppress(SamplerError))
+            closing.push(self.progress)
+            closing.push(self.writer)  # each close keeps an error in flight
             self.flush()
-        except (OSError, SamplerError):
-            if exc_type is None:
-                raise
-        finally:
-            try:
-                self.writer.close()
-            finally:
-                self.progress.close()
         return False
 
 
@@ -239,6 +240,8 @@ def _remove_suite(spec: SimulationSpec) -> None:
             os.remove(path)
         except FileNotFoundError:
             pass
+        except OSError as exc:
+            raise IoFailure("cannot remove %s: %s" % (path, exc)) from exc
 
 
 def _split_chains(spec: SimulationSpec, stored: CompactChain,
@@ -439,11 +442,13 @@ def _run(
             summaries.append(summary)
             chains.append(kern.chain)
             kern = None
-        tally, speedup = run_speedup(chains, spec.mode, spec.worker_count)
-        return _finish(
-            spec, sw, summaries, chains, tally, speedup,
-            restarted=resume is not None,
-        )
+    # the report, written last, marks the run complete; a failed close of
+    # the chain or progress file leaves a run that a rerun resumes
+    tally, speedup = run_speedup(chains, spec.mode, spec.worker_count)
+    return _finish(
+        spec, sw, summaries, chains, tally, speedup,
+        restarted=resume is not None,
+    )
 
 
 def run_simulation(

@@ -44,9 +44,11 @@ remaining coordinates, the mvn target's whitening) use ndarray.dot, about
 half the cost of @ at small d; on C-contiguous float64 operands both reach
 the same BLAS routine and give the same bits. Adaptation, moments and
 refinement keep @.
-Kernel.run reads a run's invariants once and calls propose_cascade (which
-returns a plain tuple) itself. A rejection that ends no tick only adds 1 to
-the verbose length there; every other outcome is committed.
+Kernel.run reads a run's invariants once and calls
+propose_cascade(target, proposal, incumbent, log_incumbent, draws) itself;
+the cascade returns a plain tuple and runs the stages its BlockDraws was
+built for, the one source of the stage count. A rejection that ends no tick
+only adds 1 to the verbose length there; every other outcome is committed.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
@@ -296,10 +298,14 @@ class BlockDraws:
     def ready(self, proposal: ProposalState) -> int:
         """The offset of the next stage's row, after a refill if the block
         is used up, and new scaled rows if the block's were made for
-        another proposal."""
+        another proposal. A proposal with fewer stage scales than the
+        cascades run raises StageOutOfRange."""
         if self.offset == BLOCK:
             self._refill()
         if self.proposal is not proposal:
+            if len(proposal.stage_scales) < self.stop:
+                raise StageOutOfRange("stage %d outside [0, %d]" % (
+                    self.stop - 1, len(proposal.stage_scales) - 1))
             # the one place L z is made; always over all BLOCK rows
             steps = self.normals.dot(proposal.chol_factor.T)
             self.scaled = [steps * s for s in proposal.stage_scales[:self.stop]]
@@ -332,12 +338,12 @@ def propose_cascade(
     proposal: ProposalState,
     incumbent: np.ndarray,
     log_incumbent: float,
-    dr_stage_count: int,
     draws: BlockDraws,
 ) -> Tuple[np.ndarray, float, int]:
-    """Run one full proposal attempt: stage 0 plus up to dr_stage_count
-    retries. Returns (state, log_func, stage) of the accepted candidate, or
-    the incumbent's with stage REJECTED.
+    """Run one full proposal attempt: stage 0 plus up to the retries
+    ``draws`` was built for (its ``stop`` stages in all). Returns (state,
+    log_func, stage) of the accepted candidate, or the incumbent's with
+    stage REJECTED.
 
     Pure with respect to everything but the chain's draws; shared verbatim
     by the serial kernel and the fork-join workers.
@@ -348,7 +354,8 @@ def propose_cascade(
     if k == BLOCK or draws.proposal is not proposal:
         k = draws.ready(proposal)
     scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
-    for stage in range(dr_stage_count + 1):
+    last = draws.stop - 1
+    for stage in range(draws.stop):
         if k == BLOCK:
             k = draws.ready(proposal)
             scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
@@ -372,12 +379,8 @@ def propose_cascade(
         if stage == 0:
             if lnu < log_candidate - log_incumbent:
                 return candidate, log_candidate, 0
-            if dr_stage_count:
+            if last:
                 # the retries' state exists only once stage 0 has rejected
-                if dr_stage_count >= len(scales):
-                    raise StageOutOfRange(
-                        "stage %d outside [0, %d]" % (dr_stage_count, len(scales) - 1)
-                    )
                 log_funcs = [log_incumbent, log_candidate]
                 dists, memo = [[0.0]], {}
                 extend_distances(dists, scales, band, k - 1)
@@ -387,7 +390,7 @@ def propose_cascade(
             log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
             if lnu < log_alpha:
                 return candidate, log_candidate, stage
-            if stage < dr_stage_count:
+            if stage < last:
                 # the next stage's ratio reuses this path's rejection
                 memo[0, stage + 1] = _log1mexp(log_alpha)
     return incumbent, log_incumbent, REJECTED
@@ -577,7 +580,7 @@ class Kernel:
     def step(self) -> Sequence[tuple]:
         return self.commit(propose_cascade(
             self.target, self.proposal, self.incumbent, self.log_incumbent,
-            self.config.dr_stage_count, self.draws,
+            self.draws,
         ))
 
     def run(
@@ -588,11 +591,11 @@ class Kernel:
         summary. A rejection that ends no tick is charged here, as commit
         would."""
         chain, length = self.chain, self.config.chain_length_target
-        stages, target, draws = self.config.dr_stage_count, self.target, self.draws
+        target, draws = self.target, self.draws
         cascade = propose_cascade  # looked up per run, so a patched one is used
         while chain.n_rows < length:
             outcome = cascade(target, self.proposal, self.incumbent,
-                              self.log_incumbent, stages, draws)
+                              self.log_incumbent, draws)
             if outcome[2] == REJECTED and (chain.verbose_length + 1) % TICK_STEPS:
                 chain.verbose_length += 1  # the live row's weight
                 continue

@@ -21,6 +21,7 @@ detect_incomplete hands its caller the payload it checked.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -153,28 +154,54 @@ def _fmt(value: float) -> str:
 
 class _OutputFile:
     """An output file opened in binary mode, so tell() is a true byte
-    offset; restart truncation depends on it."""
+    offset; restart truncation depends on it. It is the one place a suite
+    file is opened, written, flushed, closed or renamed: an OSError from
+    any of those raises IoFailure naming the operation and the path. A
+    close on the way out of a failed ``with`` block does not replace its
+    error."""
 
-    def __init__(self, path: str, append: bool, what: str):
+    def __init__(self, path: str, append: bool = False, header: bytes = b""):
+        """Open ``path``, and write ``header`` first unless appending; a
+        failing header write closes the file again."""
+        self.path = path
+        self._fh = self._do("open", open, path, "ab" if append else "wb")
+        if header and not append:
+            with contextlib.ExitStack() as opened:
+                opened.enter_context(self)
+                self.write(header)
+                opened.pop_all()
+
+    def _do(self, operation: str, call, *args):
         try:
-            self._fh = open(path, "ab" if append else "wb")
+            return call(*args)
         except OSError as exc:
-            raise IoFailure("cannot open %s file: %s" % (what, exc)) from exc
+            raise IoFailure("cannot %s %s: %s" % (operation, self.path, exc)) from exc
+
+    def write(self, data) -> None:
+        self._do("write", self._fh.write, data)
 
     def flush(self) -> None:
-        self._fh.flush()
+        self._do("flush", self._fh.flush)
 
     def tell(self) -> int:
         return self._fh.tell()
 
     def close(self) -> None:
-        self._fh.close()
+        self._do("close", self._fh.close)
+
+    def rename(self, path: str) -> None:
+        """Rename the closed file to ``path``, replacing that file."""
+        self._do("rename", os.replace, self.path, path)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, *exc):
+        try:
+            self.close()
+        except IoFailure:
+            if exc_type is None:
+                raise
         return False
 
 
@@ -184,7 +211,6 @@ class ChainWriter(_OutputFile):
 
     def __init__(self, suite: OutputSuite, variable_names: Sequence[str],
                  append: bool = False):
-        super().__init__(suite.chain_path, append, "chain")
         self.suite = suite
         self.variable_names = tuple(variable_names)
         self._record = _record_dtype(len(self.variable_names))
@@ -194,17 +220,15 @@ class ChainWriter(_OutputFile):
             + ["%.17g"] * len(self.variable_names)
         ) + "\n").encode("utf-8")
         self._ascii = suite.chain_format == "ascii"
-        if not append:
-            self._write_header()
+        super().__init__(suite.chain_path, append, self._header())
 
-    def _write_header(self) -> None:
+    def _header(self) -> bytes:
         if self._ascii:
             header = self.suite.delimiter.join(FIXED_COLUMNS + self.variable_names)
-            self._fh.write((FORMAT_COMMENT + "\n" + header + "\n").encode("utf-8"))
-        else:
-            names = "\x00".join(self.variable_names).encode("utf-8")
-            self._fh.write(_CHAIN_HEAD.pack(
-                CHAIN_MAGIC, 1, len(self.variable_names), len(names)) + names)
+            return (FORMAT_COMMENT + "\n" + header + "\n").encode("utf-8")
+        names = "\x00".join(self.variable_names).encode("utf-8")
+        return _CHAIN_HEAD.pack(
+            CHAIN_MAGIC, 1, len(self.variable_names), len(names)) + names
 
     def write_row(self, fields: tuple) -> None:
         """Write one row: a tuple in ``CompactChain.fields``'s layout, the
@@ -242,10 +266,7 @@ class ChainWriter(_OutputFile):
                             % (first + bad[0], column, values[bad[0]], field.str))
                 data[name] = values
             data["state"] = states
-        try:
-            self._fh.write(data)
-        except OSError as exc:
-            raise IoFailure("chain write failed: %s" % exc) from exc
+        self.write(data)
 
 
 # How Python parses each fixed column, and the array type both codecs
@@ -456,17 +477,14 @@ def read_chain(
 
 def write_sample(path: str, refined: RefinedSample, delimiter: str = ",") -> None:
     names = tuple("Var%d" % (i + 1) for i in range(refined.dimension))
-    try:
-        with open(path, "wb") as fh:
-            fh.write((FORMAT_COMMENT + "\n").encode("utf-8"))
-            fh.write(
-                (delimiter.join(("SampleLogFunc",) + names) + "\n").encode("utf-8")
-            )
-            for logf, point in zip(refined.log_funcs, refined.points):
-                fields = [_fmt(float(logf))] + [_fmt(float(v)) for v in point]
-                fh.write((delimiter.join(fields) + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure("cannot write sample file: %s" % exc) from exc
+    with _OutputFile(path) as fh:
+        fh.write((FORMAT_COMMENT + "\n").encode("utf-8"))
+        fh.write(
+            (delimiter.join(("SampleLogFunc",) + names) + "\n").encode("utf-8")
+        )
+        for logf, point in zip(refined.log_funcs, refined.points):
+            fields = [_fmt(float(logf))] + [_fmt(float(v)) for v in point]
+            fh.write((delimiter.join(fields) + "\n").encode("utf-8"))
 
 
 class ProgressWriter(_OutputFile):
@@ -478,11 +496,8 @@ class ProgressWriter(_OutputFile):
     )
 
     def __init__(self, path: str, append: bool = False):
-        super().__init__(path, append, "progress")
-        if not append:
-            self._fh.write(
-                (FORMAT_COMMENT + "\n" + self.HEADER + "\n").encode("utf-8")
-            )
+        super().__init__(path, append,
+                         (FORMAT_COMMENT + "\n" + self.HEADER + "\n").encode("utf-8"))
 
     def write_tick(self, tick: dict, elapsed_seconds: Optional[float]) -> None:
         elapsed = "" if elapsed_seconds is None else "%.3f" % elapsed_seconds
@@ -493,11 +508,8 @@ class ProgressWriter(_OutputFile):
             _fmt(tick["last_adaptation_measure"]),
             elapsed,
         )
-        try:
-            self._fh.write(line.encode("utf-8"))
-            self._fh.flush()
-        except OSError as exc:
-            raise IoFailure("progress write failed: %s" % exc) from exc
+        self.write(line.encode("utf-8"))
+        self.flush()
 
 
 def write_report(
@@ -631,11 +643,8 @@ def write_report(
     lines.append("")
     lines.append(bar)
     lines.append(REPORT_TERMINATOR)
-    try:
-        with open(suite.report_path, "wb") as fh:
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-    except OSError as exc:
-        raise IoFailure("cannot write report: %s" % exc) from exc
+    with _OutputFile(suite.report_path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_snapshot(path: str, payload: dict) -> None:
@@ -648,17 +657,13 @@ def write_snapshot(path: str, payload: dict) -> None:
     body = json.dumps(payload, sort_keys=True).encode("utf-8")
     blob = (_RECORD_HEAD.pack(RESTART_MAGIC, 1, len(body)) + body
             + hashlib.sha256(body).digest())
-    try:
-        with open(path, "ab") as fh:
-            if fh.tell() < SNAPSHOT_LOG_LIMIT:
-                fh.write(blob)
-                return
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
+    with _OutputFile(path, append=True) as fh:
+        if fh.tell() < SNAPSHOT_LOG_LIMIT:
             fh.write(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoFailure("cannot write restart snapshot: %s" % exc) from exc
+            return
+    with _OutputFile(path + ".tmp") as tmp:
+        tmp.write(blob)
+    tmp.rename(path)
 
 
 class Snapshot(dict):

@@ -45,7 +45,7 @@ import dramp.driver
 import dramp.kernel
 import dramp.persist
 from dramp.driver import run_simulation
-from dramp.errors import BadDimension, CorruptRestart, SpecMismatch
+from dramp.errors import BadDimension, CorruptRestart, IoFailure, SpecMismatch
 from dramp.kernel import BLOCK, Kernel
 from dramp.model import TargetDensity, gaussian_target
 from dramp.parallel import PREDICTION_GRID
@@ -560,6 +560,19 @@ class TestCliRun:
         assert err.startswith("configuration error: %s: " % key)
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_suite_path_that_cannot_be_removed_is_named(self, tmp_path, capsys):
+        # --force-overwrite removes the old suite first; a directory in a
+        # file's place once escaped as a bare IsADirectoryError
+        prefix = tmp_path / "demo"
+        (tmp_path / "demo_sample.txt").mkdir()
+        spec = build_spec({"out": str(prefix), "chain-len": "400"})
+        message = "cannot remove %s: " % spec.output.sample_path
+        with pytest.raises(IoFailure) as info:
+            run_simulation(spec, force_overwrite=True)
+        assert str(info.value).startswith(message)
+        assert main(run_flags(prefix) + ["--force-overwrite"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: " + message)
 
     def test_bad_start_leaves_a_forced_suite_as_it_was(self, tmp_path, capsys):
         prefix = tmp_path / "demo"

@@ -106,7 +106,7 @@ class TestStageZeroRule:
         prop = ProposalState.create(1, scale_factor=1.0)
         incumbent = np.array([2.0])
         state, log_func, stage = propose_cascade(
-            target, prop, incumbent, log_incumbent, 0,
+            target, prop, incumbent, log_incumbent,
             BlockDraws(ScriptedStream([u]), 1, 0))
         if accepted:
             assert (state.tolist(), log_func, stage) == ([3.0], log_candidate, 0)
@@ -438,7 +438,7 @@ class TestBlockBand:
 
 
 def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
-                              dr_stage_count, blocks):
+                              blocks):
     """propose_cascade on the draws-based recursion: the same rows of the
     chain's blocks, each taken through BlockDraws.ready, which refills as
     needed, and the same candidates, from L z made here over the whole
@@ -446,7 +446,7 @@ def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
     scales = [proposal.scale_factor] + [
         proposal.scale_factor * s for s in proposal.dr_scales]
     log_funcs, draws, memo = [log_incumbent], [], {}
-    for stage in range(dr_stage_count + 1):
+    for stage in range(blocks.stop):
         k = blocks.ready(proposal)
         z, u = blocks.normals[k], blocks.uniforms[k]
         steps = blocks.normals.dot(proposal.chol_factor.T)
@@ -515,7 +515,7 @@ class TestProposeCascade:
         prop = ProposalState.create(2)
         incumbent = np.zeros(2)
         state, log_func, stage = propose_cascade(
-            flat_target(2), prop, incumbent, 0.0, 1, chain_draws(5, 2, 1))
+            flat_target(2), prop, incumbent, 0.0, chain_draws(5, 2, 1))
         assert stage == 0
         assert log_func == 0.0
         assert not np.array_equal(state, incumbent)
@@ -524,10 +524,33 @@ class TestProposeCascade:
         prop = ProposalState.create(1, dr_scales=(0.5, 0.25))
         incumbent = np.array([1.5])
         state, log_func, stage = propose_cascade(
-            wall_target(1), prop, incumbent, 0.0, 2, chain_draws(5, 1, 2))
+            wall_target(1), prop, incumbent, 0.0, chain_draws(5, 1, 2))
         assert stage == REJECTED
         assert state is incumbent
         assert log_func == 0.0
+
+    @pytest.mark.parametrize("stages", [0, 1])
+    def test_the_draws_set_the_stage_count(self, stages):
+        # a two-retry proposal on draws built for fewer retries runs the
+        # draws' stages; when the call also passed a count of 2, it raised
+        # TypeError (0 retries: no band) or IndexError (1: no scaled[2])
+        prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
+        draws = BlockDraws(rng_mod.chain_stream(1, 0), 2, stages)
+        state, log_func, stage = propose_cascade(
+            wall_target(2), prop, np.zeros(2), 0.0, draws)
+        assert (stage, log_func) == (REJECTED, 0.0)
+        assert draws.offset == stages + 1
+
+    def test_a_proposal_with_fewer_stages_than_the_draws_is_refused(self):
+        # checked once per new proposal, in BlockDraws.ready, also when the
+        # proposal changes inside a block
+        draws = chain_draws(1, 2, 2)
+        wide = ProposalState.create(2, dr_scales=(0.5, 0.25))
+        propose_cascade(wall_target(2), wide, np.zeros(2), 0.0, draws)
+        short = ProposalState.create(2, dr_scales=(0.5,))
+        with pytest.raises(StageOutOfRange, match=r"^stage 2 outside \[0, 1\]$"):
+            propose_cascade(wall_target(2), short, np.zeros(2), 0.0, draws)
+        assert draws.offset == 3
 
     @pytest.mark.parametrize("stages,accepts", [(2, False), (0, True)])
     def test_stream_budget_is_exact(self, stages, accepts):
@@ -539,7 +562,7 @@ class TestProposeCascade:
         for cascades in (1, 30):  # within the first block, and into the next
             used = chain_draws(17, d, stages)
             for _ in range(cascades):
-                propose_cascade(target, prop, np.zeros(d), 0.0, stages, used)
+                propose_cascade(target, prop, np.zeros(d), 0.0, used)
             taken = cascades * (stages + 1)
             replay = rng_mod.chain_stream(17, 0)
             for _ in range(-(-taken // BLOCK)):
@@ -571,7 +594,7 @@ class TestProposeCascade:
         adapted_at = 5  # cascades; its first stage is row 15 of the block
         for cascade in range(22):
             propose_cascade(target, props[cascade >= adapted_at], incumbent,
-                            0.0, 2, draws)
+                            0.0, draws)
         assert stream.calls == [("standard_normal", (BLOCK, d)),
                                 ("random", BLOCK)] * 2
         blocks = stream.draws[0::2]
@@ -617,7 +640,7 @@ class TestNonFiniteTarget:
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         incumbent = np.zeros(3)
         state, _, stage = propose_cascade(
-            nan_target(3), prop, incumbent, 0.0, stages, chain_draws(5, 3, stages)
+            nan_target(3), prop, incumbent, 0.0, chain_draws(5, 3, stages)
         )
         assert stage == REJECTED
         assert state is incumbent
@@ -626,9 +649,9 @@ class TestNonFiniteTarget:
     def test_nan_keeps_the_stream_budget(self, stages):
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         used = chain_draws(17, 3, stages)
-        propose_cascade(nan_target(3), prop, np.zeros(3), 0.0, stages, used)
+        propose_cascade(nan_target(3), prop, np.zeros(3), 0.0, used)
         walled = chain_draws(17, 3, stages)
-        propose_cascade(wall_target(3), prop, np.zeros(3), 0.0, stages, walled)
+        propose_cascade(wall_target(3), prop, np.zeros(3), 0.0, walled)
         assert used.offset == walled.offset == stages + 1
         assert used.generator.random() == walled.generator.random()
 
@@ -637,7 +660,7 @@ class TestNonFiniteTarget:
         prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
         target = TargetDensity("spike", 2, lambda x: float("inf"))
         with pytest.raises(NonFiniteTarget) as info:
-            propose_cascade(target, prop, np.zeros(2), 0.0, stages,
+            propose_cascade(target, prop, np.zeros(2), 0.0,
                             chain_draws(3, 2, stages))
         replay = rng_mod.chain_stream(3, 0)
         z = replay.standard_normal((BLOCK, 2))[0]
@@ -654,7 +677,7 @@ class TestNonFiniteTarget:
             lambda x: float("inf") if abs(x[0]) < 1.0 else float("-inf"),
         )
         with pytest.raises(NonFiniteTarget):
-            propose_cascade(target, prop, np.zeros(1), 0.0, stages,
+            propose_cascade(target, prop, np.zeros(1), 0.0,
                             chain_draws(8, 1, stages))
 
 
