@@ -264,6 +264,19 @@ def _split_chains(spec: SimulationSpec, stored: CompactChain,
     return ([0] + ends)[: k + 1]
 
 
+def _resume_file_call(operation: str, path: str, call, *args):
+    """call(path, *args) on a suite file a resume keeps: a missing file
+    refuses the resume (CorruptRestart), and any other OSError raises
+    IoFailure naming the operation and the path, as persist's file
+    operations do."""
+    try:
+        return call(path, *args)
+    except FileNotFoundError as exc:
+        raise CorruptRestart("%s is missing, so the run cannot resume" % path) from exc
+    except OSError as exc:
+        raise IoFailure("cannot %s %s: %s" % (operation, path, exc)) from exc
+
+
 def _truncate_for_resume(
     spec: SimulationSpec, snap: dict
 ) -> Tuple[CompactChain, List[int]]:
@@ -271,25 +284,22 @@ def _truncate_for_resume(
     chains (_split_chains; one chain otherwise), then cut the chain and
     progress files back to the snapshot's offsets and the restart log back
     to the end of the snapshot's record, dropping a torn tail. A file
-    shorter than its offset (truncating would pad it with NULs), a damaged
-    row, a wrong row count or process ids that do not split refuse the
-    resume before any file is modified."""
+    shorter than its offset (truncating would pad it with NULs) or missing,
+    a damaged row, a wrong row count or process ids that do not split
+    refuse the resume before any file is modified."""
     cuts = (
         (spec.output.chain_path, int(snap["chain_offset"])),
         (spec.output.progress_path, int(snap["progress_offset"])),
         (spec.output.restart_path, snap.end),
     )
-    try:
-        for path, offset in cuts:
-            size = os.path.getsize(path)
-            _require(
-                size >= offset,
-                "%s holds %d bytes but the restart snapshot counts %d; the "
-                "file was cut short, so the run cannot resume"
-                % (path, size, offset),
-            )
-    except OSError as exc:
-        raise CorruptRestart("cannot inspect output files: %s" % exc) from exc
+    for path, offset in cuts:
+        size = _resume_file_call("inspect", path, os.path.getsize)
+        _require(
+            size >= offset,
+            "%s holds %d bytes but the restart snapshot counts %d; the "
+            "file was cut short, so the run cannot resume"
+            % (path, size, offset),
+        )
     stored = read_chain(spec.output.chain_path, spec.output.delimiter,
                         size=cuts[0][1])
     _require(
@@ -309,13 +319,8 @@ def _truncate_for_resume(
         "chain file holds a DR stage outside [0, %d]" % spec.kernel.dr_stage_count,
     )
     edges = _split_chains(spec, stored, snap) if spec.mode == "multichain" else [0]
-    try:
-        for path, offset in cuts:
-            os.truncate(path, offset)
-    except OSError as exc:
-        raise CorruptRestart(
-            "cannot truncate output files to the snapshot boundary: %s" % exc
-        ) from exc
+    for path, offset in cuts:
+        _resume_file_call("truncate", path, os.truncate, offset)
     return stored, edges
 
 

@@ -27,7 +27,13 @@ backwards, so a cascade has O(k^2) of them. Each cascade keeps a table of
 the squared distances ||w_a - w_b||^2 (w_0 = 0, w_m = s_{m-1} z_m), in
 Python floats from the block's dot products, and one memo of log(1 - alpha)
 by subpath (first, last), each computed once; a stage that rejects stores
-its own path's, which the next stage's ratio reuses.
+its own path's, which the next stage's ratio reuses. The last stage stores
+nothing, so it first tests ln u against an upper bound of its ratio, the
+early rejection of Solonen et al. 2012: dr_log_alpha's loop without the
+numerator's log(1 - alpha) terms of reversed subpaths, each <= 0. IEEE
+rounding is monotone, so the bound is never below the ratio as computed,
+and ln u at or above it rejects where the full ratio would; only the rest
+form the full ratio. Every decision, and so every byte, is unchanged.
 
 The step path is bound by per-call overhead, not arithmetic. So the draws
 come in blocks (BlockDraws): one refill draws BLOCK rows of d standard
@@ -179,13 +185,16 @@ def extend_distances(dists: list, scales, band, r: int) -> None:
     (BlockDraws), all Python floats."""
     m = len(dists)
     s_m = scales[m - 1]
-    row = [s_m * s_m * band[0][r]]  # row 0 holds s_a^2 g_aa
+    top = dists[0]  # row 0 holds s_a^2 g_aa
+    own = s_m * s_m * band[0][r]
+    top.append(own)
+    row = [own]
     for a in range(1, m):
-        cross = 2.0 * scales[a - 1] * s_m * band[m - a][r]
-        row.append(dists[0][a] + row[0] - cross)
-    for a in range(m):
-        dists[a].append(row[a])
-    dists.append(row + [0.0])
+        dist = top[a] + own - 2.0 * scales[a - 1] * s_m * band[m - a][r]
+        dists[a].append(dist)
+        row.append(dist)
+    row.append(0.0)
+    dists.append(row)
 
 
 def dr_log_alpha(
@@ -195,6 +204,7 @@ def dr_log_alpha(
     memo: Optional[dict] = None,
     first: int = 0,
     last: Optional[int] = None,
+    bound: bool = False,
 ) -> float:
     """Log acceptance probability of the path y_first -> ... -> y_last.
 
@@ -207,41 +217,56 @@ def dr_log_alpha(
     reversed suffixes remain. The path defaults to x followed by every
     candidate. ``memo`` holds log(1 - alpha) of subpaths longer than one
     step by (first, last); pass one dict for all stages of a cascade.
+
+    With ``bound``, the numerator leaves out the reversed suffixes'
+    log(1 - alpha) terms and stores none of them; the rest is the same
+    operations in the same order. Each left-out term is <= 0 and IEEE
+    rounding is monotone, so the result is never below the exact value:
+    ln u at or above it rejects as the exact ratio would. The cascade uses
+    it at its last stage only; an earlier stage's exact value is the next
+    stage's memo entry.
     """
     if last is None:
         last = len(log_funcs) - 1
-    if memo is None:
-        memo = {}
     log_num = log_funcs[last]
+    if log_num == NEG_INF:
+        return NEG_INF
     log_den = log_funcs[first]
     span = abs(last - first)
-    if span > 1 and log_num != NEG_INF:
+    if span > 1:
         step = 1 if last > first else -1
         to_first, to_last = dists[first], dists[last]
-        for j in range(span - 1):
-            fwd = first + step * (j + 1)
-            rev = last - step * (j + 1)
-            variance = scales[j] * scales[j]
-            log_den -= 0.5 * to_first[fwd] / variance
-            log_num -= 0.5 * to_last[rev] / variance
-            if j:
-                back = memo.get((last, rev))
-                if back is None:
-                    back = memo[last, rev] = _log1mexp(
-                        dr_log_alpha(log_funcs, dists, scales, memo, last, rev))
+        fwd, rev = first + step, last - step
+        variance = scales[0] * scales[0]
+        log_den -= 0.5 * to_first[fwd] / variance
+        log_num -= 0.5 * to_last[rev] / variance
+        # the one-step subpaths; a -inf candidate adds log(1 - 0)
+        if log_funcs[rev] != NEG_INF and not bound:
+            log_num += _log1mexp(log_funcs[rev] - log_funcs[last])
+        if log_funcs[fwd] != NEG_INF:
+            log_den += _log1mexp(log_funcs[fwd] - log_funcs[first])
+        if span > 2 and log_num != NEG_INF:
+            if memo is None:
+                memo = {}
+            for j in range(1, span - 1):
+                fwd += step
+                rev -= step
+                variance = scales[j] * scales[j]
+                log_den -= 0.5 * to_first[fwd] / variance
+                log_num -= 0.5 * to_last[rev] / variance
+                if not bound:
+                    back = memo.get((last, rev))
+                    if back is None:
+                        back = memo[last, rev] = _log1mexp(
+                            dr_log_alpha(log_funcs, dists, scales, memo, last, rev))
+                    log_num += back
                 ahead = memo.get((first, fwd))
                 if ahead is None:
                     ahead = memo[first, fwd] = _log1mexp(
                         dr_log_alpha(log_funcs, dists, scales, memo, first, fwd))
-                log_num += back
                 log_den += ahead
-            else:  # one-step subpaths; a -inf candidate adds log(1 - 0)
-                if log_funcs[rev] != NEG_INF:
-                    log_num += _log1mexp(log_funcs[rev] - log_funcs[last])
-                if log_funcs[fwd] != NEG_INF:
-                    log_den += _log1mexp(log_funcs[fwd] - log_funcs[first])
-            if log_num == NEG_INF:
-                break
+                if log_num == NEG_INF:
+                    break
     # a zero-probability forward path (log_den = -inf) gives min(0, +inf) = 0
     return NEG_INF if log_num == NEG_INF else min(0.0, log_num - log_den)
 
@@ -387,6 +412,11 @@ def propose_cascade(
         else:
             log_funcs.append(log_candidate)
             extend_distances(dists, scales, band, k - 1)
+            # the last stage stores no memo entry, so an upper bound of its
+            # ratio settles most of its rejections
+            if stage == last and lnu >= dr_log_alpha(
+                    log_funcs, dists, scales, memo, bound=True):
+                break
             log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
             if lnu < log_alpha:
                 return candidate, log_candidate, stage

@@ -1,6 +1,7 @@
 """Configuration resolution, the command-line front end, and crash recovery."""
 
 import dataclasses
+import errno
 import hashlib
 import importlib
 import math
@@ -477,9 +478,9 @@ class TestCliRun:
         assert main(run_flags(prefix, chain_len="3", seed="1", **overrides)) == EXIT_OK
         assert "refined sample size: 0" in capsys.readouterr().out
         suite = OutputSuite(prefix=str(prefix))
-        assert open(suite.sample_path, "rb").read() == (
+        assert pathlib.Path(suite.sample_path).read_bytes() == (
             FORMAT_COMMENT + "\nSampleLogFunc,Var1,Var2\n").encode()
-        report = open(suite.report_path, "rb").read().decode()
+        report = pathlib.Path(suite.report_path).read_bytes().decode()
         assert "\nREFINEMENT\n\n  not performed\n" in report
         values = {"target": "mvn", "dim": "2", "chain-len": "3", "seed": "1",
                   "out": str(tmp_path / "lib"), **overrides}
@@ -1103,6 +1104,37 @@ class TestResume:
         run_to_interrupt(self.spec_here(), 200)
         with pytest.raises(SpecMismatch, match="chain_format"):
             run_simulation(self.spec_here(format="binary"))
+
+    def test_a_failing_truncate_is_an_io_failure_naming_the_file(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here()
+        run_to_interrupt(spec, 350)
+
+        def failing(path, length):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(dramp.driver.os, "truncate", failing)
+        message = "cannot truncate %s: [Errno 5] " % spec.output.chain_path
+        with pytest.raises(IoFailure) as info:
+            run_simulation(spec)
+        assert str(info.value).startswith(message)
+        argv = ["run", "--out", "run", "--chain-len", "600", "--seed", "4",
+                "--deterministic-test-mode"]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: " + message)
+
+    def test_a_missing_suite_file_refuses_the_resume_by_name(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        spec = self.spec_here()
+        run_to_interrupt(spec, 350)
+        os.remove(spec.output.progress_path)
+        with pytest.raises(CorruptRestart,
+                           match="^%s is missing" % spec.output.progress_path):
+            run_simulation(spec)
 
     @pytest.mark.parametrize("overrides", [
         {"mode": "serial"},

@@ -220,11 +220,12 @@ def path_product(prop, states, log_funcs, alpha, order):
 
 
 @st.composite
-def dr_paths(draw):
-    """A proposal, an incumbent, and the log-densities and draws of k = 1..4
-    candidates; the memo's reuse of subpath rejections begins at k = 3."""
-    d = draw(st.sampled_from([1, 3, 8]))
-    k = draw(st.integers(1, 4))
+def dr_paths(draw, dims=(1, 3, 8), fewest=1):
+    """A proposal, an incumbent, and the log-densities and draws of k =
+    ``fewest``..4 candidates in one of ``dims`` dimensions; the memo's reuse
+    of subpath rejections begins at k = 3."""
+    d = draw(st.sampled_from(dims))
+    k = draw(st.integers(fewest, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     a = rng.standard_normal((d, d))
     prop = ProposalState.create(
@@ -508,6 +509,126 @@ class TestDecisionIdentity:
         assert np.array_equal(real.dr_stages, reference.dr_stages)
         assert (real.adaptation_measures.tobytes()
                 == reference.adaptation_measures.tobytes())
+
+
+RETRY_PATHS = dr_paths(dims=(1, 2, 8), fewest=2)  # 1 to 3 retries
+
+
+def stage_ratios(prop, log_funcs, draws):
+    """Each retry's (bound, exact) ratio, on one table and memo walked as
+    propose_cascade walks them, and the memo the walk leaves."""
+    k = len(draws)
+    scales = list(prop.stage_scales[:k])
+    dists, band = [[0.0]], lag_band(draws)
+    extend_distances(dists, scales, band, 0)
+    memo, ratios = {}, []
+    for stage in range(1, k):
+        extend_distances(dists, scales, band, stage)
+        path = log_funcs[:stage + 2]
+        before = dict(memo)
+        bound = dr_log_alpha(path, dists, scales, memo, bound=True)
+        assert memo == before, "the bound stored a memo entry"
+        ratios.append((bound, dr_log_alpha(path, dists, scales, memo)))
+        memo[0, stage + 1] = kernel_mod._log1mexp(ratios[-1][1])
+    return dists, scales, memo, ratios
+
+
+class RowStream:
+    """A generator whose first normal rows and uniforms are given, zeros and
+    one half after them."""
+
+    bit_generator = SimpleNamespace(state=None)
+
+    def __init__(self, rows, uniforms):
+        self.rows, self.uniforms = rows, uniforms
+
+    def standard_normal(self, size):
+        normals = np.zeros(size)
+        normals[:len(self.rows)] = self.rows
+        return normals
+
+    def random(self, size):
+        uniforms = np.full(size, 0.5)
+        uniforms[:len(self.uniforms)] = self.uniforms
+        return uniforms
+
+
+TIE_PATHS = [
+    (TIE_PROPOSAL, np.zeros(1),
+     [-math.inf, 0.0, -3.1896413638539366e-08, -math.inf, 0.0], TIE_DRAWS),
+    (TIE_PROPOSAL, np.zeros(1),
+     [-math.inf, -math.inf, 0.0, -math.inf, 0.0], TIE_DRAWS),
+]
+BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
+
+class TestLastStageBound:
+    """The last stage's bound (dr_log_alpha with ``bound``) is never below
+    the exact ratio, so a cascade that rejects on it makes every decision
+    the exact ratio makes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RETRY_PATHS)
+    @example(TIE_PATHS[0])
+    @example(TIE_PATHS[1])
+    def test_bound_is_never_below_the_exact_ratio(self, case):
+        prop, _, log_funcs, draws = case
+        dists, scales, memo, ratios = stage_ratios(prop, log_funcs, draws)
+        for bound, exact in ratios:
+            assert bound >= exact, (bound, exact)
+        k = len(draws)
+        for first in range(k + 1):
+            for last in range(k + 1):
+                if first != last:
+                    bound, exact = (dr_log_alpha(
+                        log_funcs, dists, scales, dict(memo), first, last, bound=b)
+                        for b in (True, False))
+                    assert bound >= exact, (first, last, bound, exact)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RETRY_PATHS,
+           st.lists(st.one_of(st.sampled_from([BELOW_ONE, 0.0]), st.floats(0.0, 1.0)),
+                    min_size=3, max_size=3),
+           st.sampled_from(["zero", "between", "any"]), st.floats(0.0, 1.0))
+    @example(TIE_PATHS[0], [BELOW_ONE] * 3, "between", 0.5)
+    @example(TIE_PATHS[1], [BELOW_ONE] * 3, "between", 0.5)
+    @example(TIE_PATHS[1], [BELOW_ONE] * 3, "zero", 0.0)
+    def test_cascade_matches_the_cascade_without_the_bound(
+        self, case, early, last, t
+    ):
+        prop, x, log_funcs, draws = case
+        bound, exact = stage_ratios(prop, log_funcs, draws)[3][-1]
+        # the last uniform: u = 0 (ln u = -inf), between exp(exact) and
+        # exp(bound), where only the exact ratio decides, or anywhere
+        if last == "zero":
+            u = 0.0
+        elif last == "between":
+            low = exact if exact > -math.inf else bound - 1.0
+            u = math.exp(low + t * (bound - low)) if bound > -math.inf else t
+        else:
+            u = t
+        uniforms = early[:len(draws) - 1] + [u]
+
+        def cascade():
+            levels = iter(log_funcs[1:])
+            target = TargetDensity("scripted", prop.dimension,
+                                   lambda y: next(levels))
+            blocks = BlockDraws(RowStream(draws, uniforms), prop.dimension,
+                                len(draws) - 1)
+            return propose_cascade(target, prop, x, log_funcs[0], blocks)
+
+        got = cascade()
+        with pytest.MonkeyPatch.context() as patched:
+            exact_only = kernel_mod.dr_log_alpha
+
+            def no_bound(*args, bound=False, **kwargs):
+                return exact_only(*args, **kwargs)
+
+            patched.setattr(kernel_mod, "dr_log_alpha", no_bound)
+            want = cascade()
+        assert got[1:] == want[1:]
+        assert got[0].tobytes() == want[0].tobytes()
+        assert (got[0] is x) == (want[0] is x)
 
 
 class TestProposeCascade:

@@ -12,6 +12,7 @@ import math
 import os
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ class TestAsciiChainFile:
                      rate=1.0, measure=0.0)
         with ChainWriter(suite, ("Var1",)) as w:
             w.write_row(row_fields(row))
-        lines = open(suite.chain_path, "rb").read().decode().split("\n")
+        lines = Path(suite.chain_path).read_bytes().decode().split("\n")
         assert lines[0] == FORMAT_COMMENT
         assert lines[1] == (
             "ProcessID,DelayedRejectionStage,MeanAcceptanceRate,"
@@ -156,7 +157,7 @@ class TestAsciiChainFile:
         row = mk_row([0.25, -3.0], -1.5, weight=7, pid=2, stage=1, burnin=4)
         with ChainWriter(suite, ("a", "b")) as w:
             w.write_row(row_fields(row))
-        lines = open(suite.chain_path, "rb").read().decode().split("\n")
+        lines = Path(suite.chain_path).read_bytes().decode().split("\n")
         assert lines[2] == "2%1%0.5%0%4%7%-1.5%0.25%-3"
         back = read_chain(suite.chain_path, "%")
         assert back.states.tolist() == [[0.25, -3.0]]
@@ -164,7 +165,7 @@ class TestAsciiChainFile:
     def test_line_endings_are_lf_only(self, tmp_path):
         suite = OutputSuite(str(tmp_path / "run"))
         write_chain(suite, random_chain(1), ("a", "b", "c"))
-        assert b"\r" not in open(suite.chain_path, "rb").read()
+        assert b"\r" not in Path(suite.chain_path).read_bytes()
 
     def test_round_trip_is_bitwise(self, tmp_path):
         suite = OutputSuite(str(tmp_path / "run"), delimiter=";")
@@ -225,7 +226,7 @@ class TestBinaryChainFile:
             w.write_row(row_fields(row))
         want = (CHAIN_MAGIC + struct.pack("<III", 1, 1, 4) + b"Var1"
                 + struct.pack("<IIddQQdd", 1, 0, 1.0, 0.0, 0, 1, log_func, 0.0))
-        assert open(suite.chain_path, "rb").read() == want
+        assert Path(suite.chain_path).read_bytes() == want
         back = read_chain(suite.chain_path)
         assert back.fields(0) == (1, 0, 1.0, 0.0, 0, 1, log_func, 0.0)
 
@@ -257,7 +258,7 @@ class TestBinaryChainFile:
     def test_damage_is_detected(self, tmp_path):
         suite = OutputSuite(str(tmp_path / "run"), chain_format="binary")
         write_chain(suite, random_chain(6, n=10, d=2), ("a", "b"))
-        raw = open(suite.chain_path, "rb").read()
+        raw = Path(suite.chain_path).read_bytes()
         p = tmp_path / "run2_chain.bin"
         p.write_bytes(raw[: len(raw) - 11])  # truncated mid-record
         with pytest.raises(IoFailure):
@@ -319,8 +320,8 @@ class TestBlockWrites:
                 for i in range(chain.n_rows):
                     w.write_row(chain.fields(i))
         path = OutputSuite(str(rows), chain_format=fmt).chain_path
-        want = open(path, "rb").read()
-        got = open(OutputSuite(str(blocks), chain_format=fmt).chain_path, "rb").read()
+        want = Path(path).read_bytes()
+        got = Path(OutputSuite(str(blocks), chain_format=fmt).chain_path).read_bytes()
         assert got == want
         back = read_chain(path)
         assert back.n_rows == first.n_rows + second.n_rows
@@ -367,7 +368,7 @@ class TestBlockWrites:
         with ChainWriter(suite, ("a",)) as w:
             w.write_rows(chain, 0, 3)
             w.write_row((2 ** 32, 0, 0.5, 0.0, 0, 1, -0.5, 1.0))
-        lines = open(suite.chain_path, "rb").read().decode().split("\n")
+        lines = Path(suite.chain_path).read_bytes().decode().split("\n")
         assert lines[3].startswith("-1,") and lines[5].startswith("4294967296,")
 
 
@@ -392,7 +393,7 @@ class TestDamagedRows:
         return [chain.row(i) for i in range(n)]
 
     def damage_ascii(self, path, damage):
-        lines = open(path, "rb").read().split(b"\n")
+        lines = Path(path).read_bytes().split(b"\n")
         for row, (kind, text) in damage.items():
             fields = lines[row + 2].split(b",")  # format and header lines
             if kind == "fields":
@@ -429,7 +430,7 @@ class TestDamagedRows:
         if fmt == "ascii":
             self.damage_ascii(path, {700: ("pid", b"x"), 900: ("weight", b"0")})
         else:
-            raw = bytearray(open(path, "rb").read())
+            raw = bytearray(Path(path).read_bytes())
             record = struct.calcsize("<IIddQQd" + "d" * len(self.NAMES))
             body = len(raw) - 1100 * record
             for row in (700, 900):
@@ -521,7 +522,7 @@ class TestAsciiRoundTrip:
         assert_chains_bitwise(chain, back)
         assert back.verbose_length == chain.verbose_length
 
-        raw = open(suite.chain_path, "rb").read()
+        raw = Path(suite.chain_path).read_bytes()
         ends = [i + 1 for i, c in enumerate(raw) if c == ord("\n")][1:]
         rows = data.draw(st.integers(0, chain.n_rows), label="prefix rows")
         cut = read_chain(suite.chain_path, delimiter, size=ends[rows])
@@ -620,7 +621,7 @@ class TestAsciiEdgeLines:
         monkeypatch.setattr(persist, "_first_damaged", unreachable)
         clean = read_chain(suite.chain_path)
         assert len(calls) == 1
-        lines = open(suite.chain_path, "rb").read().split(b"\n")
+        lines = Path(suite.chain_path).read_bytes().split(b"\n")
         lines.insert(100, extra)
         with open(suite.chain_path, "wb") as fh:
             fh.write(b"\n".join(lines))
@@ -662,7 +663,7 @@ class TestSampleFile:
         refined = RefinedSample(2, pts, np.array([-1.0, -0.625]), 10, ())
         path = str(tmp_path / "run_sample.txt")
         write_sample(path, refined)
-        lines = open(path, "rb").read().decode().split("\n")
+        lines = Path(path).read_bytes().decode().split("\n")
         assert lines[0] == FORMAT_COMMENT
         assert lines[1] == "SampleLogFunc,Var1,Var2"
         assert lines[2] == "-1,1.5,-2.25"
@@ -683,7 +684,7 @@ class TestProgressFile:
         with ProgressWriter(path) as w:
             w.write_tick(tick, elapsed_seconds=1.25)
             w.write_tick({**tick, "verbose_length": 2000}, elapsed_seconds=None)
-        lines = open(path, "rb").read().decode().split("\n")
+        lines = Path(path).read_bytes().decode().split("\n")
         assert lines[0] == FORMAT_COMMENT
         assert lines[1] == ProgressWriter.HEADER
         assert lines[2] == "1000,747,0.747,0.125,1.250"
@@ -700,10 +701,10 @@ class TestProgressFile:
         }
         with ProgressWriter(path) as w:
             w.write_tick(tick, 0.5)
-        n_before = len(open(path, "rb").read().split(b"\n"))
+        n_before = len(Path(path).read_bytes().split(b"\n"))
         with ProgressWriter(path, append=True) as w:
             w.write_tick({**tick, "verbose_length": 2000}, 0.9)
-        lines = open(path, "rb").read().split(b"\n")
+        lines = Path(path).read_bytes().split(b"\n")
         assert len(lines) == n_before + 1
         assert lines.count(FORMAT_COMMENT.encode()) == 1
 
@@ -733,7 +734,7 @@ class TestReport:
             build_speedup_report(1.0),
             mode="serial",
         )
-        text = open(suite.report_path, "rb").read().decode()
+        text = Path(suite.report_path).read_bytes().decode()
         lines = [ln for ln in text.split("\n") if ln.strip()]
         assert lines[-1] == REPORT_TERMINATOR
         assert text.count(ECHO_BEGIN) == 1 and text.count(ECHO_END) == 1
@@ -752,7 +753,7 @@ class TestReport:
             mode="serial",
         )
         cut_last_line(suite.report_path)
-        text = open(suite.report_path, "rb").read().decode()
+        text = Path(suite.report_path).read_bytes().decode()
         assert REPORT_TERMINATOR not in text
         assert text.endswith("=" * 72 + "\n")
 
@@ -776,7 +777,7 @@ class TestReport:
             check=cross_chain_check(refined),
             tally=ContributionTally(2, (15, 4)),
         )
-        text = open(suite.report_path, "rb").read().decode()
+        text = Path(suite.report_path).read_bytes().decode()
         assert "WORKER CONTRIBUTIONS" in text
         assert "CONVERGENCE CHECK" in text
         assert "refined sample size      : 200" in text
@@ -881,20 +882,20 @@ class TestSnapshot:
     def test_checksum_catches_a_flipped_byte(self, tmp_path):
         path = str(tmp_path / "run_restart.bin")
         write_snapshot(path, self.PAYLOAD)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw[len(RESTART_MAGIC) + 8 + 5] ^= 0x40
-        open(path, "wb").write(bytes(raw))
+        Path(path).write_bytes(bytes(raw))
         with pytest.raises(CorruptRestart):
             read_snapshot(path)
 
     def test_structural_damage_raises(self, tmp_path):
         path = str(tmp_path / "run_restart.bin")
         write_snapshot(path, {"a": 1})
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:-7])
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:-7])
         with pytest.raises(CorruptRestart):
             read_snapshot(path)
-        open(path, "wb").write(b"NOTMAGIC" + raw[8:])
+        Path(path).write_bytes(b"NOTMAGIC" + raw[8:])
         with pytest.raises(CorruptRestart):
             read_snapshot(path)
         with pytest.raises(CorruptRestart):
@@ -952,13 +953,13 @@ class TestDetectIncomplete:
         write_chain(suite, random_chain(8, n=0, d=2), names)
         ProgressWriter(suite.progress_path).close()
         assert detect_incomplete(prefix) == (RunState.FRESH, None)
-        header = open(suite.chain_path, "rb").read()
-        open(suite.chain_path, "wb").write(header[:-3])  # header cut short
+        header = Path(suite.chain_path).read_bytes()
+        Path(suite.chain_path).write_bytes(header[:-3])  # header cut short
         assert detect_incomplete(prefix) == (RunState.FRESH, None)
         write_chain(suite, random_chain(8, n=1, d=2), names)
         with pytest.raises(CorruptRestart):
             detect_incomplete(prefix)
-        open(suite.chain_path, "wb").write(header + b"1")  # a row's first byte
+        Path(suite.chain_path).write_bytes(header + b"1")  # a row's first byte
         with pytest.raises(CorruptRestart):
             detect_incomplete(prefix)
 
@@ -978,12 +979,12 @@ class TestDetectIncomplete:
     def test_damaged_snapshot_is_corrupt_not_fresh(self, tmp_path):
         prefix = str(tmp_path / "run")
         self.chain_and_restart(prefix)
-        open(prefix + "_restart.bin", "wb").write(b"garbage")
+        Path(prefix + "_restart.bin").write_bytes(b"garbage")
         with pytest.raises(CorruptRestart):
             detect_incomplete(prefix)
 
     def test_orphan_sample_is_corrupt(self, tmp_path):
         prefix = str(tmp_path / "run")
-        open(prefix + "_sample.txt", "wb").write(b"# format: v1\n")
+        Path(prefix + "_sample.txt").write_bytes(b"# format: v1\n")
         with pytest.raises(CorruptRestart):
             detect_incomplete(prefix)
