@@ -50,11 +50,16 @@ remaining coordinates, the mvn target's whitening) use ndarray.dot, about
 half the cost of @ at small d; on C-contiguous float64 operands both reach
 the same BLAS routine and give the same bits. Adaptation, moments and
 refinement keep @.
-Kernel.run reads a run's invariants once and calls
-propose_cascade(target, proposal, incumbent, log_incumbent, draws) itself;
-the cascade returns a plain tuple and runs the stages its BlockDraws was
-built for, the one source of the stage count. A rejection that ends no tick
-only adds 1 to the verbose length there; every other outcome is committed.
+Kernel.run reads a run's invariants once and makes one call of
+propose_cascade(target, proposal, incumbent, log_incumbent, draws,
+attempts) per committed step. The call runs attempts from the incumbent in
+one flat loop over stages, each attempt the stages its BlockDraws was
+built for (the one source of the stage count), until an acceptance or
+``attempts`` rejections, and returns a plain tuple. run passes the verbose
+steps left to the next tick, so a call ends on an acceptance or on a tick;
+it charges the rejections before the outcome to the verbose length and
+commits the outcome. The draws a call takes are those of one call per
+attempt, so every byte is that of Kernel.step in a loop.
 
 The target is evaluated in propose_cascade only: a NaN log-density counts as
 -inf (outside the support), and +inf raises NonFiniteTarget naming the point.
@@ -364,66 +369,85 @@ def propose_cascade(
     incumbent: np.ndarray,
     log_incumbent: float,
     draws: BlockDraws,
-) -> Tuple[np.ndarray, float, int]:
-    """Run one full proposal attempt: stage 0 plus up to the retries
-    ``draws`` was built for (its ``stop`` stages in all). Returns (state,
-    log_func, stage) of the accepted candidate, or the incumbent's with
-    stage REJECTED.
+    attempts: int = 1,
+) -> Tuple[np.ndarray, float, int, int]:
+    """Run up to ``attempts`` full proposal attempts from the incumbent,
+    each stage 0 plus the retries ``draws`` was built for (its ``stop``
+    stages in all), and stop at the first acceptance. Returns (state,
+    log_func, stage, made) of the accepted candidate and the attempts made
+    up to it, or the incumbent's with stage REJECTED after ``attempts``
+    rejections.
 
-    Pure with respect to everything but the chain's draws; shared verbatim
-    by the serial kernel and the fork-join workers.
+    One flat loop runs every stage of every attempt: a full rejection sets
+    the stage back to 0. ``draws.offset`` is written before each refill and
+    on every exit, an exception's too, so the stream's use is that of
+    ``made`` calls of one attempt each. Pure with respect to everything but
+    the chain's draws.
     """
     evaluate = target.evaluate
     scales = proposal.stage_scales
+    log = math.log
     k = draws.offset
     if k == BLOCK or draws.proposal is not proposal:
         k = draws.ready(proposal)
     scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
     last = draws.stop - 1
-    for stage in range(draws.stop):
-        if k == BLOCK:
-            k = draws.ready(proposal)
-            scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
-        # the bits of incumbent + scales[stage] * L z: a product's elements
-        # round alike in a (BLOCK, d) array and in one row, and + commutes
-        candidate = scaled[stage][k] + incumbent
-        u = uniforms[k]
-        k += 1
-        draws.offset = k
-        log_candidate = float(evaluate(candidate))
-        if log_candidate != log_candidate:
-            log_candidate = NEG_INF  # NaN: outside the support
-        elif log_candidate == INF:
-            raise NonFiniteTarget(
-                "target log-density is +inf at (%s)"
-                % ", ".join("%.17g" % v for v in candidate)
-            )
-        # math.log per stage, not numpy's log over the block: numpy's SIMD
-        # loops round differently on other CPUs
-        lnu = math.log(u) if u > 0.0 else NEG_INF
-        if stage == 0:
-            if lnu < log_candidate - log_incumbent:
-                return candidate, log_candidate, 0
-            if last:
-                # the retries' state exists only once stage 0 has rejected
-                log_funcs = [log_incumbent, log_candidate]
-                dists, memo = [[0.0]], {}
+    stage, made = 0, 1
+    try:
+        while True:
+            if k == BLOCK:
+                draws.offset = k
+                k = draws.ready(proposal)
+                scaled, uniforms, band = draws.scaled, draws.uniforms, draws.band
+            # the bits of incumbent + scales[stage] * L z: a product's elements
+            # round alike in a (BLOCK, d) array and in one row, and + commutes
+            candidate = scaled[stage][k] + incumbent
+            u = uniforms[k]
+            k += 1
+            log_candidate = float(evaluate(candidate))
+            if log_candidate != log_candidate:
+                log_candidate = NEG_INF  # NaN: outside the support
+            elif log_candidate == INF:
+                raise NonFiniteTarget(
+                    "target log-density is +inf at (%s)"
+                    % ", ".join("%.17g" % v for v in candidate)
+                )
+            # math.log per stage, not numpy's log over the block: numpy's SIMD
+            # loops round differently on other CPUs
+            lnu = log(u) if u > 0.0 else NEG_INF
+            if stage == 0:
+                if lnu < log_candidate - log_incumbent:
+                    return candidate, log_candidate, 0, made
+                if last:
+                    # the retries' state exists only once stage 0 has rejected
+                    log_funcs = [log_incumbent, log_candidate]
+                    dists, memo = [[0.0]], {}
+                    extend_distances(dists, scales, band, k - 1)
+                    stage = 1
+                    continue
+            else:
+                log_funcs.append(log_candidate)
                 extend_distances(dists, scales, band, k - 1)
-        else:
-            log_funcs.append(log_candidate)
-            extend_distances(dists, scales, band, k - 1)
-            # the last stage stores no memo entry, so an upper bound of its
-            # ratio settles most of its rejections
-            if stage == last and lnu >= dr_log_alpha(
-                    log_funcs, dists, scales, memo, bound=True):
-                break
-            log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
-            if lnu < log_alpha:
-                return candidate, log_candidate, stage
-            if stage < last:
-                # the next stage's ratio reuses this path's rejection
-                memo[0, stage + 1] = _log1mexp(log_alpha)
-    return incumbent, log_incumbent, REJECTED
+                if stage < last:
+                    log_alpha = dr_log_alpha(log_funcs, dists, scales, memo)
+                    if lnu < log_alpha:
+                        return candidate, log_candidate, stage, made
+                    # the next stage's ratio reuses this path's rejection
+                    memo[0, stage + 1] = _log1mexp(log_alpha)
+                    stage += 1
+                    continue
+                # the last stage stores no memo entry, so an upper bound of
+                # its ratio settles most of its rejections
+                if (lnu < dr_log_alpha(log_funcs, dists, scales, memo, bound=True)
+                        and lnu < dr_log_alpha(log_funcs, dists, scales, memo)):
+                    return candidate, log_candidate, stage, made
+            # a full rejection: the next attempt starts from the same incumbent
+            if made == attempts:
+                return incumbent, log_incumbent, REJECTED, made
+            made += 1
+            stage = 0
+    finally:
+        draws.offset = k
 
 
 def burnin_location(
@@ -608,28 +632,30 @@ class Kernel:
         return record
 
     def step(self) -> Sequence[tuple]:
-        return self.commit(propose_cascade(
+        state, log_func, stage, _ = propose_cascade(
             self.target, self.proposal, self.incumbent, self.log_incumbent,
             self.draws,
-        ))
+        )
+        return self.commit((state, log_func, stage))
 
     def run(
         self, on_step: Optional[Callable[[Sequence[tuple]], None]] = None
     ) -> KernelSummary:
         """Step until the chain holds ``chain_length_target`` rows, handing
         the events of each step that has any to ``on_step``, and return the
-        summary. A rejection that ends no tick is charged here, as commit
-        would."""
+        summary. One cascade call makes each committed step: it runs the
+        attempts up to an acceptance or the next tick, whichever comes
+        first, so every call ends on an outcome commit has work for. The
+        rejections before that outcome are charged here, as commit would."""
         chain, length = self.chain, self.config.chain_length_target
         target, draws = self.target, self.draws
         cascade = propose_cascade  # looked up per run, so a patched one is used
         while chain.n_rows < length:
-            outcome = cascade(target, self.proposal, self.incumbent,
-                              self.log_incumbent, draws)
-            if outcome[2] == REJECTED and (chain.verbose_length + 1) % TICK_STEPS:
-                chain.verbose_length += 1  # the live row's weight
-                continue
-            events = self.commit(outcome)
+            state, log_func, stage, made = cascade(
+                target, self.proposal, self.incumbent, self.log_incumbent,
+                draws, TICK_STEPS - chain.verbose_length % TICK_STEPS)
+            chain.verbose_length += made - 1  # the live row's weight
+            events = self.commit((state, log_func, stage))
             if events and on_step is not None:
                 on_step(events)
         return self.summary()

@@ -673,7 +673,7 @@ def test_dr3_balance_one_step_from_exact_draws_in_two_dimensions():
     stream = BlockDraws(chain_stream(2, 0), 2, 3)
     after, stages = [], []
     for start, log_start in zip(list(starts), GRID_LOG_HEIGHTS[before].tolist()):
-        state, _, stage = propose_cascade(target, proposal, start, log_start, stream)
+        state, _, stage, _ = propose_cascade(target, proposal, start, log_start, stream)
         a, b = state.tolist()
         after.append(int(a) * 4 + int(b))
         stages.append(stage)

@@ -105,9 +105,10 @@ class TestStageZeroRule:
         target = TargetDensity("scripted", 1, lambda x: log_candidate)
         prop = ProposalState.create(1, scale_factor=1.0)
         incumbent = np.array([2.0])
-        state, log_func, stage = propose_cascade(
+        state, log_func, stage, made = propose_cascade(
             target, prop, incumbent, log_incumbent,
             BlockDraws(ScriptedStream([u]), 1, 0))
+        assert made == 1
         if accepted:
             assert (state.tolist(), log_func, stage) == ([3.0], log_candidate, 0)
         else:
@@ -439,34 +440,36 @@ class TestBlockBand:
 
 
 def reference_propose_cascade(target, proposal, incumbent, log_incumbent,
-                              blocks):
+                              blocks, attempts=1):
     """propose_cascade on the draws-based recursion: the same rows of the
     chain's blocks, each taken through BlockDraws.ready, which refills as
     needed, and the same candidates, from L z made here over the whole
-    block; each retry's ratio from reference_dr_log_alpha."""
+    block; each retry's ratio from reference_dr_log_alpha. Each of the
+    ``attempts`` is a cascade of its own, from a fresh path and memo."""
     scales = [proposal.scale_factor] + [
         proposal.scale_factor * s for s in proposal.dr_scales]
-    log_funcs, draws, memo = [log_incumbent], [], {}
-    for stage in range(blocks.stop):
-        k = blocks.ready(proposal)
-        z, u = blocks.normals[k], blocks.uniforms[k]
-        steps = blocks.normals.dot(proposal.chol_factor.T)
-        candidate = incumbent + scales[stage] * steps[k]
-        blocks.offset = k + 1
-        log_candidate = float(target.evaluate(candidate))
-        if log_candidate != log_candidate:
-            log_candidate = float("-inf")
-        log_funcs.append(log_candidate)
-        draws.append(z)
-        lnu = math.log(u) if u > 0.0 else float("-inf")
-        if stage == 0:
-            accepted = lnu < log_candidate - log_incumbent
-        else:
-            accepted = lnu < reference_dr_log_alpha(
-                log_funcs, numpy_distances(draws, scales), scales, memo)
-        if accepted:
-            return candidate, log_candidate, stage
-    return incumbent, log_incumbent, REJECTED
+    for made in range(1, attempts + 1):
+        log_funcs, draws, memo = [log_incumbent], [], {}
+        for stage in range(blocks.stop):
+            k = blocks.ready(proposal)
+            z, u = blocks.normals[k], blocks.uniforms[k]
+            steps = blocks.normals.dot(proposal.chol_factor.T)
+            candidate = incumbent + scales[stage] * steps[k]
+            blocks.offset = k + 1
+            log_candidate = float(target.evaluate(candidate))
+            if log_candidate != log_candidate:
+                log_candidate = float("-inf")
+            log_funcs.append(log_candidate)
+            draws.append(z)
+            lnu = math.log(u) if u > 0.0 else float("-inf")
+            if stage == 0:
+                accepted = lnu < log_candidate - log_incumbent
+            else:
+                accepted = lnu < reference_dr_log_alpha(
+                    log_funcs, numpy_distances(draws, scales), scales, memo)
+            if accepted:
+                return candidate, log_candidate, stage, made
+    return incumbent, log_incumbent, REJECTED, attempts
 
 
 def correlated_gaussian(d, seed):
@@ -631,22 +634,54 @@ class TestLastStageBound:
         assert (got[0] is x) == (want[0] is x)
 
 
+def holed_target(evaluated):
+    """A correlated 2-D Gaussian whose log-density is NaN where x0 > 1.5,
+    counting its evaluations and NaNs in ``evaluated``."""
+    gauss = gaussian_target([0.0, 0.0], [[1.0, 0.5], [0.5, 2.0]])
+
+    def log_density(x):
+        evaluated["calls"] += 1
+        if x[0] > 1.5:
+            evaluated["nan"] += 1
+            return float("nan")
+        return gauss.evaluate(x)
+
+    return TargetDensity("holed", 2, log_density)
+
+
+def single_attempts(target, prop, incumbent, log_incumbent, draws, n):
+    """n calls of one attempt each, up to the first acceptance."""
+    for made in range(1, n + 1):
+        state, log_func, stage, one = propose_cascade(
+            target, prop, incumbent, log_incumbent, draws)
+        assert one == 1
+        if stage != REJECTED:
+            break
+    return state, log_func, stage, made
+
+
 class TestProposeCascade:
+    """propose_cascade runs the stages its draws were built for; one call of
+    n attempts is n calls of one attempt up to the first acceptance: the
+    same outcome and attempts made, the same offset into the block and the
+    same stream state, past refills and NaN evaluations, and an exception
+    leaves the offset the single calls leave."""
+
     def test_flat_target_accepts_at_stage_zero(self):
         prop = ProposalState.create(2)
         incumbent = np.zeros(2)
-        state, log_func, stage = propose_cascade(
+        state, log_func, stage, made = propose_cascade(
             flat_target(2), prop, incumbent, 0.0, chain_draws(5, 2, 1))
-        assert stage == 0
+        assert (stage, made) == (0, 1)
         assert log_func == 0.0
         assert not np.array_equal(state, incumbent)
 
     def test_full_rejection_returns_incumbent(self):
         prop = ProposalState.create(1, dr_scales=(0.5, 0.25))
         incumbent = np.array([1.5])
-        state, log_func, stage = propose_cascade(
+        state, log_func, stage, made = propose_cascade(
             wall_target(1), prop, incumbent, 0.0, chain_draws(5, 1, 2))
-        assert stage == REJECTED
+        assert (stage, made) == (REJECTED, 1)
         assert state is incumbent
         assert log_func == 0.0
 
@@ -657,9 +692,9 @@ class TestProposeCascade:
         # TypeError (0 retries: no band) or IndexError (1: no scaled[2])
         prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
         draws = BlockDraws(rng_mod.chain_stream(1, 0), 2, stages)
-        state, log_func, stage = propose_cascade(
+        state, log_func, stage, made = propose_cascade(
             wall_target(2), prop, np.zeros(2), 0.0, draws)
-        assert (stage, log_func) == (REJECTED, 0.0)
+        assert (stage, log_func, made) == (REJECTED, 0.0, 1)
         assert draws.offset == stages + 1
 
     def test_a_proposal_with_fewer_stages_than_the_draws_is_refused(self):
@@ -727,6 +762,66 @@ class TestProposeCascade:
             want = blocks[block].dot(chol.T)[row] * scale + incumbent
             assert candidate.tobytes() == want.tobytes(), k
 
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("stages", [0, 1, 2, 3])
+    def test_one_call_equals_single_attempts(self, stages, n):
+        # a wide proposal at every stage: long runs of rejections
+        prop = ProposalState.create(
+            2, scale_factor=10.0, dr_scales=(0.9, 0.8, 0.7))
+        evaluated = {"calls": 0, "nan": 0}
+        target = holed_target(evaluated)
+        batched, single = chain_draws(60 + n, 2, stages), chain_draws(60 + n, 2, stages)
+        x = np.array([0.2, -0.3])
+        log_x = float(target.evaluate(x))
+        outcomes, most = set(), 0
+        for _ in range(2000 // n + 20):
+            before = evaluated["calls"]
+            got = propose_cascade(target, prop, x, log_x, batched, n)
+            most = max(most, evaluated["calls"] - before)
+            want = single_attempts(target, prop, x, log_x, single, n)
+            assert got[1:] == want[1:]
+            assert got[0].tobytes() == want[0].tobytes()
+            assert (got[0] is x) == (want[0] is x)
+            assert batched.offset == single.offset
+            assert (batched.generator.bit_generator.state
+                    == single.generator.bit_generator.state)
+            outcomes.add((got[2] == REJECTED, got[3] > 1))
+            x, log_x = want[0], want[1]
+        assert evaluated["nan"] > 0
+        if n == 1:
+            assert outcomes == {(True, False), (False, False)}
+        else:
+            # rejections before an acceptance, and n rejections in a row
+            assert (False, True) in outcomes
+            if n == 7:
+                assert (True, True) in outcomes
+        if n == 200:
+            assert most > BLOCK  # one call ran past a refill
+
+    @pytest.mark.parametrize("stages", [0, 2])
+    def test_plus_inf_at_a_later_attempt_raises_one_row_past_it(self, stages):
+        # every stage rejects until evaluation 100, which is +inf: past a
+        # refill, inside attempt 100 // (stages + 1) + 1
+        prop = ProposalState.create(2, dr_scales=(0.5, 0.25))
+
+        def spike_at(evaluation):
+            calls = [0]
+
+            def log_density(x):
+                calls[0] += 1
+                return float("inf") if calls[0] == evaluation else float("-inf")
+
+            return TargetDensity("spike", 2, log_density)
+
+        batched, single = chain_draws(9, 2, stages), chain_draws(9, 2, stages)
+        with pytest.raises(NonFiniteTarget):
+            propose_cascade(spike_at(100), prop, np.zeros(2), 0.0, batched, 500)
+        with pytest.raises(NonFiniteTarget):
+            single_attempts(spike_at(100), prop, np.zeros(2), 0.0, single, 500)
+        assert batched.offset == single.offset == (100 - 1) % BLOCK + 1
+        assert (batched.generator.bit_generator.state
+                == single.generator.bit_generator.state)
+
 
 class RecordedStream:
     """A generator that records each call and each value it hands out."""
@@ -760,10 +855,10 @@ class TestNonFiniteTarget:
     def test_nan_is_outside_the_support(self, stages):
         prop = ProposalState.create(3, dr_scales=(0.5, 0.25))
         incumbent = np.zeros(3)
-        state, _, stage = propose_cascade(
+        state, _, stage, made = propose_cascade(
             nan_target(3), prop, incumbent, 0.0, chain_draws(5, 3, stages)
         )
-        assert stage == REJECTED
+        assert (stage, made) == (REJECTED, 1)
         assert state is incumbent
 
     @pytest.mark.parametrize("stages", [0, 1, 2])
@@ -1147,24 +1242,29 @@ class TestAdaptationMoments:
 
 
 class TestRunLoop:
-    """Kernel.run charges a rejection that ends no tick itself and commits
-    every other outcome: the chain, the events and the stream are those of
-    calling step() until the chain is full."""
+    """Kernel.run makes one cascade call per committed step: a call runs
+    attempts up to an acceptance or the next tick, and run() charges the
+    rejections before its outcome and commits the outcome. The chain, the
+    events and the stream are those of calling step(), one attempt each,
+    until the chain is full."""
 
-    @pytest.mark.parametrize("dr_stages", [0, 2])
-    @pytest.mark.parametrize("workers", [1, 8])
-    def test_run_equals_a_loop_of_step(self, dr_stages, workers):
-        def kernel():
-            # a wide proposal rejects most attempts, so rejections span ticks
-            cfg = KernelConfig(600, (0.0, 0.0), rng_seed=21,
-                               dr_stage_count=dr_stages, adaptation_period=100)
-            return Kernel(gaussian_target([0.0, 0.0], [[1.0, 0.5], [0.5, 2.0]]),
-                          cfg, ProposalState.create(2, scale_factor=10.0,
-                                                    dr_scales=(0.5, 0.25)),
-                          workers=workers)
+    @staticmethod
+    def run_and_step(kernel, monkeypatch):
+        """Run one kernel and step another until full; assert that they
+        agree and that run() called the cascade once per row it appended
+        and once per tick a rejection ended. Returns the run's chain, its
+        events and the verbose lengths of its ticks."""
+        cascade, calls = kernel_mod.propose_cascade, []
 
-        ran, ran_events = kernel(), []
-        ran.run(ran_events.extend)
+        def counting(*args):
+            calls.append(args[-1])
+            return cascade(*args)
+
+        ran, steps = kernel(), []
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel_mod, "propose_cascade", counting)
+            ran.run(steps.append)
+        ran_events = [event for step in steps for event in step]
         stepped, stepped_events = kernel(), []
         while stepped.chain.n_rows < stepped.config.chain_length_target:
             stepped_events.extend(stepped.step())
@@ -1178,16 +1278,62 @@ class TestRunLoop:
         assert ran_events == stepped_events
         assert ran.generator.bit_generator.state == \
             stepped.generator.bit_generator.state
-        kinds = [event[0] for event in ran_events]
-        assert kinds.count("adapt") == 6
+        # a step whose first event is a tick was a rejection
+        rejected_ticks = sum(step[0][0] == "tick" for step in steps)
+        assert len(calls) == a.n_rows - 1 + rejected_ticks
+        # no call's budget runs past the next tick
+        assert max(calls) <= kernel_mod.TICK_STEPS
         ticks = [e[1]["verbose_length"] for e in ran_events if e[0] == "tick"]
+        return a, ran_events, ticks
+
+    @staticmethod
+    def spanning(chain, ticks):
+        """For each tick, whether a rejection of the row live then ended it:
+        the row's first step came before the tick, and a step after it."""
+        rows = np.searchsorted(chain.verbose_starts, np.subtract(ticks, 1),
+                               "right") - 1
+        starts = chain.verbose_starts[rows]
+        return rows, ((starts < np.subtract(ticks, 1))
+                      & (starts + chain.weights[rows] > ticks))
+
+    @pytest.mark.parametrize("dr_stages", [0, 2, 3])
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_run_equals_a_loop_of_step(self, monkeypatch, dr_stages, workers):
+        def kernel():
+            # a wide proposal rejects most attempts, so rejections span ticks
+            cfg = KernelConfig(600, (0.0, 0.0), rng_seed=21,
+                               dr_stage_count=dr_stages, adaptation_period=100)
+            return Kernel(gaussian_target([0.0, 0.0], [[1.0, 0.5], [0.5, 2.0]]),
+                          cfg, ProposalState.create(2, scale_factor=10.0,
+                                                    dr_scales=(0.7, 0.5, 0.35)),
+                          workers=workers)
+
+        chain, events, ticks = self.run_and_step(kernel, monkeypatch)
+        kinds = [event[0] for event in events]
+        assert kinds.count("adapt") == 6
         assert len(ticks) >= 3
         # the row live at some tick was left by rejections before and after
         # it: the tick's own step was a rejection that run() committed
-        rows = np.searchsorted(a.verbose_starts, np.subtract(ticks, 1), "right") - 1
-        starts = a.verbose_starts[rows]
-        assert np.any((starts < np.subtract(ticks, 1))
-                      & (starts + a.weights[rows] > ticks))
+        assert np.any(self.spanning(chain, ticks)[1])
+
+    @pytest.mark.parametrize("dr_stages", [0, 3])
+    def test_rejection_runs_across_ticks(self, monkeypatch, dr_stages):
+        # a box target under a proposal about 2000 times wider per attempt:
+        # rows outlive ticks, and a call that starts on a tick runs a full
+        # tick of rejections to the next
+        def kernel():
+            cfg = KernelConfig(20, (0.0,), rng_seed=5, dr_stage_count=dr_stages,
+                               adaptation_period=10 ** 6)
+            box = TargetDensity(
+                "box", 1, lambda x: 0.0 if -1.0 < x[0] < 1.0 else float("-inf"))
+            prop = ProposalState.create(1, scale_factor=1600.0 * (dr_stages + 1),
+                                        dr_scales=(0.99, 0.98, 0.97))
+            return Kernel(box, cfg, prop)
+
+        chain, _, ticks = self.run_and_step(kernel, monkeypatch)
+        rows, spanned = self.spanning(chain, ticks)
+        # one row's rejections ended two ticks in a row
+        assert np.any(spanned[1:] & spanned[:-1] & (rows[1:] == rows[:-1]))
 
 
 class TestStageTallies:
@@ -1201,20 +1347,26 @@ class TestStageTallies:
         accepts = [0] * (dr_stages + 1)
         cascade = kernel_mod.propose_cascade
 
-        def counting(target, *args):
-            # each stage the cascade runs evaluates the target once
-            stages_run = [0]
+        def counting(target, proposal, incumbent, log_incumbent, draws,
+                     budget=1):
+            # one call of the cascade per attempt; each stage it runs
+            # evaluates the target once
+            for made in range(1, budget + 1):
+                stages_run = [0]
 
-            def evaluate(x):
-                stages_run[0] += 1
-                return target.evaluate(x)
+                def evaluate(x):
+                    stages_run[0] += 1
+                    return target.evaluate(x)
 
-            out = cascade(dataclasses.replace(target, evaluate=evaluate), *args)
-            for stage in range(stages_run[0]):
-                attempts[stage] += 1
-            if out[2] != REJECTED:
-                accepts[out[2]] += 1
-            return out
+                state, log_func, stage, _ = cascade(
+                    dataclasses.replace(target, evaluate=evaluate), proposal,
+                    incumbent, log_incumbent, draws)
+                for k in range(stages_run[0]):
+                    attempts[k] += 1
+                if stage != REJECTED:
+                    accepts[stage] += 1
+                    break
+            return state, log_func, stage, made
 
         monkeypatch.setattr(kernel_mod, "propose_cascade", counting)
         target = gaussian_target([0.0, 0.0], [[1.0, 0.6], [0.6, 1.0]])
